@@ -7,11 +7,11 @@ twisting recipes), sign (full report for a single datum), and
 product-check (product of signs must be +1).
 
 Output is CSV (default) or JSON, written to stdout, and is byte-for-byte
-deterministic: rows are canonically ordered, no timestamps or machine
-data appear, and --jobs only parallelizes independent (q, n) cells
-before a canonical merge. Schema details live in SCHEMA.md next to this
-package; every payload carries schema_version and the generator
-convention for character exponents.
+deterministic: (q, n) cells are visited in sorted order, rows are
+canonically ordered within each cell, and no timestamps or machine data
+appear. Schema details live in SCHEMA.md next to this package; every
+payload carries schema_version and the generator convention for
+character exponents.
 
 Exit codes: 0 success (including reported SZ inconsistencies and failed
 product checks); 1 usage error; 2 internal consistency failure; 3 flip
@@ -23,22 +23,22 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
-from .cyclotomic import factorize
 from .division import (
     division_model,
     enumerate_level1_selfdual,
+    is_prime_power,
     is_regular,
     is_selfdual_division,
     make_tame_character,
+    prime_power_base,
     sign_division_closed_form,
 )
 from .errors import InternalConsistencyError, UsageError
 from .metacyclic import det_exponents, fs_indicator
 from .rationality import character_field
-from .signs import verify_flip
+from .signs import product_check, verify_flip
 from .weil import sign_weil_closed_form, weil_model
 
 SCHEMA_VERSION = 1
@@ -59,6 +59,10 @@ SIGN_COLUMNS = (
     "field_conductor", "field_degree",
 )
 PRODUCT_COLUMNS = ("count", "product", "verdict")
+# columns holding a sign (+-1, 0 for a vanishing indicator, None when absent)
+SIGN_CELLS = frozenset(
+    {"w", "sign_closed", "sign_oracle", "param_w", "param_sign", "predicted", "product"}
+)
 
 
 @dataclass(frozen=True)
@@ -70,7 +74,6 @@ class RunConfig:
     n_values: tuple[int, ...] = ()
     recipe: str = "PR"
     fmt: str = "csv"
-    jobs: int = 1
     side: str = ""
     q: int = 0
     n: int = 0
@@ -84,36 +87,26 @@ class RunConfig:
 # parsing helpers
 
 
-def _is_prime_power(q: int) -> bool:
-    return q >= 2 and len(factorize(q)) == 1
-
-
 def parse_range(text: str, name: str) -> tuple[int, ...]:
     """Parse "k" or "lo..hi" (inclusive) into a tuple of ints."""
+    lo_s, sep, hi_s = text.partition("..")
     try:
-        if ".." in text:
-            lo_s, hi_s = text.split("..", 1)
-            lo, hi = int(lo_s), int(hi_s)
-            if lo > hi:
-                raise UsageError(f"empty range for {name}: {text}")
-            return tuple(range(lo, hi + 1))
-        return (int(text),)
+        lo = int(lo_s)
+        hi = int(hi_s) if sep else lo
     except ValueError:
         raise UsageError(f"cannot parse {name} range {text!r}; use k or lo..hi")
+    if lo > hi:
+        raise UsageError(f"empty range for {name}: {text}")
+    return tuple(range(lo, hi + 1))
 
 
 def expand_q_range(text: str) -> tuple[int, ...]:
     """Prime powers in the range; a single non-prime-power is an error."""
     values = parse_range(text, "q")
     if len(values) == 1:
-        q = values[0]
-        if not _is_prime_power(q):
-            pretty = " * ".join(
-                f"{p}^{e}" if e > 1 else str(p) for p, e in factorize(q)
-            ) if q >= 2 else str(q)
-            raise UsageError(f"q must be a prime power, got {q} = {pretty}")
+        prime_power_base(values[0])
         return values
-    kept = tuple(q for q in values if _is_prime_power(q))
+    kept = tuple(q for q in values if is_prime_power(q))
     if not kept:
         raise UsageError(f"no prime powers in q range {text!r}")
     return kept
@@ -138,8 +131,7 @@ def parse_sign(text: str) -> int:
 # formatting helpers
 
 
-def fmt_sign(v: int) -> str:
-    return "+1" if v == 1 else "-1"
+_SIGN_TEXT = {1: "+1", -1: "-1", 0: "0", None: ""}
 
 
 def fmt_bool(v: bool) -> str:
@@ -179,25 +171,20 @@ def render(fmt: str, command: str, columns: tuple[str, ...], rows: list[dict]) -
         f"# generator_convention={GENERATOR_CONVENTION}",
         ",".join(columns),
     ]
+    cells = [
+        (col, _SIGN_TEXT.__getitem__ if col in SIGN_CELLS else _csv_cell)
+        for col in columns
+    ]
     for row in rows:
-        lines.append(",".join(_csv_cell(row[col]) for col in columns))
+        lines.append(",".join(cell(row[col]) for col, cell in cells))
     return "\n".join(lines) + "\n"
-
-
-def _csvify_signs(row: dict, keys: tuple[str, ...]) -> dict:
-    out = dict(row)
-    for key in keys:
-        if isinstance(out.get(key), int):
-            out[key] = fmt_sign(out[key])
-    return out
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def _enumerate_cell(args: tuple[int, int]) -> list[dict]:
-    q, n = args
+def _enumerate_cell(q: int, n: int) -> list[dict]:
     rows = []
     for entry in enumerate_level1_selfdual(q, n):
         chi = entry.chi
@@ -225,69 +212,24 @@ def _enumerate_cell(args: tuple[int, int]) -> list[dict]:
     return rows
 
 
-def _map_cells(tasks: list, worker, jobs: int) -> list:
-    if jobs <= 1 or len(tasks) <= 1:
-        return [worker(task) for task in tasks]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(worker, tasks))
+def _cells(config: RunConfig) -> list[tuple[int, int]]:
+    return [(q, n) for q in sorted(config.q_values) for n in sorted(config.n_values)]
 
 
 def cmd_enumerate(config: RunConfig) -> tuple[int, str]:
-    tasks = [(q, n) for q in sorted(config.q_values) for n in sorted(config.n_values)]
-    cell_rows = _map_cells(tasks, _enumerate_cell, config.jobs)
-    rows = [row for cell in cell_rows for row in cell]
-    if config.fmt == "csv":
-        rows = [
-            _csvify_signs(row, ("w", "sign_closed", "sign_oracle"))
-            for row in rows
-        ]
+    rows = [row for q, n in _cells(config) for row in _enumerate_cell(q, n)]
     return 0, render(config.fmt, "enumerate", ENUMERATE_COLUMNS, rows)
 
 
-def _flip_cell(args: tuple[int, int, str]) -> list[dict]:
-    q, n, recipe = args
-    report = verify_flip(q, n, recipe)
-    return [
-        {
-            "q": row.q,
-            "n": row.n,
-            "recipe": row.recipe,
-            "f": row.f,
-            "e": row.e,
-            "a": row.a,
-            "w": row.w,
-            "sign_closed": row.sign_closed,
-            "sign_oracle": row.sign_oracle,
-            "param_w": row.param_w,
-            "param_sign": row.param_sign,
-            "predicted": row.predicted,
-            "consistent": row.consistent,
-        }
-        for row in report.rows
-    ]
-
-
 def cmd_verify_flip(config: RunConfig) -> tuple[int, str]:
-    recipes = ("PR", "SZ") if config.recipe == "both" else (config.recipe,)
-    tasks = [
-        (q, n, recipe)
-        for q in sorted(config.q_values)
-        for n in sorted(config.n_values)
-        for recipe in recipes
+    rows = [
+        {col: getattr(row, col) for col in FLIP_COLUMNS}
+        for q, n in _cells(config)
+        for row in verify_flip(q, n, config.recipe).rows
     ]
-    cell_rows = _map_cells(tasks, _flip_cell, config.jobs)
-    rows = [row for cell in cell_rows for row in cell]
     code = 0
     if any(row["recipe"] == "PR" and not row["consistent"] for row in rows):
         code = 3
-    if config.fmt == "csv":
-        rows = [
-            _csvify_signs(
-                row,
-                ("w", "sign_closed", "sign_oracle", "param_w", "param_sign", "predicted"),
-            )
-            for row in rows
-        ]
     return code, render(config.fmt, "verify-flip", FLIP_COLUMNS, rows)
 
 
@@ -324,22 +266,14 @@ def cmd_sign(config: RunConfig) -> tuple[int, str]:
         "field_conductor": field_info.conductor,
         "field_degree": field_info.degree,
     }
-    if config.fmt == "csv":
-        row = _csvify_signs(row, ("w", "sign_closed"))
-        row["sign_oracle"] = "0" if oracle == 0 else fmt_sign(oracle)
     return 0, render(config.fmt, "sign", SIGN_COLUMNS, [row])
 
 
 def cmd_product_check(config: RunConfig) -> tuple[int, str]:
-    from .signs import product_check
-
     ok = product_check(config.signs)
-    product = 1
-    for s in config.signs:
-        product *= s
     row = {
         "count": len(config.signs),
-        "product": fmt_sign(product) if config.fmt == "csv" else product,
+        "product": 1 if ok else -1,
         "verdict": "ok" if ok else "violated",
     }
     return 0, render(config.fmt, "product-check", PRODUCT_COLUMNS, [row])
@@ -365,10 +299,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, jobs=True):
+    def add_common(p):
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        if jobs:
-            p.add_argument("--jobs", type=int, default=1)
 
     p_enum = sub.add_parser(
         "enumerate", help="all level-one self-dual representations over ranges"
@@ -392,27 +324,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_sign.add_argument("--f", type=int, required=True)
     p_sign.add_argument("--a", type=int, required=True)
     p_sign.add_argument("--w", required=True, help="+1 or -1")
-    add_common(p_sign, jobs=False)
+    add_common(p_sign)
 
     p_prod = sub.add_parser("product-check", help="check a product of signs is +1")
     p_prod.add_argument("signs", nargs="+", help="signs, each +1 or -1")
-    add_common(p_prod, jobs=False)
+    add_common(p_prod)
 
     return parser
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
     if args.command in ("enumerate", "verify-flip"):
-        jobs = args.jobs
-        if jobs < 1:
-            raise UsageError(f"--jobs must be >= 1, got {jobs}")
         return RunConfig(
             command=args.command,
             q_values=expand_q_range(args.q),
             n_values=expand_n_range(args.n),
             recipe=getattr(args, "recipe", "PR"),
             fmt=args.format,
-            jobs=jobs,
         )
     if args.command == "sign":
         if args.side == "division":

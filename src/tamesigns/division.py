@@ -33,11 +33,13 @@ from .metacyclic import (
     fs_indicator,
     make_group,
     make_subgroup_character,
+    orbit_of,
 )
 
 __all__ = [
     "TameCharacter",
     "SelfdualEntry",
+    "is_prime_power",
     "prime_power_base",
     "make_tame_character",
     "is_regular",
@@ -50,12 +52,17 @@ __all__ = [
 ]
 
 
+def is_prime_power(q: int) -> bool:
+    """Whether q = p^k for a prime p and some k >= 1."""
+    return q >= 2 and len(factorize(q)) == 1
+
+
 def prime_power_base(q: int) -> tuple[int, int]:
     """(p, k) with q = p^k, p prime; UsageError if q is not a prime power."""
     if q < 2:
         raise UsageError(f"q must be a prime power >= 2, got {q}")
     fac = factorize(q)
-    if len(fac) != 1:
+    if not is_prime_power(q):
         pretty = " * ".join(
             f"{p}^{e}" if e > 1 else str(p) for p, e in fac
         )
@@ -96,22 +103,9 @@ def make_tame_character(q: int, f: int, a: int, w: int) -> TameCharacter:
     return TameCharacter(q, f, a, w)
 
 
-def _orbit(a: int, q: int, order: int) -> list[int]:
-    # orbit of a under multiplication by q mod order (order >= 1)
-    if order == 1:
-        return [0]
-    a %= order
-    out = [a]
-    cur = (a * q) % order
-    while cur != a:
-        out.append(cur)
-        cur = (cur * q) % order
-    return out
-
-
 def is_regular(chi: TameCharacter) -> bool:
     """Whether the Galois orbit of the character has full size f."""
-    return len(_orbit(chi.a, chi.q, chi.torus_order)) == chi.f
+    return len(orbit_of(chi.a, chi.q, chi.torus_order)) == chi.f
 
 
 def is_selfdual_division(chi: TameCharacter) -> bool:
@@ -217,7 +211,7 @@ def enumerate_level1_selfdual(q: int, n: int) -> list[SelfdualEntry]:
             a = step * k
             if a == 0:
                 continue
-            orbit = _orbit(a, q, order)
+            orbit = orbit_of(a, q, order)
             if len(orbit) != f or min(orbit) < a:
                 continue
             for w in (1, -1):

@@ -118,14 +118,14 @@ def elem_inv(G: MetacyclicGroup, g: GroupElem) -> GroupElem:
     return GroupElem((-G.s_pow(-g.j) * g.i) % G.m, (-g.j) % G.N)
 
 
-def orbit_of(G: MetacyclicGroup, a: int) -> list[int]:
-    """Orbit of a mod m under multiplication by s, starting at a."""
-    a %= G.m
+def orbit_of(a: int, s: int, m: int) -> list[int]:
+    """Orbit of a mod m (m >= 1) under multiplication by s, starting at a."""
+    a %= m
     out = [a]
-    cur = (a * G.s) % G.m
+    cur = (a * s) % m
     while cur != a:
         out.append(cur)
-        cur = (cur * G.s) % G.m
+        cur = (cur * s) % m
     return out
 
 
@@ -226,7 +226,7 @@ def is_irreducible_induced(G: MetacyclicGroup, psi: SubgroupCharacter) -> bool:
     must equal |G| exactly when the orbit of a has size f.
     """
     f, a, _ = psi
-    orbit = orbit_of(G, a)
+    orbit = orbit_of(a, G.s, G.m)
     pow_list = [(a * G.s_pow(r)) % G.m for r in range(f)]
     pairs = sum(1 for p in pow_list for q in pow_list if p == q)
     norm_raw = G.m * (G.N // f) * pairs

@@ -17,11 +17,11 @@ from dataclasses import dataclass
 from math import gcd, lcm
 
 from .cyclotomic import euler_phi
-from .errors import InternalConsistencyError, UsageError
+from .errors import InternalConsistencyError
 from .metacyclic import (
     MetacyclicGroup,
     SubgroupCharacter,
-    is_irreducible_induced,
+    _require_irreducible,
     orbit_of,
 )
 
@@ -46,11 +46,6 @@ class CharacterField:
         return (-1) % self.conductor in self.stabilizer
 
 
-def _require_irreducible(G: MetacyclicGroup, psi: SubgroupCharacter) -> None:
-    if not is_irreducible_induced(G, psi):
-        raise UsageError(f"psi={psi} does not induce irreducibly on {G}")
-
-
 def character_field(G: MetacyclicGroup, psi: SubgroupCharacter) -> CharacterField:
     """Field of character values of the induced irreducible for psi.
 
@@ -63,7 +58,7 @@ def character_field(G: MetacyclicGroup, psi: SubgroupCharacter) -> CharacterFiel
     f, a, c = psi
     Nf = G.N // f
     M = lcm(G.m, Nf)
-    orbit = set(orbit_of(G, a))
+    orbit = set(orbit_of(a, G.s, G.m))
     stab = tuple(
         j
         for j in range(M)
@@ -88,4 +83,4 @@ def is_real_character(G: MetacyclicGroup, psi: SubgroupCharacter) -> bool:
     _require_irreducible(G, psi)
     f, a, c = psi
     Nf = G.N // f
-    return (-a) % G.m in set(orbit_of(G, a)) and (-c) % Nf == c % Nf
+    return (-a) % G.m in set(orbit_of(a, G.s, G.m)) and (-c) % Nf == c % Nf

@@ -11,10 +11,11 @@ on every call, and tensor_power_sign/product_check close the calculus
 under tensor powers and products of self-dual factors.
 
 verify_flip runs the whole machine end to end: enumerate the level-one
-self-dual representations for (q, n), compute the division-side sign by
-closed form and by the finite-model oracle, attach the Weil parameter
-under the chosen recipe, take its sign, push it through the flip, and
-record whether everything agrees, one row per representation.
+self-dual representations for (q, n) once, compute the division-side
+sign by closed form and by the finite-model oracle, attach the Weil
+parameter under the chosen recipe (or under PR and then SZ), take its
+sign, push it through the flip, and record whether everything agrees,
+one row per representation and recipe.
 """
 
 from __future__ import annotations
@@ -151,7 +152,8 @@ class FlipRow:
 
 @dataclass(frozen=True)
 class FlipReport:
-    """verify_flip output: all rows for one (q, n, recipe) cell."""
+    """verify_flip output: all rows for one (q, n) cell under recipe
+    "PR", "SZ" or "both" (the PR rows, then the SZ rows)."""
 
     q: int
     n: int
@@ -174,30 +176,33 @@ def verify_flip(q: int, n: int, recipe: str) -> FlipReport:
     For each enumerated datum: the division-side sign is computed twice
     (closed form and model oracle), the Weil parameter is attached under
     the recipe, its sign feeds the flip, and the row is consistent when
-    closed form, oracle, and flipped prediction all agree.
+    closed form, oracle, and flipped prediction all agree. recipe "both"
+    enumerates the cell once and gives the PR rows, then the SZ rows.
     """
+    entries = enumerate_level1_selfdual(q, n)
     rows = []
-    for entry in enumerate_level1_selfdual(q, n):
-        chi = entry.chi
-        param = attach_parameter(n, chi, recipe)
-        psign = full_parameter_sign(param)
-        predicted = flip_sign(n, psign)
-        consistent = entry.sign_closed == entry.sign_oracle == predicted
-        rows.append(
-            FlipRow(
-                q=q,
-                n=n,
-                recipe=recipe,
-                f=chi.f,
-                e=param.e,
-                a=chi.a,
-                w=chi.w,
-                sign_closed=entry.sign_closed,
-                sign_oracle=entry.sign_oracle,
-                param_w=param.char.w,
-                param_sign=psign,
-                predicted=predicted,
-                consistent=consistent,
+    for row_recipe in ("PR", "SZ") if recipe == "both" else (recipe,):
+        for entry in entries:
+            chi = entry.chi
+            param = attach_parameter(n, chi, row_recipe)
+            psign = full_parameter_sign(param)
+            predicted = flip_sign(n, psign)
+            consistent = entry.sign_closed == entry.sign_oracle == predicted
+            rows.append(
+                FlipRow(
+                    q=q,
+                    n=n,
+                    recipe=row_recipe,
+                    f=chi.f,
+                    e=param.e,
+                    a=chi.a,
+                    w=chi.w,
+                    sign_closed=entry.sign_closed,
+                    sign_oracle=entry.sign_oracle,
+                    param_w=param.char.w,
+                    param_sign=psign,
+                    predicted=predicted,
+                    consistent=consistent,
+                )
             )
-        )
     return FlipReport(q=q, n=n, recipe=recipe, rows=tuple(rows))

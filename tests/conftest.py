@@ -20,17 +20,18 @@ def run_cli():
     console script happens to be on PATH (none is, in a checkout that
     is not installed). So it runs this interpreter with the source root
     of the ``tamesigns`` that pytest imported first on PYTHONPATH.
+    ``env`` adds or overrides variables of the child's environment.
     """
     src_root = str(Path(tamesigns.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, (src_root, env.get("PYTHONPATH")))
+    base_env = dict(os.environ)
+    base_env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (src_root, base_env.get("PYTHONPATH")))
     )
 
-    def run(argv, timeout):
+    def run(argv, timeout, env=None):
         return subprocess.run(
             [sys.executable, "-m", "tamesigns", *argv],
-            capture_output=True, env=env, timeout=timeout,
+            capture_output=True, env={**base_env, **(env or {})}, timeout=timeout,
         )
 
     return run

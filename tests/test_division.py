@@ -18,6 +18,7 @@ from tamesigns.division import (
     construct_selfdual_of_dim,
     division_model,
     enumerate_level1_selfdual,
+    is_prime_power,
     is_regular,
     is_selfdual_division,
     make_tame_character,
@@ -42,6 +43,9 @@ def test_prime_power_base():
         prime_power_base(6)
     with pytest.raises(UsageError):
         prime_power_base(1)
+    assert [q for q in range(-2, 33) if is_prime_power(q)] == [
+        2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32,
+    ]
 
 
 def test_make_tame_character_validation():

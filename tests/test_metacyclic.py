@@ -149,7 +149,7 @@ def test_irreps_complete_and_irreducible(m, N, s):
     assert len(set(irr)) == len(irr)
     for psi in irr:
         assert is_irreducible_induced(G, psi)
-        assert psi.a == min(orbit_of(G, psi.a))
+        assert psi.a == min(orbit_of(psi.a, G.s, G.m))
 
 
 def test_character_validation():

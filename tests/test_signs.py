@@ -152,6 +152,13 @@ def test_verify_flip_sz_failure_pattern(q, n):
         assert row.consistent == (row.e % 2 == 1 or row.f % 2 == 1), row
 
 
+@pytest.mark.parametrize("q, n", [(2, 4), (3, 6)])
+def test_verify_flip_both_is_pr_then_sz(q, n):
+    both = verify_flip(q, n, "both")
+    assert both.recipe == "both"
+    assert both.rows == verify_flip(q, n, "PR").rows + verify_flip(q, n, "SZ").rows
+
+
 def test_verify_flip_odd_degree_is_empty():
     report = verify_flip(2, 3, "PR")
     assert report.rows == ()
