@@ -19,11 +19,19 @@ complete-sum identity sum_i zeta_m^(K*i) = m*[K == 0 mod m]. The
 collapse is an exact integer identity, not an approximation; the test
 suite re-derives the same quantities by literal sums over all group
 elements on small groups.
+
+Every power of s is read from one table, s^k mod m for 0 <= k < N
+(MetacyclicGroup.s_powers). It is built on first use and cached on the
+integers (s, N, m) in a bounded cache, so the many short-lived groups
+of a sweep share it and a group that is never asked for a power never
+builds it. The orbit walk orbit_of stays a separate running product: it
+is the second route of the irreducibility cross-check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd, lcm
 from typing import Iterator, NamedTuple
 
@@ -80,10 +88,22 @@ class MetacyclicGroup:
     def order(self) -> int:
         return self.m * self.N
 
+    @property
+    def s_powers(self) -> tuple[int, ...]:
+        """s^k mod m for 0 <= k < N, in order of k."""
+        return _s_powers(self.s, self.N, self.m)
+
     def s_pow(self, k: int) -> int:
         """s^k mod m for any integer k (negatives use s^-1 = s^(N-1))."""
-        k %= self.N
-        return pow(self.s, k, self.m)
+        return _s_powers(self.s, self.N, self.m)[k % self.N]
+
+
+@lru_cache(maxsize=1024)
+def _s_powers(s: int, N: int, m: int) -> tuple[int, ...]:
+    out = [1 % m]
+    for _ in range(N - 1):
+        out.append(out[-1] * s % m)
+    return tuple(out)
 
 
 class GroupElem(NamedTuple):
@@ -153,7 +173,7 @@ def make_subgroup_character(
     a %= G.m
     if not 0 <= c < G.N // f:
         raise UsageError(f"need 0 <= c < N/f = {G.N // f}, got c={c}")
-    if (a * (pow(G.s, f, G.m) - 1)) % G.m != 0:
+    if (a * (G.s_pow(f) - 1)) % G.m != 0:
         raise UsageError(
             f"a={a} is not fixed by t^f: a*(s^f - 1) != 0 mod {G.m}"
         )
@@ -208,13 +228,11 @@ def induced_character(
         return cyc_zero(M0)
     t_exp = ((c * (j // f)) % Nf) * (M0 // Nf)
     counts: dict[int, int] = {}
-    cur = a % G.m
     step_m = M0 // G.m
-    for _ in range(f):
-        e = ((cur * g.i) % G.m) * step_m + t_exp
+    for p in G.s_powers[:f]:
+        e = ((a * p * g.i) % G.m) * step_m + t_exp
         e %= M0
         counts[e] = counts.get(e, 0) + 1
-        cur = (cur * G.s) % G.m
     return root_sum(M0, counts)
 
 
@@ -226,10 +244,11 @@ def is_irreducible_induced(G: MetacyclicGroup, psi: SubgroupCharacter) -> bool:
     must equal |G| exactly when the orbit of a has size f.
     """
     f, a, _ = psi
-    orbit = orbit_of(a, G.s, G.m)
-    pow_list = [(a * G.s_pow(r)) % G.m for r in range(f)]
-    pairs = sum(1 for p in pow_list for q in pow_list if p == q)
-    norm_raw = G.m * (G.N // f) * pairs
+    m = G.m
+    orbit = orbit_of(a, G.s, m)
+    pow_list = [a * p % m for p in G.s_powers[:f]]
+    pairs = sum(map(pow_list.count, pow_list))
+    norm_raw = m * (G.N // f) * pairs
     by_norm = norm_raw == G.order
     by_orbit = len(orbit) == f
     if by_norm != by_orbit:
@@ -249,18 +268,18 @@ def _fs_root_counts(
 ) -> dict[int, int]:
     # Collapsed Frobenius-Schur sum: (x^i t^j)^2 = x^(i(1+s^j)) t^(2j).
     # Summing over i kills every j with a*(1+s^j) != 0 (mod m) and
-    # contributes m*f * psi(t^(2j mod N)) otherwise. Returned counts are
-    # exponents of zeta_{N/f} for the surviving j, NOT yet scaled by m*f.
+    # contributes m*f * psi(t^(2j mod N)) otherwise; psi vanishes off
+    # <x, t^f>, and f | 2j exactly when f/gcd(f, 2) | j. Returned counts
+    # are exponents of zeta_{N/f} for the surviving j, NOT yet scaled by m*f.
     f, a, c = psi
-    Nf = G.N // f
+    N, m = G.N, G.m
+    Nf = N // f
+    spow = G.s_powers
     counts: dict[int, int] = {}
-    sj = 1 % G.m
-    for j in range(G.N):
-        J = (2 * j) % G.N
-        if J % f == 0 and (a * (1 + sj)) % G.m == 0:
-            e = (c * (J // f)) % Nf
+    for j in range(0, N, f // gcd(f, 2)):
+        if (a * (1 + spow[j])) % m == 0:
+            e = (c * (((2 * j) % N) // f)) % Nf
             counts[e] = counts.get(e, 0) + 1
-        sj = (sj * G.s) % G.m
     return counts
 
 
@@ -324,12 +343,7 @@ def _orbit_sum(G: MetacyclicGroup, psi: SubgroupCharacter) -> int:
     # sum over rho in [0, f) of a * s^rho, mod m; equals the det exponent
     # of pi(x) since the diagonal of pi(x) carries the orbit of a.
     f, a, _ = psi
-    total = 0
-    cur = a % G.m
-    for _ in range(f):
-        total += cur
-        cur = (cur * G.s) % G.m
-    return total % G.m
+    return sum(a * p % G.m for p in G.s_powers[:f]) % G.m
 
 
 def det_exponents(
@@ -391,8 +405,7 @@ def matrix_of(
     step_m = M0 // G.m
     step_t = M0 // Nf
     i, j = g.i % G.m, g.j % G.N
-    sinv = G.s_pow(-1)
-    sinv_pows = [pow(sinv, r, G.m) for r in range(f)]
+    sinv_pows = [G.s_pow(-r) for r in range(f)]
     rows = [[cyc_zero(M0) for _ in range(f)] for _ in range(f)]
     for alpha in range(f):
         mu = (alpha + j) % f
@@ -427,10 +440,8 @@ class InvolutionSpec:
 
 def _twisted_geo(G: MetacyclicGroup, w: int, j: int) -> int:
     # sum over l in [0, j) of s^(w*l), mod m.
-    total = 0
-    for l in range(j):
-        total += G.s_pow(w * l)
-    return total % G.m
+    spow, N = G.s_powers, G.N
+    return sum(spow[(w * l) % N] for l in range(j)) % G.m
 
 
 def make_involution(G: MetacyclicGroup, u: int, v: int, w: int) -> InvolutionSpec:
@@ -488,69 +499,78 @@ def theta_sign(
     Frobenius-Schur indicator by an independent route.
 
     The sum over the normal subgroup <x> is collapsed exactly: the seed
-    survives only if a*(s^-mu + u*s^-nu) = 0 (mod m), and the remaining
+    survives only if a*s^-mu = -u*a*s^-nu (mod m), and the remaining
     sum over j in [0, N) is accumulated at exponent level.
     """
     _require_irreducible(G, psi)
     f, a, c = psi
-    Nf = G.N // f
+    N, m = G.N, G.m
+    Nf = N // f
     u, v, w = theta.u, theta.v, theta.w
-    sinv = G.s_pow(-1)
-    sinv_pows = [pow(sinv, r, G.m) for r in range(f)]
-    spow = [G.s_pow(k) for k in range(G.N)]
-    T = [0] * (G.N + 1)
-    for j in range(G.N):
-        T[j + 1] = (T[j] + spow[(w * j) % G.N]) % G.m
-    M0 = lcm(G.m, Nf)
-    step_m = M0 // G.m
+    spow = G.s_powers
+    sinv_pows = [spow[-r % N] for r in range(f)]
+    # Index nu by -u*a*s^-nu, so row mu looks up its surviving seeds.
+    partners: dict[int, list[int]] = {}
+    for nu in range(f):
+        partners.setdefault((-u * a * sinv_pows[nu]) % m, []).append(nu)
+    seeds = [
+        (mu, nu)
+        for mu in range(f)
+        for nu in partners.get((a * sinv_pows[mu]) % m, ())
+    ]
+    if not seeds:
+        return 0
+    T = [0] * (N + 1)
+    for j in range(N):
+        T[j + 1] = (T[j] + spow[(w * j) % N]) % m
+    M0 = lcm(m, Nf)
+    step_m = M0 // m
     step_t = M0 // Nf
 
-    for mu in range(f):
-        for nu in range(f):
-            if (a * (sinv_pows[mu] + u * sinv_pows[nu])) % G.m != 0:
-                continue
-            cells: dict[tuple[int, int], dict[int, int]] = {}
-            for j in range(G.N):
-                alpha = (mu - j) % f
-                k1 = (alpha + j) // f
-                jp = (w * j) % G.N
-                beta = (nu - jp) % f
-                k2 = (beta + jp) // f
-                em = (v * T[j] % G.m) * a % G.m * sinv_pows[nu] % G.m
-                et = (c * (k1 + k2)) % Nf
-                e = (em * step_m + et * step_t) % M0
-                ctr = cells.setdefault((alpha, beta), {})
-                ctr[e] = ctr.get(e, 0) + 1
-            # shrink to the smallest conductor the exponents actually need
-            g_all = 0
-            for ctr in cells.values():
-                for e in ctr:
-                    g_all = gcd(g_all, e)
-            g_all = gcd(g_all, M0) or M0
-            Meff = M0 // g_all
-            vals = {
-                key: root_sum(Meff, {e // g_all: n for e, n in ctr.items()})
-                for key, ctr in cells.items()
-            }
-            if not any(bool(val) for val in vals.values()):
-                continue
-            zero = cyc_zero(Meff)
-            sym = all(
-                vals.get((b_, a_), zero) == vals.get((a_, b_), zero)
-                for a_ in range(f)
-                for b_ in range(f)
-            )
-            if sym:
-                return 1
-            anti = all(
-                vals.get((b_, a_), zero) == -vals.get((a_, b_), zero)
-                for a_ in range(f)
-                for b_ in range(f)
-            )
-            if anti:
-                return -1
-            raise InternalConsistencyError(
-                f"twisted form for psi={psi}, theta={theta} on {G} is "
-                f"neither symmetric nor antisymmetric"
-            )
+    for mu, nu in seeds:
+        vas = v * a * sinv_pows[nu] % m  # em below is v*T[j]*a*s^-nu
+        cells: dict[tuple[int, int], dict[int, int]] = {}
+        for j in range(N):
+            alpha = (mu - j) % f
+            k1 = (alpha + j) // f
+            jp = (w * j) % N
+            beta = (nu - jp) % f
+            k2 = (beta + jp) // f
+            em = T[j] * vas % m
+            et = (c * (k1 + k2)) % Nf
+            e = (em * step_m + et * step_t) % M0
+            ctr = cells.setdefault((alpha, beta), {})
+            ctr[e] = ctr.get(e, 0) + 1
+        # shrink to the smallest conductor the exponents actually need
+        g_all = 0
+        for ctr in cells.values():
+            for e in ctr:
+                g_all = gcd(g_all, e)
+        g_all = gcd(g_all, M0) or M0
+        Meff = M0 // g_all
+        vals = {
+            key: root_sum(Meff, {e // g_all: n for e, n in ctr.items()})
+            for key, ctr in cells.items()
+        }
+        if not any(bool(val) for val in vals.values()):
+            continue
+        zero = cyc_zero(Meff)
+        sym = all(
+            vals.get((b_, a_), zero) == vals.get((a_, b_), zero)
+            for a_ in range(f)
+            for b_ in range(f)
+        )
+        if sym:
+            return 1
+        anti = all(
+            vals.get((b_, a_), zero) == -vals.get((a_, b_), zero)
+            for a_ in range(f)
+            for b_ in range(f)
+        )
+        if anti:
+            return -1
+        raise InternalConsistencyError(
+            f"twisted form for psi={psi}, theta={theta} on {G} is "
+            f"neither symmetric nor antisymmetric"
+        )
     return 0

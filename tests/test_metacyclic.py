@@ -14,9 +14,10 @@ import itertools
 from math import lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import tamesigns.metacyclic
 from tamesigns.cyclotomic import (
     CycInt,
     cyc_add,
@@ -28,7 +29,7 @@ from tamesigns.cyclotomic import (
     cyc_zero,
     try_as_integer,
 )
-from tamesigns.errors import UsageError
+from tamesigns.errors import InternalConsistencyError, UsageError
 from tamesigns.metacyclic import (
     GroupElem,
     apply_involution,
@@ -52,6 +53,7 @@ from tamesigns.metacyclic import (
     scalar_at_torus_power,
     theta_sign,
 )
+from tamesigns.rationality import character_field
 
 # (m, N, s) triples that are small enough for literal sums.
 BATTERY = [
@@ -465,7 +467,7 @@ def test_theta_sign_literal_matches_collapsed(m, N, s, u, v, w):
     G = make_group(m, N, s)
     theta = make_involution(G, u, v, w)
     for psi in enumerate_irreps(G):
-        if psi.f > 4 or G.order * psi.f**2 > 4000:
+        if G.order * psi.f**2 > 4000:
             continue
         assert theta_sign(G, theta, psi) == literal_theta_sign(G, theta, psi), psi
 
@@ -508,3 +510,42 @@ def test_random_group_invariants(G):
         assert try_as_integer(raw) == G.order * ind
         total += psi.f * ind
     assert total == involution_count(G)
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_group())
+@example(make_group(1, 4, 0))
+@example(make_group(5, 1, 1))
+@example(make_group(1, 1, 0))
+def test_s_pow_reads_the_power_table(G):
+    assert len(G.s_powers) == G.N
+    for k in range(-2 * G.N, 2 * G.N + 1):
+        assert G.s_pow(k) == pow(G.s, k % G.N, G.m), k
+
+
+@pytest.mark.parametrize(
+    "route",
+    [
+        fs_indicator,
+        fs_indicator_raw,
+        lambda G, psi: theta_sign(G, identity_involution(G), psi),
+        character_field,
+    ],
+    ids=["fs_indicator", "fs_indicator_raw", "theta_sign", "character_field"],
+)
+def test_irreducibility_cross_check_runs_on_every_call(monkeypatch, route):
+    # An orbit route that disagrees with the norm route must be caught on
+    # every call, also after the same psi has passed once.
+    G = make_group(15, 8, 2)
+    irreps = enumerate_irreps(G)
+    for psi in irreps:
+        route(G, psi)
+    real_orbit_of = tamesigns.metacyclic.orbit_of
+    monkeypatch.setattr(
+        tamesigns.metacyclic,
+        "orbit_of",
+        lambda a, s, m: real_orbit_of(a, s, m) + [a],
+    )
+    for psi in irreps:
+        with pytest.raises(InternalConsistencyError):
+            route(G, psi)
