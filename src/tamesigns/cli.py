@@ -24,6 +24,8 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
+from functools import cache
+from math import lcm
 
 from .division import (
     division_model,
@@ -43,6 +45,8 @@ from .weil import sign_weil_closed_form, weil_model
 
 SCHEMA_VERSION = 1
 GENERATOR_CONVENTION = "abstract-unramified-generator"
+# Largest field conductor a `sign` model may have (see _check_sign_size).
+MAX_SIGN_CONDUCTOR = 10**7
 
 ENUMERATE_COLUMNS = (
     "q", "n", "f", "e", "a", "w",
@@ -233,7 +237,36 @@ def cmd_verify_flip(config: RunConfig) -> tuple[int, str]:
     return code, render(config.fmt, "verify-flip", FLIP_COLUMNS, rows)
 
 
+def _check_sign_size(config: RunConfig) -> None:
+    """Refuse a `sign` datum whose model is too large, before building it.
+
+    The model's field conductor is lcm(q^n - 1, 2n/f) on the division
+    side and lcm(q^f - 1, 2) on the weil side. A q or an exponent too
+    large for MAX_SIGN_CONDUCTOR is refused before any power of q is
+    formed. On the division side the exponent is max(n, f), because the
+    torus order q^f - 1 is formed before f | n is checked. Data with
+    q < 2 or f < 1 are left to make_tame_character's own checks.
+    """
+    q, n, f = config.q, config.n, config.f
+    if q < 2 or f < 1:
+        return
+    if config.side == "division":
+        e, k = max(n, f), (2 * n // f if n >= 1 and n % f == 0 else 1)
+        formula, where = "lcm(q^n - 1, 2n/f)", f"q={q}, n={n}, f={f}"
+    else:
+        e, k = f, 2
+        formula, where = "lcm(q^f - 1, 2)", f"q={q}, f={f}"
+    limit = MAX_SIGN_CONDUCTOR
+    if q <= limit + 1 and e <= limit.bit_length() and lcm(q**e - 1, k) <= limit:
+        return
+    raise UsageError(
+        f"model too large: field conductor {formula} at {where} exceeds "
+        f"the limit MAX_SIGN_CONDUCTOR = {limit}"
+    )
+
+
 def cmd_sign(config: RunConfig) -> tuple[int, str]:
+    _check_sign_size(config)
     chi = make_tame_character(config.q, config.f, config.a, config.w)
     if not is_regular(chi):
         raise UsageError(f"character is not regular: {chi}")
@@ -249,6 +282,11 @@ def cmd_sign(config: RunConfig) -> tuple[int, str]:
     oracle = fs_indicator(G, psi)
     (Mx, kx), (Mt, kt) = det_exponents(G, psi)
     field_info = character_field(G, psi)
+    if field_info.is_real != (oracle != 0):
+        raise InternalConsistencyError(
+            f"field of values real={field_info.is_real} but Frobenius-Schur "
+            f"indicator {oracle} for psi={psi} on {G}"
+        )
     row = {
         "side": config.side,
         "q": config.q,
@@ -288,7 +326,9 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and then reused."""
     parser = _Parser(
         prog="tamesigns",
         description=(

@@ -74,6 +74,7 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
+@cache
 def euler_phi(n: int) -> int:
     """Euler totient of n >= 1."""
     out = 1

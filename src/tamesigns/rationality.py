@@ -9,6 +9,18 @@ field of values is the fixed field of that stabilizer; its degree is
 phi(M) divided by the stabilizer size. Realness (j = -1 in the
 stabilizer) is equivalent to a nonvanishing Frobenius-Schur indicator,
 which the test suite checks value-by-value on small groups.
+
+The stabilizer is a union of cosets, so it is built without scanning
+Z/M. With m_a = m/gcd(a, m) and n_c = (N/f)/gcd(c, N/f),
+
+    j*a = a*s^k (mod m)  <=>  j = s^k (mod m_a),
+    j*c = c (mod N/f)    <=>  j = 1 (mod n_c).
+
+For each residue r in {s^k mod m_a} the two congruences meet in one
+class mod L = lcm(m_a, n_c) (or in none), and the stabilizer collects
+the units among that class's lifts to Z/M. The work is proportional to
+the stabilizer's size, not to M; the test suite keeps the full scan of
+Z/M as the oracle.
 """
 
 from __future__ import annotations
@@ -50,28 +62,35 @@ def character_field(G: MetacyclicGroup, psi: SubgroupCharacter) -> CharacterFiel
     """Field of character values of the induced irreducible for psi.
 
     Works at exponent level: the stabilizer of the value vector inside
-    (Z/M)^x is {j : j*a in orbit(a), j*c = c mod N/f}. The degree
-    phi(M)/|stabilizer| must divide exactly; a remainder would
-    contradict the group structure and raises InternalConsistencyError.
+    (Z/M)^x is {j : j*a in orbit(a), j*c = c mod N/f}. It is assembled
+    coset by coset (see the module docstring): j = s^k mod m/gcd(a, m)
+    and j = 1 mod (N/f)/gcd(c, N/f), lifted to the units of Z/M and
+    sorted. The degree phi(M)/|stabilizer| must divide exactly; a
+    remainder would contradict the group structure and raises
+    InternalConsistencyError.
     """
     _require_irreducible(G, psi)
     f, a, c = psi
     Nf = G.N // f
     M = lcm(G.m, Nf)
-    orbit = set(orbit_of(a, G.s, G.m))
-    stab = tuple(
-        j
-        for j in range(M)
-        if gcd(j, M) == 1
-        and (j * a) % G.m in orbit
-        and (j * c) % Nf == c % Nf
-    )
+    m_a = G.m // gcd(a, G.m)
+    n_c = Nf // gcd(c, Nf)
+    L = lcm(m_a, n_c)
+    stab: list[int] = []
+    for r in {p % m_a for p in G.s_powers}:
+        # the lift of r to Z/L that is 1 mod n_c, if there is one
+        j0 = next((j for j in range(r, L, m_a) if j % n_c == 1 % n_c), None)
+        if j0 is not None:
+            stab.extend(j for j in range(j0, M, L) if gcd(j, M) == 1)
+    stab.sort()
     phi = euler_phi(M)
     if phi % len(stab) != 0:
         raise InternalConsistencyError(
             f"stabilizer size {len(stab)} does not divide phi({M}) = {phi}"
         )
-    return CharacterField(conductor=M, stabilizer=stab, degree=phi // len(stab))
+    return CharacterField(
+        conductor=M, stabilizer=tuple(stab), degree=phi // len(stab)
+    )
 
 
 def is_real_character(G: MetacyclicGroup, psi: SubgroupCharacter) -> bool:

@@ -7,9 +7,13 @@ a test failure rather than silent drift.
 
 from __future__ import annotations
 
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tamesigns.cli as cli
 from tamesigns.cli import (
@@ -21,6 +25,7 @@ from tamesigns.cli import (
 )
 from tamesigns.division import TameCharacter
 from tamesigns.errors import InternalConsistencyError, UsageError
+from tamesigns.rationality import CharacterField
 from tamesigns.signs import FlipReport, FlipRow
 
 
@@ -28,6 +33,14 @@ def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def call_main(argv):
+    """(exit code, stdout, stderr) of main(argv), without a pytest fixture."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
 
 
 def test_parse_range():
@@ -277,3 +290,127 @@ def test_enumerate_odd_n_has_no_rows(capsys):
     code, out, _ = run(capsys, ["enumerate", "--q", "2", "--n", "3"])
     assert code == 0
     assert [l for l in out.splitlines() if l and l[0].isdigit()] == []
+
+
+WEIL_SELFDUAL = ["sign", "--side", "weil", "--q", "2", "--f", "2", "--a", "1", "--w", "-1"]
+
+
+@pytest.mark.parametrize("route", ["character_field", "fs_indicator"])
+def test_sign_realness_cross_check_exits_two(capsys, monkeypatch, route):
+    # the field is real exactly when the indicator is nonzero; break one route
+    if route == "character_field":
+        real_field = cli.character_field
+
+        def broken(G, psi):
+            field = real_field(G, psi)
+            minus_one = field.conductor - 1
+            stab = tuple(j for j in field.stabilizer if j != minus_one)
+            return CharacterField(field.conductor, stab, field.degree)
+
+        monkeypatch.setattr(cli, "character_field", broken)
+    else:
+        monkeypatch.setattr(cli, "fs_indicator", lambda G, psi: 0)
+    code, out, err = run(capsys, WEIL_SELFDUAL)
+    assert code == 2
+    assert out == ""
+    assert "internal consistency failure: field of values real=" in err
+
+
+def test_sign_refuses_models_above_the_limit(run_cli):
+    assert cli.MAX_SIGN_CONDUCTOR >= 531_440  # the largest benchmarked conductor
+    for argv in (
+        ["sign", "--side", "weil", "--q", "2", "--f", "1000000000", "--a", "1", "--w", "1"],
+        ["sign", "--side", "division", "--q", "2", "--n", "1000000000", "--f", "2",
+         "--a", "1", "--w", "1"],
+        ["sign", "--side", "division", "--q", "2", "--n", "4", "--f", "1000000000",
+         "--a", "1", "--w", "1"],
+        ["sign", "--side", "weil", "--q", "1000000000039", "--f", "2", "--a", "1",
+         "--w", "1"],
+    ):
+        proc = run_cli(argv, timeout=60)
+        assert proc.returncode == 1, argv
+        assert proc.stdout == b""
+        err = proc.stderr.decode()
+        assert "usage error: model too large" in err, err
+        assert f"MAX_SIGN_CONDUCTOR = {cli.MAX_SIGN_CONDUCTOR}" in err
+        assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv,conductor",
+    [
+        # lcm(2^4 - 1, 2*4/2) and lcm(2^2 - 1, 2)
+        (["sign", "--side", "division", "--q", "2", "--n", "4", "--f", "2",
+          "--a", "1", "--w", "-1"], 60),
+        (WEIL_SELFDUAL, 6),
+    ],
+)
+def test_sign_limit_admits_its_own_conductor(capsys, monkeypatch, argv, conductor):
+    monkeypatch.setattr(cli, "MAX_SIGN_CONDUCTOR", conductor)
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert out.splitlines()[-1].split(",")[-2] == str(conductor)
+    monkeypatch.setattr(cli, "MAX_SIGN_CONDUCTOR", conductor - 1)
+    code, out, err = run(capsys, argv)
+    assert code == 1
+    assert out == ""
+    assert f"MAX_SIGN_CONDUCTOR = {conductor - 1}" in err
+
+
+def test_parser_reuse_matches_a_fresh_process(run_cli):
+    sequence = (
+        ["sign", "--side", "mixed", "--q", "3", "--f", "2", "--a", "2", "--w", "1"],
+        WEIL_SELFDUAL,
+        ["sign", "--side", "division", "--q", "2", "--f", "2", "--a", "1", "--w", "1"],
+        ["product-check", "+1", "--jobs", "1"],
+        WEIL_SELFDUAL + ["--format", "json"],
+    )
+    in_process = [call_main(argv) for argv in sequence]
+    assert cli.build_parser() is cli.build_parser()
+    for argv, (code, out, err) in zip(sequence, in_process):
+        proc = run_cli(argv, timeout=60)
+        assert (code, out, err) == (
+            proc.returncode, proc.stdout.decode(), proc.stderr.decode()
+        ), argv
+    assert [code for code, _, _ in in_process] == [1, 0, 1, 1, 0]
+
+
+@st.composite
+def sign_argv(draw):
+    """A `sign` argv with small q, n, f; one option may be broken or dropped."""
+    side = draw(st.sampled_from(["division", "weil"]))
+    q = draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9]))
+    f = draw(st.integers(1, 3))
+    options = {
+        "--side": side,
+        "--q": str(q),
+        "--n": str(f * draw(st.integers(1, 2))) if side == "division" else None,
+        "--f": str(f),
+        "--a": str(draw(st.integers(0, q**f - 1))),
+        "--w": draw(st.sampled_from(["+1", "-1"])),
+        "--format": draw(st.sampled_from([None, "csv", "json"])),
+    }
+    broken = draw(st.sampled_from([None] * 6 + list(options)))
+    if broken is not None:
+        options[broken] = draw(
+            st.sampled_from([None, "x", "0", "-1", "6", "1000000000"])
+        )
+    return ["sign"] + [
+        token
+        for name, value in options.items()
+        if value is not None
+        for token in (name, value)
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(sign_argv())
+def test_sign_argv_fuzz_exits_cleanly_and_repeats(argv):
+    first = call_main(argv)
+    code, out, err = first
+    assert code in (0, 1), (argv, first)
+    if code == 0:
+        assert out and err == ""
+    else:
+        assert out == "" and err.startswith("usage error: "), (argv, first)
+    assert call_main(argv) == first

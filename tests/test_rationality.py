@@ -3,18 +3,25 @@
 The exponent-level stabilizer is cross-checked on small groups by the
 value-level Galois action: a unit j fixes the character iff applying
 zeta -> zeta^j to every single character value returns the same vector.
-Realness must coincide with a nonvanishing Frobenius-Schur indicator.
+The coset-built stabilizer must equal the literal scan of Z/M
+(literal_stabilizer) on every irrep of every small group and on large
+sign-query models. Realness must coincide with a nonvanishing
+Frobenius-Schur indicator.
 """
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
 from tamesigns.cyclotomic import cyc_galois, euler_phi
-from tamesigns.division import division_model, enumerate_level1_selfdual
-from tamesigns.errors import UsageError
+from tamesigns.division import (
+    division_model,
+    enumerate_level1_selfdual,
+    make_tame_character,
+)
+from tamesigns.errors import InternalConsistencyError, UsageError
 from tamesigns.metacyclic import (
     elements,
     enumerate_irreps,
@@ -22,10 +29,27 @@ from tamesigns.metacyclic import (
     induced_character,
     make_group,
     make_subgroup_character,
+    orbit_of,
 )
 from tamesigns.rationality import CharacterField, character_field, is_real_character
+from tamesigns.weil import weil_model
 
 SMALL_GROUPS = [(3, 4, 2), (15, 8, 2), (1, 4, 0), (5, 2, 4), (16, 4, 3), (9, 6, 2)]
+
+
+def literal_stabilizer(G, psi) -> tuple[int, ...]:
+    """Every unit j of Z/M, in order, with j*a in orbit(a) and j*c = c mod N/f."""
+    f, a, c = psi
+    Nf = G.N // f
+    M = lcm(G.m, Nf)
+    orbit = set(orbit_of(a, G.s, G.m))
+    return tuple(
+        j
+        for j in range(M)
+        if gcd(j, M) == 1
+        and (j * a) % G.m in orbit
+        and (j * c) % Nf == c % Nf
+    )
 
 
 def galois_fixes_all_values(G, psi, j) -> bool:
@@ -46,6 +70,38 @@ def test_stabilizer_matches_value_level_action(m, N, s):
             if gcd(j, M) != 1:
                 continue
             assert (j in stab) == galois_fixes_all_values(G, psi, j), (psi, j)
+
+
+def test_stabilizer_matches_literal_scan_on_every_small_group():
+    checked = 0
+    for m in range(1, 30):
+        for N in range(1, 9):
+            for s in range(m):
+                if pow(s, N, m) != 1 % m:
+                    continue
+                G = make_group(m, N, s)
+                for psi in enumerate_irreps(G):
+                    field = character_field(G, psi)
+                    assert field.stabilizer == literal_stabilizer(G, psi), (G, psi)
+                    checked += 1
+    assert checked == 24648
+
+
+@pytest.mark.parametrize(
+    "side,q,n,f,a",
+    [
+        ("division", 3, 12, 6, 26),
+        ("weil", 5, None, 8, 624),
+        ("division", 9, 6, 3, 1),
+    ],
+)
+def test_stabilizer_matches_literal_scan_on_large_models(side, q, n, f, a):
+    for w in (1, -1):
+        chi = make_tame_character(q, f, a, w)
+        G, psi = division_model(n, chi) if side == "division" else weil_model(chi)
+        field = character_field(G, psi)
+        assert field.conductor > 390_000
+        assert field.stabilizer == literal_stabilizer(G, psi), (G, psi)
 
 
 @pytest.mark.parametrize("m,N,s", SMALL_GROUPS)
@@ -90,6 +146,16 @@ def test_field_of_division_models():
             assert is_real_character(G, psi)
             field = character_field(G, psi)
             assert field.is_real
+
+
+def test_stabilizer_size_must_divide_phi(monkeypatch):
+    # the trivial character of C_3 x| C_4 is fixed by all 4 units of Z/12
+    G = make_group(3, 4, 2)
+    triv = make_subgroup_character(G, 1, 0, 0)
+    assert len(character_field(G, triv).stabilizer) == 4
+    monkeypatch.setattr("tamesigns.rationality.euler_phi", lambda M: 6)
+    with pytest.raises(InternalConsistencyError, match="does not divide"):
+        character_field(G, triv)
 
 
 def test_requires_irreducible():
