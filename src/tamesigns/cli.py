@@ -40,8 +40,8 @@ from .division import (
 from .errors import InternalConsistencyError, UsageError
 from .metacyclic import det_exponents, fs_indicator
 from .rationality import character_field
-from .signs import product_check, verify_flip
-from .weil import sign_weil_closed_form, weil_model
+from .signs import FlipRow, product_check, verify_flip
+from .weil import sign_weil_closed_form
 
 SCHEMA_VERSION = 1
 GENERATOR_CONVENTION = "abstract-unramified-generator"
@@ -52,11 +52,7 @@ ENUMERATE_COLUMNS = (
     "q", "n", "f", "e", "a", "w",
     "regular", "selfdual", "sign_closed", "sign_oracle", "agree",
 )
-FLIP_COLUMNS = (
-    "q", "n", "recipe", "f", "e", "a", "w",
-    "sign_closed", "sign_oracle", "param_w", "param_sign",
-    "predicted", "consistent",
-)
+FLIP_COLUMNS = FlipRow._fields
 SIGN_COLUMNS = (
     "side", "q", "n", "f", "a", "w", "regular", "selfdual",
     "sign_closed", "sign_oracle", "det_x", "det_t", "scalar_tf",
@@ -160,14 +156,14 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def render(fmt: str, command: str, columns: tuple[str, ...], rows: list[dict]) -> str:
-    """Render rows deterministically as CSV or JSON."""
+def render(fmt: str, command: str, columns: tuple[str, ...], rows: list[tuple]) -> str:
+    """Render rows, each a tuple in column order, as CSV or JSON."""
     if fmt == "json":
         payload = {
             "schema_version": SCHEMA_VERSION,
             "generator_convention": GENERATOR_CONVENTION,
             "command": command,
-            "rows": [{col: row[col] for col in columns} for row in rows],
+            "rows": [dict(zip(columns, row)) for row in rows],
         }
         return json.dumps(payload, indent=2) + "\n"
     lines = [
@@ -176,11 +172,10 @@ def render(fmt: str, command: str, columns: tuple[str, ...], rows: list[dict]) -
         ",".join(columns),
     ]
     cells = [
-        (col, _SIGN_TEXT.__getitem__ if col in SIGN_CELLS else _csv_cell)
-        for col in columns
+        _SIGN_TEXT.__getitem__ if col in SIGN_CELLS else _csv_cell for col in columns
     ]
     for row in rows:
-        lines.append(",".join(cell(row[col]) for col, cell in cells))
+        lines.append(",".join([cell(value) for cell, value in zip(cells, row)]))
     return "\n".join(lines) + "\n"
 
 
@@ -188,7 +183,7 @@ def render(fmt: str, command: str, columns: tuple[str, ...], rows: list[dict]) -
 # subcommands
 
 
-def _enumerate_cell(q: int, n: int) -> list[dict]:
+def _enumerate_cell(q: int, n: int) -> list[tuple]:
     rows = []
     for entry in enumerate_level1_selfdual(q, n):
         chi = entry.chi
@@ -198,21 +193,11 @@ def _enumerate_cell(q: int, n: int) -> list[dict]:
             raise InternalConsistencyError(
                 f"enumeration emitted an invalid datum: {chi}"
             )
-        rows.append(
-            {
-                "q": q,
-                "n": n,
-                "f": chi.f,
-                "e": n // chi.f,
-                "a": chi.a,
-                "w": chi.w,
-                "regular": regular,
-                "selfdual": selfdual,
-                "sign_closed": entry.sign_closed,
-                "sign_oracle": entry.sign_oracle,
-                "agree": entry.sign_closed == entry.sign_oracle,
-            }
-        )
+        rows.append((
+            q, n, chi.f, n // chi.f, chi.a, chi.w, regular, selfdual,
+            entry.sign_closed, entry.sign_oracle,
+            entry.sign_closed == entry.sign_oracle,
+        ))
     return rows
 
 
@@ -227,12 +212,10 @@ def cmd_enumerate(config: RunConfig) -> tuple[int, str]:
 
 def cmd_verify_flip(config: RunConfig) -> tuple[int, str]:
     rows = [
-        {col: getattr(row, col) for col in FLIP_COLUMNS}
-        for q, n in _cells(config)
-        for row in verify_flip(q, n, config.recipe).rows
+        row for q, n in _cells(config) for row in verify_flip(q, n, config.recipe).rows
     ]
     code = 0
-    if any(row["recipe"] == "PR" and not row["consistent"] for row in rows):
+    if any(row.recipe == "PR" and not row.consistent for row in rows):
         code = 3
     return code, render(config.fmt, "verify-flip", FLIP_COLUMNS, rows)
 
@@ -271,14 +254,11 @@ def cmd_sign(config: RunConfig) -> tuple[int, str]:
     if not is_regular(chi):
         raise UsageError(f"character is not regular: {chi}")
     selfdual = is_selfdual_division(chi)
-    if config.side == "division":
-        n = config.n
-        G, psi = division_model(n, chi)
-        closed = sign_division_closed_form(chi) if selfdual else None
-    else:
-        n = None
-        G, psi = weil_model(chi)
-        closed = sign_weil_closed_form(chi) if selfdual else None
+    # the parameter-side model is the division model at n = f
+    division = config.side == "division"
+    G, psi = division_model(config.n if division else config.f, chi)
+    closed_form = sign_division_closed_form if division else sign_weil_closed_form
+    closed = closed_form(chi) if selfdual else None
     oracle = fs_indicator(G, psi)
     (Mx, kx), (Mt, kt) = det_exponents(G, psi)
     field_info = character_field(G, psi)
@@ -287,33 +267,18 @@ def cmd_sign(config: RunConfig) -> tuple[int, str]:
             f"field of values real={field_info.is_real} but Frobenius-Schur "
             f"indicator {oracle} for psi={psi} on {G}"
         )
-    row = {
-        "side": config.side,
-        "q": config.q,
-        "n": n,
-        "f": config.f,
-        "a": config.a,
-        "w": config.w,
-        "regular": True,
-        "selfdual": selfdual,
-        "sign_closed": closed,
-        "sign_oracle": oracle,
-        "det_x": fmt_root(Mx, kx),
-        "det_t": fmt_root(Mt, kt),
-        "scalar_tf": fmt_root(G.N // psi.f, psi.c),
-        "field_conductor": field_info.conductor,
-        "field_degree": field_info.degree,
-    }
+    row = (
+        config.side, config.q, config.n if division else None, config.f,
+        config.a, config.w, True, selfdual, closed, oracle,
+        fmt_root(Mx, kx), fmt_root(Mt, kt), fmt_root(G.N // psi.f, psi.c),
+        field_info.conductor, field_info.degree,
+    )
     return 0, render(config.fmt, "sign", SIGN_COLUMNS, [row])
 
 
 def cmd_product_check(config: RunConfig) -> tuple[int, str]:
     ok = product_check(config.signs)
-    row = {
-        "count": len(config.signs),
-        "product": 1 if ok else -1,
-        "verdict": "ok" if ok else "violated",
-    }
+    row = (len(config.signs), 1 if ok else -1, "ok" if ok else "violated")
     return 0, render(config.fmt, "product-check", PRODUCT_COLUMNS, [row])
 
 

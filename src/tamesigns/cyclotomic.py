@@ -39,8 +39,7 @@ __all__ = [
     "cyc_conj",
     "cyc_galois",
     "cyc_embed",
-    "cyc_as_integer",
-    "cyc_is_zero",
+    "try_as_integer",
     "root_sum",
     "cyclotomic_polynomial",
     "factorize",
@@ -361,18 +360,6 @@ def cyc_embed(a: CycInt, conductor: int) -> CycInt:
         if c:
             vec[i * step] += c
     return CycInt(conductor, _canonical(conductor, vec))
-
-
-def cyc_as_integer(a: CycInt) -> int:
-    """The value as a rational integer; errors if it is not one."""
-    if any(a.coeffs[1:]):
-        raise UsageError(f"value is not a rational integer: {a!r}")
-    return a.coeffs[0]
-
-
-def cyc_is_zero(a: CycInt) -> bool:
-    """True iff a is 0."""
-    return not any(a.coeffs)
 
 
 def try_as_integer(a: CycInt) -> int | None:

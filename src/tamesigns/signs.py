@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import prod
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .division import enumerate_level1_selfdual
 from .errors import InternalConsistencyError, UsageError
@@ -131,9 +131,9 @@ def product_check(signs: Iterable[int]) -> bool:
     return prod(signs, start=1) == 1
 
 
-@dataclass(frozen=True)
-class FlipRow:
-    """One representation's worth of flip verification."""
+class FlipRow(NamedTuple):
+    """One representation's worth of flip verification; its fields are
+    the verify-flip columns, in order."""
 
     q: int
     n: int

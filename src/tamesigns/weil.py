@@ -7,10 +7,12 @@ the e-dimensional special (twisted Steinberg) block. mu is recorded by
 the same (q, f, a, w) datum as on the division side, with w now the
 Frobenius-slot sign of mu.
 
-The finite model of mu is C_{q^f-1} x| C_{2f} with s = q; here s^f = 1
-(mod q^f - 1) holds on the nose and t^f is the scalar w. For self-dual
-mu the sign has closed form w, and an equivalent characterization via
-the determinant (det mu nontrivial iff mu orthogonal, for f even) is
+The finite model of mu is C_{q^f-1} x| C_{2f} with s = q and t^f the
+scalar w: it is the division-side model at n = f, division_model(f, mu),
+so the parameter side has no model builder or indicator oracle of its
+own (its oracle is sign_division_oracle(f, mu)). For self-dual mu the
+sign has closed form w, and an equivalent characterization via the
+determinant (det mu nontrivial iff mu orthogonal, for f even) is
 re-verified on every call. sp(e) is orthogonal for e odd and symplectic
 for e even, and signs multiply across the tensor factor.
 
@@ -27,26 +29,18 @@ from dataclasses import dataclass
 
 from .division import (
     TameCharacter,
-    is_regular,
+    division_model,
     is_selfdual_division,
     make_tame_character,
+    sign_division_closed_form,
 )
 from .errors import InternalConsistencyError, UsageError
-from .metacyclic import (
-    MetacyclicGroup,
-    SubgroupCharacter,
-    det_exponents,
-    fs_indicator,
-    make_group,
-    make_subgroup_character,
-)
+from .metacyclic import det_exponents
 
 __all__ = [
     "WeilParameter",
     "RECIPES",
-    "weil_model",
     "sign_weil_closed_form",
-    "sign_weil_oracle",
     "sp_sign",
     "full_parameter_sign",
     "attach_parameter",
@@ -67,36 +61,17 @@ class WeilParameter:
         return self.char.f * self.e
 
 
-def weil_model(mu: TameCharacter) -> tuple[MetacyclicGroup, SubgroupCharacter]:
-    """Finite model of the induced Weil representation of mu.
-
-    Returns (G, psi) with G = C_{q^f-1} x| C_{2f}, s = q, and psi =
-    (f, a, c) where c in {0, 1} encodes w = +-1 as the scalar at t^f.
-    Requires mu regular.
-    """
-    if not is_regular(mu):
-        raise UsageError(f"weil model needs a regular character, got {mu}")
-    m = mu.torus_order
-    G = make_group(m, 2 * mu.f, mu.q)
-    c = 0 if mu.w == 1 else 1
-    return G, make_subgroup_character(G, mu.f, mu.a % m if m > 1 else 0, c)
-
-
 def sign_weil_closed_form(mu: TameCharacter) -> int:
     """Closed-form sign of a self-dual mu: w.
 
-    Cross-checks the determinant characterization before returning: for
-    f even and self-dual mu, det mu is trivial on the torus and equals
-    -w at t, so det mu is nontrivial exactly when mu is orthogonal.
-    Any mismatch raises InternalConsistencyError.
+    The self-duality and (q - 1) | a guards are sign_division_closed_form's.
+    Then the determinant characterization is cross-checked on the model
+    division_model(f, mu): for f even and self-dual mu, det mu is trivial
+    on the torus and equals -w at t, so det mu is nontrivial exactly when
+    mu is orthogonal. Any mismatch raises InternalConsistencyError.
     """
-    if not is_selfdual_division(mu):
-        raise UsageError(f"closed-form sign needs a self-dual datum, got {mu}")
-    if mu.a % (mu.q - 1) != 0:
-        raise InternalConsistencyError(
-            f"self-dual datum with a not divisible by q-1: {mu}"
-        )
-    G, psi = weil_model(mu)
+    w = sign_division_closed_form(mu)
+    G, psi = division_model(mu.f, mu)
     (Mx, kx), (Mt, kt) = det_exponents(G, psi)
     if kx % Mx != 0:
         raise InternalConsistencyError(
@@ -112,29 +87,16 @@ def sign_weil_closed_form(mu: TameCharacter) -> int:
         raise InternalConsistencyError(
             f"det at t for self-dual {mu} is not a sign: zeta_{Mt}^{kt}"
         )
-    if det_t != -mu.w:
+    if det_t != -w:
         raise InternalConsistencyError(
-            f"det route disagrees with w for {mu}: det_t={det_t}, w={mu.w}"
+            f"det route disagrees with w for {mu}: det_t={det_t}, w={w}"
         )
     det_nontrivial = det_t != 1
-    if det_nontrivial != (mu.w == 1):
+    if det_nontrivial != (w == 1):
         raise InternalConsistencyError(
             f"determinant characterization failed for {mu}"
         )
-    return mu.w
-
-
-def sign_weil_oracle(mu: TameCharacter) -> int:
-    """Oracle sign of self-dual mu: Frobenius-Schur indicator of the model."""
-    if not is_selfdual_division(mu):
-        raise UsageError(f"oracle sign needs a self-dual datum, got {mu}")
-    G, psi = weil_model(mu)
-    ind = fs_indicator(G, psi)
-    if ind == 0:
-        raise InternalConsistencyError(
-            f"weil model of self-dual datum {mu} has vanishing indicator"
-        )
-    return ind
+    return w
 
 
 def sp_sign(e: int) -> int:

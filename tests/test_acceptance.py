@@ -30,7 +30,7 @@ from tamesigns.metacyclic import (
     theta_sign,
 )
 from tamesigns.signs import casewise_sign, flip_sign, transfer_sign, verify_flip
-from tamesigns.weil import sign_weil_closed_form, sign_weil_oracle
+from tamesigns.weil import sign_weil_closed_form
 
 PRIME_POWERS = (2, 3, 4, 5, 7, 8, 9)
 DEGREES = (2, 4, 6)
@@ -81,8 +81,9 @@ def test_weil_signs_dual_routes_agree_full_grid():
             if q**f - 1 > TORUS_BOUND:
                 continue
             for entry in enumerate_level1_selfdual(q, f):
-                closed = sign_weil_closed_form(entry.chi)
-                assert closed == sign_weil_oracle(entry.chi), (q, f, entry)
+                chi = entry.chi  # the parameter model is at n = chi.f, not f
+                closed = sign_weil_closed_form(chi)
+                assert closed == sign_division_oracle(chi.f, chi), (q, f, entry)
 
 
 def test_flip_law_consistent_for_pr_recipe_full_grid():
@@ -156,7 +157,7 @@ def test_constructed_selfdual_witnesses_pass_all_predicates():
             assert sign_division_closed_form(chi) == sign_division_oracle(
                 n, chi
             )
-            assert sign_weil_closed_form(chi) == sign_weil_oracle(chi)
+            assert sign_weil_closed_form(chi) == sign_division_oracle(f, chi)
 
 
 def test_cli_output_is_byte_identical_across_processes(run_cli):

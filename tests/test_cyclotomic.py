@@ -17,12 +17,10 @@ from hypothesis import strategies as st
 from tamesigns.cyclotomic import (
     CycInt,
     cyc_add,
-    cyc_as_integer,
     cyc_conj,
     cyc_embed,
     cyc_galois,
     cyc_integer,
-    cyc_is_zero,
     cyc_mul,
     cyc_pow,
     cyc_root,
@@ -61,7 +59,7 @@ def test_full_root_sum_vanishes():
     # 1 + z_3 + z_3^2 = 0 and the same at several conductors.
     for M in (2, 3, 4, 5, 6, 12):
         total = root_sum(M, {k: 1 for k in range(M)})
-        assert cyc_is_zero(total), M
+        assert not total, M
 
 
 def test_galois_on_sum():
@@ -91,10 +89,8 @@ def test_conjugation():
 
 
 def test_as_integer():
-    assert cyc_as_integer(cyc_integer(7, 12)) == 7
+    assert try_as_integer(cyc_integer(7, 12)) == 7
     assert try_as_integer(cyc_root(12)) is None
-    with pytest.raises(UsageError):
-        cyc_as_integer(cyc_root(12))
 
 
 def test_embed_transitivity():
@@ -207,7 +203,7 @@ def test_embed_is_ring_map(data, step):
     assert cyc_embed(cyc_add(a, b), M2) == cyc_add(cyc_embed(a, M2), cyc_embed(b, M2))
     n = try_as_integer(a)
     if n is not None:
-        assert cyc_as_integer(cyc_embed(a, M2)) == n
+        assert try_as_integer(cyc_embed(a, M2)) == n
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,57 +1,46 @@
 """Oracles for the Weil-parameter side.
 
-Frozen values: the model of mu = (q=2, f=2, a=1, w=-1) is C_3 x| C_4
-with inducing datum (2, 1, 1); for e = 1 the parameter model coincides
-with the degree-f division model exactly. The closed-form sign is
-cross-checked against the model Frobenius-Schur oracle, and the
-determinant characterization runs implicitly on every closed-form call.
+The model of mu is the division model at n = f, division_model(f, mu);
+frozen values: for mu = (q=2, f=2, a=1, w=-1) it is C_3 x| C_4 with
+inducing datum (2, 1, 1). The closed-form sign is cross-checked against
+that model's Frobenius-Schur oracle, sign_division_oracle(f, mu), and
+the determinant characterization runs implicitly on every closed-form
+call; breaking either of its guards must raise, and exit 2 in the CLI.
 """
 
 from __future__ import annotations
 
 import pytest
 
+import tamesigns.division
+import tamesigns.weil
+from tamesigns.cli import main
 from tamesigns.division import (
-    construct_selfdual_of_dim,
     division_model,
     enumerate_level1_selfdual,
     make_tame_character,
+    sign_division_closed_form,
+    sign_division_oracle,
 )
-from tamesigns.errors import UsageError
+from tamesigns.errors import InternalConsistencyError, UsageError
 from tamesigns.metacyclic import SubgroupCharacter
 from tamesigns.weil import (
     WeilParameter,
     attach_parameter,
     full_parameter_sign,
     sign_weil_closed_form,
-    sign_weil_oracle,
     sp_sign,
-    weil_model,
 )
 
 
 def test_weil_model_frozen_example():
     mu = make_tame_character(2, 2, 1, -1)
-    G, psi = weil_model(mu)
+    G, psi = division_model(mu.f, mu)
     assert (G.m, G.N, G.s) == (3, 4, 2)
     assert psi == SubgroupCharacter(2, 1, 1)
     mu_plus = make_tame_character(2, 2, 1, 1)
-    _, psi_plus = weil_model(mu_plus)
+    _, psi_plus = division_model(mu_plus.f, mu_plus)
     assert psi_plus == SubgroupCharacter(2, 1, 0)
-
-
-def test_weil_model_equals_division_model_at_e_one():
-    for q in (2, 3, 4, 5):
-        for f in (2, 4):
-            chi = construct_selfdual_of_dim(q, f, f)
-            for w in (1, -1):
-                mu = make_tame_character(q, f, chi.a, w)
-                assert weil_model(mu) == division_model(f, mu)
-
-
-def test_weil_model_rejects_non_regular():
-    with pytest.raises(UsageError):
-        weil_model(make_tame_character(2, 2, 0, 1))
 
 
 def test_sp_sign():
@@ -75,7 +64,42 @@ def test_closed_form_matches_oracle(q, f):
         if entry.chi.f != f:
             continue
         assert sign_weil_closed_form(entry.chi) == entry.chi.w
-        assert sign_weil_oracle(entry.chi) == entry.chi.w
+        assert sign_division_oracle(f, entry.chi) == entry.chi.w
+
+
+def test_det_route_break_raises_and_exits_two(monkeypatch, capsys):
+    # flip det at t from +-1 to -+1: the det route must disagree with w
+    real = tamesigns.weil.det_exponents
+
+    def shifted(G, psi):
+        (Mx, kx), (Mt, kt) = real(G, psi)
+        return (Mx, kx), (Mt, (kt + Mt // 2) % Mt)
+
+    monkeypatch.setattr(tamesigns.weil, "det_exponents", shifted)
+    with pytest.raises(InternalConsistencyError, match="det route disagrees"):
+        sign_weil_closed_form(make_tame_character(2, 2, 1, -1))
+    for argv in (
+        ["verify-flip", "--q", "2", "--n", "4"],
+        ["sign", "--side", "weil", "--q", "2", "--f", "2", "--a", "1", "--w", "-1"],
+    ):
+        assert main(argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "internal consistency failure: det route disagrees" in err
+
+
+def test_q_minus_one_guard_raises(monkeypatch):
+    # (3, 2, 1) is regular but not self-dual, and 2 does not divide a = 1
+    chi = make_tame_character(3, 2, 1, 1)
+    real = tamesigns.division.is_selfdual_division
+    monkeypatch.setattr(
+        tamesigns.division,
+        "is_selfdual_division",
+        lambda c: (c.q, c.f, c.a) == (3, 2, 1) or real(c),
+    )
+    for closed_form in (sign_division_closed_form, sign_weil_closed_form):
+        with pytest.raises(InternalConsistencyError, match="not divisible by q-1"):
+            closed_form(chi)
 
 
 def test_full_parameter_sign_table():
