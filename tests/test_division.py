@@ -109,8 +109,6 @@ def test_division_model_validation():
         division_model(3, chi)  # f does not divide n
     with pytest.raises(UsageError):
         division_model(4, make_tame_character(2, 2, 0, 1))  # not regular
-    with pytest.raises(UsageError):
-        division_model(2, make_tame_character(2, 2, 0, 1))  # not regular, n = f
 
 
 def test_closed_form_and_oracle_signs():

@@ -43,6 +43,12 @@ def test_weil_model_frozen_example():
     assert psi_plus == SubgroupCharacter(2, 1, 0)
 
 
+def test_weil_model_rejects_non_regular():
+    mu = make_tame_character(2, 2, 0, 1)
+    with pytest.raises(UsageError):
+        division_model(mu.f, mu)
+
+
 def test_sp_sign():
     assert [sp_sign(e) for e in (1, 2, 3, 4, 5)] == [1, -1, 1, -1, 1]
     with pytest.raises(UsageError):
