@@ -36,7 +36,6 @@ __all__ = [
     "cyc_scale",
     "cyc_mul",
     "cyc_pow",
-    "cyc_conj",
     "cyc_galois",
     "cyc_embed",
     "try_as_integer",
@@ -341,11 +340,6 @@ def cyc_galois(a: CycInt, j: int) -> CycInt:
         if c:
             vec[(i * j) % M] += c
     return CycInt(M, _canonical(M, vec))
-
-
-def cyc_conj(a: CycInt) -> CycInt:
-    """Complex conjugation, the Galois action zeta -> zeta^(-1)."""
-    return cyc_galois(a, a.conductor - 1)
 
 
 def cyc_embed(a: CycInt, conductor: int) -> CycInt:

@@ -48,7 +48,6 @@ __all__ = [
     "division_model",
     "sign_division_oracle",
     "enumerate_level1_selfdual",
-    "construct_selfdual_of_dim",
 ]
 
 
@@ -183,7 +182,6 @@ class SelfdualEntry:
     """One enumerated self-dual representation with both sign routes."""
 
     chi: TameCharacter
-    dim: int
     sign_closed: int
     sign_oracle: int
 
@@ -195,7 +193,9 @@ def enumerate_level1_selfdual(q: int, n: int) -> list[SelfdualEntry]:
     orbit exponent a ascending, w = +1 before w = -1). Every self-dual
     datum has f = 2d even and a a multiple of q^d - 1, so only the
     q^d + 1 multiples are scanned. Both sign routes are computed for
-    every entry.
+    every entry, and each re-checks that the datum is regular and
+    self-dual; a datum that fails there is an enumeration fault and
+    raises InternalConsistencyError.
     """
     prime_power_base(q)
     if n < 1:
@@ -216,32 +216,14 @@ def enumerate_level1_selfdual(q: int, n: int) -> list[SelfdualEntry]:
                 continue
             for w in (1, -1):
                 chi = TameCharacter(q, f, a, w)
-                entries.append(
-                    SelfdualEntry(
-                        chi=chi,
-                        dim=f,
-                        sign_closed=sign_division_closed_form(chi),
-                        sign_oracle=sign_division_oracle(n, chi),
-                    )
-                )
+                try:
+                    closed = sign_division_closed_form(chi)
+                    oracle = sign_division_oracle(n, chi)
+                except UsageError as exc:
+                    raise InternalConsistencyError(
+                        f"enumeration at q={q}, n={n} emitted an invalid "
+                        f"datum {chi}: {exc}"
+                    ) from exc
+                entries.append(SelfdualEntry(chi, closed, oracle))
     return entries
 
-
-def construct_selfdual_of_dim(q: int, n: int, f: int) -> TameCharacter:
-    """A canonical self-dual datum of torus degree f: a = q^(f/2) - 1, w = +1.
-
-    Requires f even and f | n. The choice is always regular and
-    self-dual; both are re-verified and a failure raises
-    InternalConsistencyError.
-    """
-    prime_power_base(q)
-    if f < 2 or f % 2 != 0:
-        raise UsageError(f"f must be even and >= 2, got {f}")
-    if n % f != 0:
-        raise UsageError(f"f = {f} must divide n = {n}")
-    chi = make_tame_character(q, f, q ** (f // 2) - 1, 1)
-    if not is_regular(chi) or not is_selfdual_division(chi):
-        raise InternalConsistencyError(
-            f"canonical construction failed regularity or self-duality: {chi}"
-        )
-    return chi

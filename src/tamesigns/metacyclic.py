@@ -24,8 +24,9 @@ Every power of s is read from one table, s^k mod m for 0 <= k < N
 (MetacyclicGroup.s_powers). It is built on first use and cached on the
 integers (s, N, m) in a bounded cache, so the many short-lived groups
 of a sweep share it and a group that is never asked for a power never
-builds it. The orbit walk orbit_of stays a separate running product: it
-is the second route of the irreducibility cross-check.
+builds it. The Galois orbit has one walk, orbit_of, a separate running
+product: enumerate_irreps partitions Z/m with it, and the irreducibility
+cross-check compares its size with the norm route, which reads the table.
 """
 
 from __future__ import annotations
@@ -55,9 +56,7 @@ __all__ = [
     "fs_indicator",
     "fs_indicator_raw",
     "involution_count",
-    "det_at_generators",
     "det_exponents",
-    "scalar_at_torus_power",
     "matrix_model",
     "matrix_of",
     "make_involution",
@@ -191,13 +190,10 @@ def enumerate_irreps(G: MetacyclicGroup) -> list[SubgroupCharacter]:
     for a in range(G.m):
         if seen[a]:
             continue
-        size = 0
-        cur = a
-        while not seen[cur]:
-            seen[cur] = 1
-            size += 1
-            cur = (cur * G.s) % G.m
-        orbits.append((size, a))
+        orbit = orbit_of(a, G.s, G.m)
+        for b in orbit:
+            seen[b] = 1
+        orbits.append((len(orbit), a))
     out = [
         SubgroupCharacter(f, a, c)
         for f, a in orbits
@@ -362,30 +358,6 @@ def det_exponents(
     return (G.m, kx), (M1, kt)
 
 
-def det_at_generators(
-    G: MetacyclicGroup, psi: SubgroupCharacter
-) -> tuple[CycInt, CycInt]:
-    """Determinants of pi(x) and pi(t) as canonical values."""
-    (Mx, kx), (Mt, kt) = det_exponents(G, psi)
-    return cyc_root(Mx, kx), cyc_root(Mt, kt)
-
-
-def scalar_at_torus_power(
-    G: MetacyclicGroup, psi: SubgroupCharacter, k: int
-) -> CycInt:
-    """The scalar by which pi(t^k) acts; requires f | k.
-
-    pi(t^f) is the scalar psi(t^f) = zeta_{N/f}^c, so pi(t^k) is the
-    scalar zeta_{N/f}^(c * k/f) whenever f divides k.
-    """
-    f, _, c = psi
-    K = k % G.N
-    if K % f != 0:
-        raise UsageError(f"pi(t^{k}) is not scalar: f={f} does not divide {k}")
-    Nf = G.N // f
-    return cyc_root(Nf, (c * (K // f)) % Nf)
-
-
 # ---------------------------------------------------------------------------
 # explicit monomial matrices
 
@@ -438,10 +410,13 @@ class InvolutionSpec:
     w: int
 
 
-def _twisted_geo(G: MetacyclicGroup, w: int, j: int) -> int:
-    # sum over l in [0, j) of s^(w*l), mod m.
-    spow, N = G.s_powers, G.N
-    return sum(spow[(w * l) % N] for l in range(j)) % G.m
+def _twisted_prefix(G: MetacyclicGroup, w: int) -> list[int]:
+    # T[j] = sum over l in [0, j) of s^(w*l), mod m, for 0 <= j <= N.
+    spow, N, m = G.s_powers, G.N, G.m
+    T = [0] * (N + 1)
+    for j in range(N):
+        T[j + 1] = (T[j] + spow[(w * j) % N]) % m
+    return T
 
 
 def make_involution(G: MetacyclicGroup, u: int, v: int, w: int) -> InvolutionSpec:
@@ -462,9 +437,10 @@ def make_involution(G: MetacyclicGroup, u: int, v: int, w: int) -> InvolutionSpe
         raise UsageError(f"w^2 != 1 mod N: w={w}, N={G.N}")
     if (u * (G.s_pow(w) - G.s)) % G.m != 0:
         raise UsageError(f"theta breaks the conjugation relation: u={u}, w={w}")
-    if (v * _twisted_geo(G, w, G.N)) % G.m != 0:
+    T = _twisted_prefix(G, w)
+    if (v * T[G.N]) % G.m != 0:
         raise UsageError(f"theta(t)^N != 1: v={v}, w={w}")
-    if (u * v + v * _twisted_geo(G, w, w)) % G.m != 0:
+    if (u * v + v * T[w]) % G.m != 0:
         raise UsageError(f"theta^2(t) != t: u={u}, v={v}, w={w}")
     return InvolutionSpec(u, v, w)
 
@@ -480,7 +456,7 @@ def apply_involution(
     """theta(x^i t^j) = x^(u i + v * sum_{l<j} s^(w l)) t^(w j)."""
     i, j = g.i % G.m, g.j % G.N
     return GroupElem(
-        (theta.u * i + theta.v * _twisted_geo(G, theta.w, j)) % G.m,
+        (theta.u * i + theta.v * _twisted_prefix(G, theta.w)[j]) % G.m,
         (theta.w * j) % G.N,
     )
 
@@ -520,9 +496,7 @@ def theta_sign(
     ]
     if not seeds:
         return 0
-    T = [0] * (N + 1)
-    for j in range(N):
-        T[j + 1] = (T[j] + spow[(w * j) % N]) % m
+    T = _twisted_prefix(G, w)
     M0 = lcm(m, Nf)
     step_m = M0 // m
     step_t = M0 // Nf

@@ -7,8 +7,8 @@ has parameter degree n = m * r: the sign picks up (-1)^(n - m) and an
 m-th power. flip_sign is the m = 1 face used for division algebras of
 full degree: for even n the sign flips outright. casewise_sign is the
 equivalent parity case analysis; it is recomputed against transfer_sign
-on every call, and tensor_power_sign/product_check close the calculus
-under tensor powers and products of self-dual factors.
+on every call, and product_check closes the calculus under products
+(and so tensor powers) of self-dual factors.
 
 verify_flip runs the whole machine end to end: enumerate the level-one
 self-dual representations for (q, n) once, compute the division-side
@@ -32,7 +32,6 @@ __all__ = [
     "transfer_sign",
     "flip_sign",
     "casewise_sign",
-    "tensor_power_sign",
     "product_check",
     "FlipRow",
     "FlipReport",
@@ -113,14 +112,6 @@ def casewise_sign(m: int, d: int, parameter_sign: int) -> int:
             f"at m={m}, d={d}, sign={parameter_sign}"
         )
     return out
-
-
-def tensor_power_sign(sign: int, k: int) -> int:
-    """Sign of the k-th tensor power of a self-dual factor: sign^k."""
-    _require_sign(sign, "sign")
-    if k < 1:
-        raise UsageError(f"need k >= 1, got {k}")
-    return sign if k % 2 else 1
 
 
 def product_check(signs: Iterable[int]) -> bool:

@@ -13,7 +13,7 @@ import time
 
 from tamesigns.cyclotomic import cyc_integer
 from tamesigns.division import (
-    construct_selfdual_of_dim,
+    TameCharacter,
     enumerate_level1_selfdual,
     is_regular,
     is_selfdual_division,
@@ -73,9 +73,8 @@ def test_division_signs_dual_routes_agree_full_grid():
 
 
 def test_weil_signs_dual_routes_agree_full_grid():
-    # a clean return from the closed form certifies that its two
-    # determinant clauses agree with each other; equality with the
-    # model indicator is asserted here
+    # a clean return from the closed form certifies its determinant
+    # checks; equality with the model indicator is asserted here
     for q in PRIME_POWERS:
         for f in DEGREES:
             if q**f - 1 > TORUS_BOUND:
@@ -146,12 +145,13 @@ def test_engine_invariants_on_every_model_group():
 
 
 def test_constructed_selfdual_witnesses_pass_all_predicates():
+    # the canonical witness of degree f, a = q^(f/2) - 1 with w = +1,
+    # is built by hand and must pass every predicate in every cell
     for q, n in grid_cells():
         for f in DEGREES:
             if f > n or n % f or f % 2:
                 continue
-            chi = construct_selfdual_of_dim(q, n, f)
-            assert chi.q == q and chi.f == f
+            chi = TameCharacter(q, f, q ** (f // 2) - 1, 1)
             assert is_regular(chi)
             assert is_selfdual_division(chi)
             assert sign_division_closed_form(chi) == sign_division_oracle(

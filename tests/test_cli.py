@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tamesigns.cli as cli
+import tamesigns.division
 from tamesigns.cli import (
     expand_q_range,
     fmt_root,
@@ -263,6 +264,26 @@ def test_internal_consistency_exits_two(capsys, monkeypatch):
     assert "internal consistency" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["enumerate", "--q", "2", "--n", "4"], ["verify-flip", "--q", "2", "--n", "4"]],
+)
+def test_enumeration_fault_exits_two(capsys, monkeypatch, argv):
+    # emit (2, 4, 3) as a = 4: regular but not self-dual, so the sign
+    # routes refuse it, and that refusal is an enumeration fault
+    real = tamesigns.division.TameCharacter
+
+    def faulty(q, f, a, w):
+        return real(q, f, 4 if (q, f, a) == (2, 4, 3) else a, w)
+
+    monkeypatch.setattr(tamesigns.division, "TameCharacter", faulty)
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("internal consistency failure: ")
+    assert "q=2, n=4" in err and "a=4" in err
+
+
 def test_pr_falsification_exits_three(capsys, monkeypatch):
     bad_row = FlipRow(
         q=2, n=2, recipe="PR", f=2, e=1, a=1, w=1,
@@ -406,6 +427,61 @@ def sign_argv(draw):
 @settings(max_examples=150, deadline=None)
 @given(sign_argv())
 def test_sign_argv_fuzz_exits_cleanly_and_repeats(argv):
+    first = call_main(argv)
+    code, out, err = first
+    assert code in (0, 1), (argv, first)
+    if code == 0:
+        assert out and err == ""
+    else:
+        assert out == "" and err.startswith("usage error: "), (argv, first)
+    assert call_main(argv) == first
+
+
+RANGE_WIDTH = 3  # at most this many values per --q or --n range
+
+
+@st.composite
+def small_range(draw, hi):
+    """'k' or 'lo..hi' with 1 <= lo <= hi <= hi, at most RANGE_WIDTH wide."""
+    lo = draw(st.integers(1, hi))
+    top = draw(st.integers(lo, min(hi, lo + RANGE_WIDTH - 1)))
+    return str(lo) if lo == top else f"{lo}..{top}"
+
+
+@st.composite
+def grid_argv(draw):
+    """An enumerate, verify-flip or product-check argv over a tiny grid;
+    one option may be broken or dropped."""
+    command = draw(st.sampled_from(["enumerate", "verify-flip", "product-check"]))
+    if command == "product-check":
+        signs = draw(st.lists(st.sampled_from(["+1", "1", "-1"]), max_size=5))
+        if draw(st.booleans()):
+            signs.append(draw(st.sampled_from(["0", "2", "x", "--q"])))
+        fmt = draw(st.sampled_from([None, "csv", "json"]))
+        return [command] + signs + (["--format", fmt] if fmt else [])
+    options = {
+        "--q": draw(small_range(9)),
+        "--n": draw(small_range(6)),
+        "--recipe": (
+            draw(st.sampled_from([None, "PR", "SZ", "both"]))
+            if command == "verify-flip" else None
+        ),
+        "--format": draw(st.sampled_from([None, "csv", "json"])),
+    }
+    broken = draw(st.sampled_from([None] * 4 + list(options)))
+    if broken is not None:
+        options[broken] = draw(st.sampled_from([None, "x", "0", "-1", "5..3", "2..x"]))
+    return [command] + [
+        token
+        for name, value in options.items()
+        if value is not None
+        for token in (name, value)
+    ]
+
+
+@settings(max_examples=100, deadline=None)
+@given(grid_argv())
+def test_grid_argv_fuzz_exits_cleanly_and_repeats(argv):
     first = call_main(argv)
     code, out, err = first
     assert code in (0, 1), (argv, first)

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from tamesigns.cyclotomic import (
     CycInt,
     cyc_add,
-    cyc_conj,
     cyc_embed,
     cyc_galois,
     cyc_integer,
@@ -65,6 +64,11 @@ def test_full_root_sum_vanishes():
 def test_galois_on_sum():
     v = cyc_add(cyc_integer(1, 5), cyc_root(5, 1))
     assert cyc_galois(v, 2) == cyc_add(cyc_integer(1, 5), cyc_root(5, 2))
+    # j = -1 is complex conjugation
+    z = cyc_root(5)
+    assert cyc_galois(z, -1) == CycInt(5, (-1, -1, -1, -1))
+    assert cyc_galois(cyc_galois(z, -1), -1) == z
+    assert cyc_galois(cyc_integer(3, 7), -1) == cyc_integer(3, 7)
 
 
 def test_no_automatic_conductor_reduction():
@@ -79,13 +83,6 @@ def test_sixth_root_reduction():
     v = cyc_pow(cyc_root(6), 2)
     assert v == CycInt(6, (-1, 1))
     assert v == cyc_embed(cyc_root(3), 6)
-
-
-def test_conjugation():
-    z = cyc_root(5)
-    assert cyc_conj(z) == CycInt(5, (-1, -1, -1, -1))
-    assert cyc_conj(cyc_conj(z)) == z
-    assert cyc_conj(cyc_integer(3, 7)) == cyc_integer(3, 7)
 
 
 def test_as_integer():

@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import pytest
 
-from tamesigns.cyclotomic import cyc_integer
+from tamesigns.cyclotomic import cyc_integer, cyc_zero
 from tamesigns.division import (
     SelfdualEntry,
     TameCharacter,
-    construct_selfdual_of_dim,
     division_model,
     enumerate_level1_selfdual,
     is_prime_power,
@@ -28,9 +27,10 @@ from tamesigns.division import (
 )
 from tamesigns.errors import UsageError
 from tamesigns.metacyclic import (
+    GroupElem,
     SubgroupCharacter,
     is_irreducible_induced,
-    scalar_at_torus_power,
+    matrix_of,
 )
 
 
@@ -97,7 +97,8 @@ def test_division_model_frozen_example():
     assert psi == SubgroupCharacter(2, 5, 2)
     assert is_irreducible_induced(G, psi)
     # the t^2 scalar realizes w = -1
-    assert scalar_at_torus_power(G, psi, 2) == cyc_integer(-1, 4)
+    minus, zero = cyc_integer(-1, 60), cyc_zero(60)
+    assert matrix_of(G, psi, GroupElem(0, 2)) == [[minus, zero], [zero, minus]]
     chi_plus = make_tame_character(2, 2, 1, 1)
     _, psi_plus = division_model(4, chi_plus)
     assert psi_plus == SubgroupCharacter(2, 5, 0)
@@ -132,7 +133,6 @@ def test_enumerate_smallest_case():
     ]
     assert [e.sign_closed for e in entries] == [1, -1]
     assert [e.sign_oracle for e in entries] == [1, -1]
-    assert [e.dim for e in entries] == [2, 2]
 
 
 def test_enumerate_degree_four():
@@ -184,25 +184,17 @@ def test_enumerate_odd_degree_is_empty():
     assert enumerate_level1_selfdual(5, 1) == []
 
 
-def test_construct_selfdual_of_dim():
-    assert construct_selfdual_of_dim(2, 2, 2) == TameCharacter(2, 2, 1, 1)
-    assert construct_selfdual_of_dim(3, 2, 2) == TameCharacter(3, 2, 2, 1)
-    assert construct_selfdual_of_dim(2, 4, 4) == TameCharacter(2, 4, 3, 1)
-    for q in (2, 3, 4, 5, 7, 8, 9):
-        for f in (2, 4, 6):
-            chi = construct_selfdual_of_dim(q, 2 * f, f)
-            assert is_regular(chi)
-            assert is_selfdual_division(chi)
-            assert sign_division_closed_form(chi) == 1
-    with pytest.raises(UsageError):
-        construct_selfdual_of_dim(2, 4, 3)
-    with pytest.raises(UsageError):
-        construct_selfdual_of_dim(2, 4, 8)
-
-
 @pytest.mark.parametrize("q,n", [(2, 2), (2, 4), (3, 2), (3, 4), (4, 2), (5, 2)])
 def test_dual_routes_agree_on_small_ranges(q, n):
+    firsts = {}
     for e in enumerate_level1_selfdual(q, n):
         assert e.sign_closed == e.sign_oracle, e
         G, psi = division_model(n, e.chi)
         assert is_irreducible_induced(G, psi)
+        firsts.setdefault(e.chi.f, e.chi)
+    # each f block opens with the canonical datum a = q^(f/2) - 1, w = +1
+    assert firsts == {
+        f: TameCharacter(q, f, q ** (f // 2) - 1, 1)
+        for f in range(2, n + 1, 2)
+        if n % f == 0
+    }

@@ -24,6 +24,7 @@ from tamesigns.cyclotomic import (
     cyc_embed,
     cyc_integer,
     cyc_mul,
+    cyc_root,
     cyc_scale,
     cyc_zero,
     try_as_integer,
@@ -32,7 +33,7 @@ from tamesigns.errors import InternalConsistencyError, UsageError
 from tamesigns.metacyclic import (
     GroupElem,
     apply_involution,
-    det_at_generators,
+    det_exponents,
     elem_inv,
     elem_mul,
     elements,
@@ -49,7 +50,6 @@ from tamesigns.metacyclic import (
     matrix_model,
     matrix_of,
     orbit_of,
-    scalar_at_torus_power,
     theta_sign,
 )
 from tamesigns.rationality import character_field
@@ -242,10 +242,10 @@ def test_fs_values_dicyclic12():
     psi_symp = make_subgroup_character(G, 2, 1, 1)
     assert fs_indicator(G, psi_orth) == 1
     assert fs_indicator(G, psi_symp) == -1
-    _, det_t_orth = det_at_generators(G, psi_orth)
-    _, det_t_symp = det_at_generators(G, psi_symp)
-    assert det_t_orth == cyc_integer(-1, 2)
-    assert det_t_symp == cyc_integer(1, 2)
+    _, det_t_orth = det_exponents(G, psi_orth)
+    _, det_t_symp = det_exponents(G, psi_symp)
+    assert cyc_root(*det_t_orth) == cyc_integer(-1, 2)
+    assert cyc_root(*det_t_symp) == cyc_integer(1, 2)
 
 
 def test_fs_values_cyclic_quotient():
@@ -343,23 +343,18 @@ def test_matrix_model_is_representation(m, N, s):
 
 @pytest.mark.parametrize("m,N,s", [(3, 4, 2), (15, 8, 2), (16, 4, 3)])
 def test_scalar_at_torus_power(m, N, s):
+    # pi(t^f) is the scalar psi(t^f) = zeta_{N/f}^c, the sign CLI's scalar_tf
     G = make_group(m, N, s)
     for psi in enumerate_irreps(G):
         f = psi.f
         M0 = char_conductor(G, psi)
-        scal = scalar_at_torus_power(G, psi, f)
+        scal = cyc_embed(cyc_root(N // f, psi.c), M0)
         mat = matrix_of(G, psi, GroupElem(0, f % N))
         expected = [
-            [
-                cyc_mul(cyc_embed(scal, M0), cyc_integer(1 if r == c_ else 0, M0))
-                for c_ in range(f)
-            ]
+            [cyc_mul(scal, cyc_integer(1 if r == c_ else 0, M0)) for c_ in range(f)]
             for r in range(f)
         ]
         assert mat == expected, psi
-        if f > 1:
-            with pytest.raises(UsageError):
-                scalar_at_torus_power(G, psi, 1)
 
 
 @pytest.mark.parametrize("m,N,s", [(3, 4, 2), (15, 8, 2), (9, 6, 2), (20, 4, 3)])
@@ -369,7 +364,7 @@ def test_det_matches_literal(m, N, s):
         if psi.f > 4:
             continue
         model = matrix_model(G, psi)
-        det_x, det_t = det_at_generators(G, psi)
+        det_x, det_t = (cyc_root(*pair) for pair in det_exponents(G, psi))
         M0 = model["x"][0][0].conductor
         Mx = lcm(M0, det_x.conductor)
         Mt = lcm(M0, det_t.conductor)

@@ -1,0 +1,67 @@
+"""Every public name of the package is there on purpose.
+
+A name in a tamesigns module's __all__ must be used outside that module:
+referenced by another module of the package, named under bench/ (the
+benchmark and its tracer, which names functions by string), or listed
+in README's "## Library" section, which keeps the oracle API the test
+suite relies on. A new public name that only tests call fails here
+until it is deleted or listed there.
+"""
+
+from __future__ import annotations
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "tamesigns"
+WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
+def public_names(tree: ast.Module) -> list[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    return []
+
+
+def referenced_names(tree: ast.Module) -> set[str]:
+    """Identifiers a module imports or refers to in code (not in text)."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name)
+    return out
+
+
+def library_section() -> str:
+    text = (ROOT / "README.md").read_text()
+    start = text.index("\n## Library\n")
+    end = text.find("\n## ", start + 1)
+    return text[start:] if end == -1 else text[start:end]
+
+
+def test_every_public_name_is_used_outside_its_module():
+    trees = {p.stem: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
+    bench = set(WORD.findall(
+        "\n".join(p.read_text() for p in sorted((ROOT / "bench").glob("*.py")))
+    ))
+    listed = set(WORD.findall(library_section()))
+    unused = []
+    for stem, tree in trees.items():
+        elsewhere = set().union(
+            *(referenced_names(other) for name, other in trees.items() if name != stem)
+        )
+        unused += [
+            f"tamesigns.{stem}.{name}"
+            for name in public_names(tree)
+            if name not in elsewhere | bench | listed
+        ]
+    assert not unused, f"used only by tests; delete or list in README: {unused}"

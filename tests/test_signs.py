@@ -18,7 +18,6 @@ from tamesigns.signs import (
     casewise_sign,
     flip_sign,
     product_check,
-    tensor_power_sign,
     transfer_sign,
     verify_flip,
 )
@@ -88,30 +87,19 @@ def test_casewise_validation():
     assert casewise_sign(3, 5, 1) == 1
 
 
-def test_tensor_power_sign():
-    assert tensor_power_sign(-1, 1) == -1
-    assert tensor_power_sign(-1, 2) == 1
-    assert tensor_power_sign(-1, 3) == -1
-    assert tensor_power_sign(1, 5) == 1
-    with pytest.raises(UsageError):
-        tensor_power_sign(0, 2)
-    with pytest.raises(UsageError):
-        tensor_power_sign(1, 0)
-
-
-def test_tensor_power_is_iterated_product():
-    for sign in (1, -1):
-        for k in range(1, 9):
-            assert product_check([sign] * k) == (tensor_power_sign(sign, k) == 1)
-
-
 def test_product_check():
     assert product_check([1, 1, 1])
     assert product_check([-1, -1])
     assert not product_check([-1, 1, 1])
     assert product_check([])
+    # a k-th tensor power of a self-dual factor has sign sign^k
+    for sign in (1, -1):
+        for k in range(1, 9):
+            assert product_check([sign] * k) == (sign == 1 or k % 2 == 0)
     with pytest.raises(UsageError):
         product_check([1, 2])
+    with pytest.raises(UsageError):
+        product_check([0, 0])
 
 
 def test_verify_flip_pr_consistent_small():

@@ -115,7 +115,6 @@ def test_full_parameter_sign_table():
     assert full_parameter_sign(WeilParameter(mu_p, 2)) == -1
     assert full_parameter_sign(WeilParameter(mu_m, 1)) == -1
     assert full_parameter_sign(WeilParameter(mu_m, 2)) == 1
-    assert WeilParameter(mu_p, 3).degree == 6
 
 
 def test_attach_parameter_recipes():
