@@ -28,12 +28,11 @@ from functools import cache
 from math import lcm
 
 from .division import (
+    TameCharacter,
     division_model,
     enumerate_level1_selfdual,
     is_prime_power,
-    is_regular,
     is_selfdual_division,
-    make_tame_character,
     prime_power_base,
     sign_division_closed_form,
 )
@@ -216,43 +215,38 @@ def cmd_verify_flip(config: RunConfig) -> tuple[int, str]:
     return code, render(config.fmt, "verify-flip", FLIP_COLUMNS, rows)
 
 
-def _check_sign_size(config: RunConfig) -> None:
+def _check_sign_size(q: int, d: int, f: int) -> None:
     """Refuse a `sign` datum whose model is too large, before building it.
 
-    The model's field conductor is lcm(q^n - 1, 2n/f) on the division
-    side and lcm(q^f - 1, 2) on the weil side. A q or an exponent too
-    large for MAX_SIGN_CONDUCTOR is refused before any power of q is
-    formed. On the division side the exponent is max(n, f), because the
-    torus order q^f - 1 is formed before f | n is checked. Data with
-    q < 2 or f < 1 are left to make_tame_character's own checks.
+    The model is division_model(d, chi), with d = n on the division side
+    and d = f on the weil side, and its field conductor is
+    lcm(q^d - 1, 2d/f). A q or an exponent too large for
+    MAX_SIGN_CONDUCTOR is refused before any power of q is formed. The
+    exponent is max(d, f), because the torus order q^f - 1 is formed
+    before f | d is checked. Data with q < 2 or f < 1 are left to
+    TameCharacter's own checks.
     """
-    q, n, f = config.q, config.n, config.f
     if q < 2 or f < 1:
         return
-    if config.side == "division":
-        e, k = max(n, f), (2 * n // f if n >= 1 and n % f == 0 else 1)
-        formula, where = "lcm(q^n - 1, 2n/f)", f"q={q}, n={n}, f={f}"
-    else:
-        e, k = f, 2
-        formula, where = "lcm(q^f - 1, 2)", f"q={q}, f={f}"
+    e, k = max(d, f), (2 * d // f if d >= 1 and d % f == 0 else 1)
     limit = MAX_SIGN_CONDUCTOR
     if q <= limit + 1 and e <= limit.bit_length() and lcm(q**e - 1, k) <= limit:
         return
     raise UsageError(
-        f"model too large: field conductor {formula} at {where} exceeds "
-        f"the limit MAX_SIGN_CONDUCTOR = {limit}"
+        f"model too large: field conductor lcm(q^d - 1, 2d/f) at q={q}, "
+        f"model degree d={d}, f={f} exceeds the limit "
+        f"MAX_SIGN_CONDUCTOR = {limit}"
     )
 
 
 def cmd_sign(config: RunConfig) -> tuple[int, str]:
-    _check_sign_size(config)
-    chi = make_tame_character(config.q, config.f, config.a, config.w)
-    if not is_regular(chi):
-        raise UsageError(f"character is not regular: {chi}")
-    selfdual = is_selfdual_division(chi)
-    # the parameter-side model is the division model at n = f
+    # both sides build division_model(d, chi): the parameter side at d = f
     division = config.side == "division"
-    G, psi = division_model(config.n if division else config.f, chi)
+    d = config.n if division else config.f
+    _check_sign_size(config.q, d, config.f)
+    chi = TameCharacter(config.q, config.f, config.a, config.w)
+    selfdual = is_selfdual_division(chi)
+    G, psi = division_model(d, chi)
     closed_form = sign_division_closed_form if division else sign_weil_closed_form
     closed = closed_form(chi) if selfdual else None
     oracle = fs_indicator(G, psi)

@@ -23,7 +23,7 @@ from __future__ import annotations
 from functools import cache
 from typing import Iterable, Mapping
 
-from .errors import UsageError
+from .errors import InternalConsistencyError, UsageError
 
 __all__ = [
     "CycInt",
@@ -113,7 +113,7 @@ def _poly_divexact(num: list[int], den: list[int]) -> list[int]:
             for e in range(dd + 1):
                 num[k + e] -= c * den[e]
     if any(num):
-        raise ArithmeticError("polynomial division left a remainder")
+        raise InternalConsistencyError(f"division by degree {dd} left a remainder")
     return q
 
 
@@ -152,7 +152,11 @@ def _phi_tail(M: int) -> tuple[int, tuple[tuple[int, int], ...]]:
     # (phi(M), sparse tail of Phi_M below the monic leading term).
     poly = cyclotomic_polynomial(M)
     lead_exp, lead_coeff = poly[-1]
-    assert lead_coeff == 1 and lead_exp == euler_phi(M)
+    if lead_coeff != 1 or lead_exp != euler_phi(M):
+        raise InternalConsistencyError(
+            f"Phi_{M} is not monic of degree phi({M}) = {euler_phi(M)}: "
+            f"leading term {lead_coeff}*x^{lead_exp}"
+        )
     return lead_exp, poly[:-1]
 
 

@@ -41,7 +41,6 @@ __all__ = [
     "SelfdualEntry",
     "is_prime_power",
     "prime_power_base",
-    "make_tame_character",
     "is_regular",
     "is_selfdual_division",
     "sign_division_closed_form",
@@ -71,12 +70,13 @@ def prime_power_base(q: int) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class TameCharacter:
-    """A level-one character datum (q, f, a, w).
+    """A level-one character datum (q, f, a, w), valid and regular.
 
     q: residue field size (prime power). f: degree of the unramified
     torus F_{q^f}^x carrying the character. a: exponent of the character
     against a fixed generator, taken mod q^f - 1. w: the sign +-1 at the
-    uniformizer slot.
+    uniformizer slot. The constructor checks each, then regularity, so
+    every TameCharacter is regular and no consumer re-checks it.
     """
 
     q: int
@@ -84,22 +84,21 @@ class TameCharacter:
     a: int
     w: int
 
+    def __post_init__(self) -> None:
+        prime_power_base(self.q)
+        if self.f < 1:
+            raise UsageError(f"f must be >= 1, got {self.f}")
+        order = self.torus_order
+        if not 0 <= self.a < max(order, 1):
+            raise UsageError(f"need 0 <= a < q^f - 1 = {order}, got a={self.a}")
+        if self.w not in (1, -1):
+            raise UsageError(f"w must be +1 or -1, got {self.w}")
+        if not is_regular(self):
+            raise UsageError(f"character is not regular: {self}")
+
     @property
     def torus_order(self) -> int:
         return self.q**self.f - 1
-
-
-def make_tame_character(q: int, f: int, a: int, w: int) -> TameCharacter:
-    """Validated character datum; see TameCharacter for field meanings."""
-    prime_power_base(q)
-    if f < 1:
-        raise UsageError(f"f must be >= 1, got {f}")
-    order = q**f - 1
-    if not 0 <= a < max(order, 1):
-        raise UsageError(f"need 0 <= a < q^f - 1 = {order}, got a={a}")
-    if w not in (1, -1):
-        raise UsageError(f"w must be +1 or -1, got {w}")
-    return TameCharacter(q, f, a, w)
 
 
 def is_regular(chi: TameCharacter) -> bool:
@@ -110,11 +109,9 @@ def is_regular(chi: TameCharacter) -> bool:
 def is_selfdual_division(chi: TameCharacter) -> bool:
     """Whether the associated representation is self-dual.
 
-    Requires chi regular. The condition is f even, f = 2d, together with
+    chi is regular by construction. The condition is f = 2d even and
     a * (q^d + 1) = 0 (mod q^f - 1), equivalently (q^d - 1) | a.
     """
-    if not is_regular(chi):
-        raise UsageError(f"self-duality needs a regular character, got {chi}")
     if chi.f % 2 != 0:
         return False
     d = chi.f // 2
@@ -145,14 +142,12 @@ def division_model(
     Returns (G, psi) with G = C_{q^n-1} x| C_{2n}, s = q, and psi the
     inducing datum (f, a * (q^n-1)/(q^f-1), c) where c = 0 encodes
     w = +1 and c = n/f encodes w = -1 (the scalar at t^f).
-    Requires chi regular and f | n.
+    Requires f | n; chi is regular by construction.
     """
     if n < 1:
         raise UsageError(f"n must be >= 1, got {n}")
     if n % chi.f != 0:
         raise UsageError(f"f = {chi.f} must divide n = {n}")
-    if not is_regular(chi):
-        raise UsageError(f"division model needs a regular character, got {chi}")
     m = chi.q**n - 1
     G = make_group(m, 2 * n, chi.q)
     a_big = (chi.a * (m // chi.torus_order)) % m if m > 1 else 0
@@ -172,7 +167,8 @@ def sign_division_oracle(n: int, chi: TameCharacter) -> int:
     ind = fs_indicator(G, psi)
     if ind == 0:
         raise InternalConsistencyError(
-            f"model of self-dual datum {chi} has vanishing indicator"
+            f"model of self-dual datum {chi} at n={n} has vanishing "
+            f"indicator: psi={psi} on {G}"
         )
     return ind
 
@@ -192,10 +188,10 @@ def enumerate_level1_selfdual(q: int, n: int) -> list[SelfdualEntry]:
     One entry per (Galois orbit, w), ordered by (f ascending, minimal
     orbit exponent a ascending, w = +1 before w = -1). Every self-dual
     datum has f = 2d even and a a multiple of q^d - 1, so only the
-    q^d + 1 multiples are scanned. Both sign routes are computed for
-    every entry, and each re-checks that the datum is regular and
-    self-dual; a datum that fails there is an enumeration fault and
-    raises InternalConsistencyError.
+    q^d + 1 multiples are scanned. Each datum is built as a (regular)
+    TameCharacter and both sign routes, which check self-duality, run on
+    it; a datum refused there is an enumeration fault and raises
+    InternalConsistencyError.
     """
     prime_power_base(q)
     if n < 1:
@@ -215,14 +211,14 @@ def enumerate_level1_selfdual(q: int, n: int) -> list[SelfdualEntry]:
             if len(orbit) != f or min(orbit) < a:
                 continue
             for w in (1, -1):
-                chi = TameCharacter(q, f, a, w)
                 try:
+                    chi = TameCharacter(q, f, a, w)
                     closed = sign_division_closed_form(chi)
                     oracle = sign_division_oracle(n, chi)
                 except UsageError as exc:
                     raise InternalConsistencyError(
                         f"enumeration at q={q}, n={n} emitted an invalid "
-                        f"datum {chi}: {exc}"
+                        f"datum (f={f}, a={a}, w={w}): {exc}"
                     ) from exc
                 entries.append(SelfdualEntry(chi, closed, oracle))
     return entries

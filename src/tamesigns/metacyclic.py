@@ -21,18 +21,16 @@ suite re-derives the same quantities by literal sums over all group
 elements on small groups.
 
 Every power of s is read from one table, s^k mod m for 0 <= k < N
-(MetacyclicGroup.s_powers). It is built on first use and cached on the
-integers (s, N, m) in a bounded cache, so the many short-lived groups
-of a sweep share it and a group that is never asked for a power never
-builds it. The Galois orbit has one walk, orbit_of, a separate running
-product: enumerate_irreps partitions Z/m with it, and the irreducibility
+(MetacyclicGroup.s_powers). The group builds it once, when it is
+constructed, and checks s^N = 1 (mod m) from its last entry. The Galois
+orbit has one walk, orbit_of, a separate running product:
+enumerate_irreps partitions Z/m with it, and the irreducibility
 cross-check compares its size with the norm route, which reads the table.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
 from math import gcd, lcm
 from typing import Iterator, NamedTuple
 
@@ -73,36 +71,28 @@ class MetacyclicGroup:
     m: int
     N: int
     s: int
+    # s^k mod m for 0 <= k < N; derived, so not in repr, == or hash
+    s_powers: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.m < 1 or self.N < 1:
             raise UsageError(f"need m >= 1 and N >= 1, got m={self.m}, N={self.N}")
-        object.__setattr__(self, "s", self.s % self.m)
-        if pow(self.s, self.N, self.m) != 1 % self.m:
-            raise UsageError(
-                f"s^N must be 1 mod m: s={self.s}, N={self.N}, m={self.m}"
-            )
+        m, s = self.m, self.s % self.m
+        object.__setattr__(self, "s", s)
+        powers = [1 % m]
+        for _ in range(self.N - 1):
+            powers.append(powers[-1] * s % m)
+        if powers[-1] * s % m != 1 % m:
+            raise UsageError(f"s^N must be 1 mod m: s={s}, N={self.N}, m={m}")
+        object.__setattr__(self, "s_powers", tuple(powers))
 
     @property
     def order(self) -> int:
         return self.m * self.N
 
-    @property
-    def s_powers(self) -> tuple[int, ...]:
-        """s^k mod m for 0 <= k < N, in order of k."""
-        return _s_powers(self.s, self.N, self.m)
-
     def s_pow(self, k: int) -> int:
         """s^k mod m for any integer k (negatives use s^-1 = s^(N-1))."""
-        return _s_powers(self.s, self.N, self.m)[k % self.N]
-
-
-@lru_cache(maxsize=1024)
-def _s_powers(s: int, N: int, m: int) -> tuple[int, ...]:
-    out = [1 % m]
-    for _ in range(N - 1):
-        out.append(out[-1] * s % m)
-    return tuple(out)
+        return self.s_powers[k % self.N]
 
 
 class GroupElem(NamedTuple):
@@ -249,7 +239,9 @@ def is_irreducible_induced(G: MetacyclicGroup, psi: SubgroupCharacter) -> bool:
     by_orbit = len(orbit) == f
     if by_norm != by_orbit:
         raise InternalConsistencyError(
-            f"norm route and orbit route disagree for psi={psi} on {G}"
+            f"norm route and orbit route disagree for psi={psi} on {G}: "
+            f"norm sum {norm_raw} vs |G| = {G.order}, "
+            f"orbit size {len(orbit)} vs f = {f}"
         )
     return by_orbit
 
@@ -497,7 +489,7 @@ def theta_sign(
     if not seeds:
         return 0
     T = _twisted_prefix(G, w)
-    M0 = lcm(m, Nf)
+    M0 = _char_conductor(G, psi)
     step_m = M0 // m
     step_t = M0 // Nf
 

@@ -33,6 +33,7 @@ from .errors import InternalConsistencyError
 from .metacyclic import (
     MetacyclicGroup,
     SubgroupCharacter,
+    _char_conductor,
     _require_irreducible,
     orbit_of,
 )
@@ -72,7 +73,7 @@ def character_field(G: MetacyclicGroup, psi: SubgroupCharacter) -> CharacterFiel
     _require_irreducible(G, psi)
     f, a, c = psi
     Nf = G.N // f
-    M = lcm(G.m, Nf)
+    M = _char_conductor(G, psi)
     m_a = G.m // gcd(a, G.m)
     n_c = Nf // gcd(c, Nf)
     L = lcm(m_a, n_c)
@@ -86,7 +87,8 @@ def character_field(G: MetacyclicGroup, psi: SubgroupCharacter) -> CharacterFiel
     phi = euler_phi(M)
     if phi % len(stab) != 0:
         raise InternalConsistencyError(
-            f"stabilizer size {len(stab)} does not divide phi({M}) = {phi}"
+            f"stabilizer size {len(stab)} does not divide phi({M}) = {phi} "
+            f"for psi={psi} on {G}"
         )
     return CharacterField(
         conductor=M, stabilizer=tuple(stab), degree=phi // len(stab)

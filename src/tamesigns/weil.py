@@ -31,7 +31,6 @@ from .division import (
     TameCharacter,
     division_model,
     is_selfdual_division,
-    make_tame_character,
     sign_division_closed_form,
 )
 from .errors import InternalConsistencyError, UsageError
@@ -119,5 +118,5 @@ def attach_parameter(n: int, chi: TameCharacter, recipe: str) -> WeilParameter:
     e = n // chi.f
     exponent = e * (chi.f - 1) if recipe == "PR" else chi.f - 1
     w_param = chi.w * (-1 if exponent % 2 else 1)
-    mu = make_tame_character(chi.q, chi.f, chi.a, w_param)
+    mu = TameCharacter(chi.q, chi.f, chi.a, w_param)
     return WeilParameter(char=mu, e=e)

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import tamesigns
+import tamesigns.cyclotomic as cyclotomic
 
 
 @pytest.fixture
@@ -35,3 +36,24 @@ def run_cli():
         )
 
     return run
+
+
+@pytest.fixture
+def fresh_polynomial_caches(monkeypatch):
+    """Empty the cyclotomic polynomial caches before and after the test.
+
+    A test that injects a fault into the polynomial layer uses this, so
+    that the fault is reached (nothing is served from a warm cache) and
+    no faulted value outlives the test. It sets up after monkeypatch, so
+    its final clear runs before monkeypatch restores the real functions.
+    """
+    cached = (
+        cyclotomic._cyclotomic_squarefree,
+        cyclotomic.cyclotomic_polynomial,
+        cyclotomic._phi_tail,
+    )
+    for fn in cached:
+        fn.cache_clear()
+    yield
+    for fn in cached:
+        fn.cache_clear()

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tamesigns.cli as cli
+import tamesigns.cyclotomic as cyclotomic
 import tamesigns.division
 from tamesigns.cli import (
     expand_q_range,
@@ -270,18 +271,49 @@ def test_internal_consistency_exits_two(capsys, monkeypatch):
 )
 def test_enumeration_fault_exits_two(capsys, monkeypatch, argv):
     # emit (2, 4, 3) as a = 4: regular but not self-dual, so the sign
-    # routes refuse it, and that refusal is an enumeration fault
+    # routes refuse it; and as a = 5: orbit {5, 10}, not regular, so the
+    # constructor refuses it. Either refusal is an enumeration fault.
     real = tamesigns.division.TameCharacter
+    for bad_a in (4, 5):
 
-    def faulty(q, f, a, w):
-        return real(q, f, 4 if (q, f, a) == (2, 4, 3) else a, w)
+        def faulty(q, f, a, w):
+            return real(q, f, bad_a if (q, f, a) == (2, 4, 3) else a, w)
 
-    monkeypatch.setattr(tamesigns.division, "TameCharacter", faulty)
-    code, out, err = run(capsys, argv)
+        monkeypatch.setattr(tamesigns.division, "TameCharacter", faulty)
+        code, out, err = run(capsys, argv)
+        assert code == 2, bad_a
+        assert out == ""
+        assert err.startswith("internal consistency failure: ")
+        assert "q=2, n=4" in err and f"a={bad_a}" in err
+
+
+def _remainder_fault(monkeypatch):
+    real = cyclotomic._poly_divexact
+    monkeypatch.setattr(
+        cyclotomic, "_poly_divexact", lambda num, den: real([num[0] + 1, *num[1:]], den)
+    )
+
+
+def _non_monic_fault(monkeypatch):
+    real = cyclotomic.cyclotomic_polynomial
+    monkeypatch.setattr(
+        cyclotomic, "cyclotomic_polynomial", lambda M: (*real(M)[:-1], (real(M)[-1][0], 2))
+    )
+
+
+@pytest.mark.parametrize(
+    "inject,message",
+    [(_remainder_fault, "left a remainder"), (_non_monic_fault, "is not monic")],
+    ids=["poly_divexact", "phi_tail"],
+)
+def test_cyclotomic_fault_exits_two(capsys, monkeypatch, fresh_polynomial_caches,
+                                    inject, message):
+    inject(monkeypatch)
+    code, out, err = run(capsys, WEIL_SELFDUAL)
     assert code == 2
     assert out == ""
-    assert err.startswith("internal consistency failure: ")
-    assert "q=2, n=4" in err and "a=4" in err
+    assert err.startswith("internal consistency failure: ") and message in err
+    assert "Traceback" not in err
 
 
 def test_pr_falsification_exits_three(capsys, monkeypatch):

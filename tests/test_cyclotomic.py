@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tamesigns.cyclotomic as cyclotomic
 from tamesigns.cyclotomic import (
     CycInt,
     cyc_add,
@@ -34,7 +35,7 @@ from tamesigns.cyclotomic import (
     root_sum,
     try_as_integer,
 )
-from tamesigns.errors import UsageError
+from tamesigns.errors import InternalConsistencyError, UsageError
 
 
 def test_factorize_and_phi():
@@ -209,3 +210,24 @@ def test_root_sum_matches_powers(M, c, k):
     # root_sum at one exponent equals c * z^k computed multiplicatively.
     expected = cyc_scale(cyc_pow(cyc_root(M), k), c)
     assert root_sum(M, {k: c}) == expected
+
+
+def test_poly_divexact_remainder_is_an_internal_fault():
+    assert cyclotomic._poly_divexact([-1, 0, 1], [-1, 1]) == [1, 1]
+    with pytest.raises(InternalConsistencyError, match="left a remainder"):
+        cyclotomic._poly_divexact([1, 0, 1], [-1, 1])  # x^2 + 1 by x - 1
+
+
+def test_non_monic_phi_is_an_internal_fault(monkeypatch, fresh_polynomial_caches):
+    real = cyclotomic.cyclotomic_polynomial
+
+    def doubled_lead(M):
+        *tail, (lead_exp, lead_coeff) = real(M)
+        return (*tail, (lead_exp, 2 * lead_coeff))
+
+    monkeypatch.setattr(cyclotomic, "cyclotomic_polynomial", doubled_lead)
+    with pytest.raises(
+        InternalConsistencyError,
+        match=r"Phi_12 is not monic of degree phi\(12\) = 4: leading term 2\*x\^4",
+    ):
+        cyclotomic._phi_tail(12)

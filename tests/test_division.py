@@ -9,8 +9,11 @@ Frobenius-Schur oracle on every enumerated entry.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
+import tamesigns.division
 from tamesigns.cyclotomic import cyc_integer, cyc_zero
 from tamesigns.division import (
     SelfdualEntry,
@@ -20,17 +23,17 @@ from tamesigns.division import (
     is_prime_power,
     is_regular,
     is_selfdual_division,
-    make_tame_character,
     prime_power_base,
     sign_division_closed_form,
     sign_division_oracle,
 )
-from tamesigns.errors import UsageError
+from tamesigns.errors import InternalConsistencyError, UsageError
 from tamesigns.metacyclic import (
     GroupElem,
     SubgroupCharacter,
     is_irreducible_induced,
     matrix_of,
+    orbit_of,
 )
 
 
@@ -48,33 +51,36 @@ def test_prime_power_base():
     ]
 
 
-def test_make_tame_character_validation():
-    make_tame_character(2, 2, 1, 1)
+def test_tame_character_validation():
+    TameCharacter(2, 2, 1, 1)
     with pytest.raises(UsageError):
-        make_tame_character(12, 2, 1, 1)
+        TameCharacter(12, 2, 1, 1)
     with pytest.raises(UsageError):
-        make_tame_character(2, 2, 3, 1)  # a out of range mod 3
+        TameCharacter(2, 2, 3, 1)  # a out of range mod 3
     with pytest.raises(UsageError):
-        make_tame_character(2, 2, 1, 2)  # w not a sign
+        TameCharacter(2, 2, 1, 2)  # w not a sign
     with pytest.raises(UsageError):
-        make_tame_character(2, 0, 0, 1)
+        TameCharacter(2, 0, 0, 1)
 
 
 def test_regularity():
-    assert is_regular(make_tame_character(2, 2, 1, 1))
-    assert not is_regular(make_tame_character(2, 2, 0, 1))
-    assert not is_regular(make_tame_character(2, 4, 5, 1))  # orbit {5, 10}
-    assert not is_regular(make_tame_character(3, 2, 4, 1))  # 4*3 = 4 mod 8
-    assert is_regular(make_tame_character(2, 1, 0, 1))
+    # regularity is checked when the datum is built, also by replace()
+    assert is_regular(TameCharacter(2, 2, 1, 1))
+    assert is_regular(TameCharacter(2, 1, 0, 1))
+    for q, f, a in [(2, 2, 0), (2, 4, 5), (3, 2, 4)]:  # orbits {0}, {5, 10}, {4}
+        with pytest.raises(UsageError, match="not regular"):
+            TameCharacter(q, f, a, 1)
+    with pytest.raises(UsageError, match="not regular"):
+        dataclasses.replace(TameCharacter(2, 4, 3, 1), a=5)
 
 
 def test_selfduality_condition():
-    assert is_selfdual_division(make_tame_character(2, 2, 1, 1))
-    assert is_selfdual_division(make_tame_character(2, 4, 3, 1))
-    assert not is_selfdual_division(make_tame_character(2, 4, 1, 1))
-    assert not is_selfdual_division(make_tame_character(2, 1, 0, 1))  # f odd
-    with pytest.raises(UsageError):
-        is_selfdual_division(make_tame_character(2, 2, 0, 1))  # not regular
+    assert is_selfdual_division(TameCharacter(2, 2, 1, 1))
+    assert is_selfdual_division(TameCharacter(2, 4, 3, 1))
+    assert not is_selfdual_division(TameCharacter(2, 4, 1, 1))
+    assert not is_selfdual_division(TameCharacter(2, 1, 0, 1))  # f odd
+    with pytest.raises(UsageError, match="not regular"):
+        TameCharacter(2, 2, 0, 1)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7])
@@ -84,14 +90,16 @@ def test_selfduality_equivalent_to_divisibility(q, f):
     d = f // 2
     order = q**f - 1
     for a in range(order):
-        chi = make_tame_character(q, f, a, 1)
-        if not is_regular(chi):
+        if len(orbit_of(a, q, order)) != f:
+            with pytest.raises(UsageError, match="not regular"):
+                TameCharacter(q, f, a, 1)
             continue
+        chi = TameCharacter(q, f, a, 1)
         assert is_selfdual_division(chi) == (a % (q**d - 1) == 0), a
 
 
 def test_division_model_frozen_example():
-    chi = make_tame_character(2, 2, 1, -1)
+    chi = TameCharacter(2, 2, 1, -1)
     G, psi = division_model(4, chi)
     assert (G.m, G.N, G.s) == (15, 8, 2)
     assert psi == SubgroupCharacter(2, 5, 2)
@@ -99,29 +107,41 @@ def test_division_model_frozen_example():
     # the t^2 scalar realizes w = -1
     minus, zero = cyc_integer(-1, 60), cyc_zero(60)
     assert matrix_of(G, psi, GroupElem(0, 2)) == [[minus, zero], [zero, minus]]
-    chi_plus = make_tame_character(2, 2, 1, 1)
+    chi_plus = TameCharacter(2, 2, 1, 1)
     _, psi_plus = division_model(4, chi_plus)
     assert psi_plus == SubgroupCharacter(2, 5, 0)
 
 
 def test_division_model_validation():
-    chi = make_tame_character(2, 2, 1, 1)
+    chi = TameCharacter(2, 2, 1, 1)
     with pytest.raises(UsageError):
         division_model(3, chi)  # f does not divide n
-    with pytest.raises(UsageError):
-        division_model(4, make_tame_character(2, 2, 0, 1))  # not regular
+    with pytest.raises(UsageError, match="not regular"):
+        TameCharacter(2, 2, 0, 1)  # so no model is ever built for it
 
 
 def test_closed_form_and_oracle_signs():
-    chi_plus = make_tame_character(2, 2, 1, 1)
-    chi_minus = make_tame_character(2, 2, 1, -1)
+    chi_plus = TameCharacter(2, 2, 1, 1)
+    chi_minus = TameCharacter(2, 2, 1, -1)
     assert sign_division_closed_form(chi_plus) == 1
     assert sign_division_closed_form(chi_minus) == -1
     assert sign_division_oracle(4, chi_plus) == 1
     assert sign_division_oracle(4, chi_minus) == -1
     assert sign_division_oracle(2, chi_plus) == 1
     with pytest.raises(UsageError):
-        sign_division_closed_form(make_tame_character(2, 4, 1, 1))
+        sign_division_closed_form(TameCharacter(2, 4, 1, 1))
+
+
+def test_vanishing_oracle_indicator_names_its_model(monkeypatch):
+    monkeypatch.setattr(tamesigns.division, "fs_indicator", lambda G, psi: 0)
+    with pytest.raises(InternalConsistencyError) as info:
+        sign_division_oracle(4, TameCharacter(2, 2, 1, -1))
+    # n, psi and G are all in the text, so the failure can be rerun from it
+    assert str(info.value) == (
+        "model of self-dual datum TameCharacter(q=2, f=2, a=1, w=-1) at n=4 "
+        "has vanishing indicator: psi=SubgroupCharacter(f=2, a=5, c=2) on "
+        "MetacyclicGroup(m=15, N=8, s=2)"
+    )
 
 
 def test_enumerate_smallest_case():

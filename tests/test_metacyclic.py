@@ -543,3 +543,21 @@ def test_irreducibility_cross_check_runs_on_every_call(monkeypatch, route):
     for psi in irreps:
         with pytest.raises(InternalConsistencyError):
             route(G, psi)
+
+
+def test_irreducibility_disagreement_names_both_routes(monkeypatch):
+    G = make_group(15, 8, 2)
+    psi = make_subgroup_character(G, 2, 5, 0)  # orbit {5, 10}: irreducible
+    real_orbit_of = tamesigns.metacyclic.orbit_of
+    monkeypatch.setattr(
+        tamesigns.metacyclic,
+        "orbit_of",
+        lambda a, s, m: real_orbit_of(a, s, m) + [a],
+    )
+    with pytest.raises(InternalConsistencyError) as info:
+        is_irreducible_induced(G, psi)
+    assert str(info.value) == (
+        "norm route and orbit route disagree for "
+        "psi=SubgroupCharacter(f=2, a=5, c=0) on MetacyclicGroup(m=15, N=8, s=2): "
+        "norm sum 120 vs |G| = 120, orbit size 3 vs f = 2"
+    )

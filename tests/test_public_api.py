@@ -1,11 +1,14 @@
-"""Every public name of the package is there on purpose.
+"""Source-level rules for the package, checked on its parsed modules.
 
-A name in a tamesigns module's __all__ must be used outside that module:
-referenced by another module of the package, named under bench/ (the
-benchmark and its tracer, which names functions by string), or listed
-in README's "## Library" section, which keeps the oracle API the test
-suite relies on. A new public name that only tests call fails here
-until it is deleted or listed there.
+Every public name is there on purpose. A name in a tamesigns module's
+__all__ must be used outside that module: referenced by another module
+of the package, named under bench/ (the benchmark and its tracer, which
+names functions by string), or listed in README's "## Library" section,
+which keeps the oracle API the test suite relies on. A new public name
+that only tests call fails here until it is deleted or listed there.
+
+No check is an assert statement: `python -O` strips those, so a package
+check raises InternalConsistencyError (or UsageError) instead.
 """
 
 from __future__ import annotations
@@ -48,8 +51,12 @@ def library_section() -> str:
     return text[start:] if end == -1 else text[start:end]
 
 
+def package_trees() -> dict[str, ast.Module]:
+    return {p.stem: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
+
+
 def test_every_public_name_is_used_outside_its_module():
-    trees = {p.stem: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
+    trees = package_trees()
     bench = set(WORD.findall(
         "\n".join(p.read_text() for p in sorted((ROOT / "bench").glob("*.py")))
     ))
@@ -65,3 +72,13 @@ def test_every_public_name_is_used_outside_its_module():
             if name not in elsewhere | bench | listed
         ]
     assert not unused, f"used only by tests; delete or list in README: {unused}"
+
+
+def test_package_has_no_assert_statements():
+    found = [
+        f"{stem}.py:{node.lineno}"
+        for stem, tree in package_trees().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assert)
+    ]
+    assert not found, f"assert in the package (stripped by python -O): {found}"

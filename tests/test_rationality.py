@@ -17,9 +17,9 @@ import pytest
 
 from tamesigns.cyclotomic import cyc_galois, euler_phi
 from tamesigns.division import (
+    TameCharacter,
     division_model,
     enumerate_level1_selfdual,
-    make_tame_character,
 )
 from tamesigns.errors import InternalConsistencyError, UsageError
 from tamesigns.metacyclic import (
@@ -96,7 +96,7 @@ def test_stabilizer_matches_literal_scan_on_every_small_group():
 )
 def test_stabilizer_matches_literal_scan_on_large_models(side, q, n, f, a):
     for w in (1, -1):
-        chi = make_tame_character(q, f, a, w)
+        chi = TameCharacter(q, f, a, w)
         G, psi = division_model(n if side == "division" else f, chi)
         field = character_field(G, psi)
         assert field.conductor > 390_000
@@ -153,8 +153,13 @@ def test_stabilizer_size_must_divide_phi(monkeypatch):
     triv = make_subgroup_character(G, 1, 0, 0)
     assert len(character_field(G, triv).stabilizer) == 4
     monkeypatch.setattr("tamesigns.rationality.euler_phi", lambda M: 6)
-    with pytest.raises(InternalConsistencyError, match="does not divide"):
+    with pytest.raises(InternalConsistencyError, match="does not divide") as info:
         character_field(G, triv)
+    # the message carries what reruns it: psi and the group
+    assert str(info.value) == (
+        "stabilizer size 4 does not divide phi(12) = 6 for "
+        "psi=SubgroupCharacter(f=1, a=0, c=0) on MetacyclicGroup(m=3, N=4, s=2)"
+    )
 
 
 def test_requires_irreducible():

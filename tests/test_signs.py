@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import pytest
 
+import tamesigns.division
+from tamesigns.division import enumerate_level1_selfdual
 from tamesigns.errors import UsageError
 from tamesigns.signs import (
     FlipReport,
@@ -151,3 +153,17 @@ def test_verify_flip_odd_degree_is_empty():
     report = verify_flip(2, 3, "PR")
     assert report.rows == ()
     assert report.all_consistent
+
+
+def test_regularity_is_checked_once_per_built_datum(monkeypatch):
+    # one is_regular walk per TameCharacter built: each enumerated entry,
+    # and each row's attached parameter; no consumer re-derives it
+    entries = len(enumerate_level1_selfdual(3, 4))
+    calls = []
+    real = tamesigns.division.is_regular
+    monkeypatch.setattr(
+        tamesigns.division, "is_regular", lambda chi: calls.append(chi) or real(chi)
+    )
+    report = verify_flip(3, 4, "both")
+    assert len(report.rows) == 2 * entries
+    assert len(calls) == entries + len(report.rows)

@@ -16,9 +16,9 @@ import tamesigns.division
 import tamesigns.weil
 from tamesigns.cli import main
 from tamesigns.division import (
+    TameCharacter,
     division_model,
     enumerate_level1_selfdual,
-    make_tame_character,
     sign_division_closed_form,
     sign_division_oracle,
 )
@@ -34,19 +34,19 @@ from tamesigns.weil import (
 
 
 def test_weil_model_frozen_example():
-    mu = make_tame_character(2, 2, 1, -1)
+    mu = TameCharacter(2, 2, 1, -1)
     G, psi = division_model(mu.f, mu)
     assert (G.m, G.N, G.s) == (3, 4, 2)
     assert psi == SubgroupCharacter(2, 1, 1)
-    mu_plus = make_tame_character(2, 2, 1, 1)
+    mu_plus = TameCharacter(2, 2, 1, 1)
     _, psi_plus = division_model(mu_plus.f, mu_plus)
     assert psi_plus == SubgroupCharacter(2, 1, 0)
 
 
 def test_weil_model_rejects_non_regular():
-    mu = make_tame_character(2, 2, 0, 1)
-    with pytest.raises(UsageError):
-        division_model(mu.f, mu)
+    # a non-regular mu is refused when it is built, before any model
+    with pytest.raises(UsageError, match="not regular"):
+        TameCharacter(2, 2, 0, 1)
 
 
 def test_sp_sign():
@@ -57,10 +57,10 @@ def test_sp_sign():
 
 def test_closed_form_sign_and_det_characterization():
     # the det cross-check runs inside sign_weil_closed_form
-    assert sign_weil_closed_form(make_tame_character(2, 2, 1, 1)) == 1
-    assert sign_weil_closed_form(make_tame_character(2, 2, 1, -1)) == -1
+    assert sign_weil_closed_form(TameCharacter(2, 2, 1, 1)) == 1
+    assert sign_weil_closed_form(TameCharacter(2, 2, 1, -1)) == -1
     with pytest.raises(UsageError):
-        sign_weil_closed_form(make_tame_character(2, 4, 1, 1))  # not self-dual
+        sign_weil_closed_form(TameCharacter(2, 4, 1, 1))  # not self-dual
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
@@ -83,7 +83,7 @@ def test_det_route_break_raises_and_exits_two(monkeypatch, capsys):
 
     monkeypatch.setattr(tamesigns.weil, "det_exponents", shifted)
     with pytest.raises(InternalConsistencyError, match="det route disagrees"):
-        sign_weil_closed_form(make_tame_character(2, 2, 1, -1))
+        sign_weil_closed_form(TameCharacter(2, 2, 1, -1))
     for argv in (
         ["verify-flip", "--q", "2", "--n", "4"],
         ["sign", "--side", "weil", "--q", "2", "--f", "2", "--a", "1", "--w", "-1"],
@@ -96,7 +96,7 @@ def test_det_route_break_raises_and_exits_two(monkeypatch, capsys):
 
 def test_q_minus_one_guard_raises(monkeypatch):
     # (3, 2, 1) is regular but not self-dual, and 2 does not divide a = 1
-    chi = make_tame_character(3, 2, 1, 1)
+    chi = TameCharacter(3, 2, 1, 1)
     real = tamesigns.division.is_selfdual_division
     monkeypatch.setattr(
         tamesigns.division,
@@ -109,8 +109,8 @@ def test_q_minus_one_guard_raises(monkeypatch):
 
 
 def test_full_parameter_sign_table():
-    mu_p = make_tame_character(2, 2, 1, 1)
-    mu_m = make_tame_character(2, 2, 1, -1)
+    mu_p = TameCharacter(2, 2, 1, 1)
+    mu_m = TameCharacter(2, 2, 1, -1)
     assert full_parameter_sign(WeilParameter(mu_p, 1)) == 1
     assert full_parameter_sign(WeilParameter(mu_p, 2)) == -1
     assert full_parameter_sign(WeilParameter(mu_m, 1)) == -1
@@ -118,14 +118,14 @@ def test_full_parameter_sign_table():
 
 
 def test_attach_parameter_recipes():
-    chi = make_tame_character(2, 2, 1, 1)
+    chi = TameCharacter(2, 2, 1, 1)
     # n = 4, f = 2, e = 2: PR exponent e(f-1) = 2 keeps w, SZ exponent 1 flips
     pr = attach_parameter(4, chi, "PR")
     sz = attach_parameter(4, chi, "SZ")
-    assert pr == WeilParameter(make_tame_character(2, 2, 1, 1), 2)
-    assert sz == WeilParameter(make_tame_character(2, 2, 1, -1), 2)
+    assert pr == WeilParameter(TameCharacter(2, 2, 1, 1), 2)
+    assert sz == WeilParameter(TameCharacter(2, 2, 1, -1), 2)
     # n = 4, f = 4, e = 1: both recipes use exponent 3 and flip
-    chi4 = make_tame_character(2, 4, 3, 1)
+    chi4 = TameCharacter(2, 4, 3, 1)
     assert attach_parameter(4, chi4, "PR").char.w == -1
     assert attach_parameter(4, chi4, "SZ").char.w == -1
     # n = 2, f = 2, e = 1: exponent 1 for both, flip
@@ -134,10 +134,10 @@ def test_attach_parameter_recipes():
 
 
 def test_attach_parameter_validation():
-    chi = make_tame_character(2, 2, 1, 1)
+    chi = TameCharacter(2, 2, 1, 1)
     with pytest.raises(UsageError):
         attach_parameter(4, chi, "XX")
     with pytest.raises(UsageError):
         attach_parameter(3, chi, "PR")
     with pytest.raises(UsageError):
-        attach_parameter(8, make_tame_character(2, 4, 1, 1), "PR")  # not self-dual
+        attach_parameter(8, TameCharacter(2, 4, 1, 1), "PR")  # not self-dual
