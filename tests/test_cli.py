@@ -7,6 +7,7 @@ a test failure rather than silent drift.
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
@@ -132,6 +133,28 @@ def test_verify_flip_both_order(capsys):
         if not row.startswith(("#", "q,"))
     ]
     assert recipes == ["PR"] * 4 + ["SZ"] * 4
+
+
+# sha256 of whole CLI outputs over small grids; any change to a row's
+# values, order or formatting changes the digest
+GOLDEN_DIGESTS = [
+    (["enumerate", "--q", "2..9", "--n", "1..8", "--format", "json"],
+     "1433a38a7d42fb797285d646e76c57a654c2a6a5f747e2b93f3f6cd10e3e3de0"),
+    (["verify-flip", "--q", "2..9", "--n", "2..6", "--recipe", "both"],
+     "87c82f3e74ee3c7927092226e78f5d255dc714c58bfee91c673a327ce9804483"),
+    (["verify-flip", "--q", "2..9", "--n", "2..6", "--recipe", "both",
+      "--format", "json"],
+     "f0505bdbc7c676a5f0aee6563218147fed25b7d97c0e7819494666b710450a22"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,digest", GOLDEN_DIGESTS, ids=["enumerate-json", "flip-csv", "flip-json"]
+)
+def test_golden_digests(argv, digest):
+    code, out, err = call_main(argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 GOLDEN_SIGN_DIVISION = """\
