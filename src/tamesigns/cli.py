@@ -40,7 +40,7 @@ from .errors import InternalConsistencyError, UsageError
 from .metacyclic import det_exponents, fs_indicator
 from .rationality import character_field
 from .signs import FlipRow, product_check, verify_flip
-from .weil import sign_weil_closed_form
+from .weil import RECIPES, sign_weil_closed_form
 
 SCHEMA_VERSION = 1
 GENERATOR_CONVENTION = "abstract-unramified-generator"
@@ -207,7 +207,7 @@ def cmd_enumerate(config: RunConfig) -> tuple[int, str]:
 
 def cmd_verify_flip(config: RunConfig) -> tuple[int, str]:
     rows = [
-        row for q, n in _cells(config) for row in verify_flip(q, n, config.recipe).rows
+        row for q, n in _cells(config) for row in verify_flip(q, n, config.recipe)
     ]
     code = 0
     if any(row.recipe == "PR" and not row.consistent for row in rows):
@@ -309,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_flip.add_argument("--q", required=True, help="prime power or range lo..hi")
     p_flip.add_argument("--n", required=True, help="degree or range lo..hi")
-    p_flip.add_argument("--recipe", choices=("PR", "SZ", "both"), default="PR")
+    p_flip.add_argument("--recipe", choices=(*RECIPES, "both"), default="PR")
     add_common(p_flip)
 
     p_sign = sub.add_parser("sign", help="full sign report for one datum")

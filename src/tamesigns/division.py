@@ -190,8 +190,8 @@ def enumerate_level1_selfdual(q: int, n: int) -> list[SelfdualEntry]:
     datum has f = 2d even and a a multiple of q^d - 1, so only the
     q^d + 1 multiples are scanned. Each datum is built as a (regular)
     TameCharacter and both sign routes, which check self-duality, run on
-    it; a datum refused there is an enumeration fault and raises
-    InternalConsistencyError.
+    it; a datum refused there is an enumeration fault, and two routes
+    that disagree are a fault too: both raise InternalConsistencyError.
     """
     prime_power_base(q)
     if n < 1:
@@ -220,6 +220,11 @@ def enumerate_level1_selfdual(q: int, n: int) -> list[SelfdualEntry]:
                         f"enumeration at q={q}, n={n} emitted an invalid "
                         f"datum (f={f}, a={a}, w={w}): {exc}"
                     ) from exc
+                if closed != oracle:
+                    raise InternalConsistencyError(
+                        f"closed-form sign {closed} disagrees with the "
+                        f"Frobenius-Schur oracle {oracle} for {chi} at n={n}"
+                    )
                 entries.append(SelfdualEntry(chi, closed, oracle))
     return entries
 

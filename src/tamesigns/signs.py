@@ -4,10 +4,10 @@ mechanical verification.
 transfer_sign carries the orthogonal/symplectic sign of a self-dual
 parameter across the correspondence to an inner form whose representation
 has parameter degree n = m * r: the sign picks up (-1)^(n - m) and an
-m-th power. flip_sign is the m = 1 face used for division algebras of
-full degree: for even n the sign flips outright. casewise_sign is the
-equivalent parity case analysis; it is recomputed against transfer_sign
-on every call, and product_check closes the calculus under products
+m-th power. casewise_sign is the equivalent parity case analysis,
+checked against transfer_sign on every call, and flip_sign is its
+m = 1 face used for division algebras of full degree: for even n the
+sign flips outright. product_check closes the calculus under products
 (and so tensor powers) of self-dual factors.
 
 verify_flip runs the whole machine end to end: enumerate the level-one
@@ -15,18 +15,17 @@ self-dual representations for (q, n) once, compute the division-side
 sign by closed form and by the finite-model oracle, attach the Weil
 parameter under the chosen recipe (or under PR and then SZ), take its
 sign, push it through the flip, and record whether everything agrees,
-one row per representation and recipe.
+one FlipRow per representation and recipe.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import prod
 from typing import Iterable, NamedTuple
 
 from .division import enumerate_level1_selfdual
 from .errors import InternalConsistencyError, UsageError
-from .weil import attach_parameter, full_parameter_sign
+from .weil import RECIPES, attach_parameter, full_parameter_sign
 
 __all__ = [
     "transfer_sign",
@@ -34,7 +33,6 @@ __all__ = [
     "casewise_sign",
     "product_check",
     "FlipRow",
-    "FlipReport",
     "verify_flip",
 ]
 
@@ -69,43 +67,27 @@ def transfer_sign(m: int, r: int, parameter_sign: int) -> int:
 def flip_sign(n: int, parameter_sign: int) -> int:
     """The full-degree flip: +1 for odd n, -parameter_sign for even n.
 
-    An odd-degree self-dual parameter is orthogonal, so n odd together
-    with parameter_sign = -1 is rejected as a usage error.
+    casewise_sign at m = 1, so checked against the formula on every call.
+    n odd together with parameter_sign = -1 is rejected as a usage error.
     """
-    if n < 1:
-        raise UsageError(f"need n >= 1, got {n}")
-    _require_sign(parameter_sign, "parameter_sign")
-    if n % 2:
-        if parameter_sign != 1:
-            raise UsageError(
-                f"odd degree n={n} forces an orthogonal parameter, got -1"
-            )
-        return 1
-    return -parameter_sign
+    return casewise_sign(1, n, parameter_sign)
 
 
 def casewise_sign(m: int, d: int, parameter_sign: int) -> int:
     """Parity case analysis of the transfer, checked against the formula.
 
     d odd: +1. d even, m odd: -parameter_sign. d even, m even: +1.
-    m and d both odd require an orthogonal parameter (+1). The result is
-    asserted equal to transfer_sign(m, d, parameter_sign) on every call;
-    disagreement raises InternalConsistencyError.
+    The inputs are checked by transfer_sign(m, d, parameter_sign), and
+    the result is compared with its value on every call; disagreement
+    raises InternalConsistencyError.
     """
-    if m < 1 or d < 1:
-        raise UsageError(f"need m >= 1 and d >= 1, got m={m}, d={d}")
-    _require_sign(parameter_sign, "parameter_sign")
-    if m % 2 and d % 2 and parameter_sign == -1:
-        raise UsageError(
-            f"odd m={m} with odd d={d} forces an orthogonal parameter, got -1"
-        )
+    formula = transfer_sign(m, d, parameter_sign)
     if d % 2:
         out = 1
     elif m % 2:
         out = -parameter_sign
     else:
         out = 1
-    formula = transfer_sign(m, d, parameter_sign)
     if out != formula:
         raise InternalConsistencyError(
             f"case analysis {out} disagrees with formula {formula} "
@@ -141,26 +123,7 @@ class FlipRow(NamedTuple):
     consistent: bool
 
 
-@dataclass(frozen=True)
-class FlipReport:
-    """verify_flip output: all rows for one (q, n) cell under recipe
-    "PR", "SZ" or "both" (the PR rows, then the SZ rows)."""
-
-    q: int
-    n: int
-    recipe: str
-    rows: tuple[FlipRow, ...]
-
-    @property
-    def all_consistent(self) -> bool:
-        return all(row.consistent for row in self.rows)
-
-    @property
-    def failures(self) -> tuple[FlipRow, ...]:
-        return tuple(row for row in self.rows if not row.consistent)
-
-
-def verify_flip(q: int, n: int, recipe: str) -> FlipReport:
+def verify_flip(q: int, n: int, recipe: str) -> tuple[FlipRow, ...]:
     """Mechanically verify the flip law for every level-one self-dual
     representation of the degree-n division algebra over residue size q.
 
@@ -170,9 +133,11 @@ def verify_flip(q: int, n: int, recipe: str) -> FlipReport:
     closed form, oracle, and flipped prediction all agree. recipe "both"
     enumerates the cell once and gives the PR rows, then the SZ rows.
     """
+    if recipe != "both" and recipe not in RECIPES:
+        raise UsageError(f"recipe must be one of {RECIPES} or 'both', got {recipe!r}")
     entries = enumerate_level1_selfdual(q, n)
     rows = []
-    for row_recipe in ("PR", "SZ") if recipe == "both" else (recipe,):
+    for row_recipe in RECIPES if recipe == "both" else (recipe,):
         for entry in entries:
             chi = entry.chi
             param = attach_parameter(n, chi, row_recipe)
@@ -196,4 +161,4 @@ def verify_flip(q: int, n: int, recipe: str) -> FlipReport:
                     consistent=consistent,
                 )
             )
-    return FlipReport(q=q, n=n, recipe=recipe, rows=tuple(rows))
+    return tuple(rows)

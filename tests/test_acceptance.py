@@ -87,18 +87,17 @@ def test_weil_signs_dual_routes_agree_full_grid():
 
 def test_flip_law_consistent_for_pr_recipe_full_grid():
     for q, n in grid_cells():
-        report = verify_flip(q, n, "PR")
-        assert report.rows, (q, n)
-        assert report.all_consistent, (q, n, report.failures)
+        rows = verify_flip(q, n, "PR")
+        assert rows, (q, n)
+        failures = [row for row in rows if not row.consistent]
+        assert not failures, (q, n, failures)
 
 
 def test_sz_recipe_falsified_at_degree_four():
-    sz = verify_flip(2, 4, "SZ")
-    bad = [(row.f, row.e) for row in sz.failures]
+    bad = [(row.f, row.e) for row in verify_flip(2, 4, "SZ") if not row.consistent]
     assert bad
     assert all((f, e) == (2, 2) for f, e in bad)
-    pr = verify_flip(2, 4, "PR")
-    assert pr.all_consistent
+    assert all(row.consistent for row in verify_flip(2, 4, "PR"))
 
 
 def test_sign_calculus_identities_exhaustive():

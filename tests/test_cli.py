@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 import tamesigns.cli as cli
 import tamesigns.cyclotomic as cyclotomic
 import tamesigns.division
+import tamesigns.signs
 from tamesigns.cli import (
     expand_q_range,
     fmt_root,
@@ -29,7 +30,7 @@ from tamesigns.cli import (
 from tamesigns.division import TameCharacter
 from tamesigns.errors import InternalConsistencyError, UsageError
 from tamesigns.rationality import CharacterField
-from tamesigns.signs import FlipReport, FlipRow
+from tamesigns.signs import FlipRow
 
 
 def run(capsys, argv):
@@ -310,6 +311,47 @@ def test_enumeration_fault_exits_two(capsys, monkeypatch, argv):
         assert "q=2, n=4" in err and f"a={bad_a}" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "--q", "2", "--n", "4"],
+        ["verify-flip", "--q", "2", "--n", "4", "--recipe", "SZ"],
+        ["verify-flip", "--q", "2", "--n", "4", "--recipe", "PR"],
+    ],
+)
+def test_closed_form_oracle_disagreement_exits_two(capsys, monkeypatch, argv):
+    # negate the indicator of the f = 2 datum's model C_15 x| C_8 only
+    real = tamesigns.division.fs_indicator
+
+    def negated(G, psi):
+        ind = real(G, psi)
+        return -ind if (G.m, psi.f) == (15, 2) else ind
+
+    monkeypatch.setattr(tamesigns.division, "fs_indicator", negated)
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("internal consistency failure: closed-form sign ")
+    assert "TameCharacter(q=2, f=2, a=1, w=1)" in err and "n=4" in err
+
+
+def test_flip_case_analysis_disagreement_exits_two(capsys, monkeypatch):
+    # every flip prediction is the case analysis at m = 1, checked
+    # against the transfer formula: break the formula there
+    real = tamesigns.signs.transfer_sign
+    monkeypatch.setattr(
+        tamesigns.signs,
+        "transfer_sign",
+        lambda m, r, sign: -real(m, r, sign) if m == 1 else real(m, r, sign),
+    )
+    code, out, err = run(
+        capsys, ["verify-flip", "--q", "2", "--n", "4", "--recipe", "both"]
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("internal consistency failure: case analysis ")
+
+
 def _remainder_fault(monkeypatch):
     real = cyclotomic._poly_divexact
     monkeypatch.setattr(
@@ -347,7 +389,7 @@ def test_pr_falsification_exits_three(capsys, monkeypatch):
     )
 
     def fake_verify(q, n, recipe):
-        return FlipReport(q=q, n=n, recipe=recipe, rows=(bad_row,))
+        return (bad_row,)
 
     monkeypatch.setattr(cli, "verify_flip", fake_verify)
     code, out, _ = run(capsys, ["verify-flip", "--q", "2", "--n", "2"])

@@ -13,10 +13,10 @@ from __future__ import annotations
 import pytest
 
 import tamesigns.division
+import tamesigns.signs
 from tamesigns.division import enumerate_level1_selfdual
 from tamesigns.errors import UsageError
 from tamesigns.signs import (
-    FlipReport,
     casewise_sign,
     flip_sign,
     product_check,
@@ -84,8 +84,10 @@ def test_casewise_matches_formula_exhaustively():
 
 
 def test_casewise_validation():
-    with pytest.raises(UsageError):
-        casewise_sign(3, 5, -1)
+    # transfer_sign refuses these: odd m * d with -1, m or d < 1, a non-sign
+    for m, d, sign in ((3, 5, -1), (0, 1, 1), (1, 0, 1), (1, 1, 0), (2, 2, 2)):
+        with pytest.raises(UsageError):
+            casewise_sign(m, d, sign)
     assert casewise_sign(3, 5, 1) == 1
 
 
@@ -105,54 +107,58 @@ def test_product_check():
 
 
 def test_verify_flip_pr_consistent_small():
-    report = verify_flip(2, 2, "PR")
-    assert isinstance(report, FlipReport)
-    assert len(report.rows) == 2
-    assert report.all_consistent
-    for row in report.rows:
+    rows = verify_flip(2, 2, "PR")
+    assert len(rows) == 2
+    for row in rows:
+        assert row.consistent
         assert row.sign_closed == row.sign_oracle == row.predicted
 
 
 def test_verify_flip_sz_falsified_at_even_e_and_f():
     # frozen: q=2, n=4 under SZ fails exactly on the f=2 (e=2) rows
-    report = verify_flip(2, 4, "SZ")
-    assert not report.all_consistent
-    failed = {(row.f, row.e) for row in report.failures}
+    rows = verify_flip(2, 4, "SZ")
+    failed = {(row.f, row.e) for row in rows if not row.consistent}
     assert failed == {(2, 2)}
-    passed = {(row.f, row.e) for row in report.rows if row.consistent}
+    passed = {(row.f, row.e) for row in rows if row.consistent}
     assert passed == {(4, 1)}
     # and PR on the same cell is clean
-    assert verify_flip(2, 4, "PR").all_consistent
+    assert all(row.consistent for row in verify_flip(2, 4, "PR"))
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
 @pytest.mark.parametrize("n", [2, 4, 6])
 def test_verify_flip_pr_consistent_ranges(q, n):
-    report = verify_flip(q, n, "PR")
-    assert report.all_consistent
-    assert all(row.recipe == "PR" for row in report.rows)
+    rows = verify_flip(q, n, "PR")
+    assert all(row.consistent for row in rows)
+    assert all(row.recipe == "PR" for row in rows)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
 @pytest.mark.parametrize("n", [2, 4, 6])
 def test_verify_flip_sz_failure_pattern(q, n):
     # SZ rows are inconsistent exactly when e and f are both even
-    report = verify_flip(q, n, "SZ")
-    for row in report.rows:
+    for row in verify_flip(q, n, "SZ"):
         assert row.consistent == (row.e % 2 == 1 or row.f % 2 == 1), row
 
 
 @pytest.mark.parametrize("q, n", [(2, 4), (3, 6)])
 def test_verify_flip_both_is_pr_then_sz(q, n):
-    both = verify_flip(q, n, "both")
-    assert both.recipe == "both"
-    assert both.rows == verify_flip(q, n, "PR").rows + verify_flip(q, n, "SZ").rows
+    assert verify_flip(q, n, "both") == verify_flip(q, n, "PR") + verify_flip(q, n, "SZ")
 
 
 def test_verify_flip_odd_degree_is_empty():
-    report = verify_flip(2, 3, "PR")
-    assert report.rows == ()
-    assert report.all_consistent
+    assert verify_flip(2, 3, "PR") == ()
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_verify_flip_refuses_unknown_recipe_before_enumerating(monkeypatch, n):
+    # odd n has no rows, so no attach_parameter call would refuse it
+    def never(q, n):
+        raise AssertionError("enumerated before the recipe was checked")
+
+    monkeypatch.setattr(tamesigns.signs, "enumerate_level1_selfdual", never)
+    with pytest.raises(UsageError, match="recipe must be one of"):
+        verify_flip(2, n, "XX")
 
 
 def test_regularity_is_checked_once_per_built_datum(monkeypatch):
@@ -164,6 +170,6 @@ def test_regularity_is_checked_once_per_built_datum(monkeypatch):
     monkeypatch.setattr(
         tamesigns.division, "is_regular", lambda chi: calls.append(chi) or real(chi)
     )
-    report = verify_flip(3, 4, "both")
-    assert len(report.rows) == 2 * entries
-    assert len(calls) == entries + len(report.rows)
+    rows = verify_flip(3, 4, "both")
+    assert len(rows) == 2 * entries
+    assert len(calls) == entries + len(rows)
