@@ -18,12 +18,15 @@ Self-duality (contragredient-invariance) of the induced representation
 forces f = 2d even together with (q^d - 1) | a; for these characters the
 orthogonal/symplectic sign has the closed form w, and an independent
 oracle recomputes it as the Frobenius-Schur indicator of the finite
-model. Both routes are exposed and never merged.
+model. Both routes are exposed and never merged. The enumeration walks
+each Galois orbit of candidate exponents once, and checks each (q, n)
+cell's row count against its Moebius count.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from math import gcd
 
 from .cyclotomic import divisors, factorize
 from .errors import InternalConsistencyError, UsageError
@@ -83,22 +86,21 @@ class TameCharacter:
     f: int
     a: int
     w: int
+    # q^f - 1; derived, so not in repr, == or hash
+    torus_order: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         prime_power_base(self.q)
         if self.f < 1:
             raise UsageError(f"f must be >= 1, got {self.f}")
-        order = self.torus_order
+        order = self.q**self.f - 1
+        object.__setattr__(self, "torus_order", order)
         if not 0 <= self.a < max(order, 1):
             raise UsageError(f"need 0 <= a < q^f - 1 = {order}, got a={self.a}")
         if self.w not in (1, -1):
             raise UsageError(f"w must be +1 or -1, got {self.w}")
         if not is_regular(self):
             raise UsageError(f"character is not regular: {self}")
-
-    @property
-    def torus_order(self) -> int:
-        return self.q**self.f - 1
 
 
 def is_regular(chi: TameCharacter) -> bool:
@@ -188,10 +190,13 @@ def enumerate_level1_selfdual(q: int, n: int) -> list[SelfdualEntry]:
     One entry per (Galois orbit, w), ordered by (f ascending, minimal
     orbit exponent a ascending, w = +1 before w = -1). Every self-dual
     datum has f = 2d even and a a multiple of q^d - 1, so only the
-    q^d + 1 multiples are scanned. Each datum is built as a (regular)
-    TameCharacter and both sign routes, which check self-duality, run on
-    it; a datum refused there is an enumeration fault, and two routes
-    that disagree are a fault too: both raise InternalConsistencyError.
+    q^d + 1 multiples are scanned, and each orbit among them is walked
+    once: the first unseen multiple is its orbit's minimum. Each datum is
+    built as a (regular) TameCharacter and both sign routes, which check
+    self-duality, run on it; a datum refused there is an enumeration
+    fault, and two routes that disagree are a fault too. The cell as a
+    whole is checked against its Moebius row count. Every fault raises
+    InternalConsistencyError.
     """
     prime_power_base(q)
     if n < 1:
@@ -203,12 +208,20 @@ def enumerate_level1_selfdual(q: int, n: int) -> list[SelfdualEntry]:
         d = f // 2
         order = q**f - 1
         step = q**d - 1
-        for k in range(q**d + 1):
-            a = step * k
-            if a == 0:
+        seen = bytearray(q**d + 1)  # indexed by a // step
+        for k in range(1, q**d + 1):
+            if seen[k]:
                 continue
+            a = step * k
             orbit = orbit_of(a, q, order)
-            if len(orbit) != f or min(orbit) < a:
+            for b in orbit:
+                if b % step != 0:
+                    raise InternalConsistencyError(
+                        f"orbit of a={a} under multiplication by {q} mod "
+                        f"{order} leaves the multiples of {step}: it holds {b}"
+                    )
+                seen[b // step] = 1
+            if len(orbit) != f:
                 continue
             for w in (1, -1):
                 try:
@@ -226,5 +239,29 @@ def enumerate_level1_selfdual(q: int, n: int) -> list[SelfdualEntry]:
                         f"Frobenius-Schur oracle {oracle} for {chi} at n={n}"
                     )
                 entries.append(SelfdualEntry(chi, closed, oracle))
+    predicted = _selfdual_row_count(q, n)
+    if len(entries) != predicted:
+        raise InternalConsistencyError(
+            f"enumeration at q={q}, n={n} found {len(entries)} self-dual "
+            f"rows, but the Moebius count predicts {predicted}"
+        )
     return entries
 
+
+def _moebius(r: int) -> int:
+    fac = factorize(r)
+    return 0 if any(e > 1 for _, e in fac) else (-1) ** len(fac)
+
+
+def _selfdual_row_count(q: int, n: int) -> int:
+    # sum over even f | n of (2/f) * sum_{e | f} mu(f/e) gcd(q^(f/2)+1, q^e-1):
+    # the inner sum counts the self-dual exponents of exact orbit size f
+    total = 0
+    for f in divisors(n):
+        if f % 2 == 0:
+            exact = sum(
+                _moebius(f // e) * gcd(q ** (f // 2) + 1, q**e - 1)
+                for e in divisors(f)
+            )
+            total += 2 * exact // f
+    return total

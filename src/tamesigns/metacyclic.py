@@ -22,7 +22,10 @@ elements on small groups.
 
 Every power of s is read from one table, s^k mod m for 0 <= k < N
 (MetacyclicGroup.s_powers). The group builds it once, when it is
-constructed, and checks s^N = 1 (mod m) from its last entry. The Galois
+constructed, and checks s^N = 1 (mod m) from its last entry. make_group
+returns one shared group per (m, N, s): the group is frozen, so it is
+built and checked once per process, and a refused (m, N, s) raises on
+every call, since a raised error is not cached. The Galois
 orbit has one walk, orbit_of, a separate running product:
 enumerate_irreps partitions Z/m with it, and the irreducibility
 cross-check compares its size with the norm route, which reads the table.
@@ -31,6 +34,7 @@ cross-check compares its size with the norm route, which reads the table.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from math import gcd, lcm
 from typing import Iterator, NamedTuple
 
@@ -102,8 +106,9 @@ class GroupElem(NamedTuple):
     j: int
 
 
+@cache
 def make_group(m: int, N: int, s: int) -> MetacyclicGroup:
-    """Construct C_m x| C_N with t x t^-1 = x^s; requires s^N = 1 mod m."""
+    """C_m x| C_N with t x t^-1 = x^s (s^N = 1 mod m), shared per (m, N, s)."""
     return MetacyclicGroup(m, N, s)
 
 

@@ -335,6 +335,32 @@ def test_closed_form_oracle_disagreement_exits_two(capsys, monkeypatch, argv):
     assert "TameCharacter(q=2, f=2, a=1, w=1)" in err and "n=4" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "--q", "2", "--n", "4"],
+        ["verify-flip", "--q", "2", "--n", "4", "--recipe", "both"],
+    ],
+)
+def test_dropped_orbit_fails_the_cell_count_and_exits_two(capsys, monkeypatch, argv):
+    # double the walk of the f = 4 orbit {3, 6, 12, 9} mod 15: the scan
+    # sees a wrong orbit size and drops it, and the Moebius count catches it
+    real = tamesigns.division.orbit_of
+
+    def doubled(a, s, m):
+        orbit = real(a, s, m)
+        return orbit * 2 if (a, m) == (3, 15) else orbit
+
+    monkeypatch.setattr(tamesigns.division, "orbit_of", doubled)
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "internal consistency failure: enumeration at q=2, n=4 found 2 "
+        "self-dual rows, but the Moebius count predicts 4\n"
+    )
+
+
 def test_flip_case_analysis_disagreement_exits_two(capsys, monkeypatch):
     # every flip prediction is the case analysis at m = 1, checked
     # against the transfer formula: break the formula there

@@ -10,11 +10,13 @@ Frobenius-Schur oracle on every enumerated entry.
 from __future__ import annotations
 
 import dataclasses
+import sys
 
 import pytest
 
 import tamesigns.division
 from tamesigns.cyclotomic import cyc_integer, cyc_zero
+from tamesigns.cyclotomic import divisors
 from tamesigns.division import (
     SelfdualEntry,
     TameCharacter,
@@ -72,6 +74,21 @@ def test_regularity():
             TameCharacter(q, f, a, 1)
     with pytest.raises(UsageError, match="not regular"):
         dataclasses.replace(TameCharacter(2, 4, 3, 1), a=5)
+
+
+def test_tame_character_repr_eq_hash_leave_out_torus_order():
+    # exit-1 and exit-2 messages print {chi}: its text is pinned
+    chi = TameCharacter(2, 4, 3, -1)
+    assert repr(chi) == str(chi) == "TameCharacter(q=2, f=4, a=3, w=-1)"
+    assert chi.torus_order == 15
+    twin = TameCharacter(2, 4, 3, -1)
+    assert twin == chi and hash(twin) == hash(chi)
+    flipped = dataclasses.replace(chi, w=-chi.w)
+    assert flipped == TameCharacter(2, 4, 3, 1) and flipped.torus_order == 15
+    wider = dataclasses.replace(TameCharacter(2, 2, 1, 1), f=4, a=3)
+    assert wider.torus_order == 15
+    with pytest.raises(TypeError):
+        TameCharacter(2, 4, 3, -1, 15)
 
 
 def test_selfduality_condition():
@@ -218,3 +235,81 @@ def test_dual_routes_agree_on_small_ranges(q, n):
         for f in range(2, n + 1, 2)
         if n % f == 0
     }
+
+
+def _min_of_orbit_scan(q, n):
+    # the scan as it stood before one walk per orbit: every nonzero
+    # multiple of q^d - 1 walks its own orbit and keeps it if minimal
+    entries = []
+    for f in divisors(n):
+        if f % 2 != 0:
+            continue
+        d = f // 2
+        order = q**f - 1
+        step = q**d - 1
+        for k in range(q**d + 1):
+            a = step * k
+            if a == 0:
+                continue
+            orbit = orbit_of(a, q, order)
+            if len(orbit) != f or min(orbit) < a:
+                continue
+            for w in (1, -1):
+                chi = TameCharacter(q, f, a, w)
+                closed = sign_division_closed_form(chi)
+                oracle = sign_division_oracle(n, chi)
+                entries.append(SelfdualEntry(chi, closed, oracle))
+    return entries
+
+
+@pytest.mark.parametrize("q", [q for q in range(2, 17) if is_prime_power(q)])
+def test_one_walk_scan_matches_min_of_orbit_scan(q):
+    for n in range(1, 9):
+        assert enumerate_level1_selfdual(q, n) == _min_of_orbit_scan(q, n), n
+
+
+def _orbit_partition_size(q, n):
+    # orbits of a -> q*a on the nonzero multiples of q^d - 1 mod q^f - 1,
+    # over even f | n, counted by removing whole orbits from a set
+    count = 0
+    for f in range(2, n + 1, 2):
+        if n % f:
+            continue
+        order, step = q**f - 1, q ** (f // 2) - 1
+        left = set(range(step, order, step))
+        while left:
+            a = left.pop()
+            left -= {a * q**i % order for i in range(f)}
+            count += 1
+    return count
+
+
+def test_scan_walks_each_orbit_once(monkeypatch):
+    real = tamesigns.division.orbit_of
+    scan_walks = []
+
+    def counted(a, s, m):
+        # is_regular walks too, once per datum built; count only the scan
+        if sys._getframe(1).f_code.co_name == "enumerate_level1_selfdual":
+            scan_walks.append(a)
+        return real(a, s, m)
+
+    monkeypatch.setattr(tamesigns.division, "orbit_of", counted)
+    entries = enumerate_level1_selfdual(3, 4)
+    assert len(entries) == 2 * 1 + 2 * 2
+    assert _orbit_partition_size(3, 4) == 5
+    assert len(scan_walks) == 5
+    assert len(set(scan_walks)) == len(scan_walks)
+
+
+def test_scan_refuses_an_orbit_off_the_multiples(monkeypatch):
+    real = tamesigns.division.orbit_of
+    monkeypatch.setattr(
+        tamesigns.division, "orbit_of", lambda a, s, m: real(a, s, m) + [1]
+    )
+    with pytest.raises(InternalConsistencyError) as info:
+        enumerate_level1_selfdual(3, 4)
+    assert str(info.value) == (
+        "orbit of a=2 under multiplication by 3 mod 8 leaves the multiples "
+        "of 2: it holds 1"
+    )

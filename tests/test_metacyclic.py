@@ -53,6 +53,7 @@ from tamesigns.metacyclic import (
     theta_sign,
 )
 from tamesigns.rationality import character_field
+from tamesigns.signs import verify_flip
 
 # (m, N, s) triples that are small enough for literal sums.
 BATTERY = [
@@ -117,6 +118,31 @@ def test_invalid_group_rejected():
         make_group(5, 2, 2)  # 2^2 = 4 != 1 mod 5
     with pytest.raises(UsageError):
         make_group(0, 2, 1)
+
+
+def test_make_group_shares_one_group_per_triple():
+    assert make_group(15, 8, 2) is make_group(15, 8, 2)
+    # a refused triple is not cached: it raises on every call
+    for _ in range(2):
+        with pytest.raises(UsageError, match="s\\^N must be 1 mod m"):
+            make_group(5, 2, 2)
+
+
+def test_verify_flip_builds_each_model_group_once(monkeypatch):
+    # at q = 3, n = 4 the rows need C_80 x| C_8 (both sides, f | 4) and
+    # C_8 x| C_4 (the parameter side at f = 2), each built once
+    built = []
+    real = tamesigns.metacyclic.MetacyclicGroup.__post_init__
+
+    def counted(G):
+        real(G)
+        built.append(G)
+
+    monkeypatch.setattr(tamesigns.metacyclic.MetacyclicGroup, "__post_init__", counted)
+    make_group.cache_clear()
+    rows = verify_flip(3, 4, "both")
+    assert rows
+    assert sorted((G.m, G.N, G.s) for G in built) == [(8, 4, 3), (80, 8, 3)]
 
 
 # ---------------------------------------------------------------------------
