@@ -257,6 +257,11 @@ def cmd_sign(config: RunConfig) -> tuple[int, str]:
             f"field of values real={field_info.is_real} but Frobenius-Schur "
             f"indicator {oracle} for psi={psi} on {G}"
         )
+    if selfdual and closed != oracle:
+        raise InternalConsistencyError(
+            f"closed-form sign {closed} disagrees with the Frobenius-Schur "
+            f"indicator {oracle} for {chi} on {G} (psi={psi})"
+        )
     row = (
         config.side, config.q, config.n if division else None, config.f,
         config.a, config.w, True, selfdual, closed, oracle,

@@ -11,11 +11,12 @@ sign flips outright. product_check closes the calculus under products
 (and so tensor powers) of self-dual factors.
 
 verify_flip runs the whole machine end to end: enumerate the level-one
-self-dual representations for (q, n) once, compute the division-side
-sign by closed form and by the finite-model oracle, attach the Weil
-parameter under the chosen recipe (or under PR and then SZ), take its
-sign, push it through the flip, and record whether everything agrees,
-one FlipRow per representation and recipe.
+self-dual representations for (q, n) once, with the division-side sign
+by closed form and by the finite-model oracle, attach the Weil parameter
+under the chosen recipe (or under PR and then SZ), read its sign from
+the cell's table of Weil-side closed forms, push it through the flip,
+and record whether everything agrees, one FlipRow per representation
+and recipe.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Iterable, NamedTuple
 
 from .division import enumerate_level1_selfdual
 from .errors import InternalConsistencyError, UsageError
-from .weil import RECIPES, attach_parameter, full_parameter_sign
+from .weil import RECIPES, attach_parameter, sign_weil_closed_form, sp_sign
 
 __all__ = [
     "transfer_sign",
@@ -130,18 +131,26 @@ def verify_flip(q: int, n: int, recipe: str) -> tuple[FlipRow, ...]:
     For each enumerated datum: the division-side sign is computed twice
     (closed form and model oracle), the Weil parameter is attached under
     the recipe, its sign feeds the flip, and the row is consistent when
-    closed form, oracle, and flipped prediction all agree. recipe "both"
-    enumerates the cell once and gives the PR rows, then the SZ rows.
+    closed form, oracle, and flipped prediction all agree. The attached
+    parameter is one of the cell's own data, so its sign is read from a
+    per-cell table that runs sign_weil_closed_form once per datum.
+    recipe "both" enumerates the cell once and gives the PR rows, then
+    the SZ rows.
     """
     if recipe != "both" and recipe not in RECIPES:
         raise UsageError(f"recipe must be one of {RECIPES} or 'both', got {recipe!r}")
     entries = enumerate_level1_selfdual(q, n)
+    weil_sign = {
+        (entry.chi.f, entry.chi.a, entry.chi.w): sign_weil_closed_form(entry.chi)
+        for entry in entries
+    }
     rows = []
     for row_recipe in RECIPES if recipe == "both" else (recipe,):
         for entry in entries:
             chi = entry.chi
-            param = attach_parameter(n, chi, row_recipe)
-            psign = full_parameter_sign(param)
+            e = n // chi.f
+            param_w = attach_parameter(n, chi, row_recipe)
+            psign = weil_sign[chi.f, chi.a, param_w] * sp_sign(e)
             predicted = flip_sign(n, psign)
             consistent = entry.sign_closed == entry.sign_oracle == predicted
             rows.append(
@@ -150,12 +159,12 @@ def verify_flip(q: int, n: int, recipe: str) -> tuple[FlipRow, ...]:
                     n=n,
                     recipe=row_recipe,
                     f=chi.f,
-                    e=param.e,
+                    e=e,
                     a=chi.a,
                     w=chi.w,
                     sign_closed=entry.sign_closed,
                     sign_oracle=entry.sign_oracle,
-                    param_w=param.char.w,
+                    param_w=param_w,
                     param_sign=psign,
                     predicted=predicted,
                     consistent=consistent,

@@ -16,16 +16,17 @@ determinant (det mu nontrivial iff mu orthogonal, for f even) is
 re-verified on every call. sp(e) is orthogonal for e odd and symplectic
 for e even, and signs multiply across the tensor factor.
 
-attach_parameter builds the parameter a division-side datum predicts
-under a chosen twisting recipe: recipe "PR" twists w by (-1)^(e(f-1)),
-recipe "SZ" by (-1)^(f-1). The two recipes disagree exactly when e and
-f are both even; the flip verification in the sign calculus is the
-arbiter between them.
+attach_parameter gives the Frobenius-slot sign of the parameter a
+division-side datum predicts under a chosen twisting recipe: recipe
+"PR" twists w by (-1)^(e(f-1)), recipe "SZ" by (-1)^(f-1). The
+parameter keeps (q, f, a), and self-dual data have f even, so its
+datum is (q, f, a, w * (-1)^e) under PR and (q, f, a, -w) under SZ:
+one of the same cell's enumerated data. The two recipes disagree
+exactly when e and f are both even; the flip verification in the sign
+calculus is the arbiter between them.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .division import (
     TameCharacter,
@@ -37,23 +38,13 @@ from .errors import InternalConsistencyError, UsageError
 from .metacyclic import det_exponents
 
 __all__ = [
-    "WeilParameter",
     "RECIPES",
     "sign_weil_closed_form",
     "sp_sign",
-    "full_parameter_sign",
     "attach_parameter",
 ]
 
 RECIPES = ("PR", "SZ")
-
-
-@dataclass(frozen=True)
-class WeilParameter:
-    """A tame parameter mu (x) sp(e) of degree char.f * e."""
-
-    char: TameCharacter
-    e: int
 
 
 def sign_weil_closed_form(mu: TameCharacter) -> int:
@@ -96,15 +87,10 @@ def sp_sign(e: int) -> int:
     return 1 if e % 2 else -1
 
 
-def full_parameter_sign(param: WeilParameter) -> int:
-    """Sign of mu (x) sp(e): the signs of the factors multiply."""
-    return sign_weil_closed_form(param.char) * sp_sign(param.e)
+def attach_parameter(n: int, chi: TameCharacter, recipe: str) -> int:
+    """Frobenius-slot sign of the parameter chi predicts under a recipe.
 
-
-def attach_parameter(n: int, chi: TameCharacter, recipe: str) -> WeilParameter:
-    """The parameter a division-side datum predicts under a recipe.
-
-    The parameter shares (q, f, a) with chi and has e = n/f; the
+    The parameter shares (q, f, a) with chi and has e = n/f; its
     Frobenius-slot sign is chi.w twisted by the recipe's power of the
     unramified quadratic character: exponent e*(f-1) for "PR", f-1 for
     "SZ". Requires chi self-dual and f | n.
@@ -115,8 +101,5 @@ def attach_parameter(n: int, chi: TameCharacter, recipe: str) -> WeilParameter:
         raise UsageError(f"f = {chi.f} must divide n = {n}")
     if not is_selfdual_division(chi):
         raise UsageError(f"attach_parameter needs a self-dual datum, got {chi}")
-    e = n // chi.f
-    exponent = e * (chi.f - 1) if recipe == "PR" else chi.f - 1
-    w_param = chi.w * (-1 if exponent % 2 else 1)
-    mu = TameCharacter(chi.q, chi.f, chi.a, w_param)
-    return WeilParameter(char=mu, e=e)
+    exponent = (n // chi.f) * (chi.f - 1) if recipe == "PR" else chi.f - 1
+    return -chi.w if exponent % 2 else chi.w

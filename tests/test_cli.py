@@ -460,6 +460,33 @@ def test_sign_realness_cross_check_exits_two(capsys, monkeypatch, route):
     assert "internal consistency failure: field of values real=" in err
 
 
+@pytest.mark.parametrize(
+    "argv, datum",
+    [
+        (
+            ["sign", "--side", "division", "--q", "2", "--n", "4",
+             "--f", "2", "--a", "1", "--w", "-1"],
+            "TameCharacter(q=2, f=2, a=1, w=-1) on MetacyclicGroup(m=15, N=8, s=2)",
+        ),
+        (WEIL_SELFDUAL, "TameCharacter(q=2, f=2, a=1, w=-1) on MetacyclicGroup(m=3, N=4, s=2)"),
+    ],
+    ids=["division", "weil"],
+)
+def test_sign_closed_form_oracle_disagreement_exits_two(capsys, monkeypatch, argv, datum):
+    # a negated indicator keeps the field check's realness, so only the
+    # comparison with the closed form can catch it
+    real = cli.fs_indicator
+    monkeypatch.setattr(cli, "fs_indicator", lambda G, psi: -real(G, psi))
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(
+        "internal consistency failure: closed-form sign -1 disagrees with "
+        "the Frobenius-Schur indicator 1 for "
+    )
+    assert datum in err
+
+
 def test_sign_refuses_models_above_the_limit(run_cli):
     assert cli.MAX_SIGN_CONDUCTOR >= 531_440  # the largest benchmarked conductor
     for argv in (

@@ -23,6 +23,7 @@ from tamesigns.signs import (
     transfer_sign,
     verify_flip,
 )
+from tamesigns.weil import sp_sign
 
 
 def test_transfer_sign_corner_cases():
@@ -143,7 +144,11 @@ def test_verify_flip_sz_failure_pattern(q, n):
 
 @pytest.mark.parametrize("q, n", [(2, 4), (3, 6)])
 def test_verify_flip_both_is_pr_then_sz(q, n):
-    assert verify_flip(q, n, "both") == verify_flip(q, n, "PR") + verify_flip(q, n, "SZ")
+    rows = verify_flip(q, n, "both")
+    assert rows == verify_flip(q, n, "PR") + verify_flip(q, n, "SZ")
+    # the parameter sign of mu (x) sp(e) is the product of the factors' signs
+    for row in rows:
+        assert row.param_sign == row.param_w * sp_sign(row.e), row
 
 
 def test_verify_flip_odd_degree_is_empty():
@@ -162,14 +167,24 @@ def test_verify_flip_refuses_unknown_recipe_before_enumerating(monkeypatch, n):
 
 
 def test_regularity_is_checked_once_per_built_datum(monkeypatch):
-    # one is_regular walk per TameCharacter built: each enumerated entry,
-    # and each row's attached parameter; no consumer re-derives it
+    # one is_regular walk per TameCharacter built, and that is only the
+    # enumerated entries: each row's attached parameter is one of them, so
+    # the Weil closed form also runs once per entry, under both recipes
     entries = len(enumerate_level1_selfdual(3, 4))
-    calls = []
-    real = tamesigns.division.is_regular
+    regular, closed = [], []
+    real_regular = tamesigns.division.is_regular
+    real_closed = tamesigns.signs.sign_weil_closed_form
     monkeypatch.setattr(
-        tamesigns.division, "is_regular", lambda chi: calls.append(chi) or real(chi)
+        tamesigns.division,
+        "is_regular",
+        lambda chi: regular.append(chi) or real_regular(chi),
+    )
+    monkeypatch.setattr(
+        tamesigns.signs,
+        "sign_weil_closed_form",
+        lambda mu: closed.append(mu) or real_closed(mu),
     )
     rows = verify_flip(3, 4, "both")
     assert len(rows) == 2 * entries
-    assert len(calls) == entries + len(rows)
+    assert len(regular) == entries
+    assert len(closed) == entries

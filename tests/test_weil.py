@@ -24,13 +24,7 @@ from tamesigns.division import (
 )
 from tamesigns.errors import InternalConsistencyError, UsageError
 from tamesigns.metacyclic import SubgroupCharacter
-from tamesigns.weil import (
-    WeilParameter,
-    attach_parameter,
-    full_parameter_sign,
-    sign_weil_closed_form,
-    sp_sign,
-)
+from tamesigns.weil import attach_parameter, sign_weil_closed_form, sp_sign
 
 
 def test_weil_model_frozen_example():
@@ -74,24 +68,39 @@ def test_closed_form_matches_oracle(q, f):
 
 
 def test_det_route_break_raises_and_exits_two(monkeypatch, capsys):
-    # flip det at t from +-1 to -+1: the det route must disagree with w
+    # flip det at t from +-1 to -+1 on the models `broken` accepts: the
+    # det route must disagree with w
     real = tamesigns.weil.det_exponents
+    broken = lambda G, psi: True
 
     def shifted(G, psi):
         (Mx, kx), (Mt, kt) = real(G, psi)
-        return (Mx, kx), (Mt, (kt + Mt // 2) % Mt)
+        if broken(G, psi):
+            kt = (kt + Mt // 2) % Mt
+        return (Mx, kx), (Mt, kt)
 
     monkeypatch.setattr(tamesigns.weil, "det_exponents", shifted)
     with pytest.raises(InternalConsistencyError, match="det route disagrees"):
         sign_weil_closed_form(TameCharacter(2, 2, 1, -1))
     for argv in (
         ["verify-flip", "--q", "2", "--n", "4"],
+        ["verify-flip", "--q", "2", "--n", "4", "--recipe", "SZ"],
+        ["verify-flip", "--q", "2", "--n", "4", "--recipe", "both"],
         ["sign", "--side", "weil", "--q", "2", "--f", "2", "--a", "1", "--w", "-1"],
     ):
         assert main(argv) == 2, argv
         out, err = capsys.readouterr()
         assert out == ""
         assert "internal consistency failure: det route disagrees" in err
+    # break only (q, f, a, w) = (2, 4, 3, -1), whose model is C_15 x| C_8
+    # with inducing datum (4, 3, 1): every distinct datum of the cell
+    # runs the det route, so verify-flip still exits 2
+    broken = lambda G, psi: (G.m, G.N, psi) == (15, 8, SubgroupCharacter(4, 3, 1))
+    assert sign_weil_closed_form(TameCharacter(2, 4, 3, 1)) == 1
+    assert main(["verify-flip", "--q", "2", "--n", "4", "--recipe", "both"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "det route disagrees" in err and "f=4, a=3, w=-1" in err
 
 
 def test_q_minus_one_guard_raises(monkeypatch):
@@ -108,29 +117,22 @@ def test_q_minus_one_guard_raises(monkeypatch):
             closed_form(chi)
 
 
-def test_full_parameter_sign_table():
-    mu_p = TameCharacter(2, 2, 1, 1)
-    mu_m = TameCharacter(2, 2, 1, -1)
-    assert full_parameter_sign(WeilParameter(mu_p, 1)) == 1
-    assert full_parameter_sign(WeilParameter(mu_p, 2)) == -1
-    assert full_parameter_sign(WeilParameter(mu_m, 1)) == -1
-    assert full_parameter_sign(WeilParameter(mu_m, 2)) == 1
-
-
 def test_attach_parameter_recipes():
     chi = TameCharacter(2, 2, 1, 1)
     # n = 4, f = 2, e = 2: PR exponent e(f-1) = 2 keeps w, SZ exponent 1 flips
-    pr = attach_parameter(4, chi, "PR")
-    sz = attach_parameter(4, chi, "SZ")
-    assert pr == WeilParameter(TameCharacter(2, 2, 1, 1), 2)
-    assert sz == WeilParameter(TameCharacter(2, 2, 1, -1), 2)
+    assert attach_parameter(4, chi, "PR") == 1
+    assert attach_parameter(4, chi, "SZ") == -1
     # n = 4, f = 4, e = 1: both recipes use exponent 3 and flip
     chi4 = TameCharacter(2, 4, 3, 1)
-    assert attach_parameter(4, chi4, "PR").char.w == -1
-    assert attach_parameter(4, chi4, "SZ").char.w == -1
+    assert attach_parameter(4, chi4, "PR") == -1
+    assert attach_parameter(4, chi4, "SZ") == -1
     # n = 2, f = 2, e = 1: exponent 1 for both, flip
-    assert attach_parameter(2, chi, "PR").char.w == -1
-    assert attach_parameter(2, chi, "SZ").char.w == -1
+    assert attach_parameter(2, chi, "PR") == -1
+    assert attach_parameter(2, chi, "SZ") == -1
+    # the twist acts on w alone: w = -1 goes to the other sign
+    chi_minus = TameCharacter(2, 2, 1, -1)
+    assert attach_parameter(4, chi_minus, "PR") == -1
+    assert attach_parameter(4, chi_minus, "SZ") == 1
 
 
 def test_attach_parameter_validation():
