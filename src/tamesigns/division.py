@@ -50,6 +50,7 @@ __all__ = [
     "division_model",
     "sign_division_oracle",
     "enumerate_level1_selfdual",
+    "selfdual_row_count",
 ]
 
 
@@ -239,7 +240,7 @@ def enumerate_level1_selfdual(q: int, n: int) -> list[SelfdualEntry]:
                         f"Frobenius-Schur oracle {oracle} for {chi} at n={n}"
                     )
                 entries.append(SelfdualEntry(chi, closed, oracle))
-    predicted = _selfdual_row_count(q, n)
+    predicted = selfdual_row_count(q, n)
     if len(entries) != predicted:
         raise InternalConsistencyError(
             f"enumeration at q={q}, n={n} found {len(entries)} self-dual "
@@ -253,9 +254,15 @@ def _moebius(r: int) -> int:
     return 0 if any(e > 1 for _, e in fac) else (-1) ** len(fac)
 
 
-def _selfdual_row_count(q: int, n: int) -> int:
-    # sum over even f | n of (2/f) * sum_{e | f} mu(f/e) gcd(q^(f/2)+1, q^e-1):
-    # the inner sum counts the self-dual exponents of exact orbit size f
+def selfdual_row_count(q: int, n: int) -> int:
+    """Number of entries enumerate_level1_selfdual(q, n) returns, by formula.
+
+    The sum over even f | n of (2/f) * sum_{e | f} mu(f/e) gcd(q^(f/2)+1,
+    q^e-1): the inner Moebius sum counts the self-dual exponents whose
+    orbit has exact size f, so it is f times the number of such orbits,
+    and each orbit gives two entries (w = +-1). It forms no group and
+    walks no orbit; the enumeration checks every cell against it.
+    """
     total = 0
     for f in divisors(n):
         if f % 2 == 0:

@@ -29,6 +29,15 @@ every call, since a raised error is not cached. The Galois
 orbit has one walk, orbit_of, a separate running product:
 enumerate_irreps partitions Z/m with it, and the irreducibility
 cross-check compares its size with the norm route, which reads the table.
+
+The cross-check runs when an irrep is built, not when it is used.
+enumerate_irreps runs it once per orbit (f, a): the norm route does not
+depend on c, so one check covers every c of the orbit. It returns Irrep
+values bound to G, and the character routes (fs_indicator,
+fs_indicator_raw, theta_sign, and rationality's character_field and
+is_real_character) trust an Irrep only on the group it was checked on.
+Any other psi, a plain SubgroupCharacter or an Irrep of another group,
+is checked again on every call.
 """
 
 from __future__ import annotations
@@ -45,6 +54,7 @@ __all__ = [
     "MetacyclicGroup",
     "GroupElem",
     "SubgroupCharacter",
+    "Irrep",
     "InvolutionSpec",
     "make_group",
     "elements",
@@ -174,11 +184,42 @@ def make_subgroup_character(
     return SubgroupCharacter(f, a, c)
 
 
-def enumerate_irreps(G: MetacyclicGroup) -> list[SubgroupCharacter]:
-    """All irreducible representations of G, one descriptor each.
+class _IrrepFields(NamedTuple):
+    f: int
+    a: int
+    c: int
+    group: MetacyclicGroup
 
-    Descriptors are sorted by (f, a, c), with a the minimum of its orbit.
-    The list has sum of f^2 equal to |G|.
+
+class Irrep(_IrrepFields):
+    """Inducing data (f, a, c) checked irreducible on its group.
+
+    The irreducibility cross-check has run on `group`, so the character
+    routes take it there without checking again. enumerate_irreps builds
+    these after one check per orbit; built any other way (the
+    constructor, _make, _replace, unpickling), an Irrep is validated
+    like make_subgroup_character and checked before it exists.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, f: int, a: int, c: int, group: MetacyclicGroup) -> Irrep:
+        psi = make_subgroup_character(group, f, a, c)
+        _require_irreducible(group, psi)
+        return tuple.__new__(cls, (*psi, group))
+
+    @classmethod
+    def _make(cls, iterable) -> Irrep:
+        return cls(*iterable)
+
+
+def enumerate_irreps(G: MetacyclicGroup) -> list[Irrep]:
+    """All irreducible representations of G, one Irrep each.
+
+    Irreps are sorted by (f, a, c), with a the minimum of its orbit.
+    The list has sum of f^2 equal to |G|. Each orbit (f, a) is checked
+    once by both irreducibility routes; a disagreement raises
+    InternalConsistencyError naming psi (with c = 0), G and both values.
     """
     seen = bytearray(G.m)
     orbits: list[tuple[int, int]] = []
@@ -189,21 +230,25 @@ def enumerate_irreps(G: MetacyclicGroup) -> list[SubgroupCharacter]:
         for b in orbit:
             seen[b] = 1
         orbits.append((len(orbit), a))
-    out = [
-        SubgroupCharacter(f, a, c)
-        for f, a in orbits
-        for c in range(G.N // f)
-    ]
-    out.sort()
+    orbits.sort()
+    out: list[Irrep] = []
+    new = tuple.__new__
+    for f, a in orbits:
+        if not is_irreducible_induced(G, SubgroupCharacter(f, a, 0)):
+            raise InternalConsistencyError(
+                f"orbit of a={a} has size {f} but does not induce "
+                f"irreducibly on {G}"
+            )
+        out += [new(Irrep, (f, a, c, G)) for c in range(G.N // f)]
     return out
 
 
-def _char_conductor(G: MetacyclicGroup, psi: SubgroupCharacter) -> int:
+def _char_conductor(G: MetacyclicGroup, psi: SubgroupCharacter | Irrep) -> int:
     return lcm(G.m, G.N // psi.f)
 
 
 def induced_character(
-    G: MetacyclicGroup, psi: SubgroupCharacter, g: GroupElem
+    G: MetacyclicGroup, psi: SubgroupCharacter | Irrep, g: GroupElem
 ) -> CycInt:
     """Value of the induced character at x^i t^j.
 
@@ -211,7 +256,7 @@ def induced_character(
     zeta_{N/f}^(c*j/f) * sum_rho zeta_m^(a * s^rho * i), rho over [0, f).
     The result lives at conductor lcm(m, N/f).
     """
-    f, a, c = psi
+    f, a, c = psi.f, psi.a, psi.c
     Nf = G.N // f
     M0 = _char_conductor(G, psi)
     j = g.j % G.N
@@ -227,14 +272,16 @@ def induced_character(
     return root_sum(M0, counts)
 
 
-def is_irreducible_induced(G: MetacyclicGroup, psi: SubgroupCharacter) -> bool:
+def is_irreducible_induced(
+    G: MetacyclicGroup, psi: SubgroupCharacter | Irrep
+) -> bool:
     """Whether the induced representation is irreducible.
 
     Two routes, checked against each other on every call: the norm-square
     sum over G, collapsed to m * (N/f) * #{(rho, rho') : a s^rho = a s^rho'},
     must equal |G| exactly when the orbit of a has size f.
     """
-    f, a, _ = psi
+    f, a = psi.f, psi.a
     m = G.m
     orbit = orbit_of(a, G.s, m)
     pow_list = [a * p % m for p in G.s_powers[:f]]
@@ -251,20 +298,25 @@ def is_irreducible_induced(G: MetacyclicGroup, psi: SubgroupCharacter) -> bool:
     return by_orbit
 
 
-def _require_irreducible(G: MetacyclicGroup, psi: SubgroupCharacter) -> None:
+def _require_irreducible(
+    G: MetacyclicGroup, psi: SubgroupCharacter | Irrep
+) -> None:
+    # an Irrep was checked when it was built, but only on its own group
+    if type(psi) is Irrep and psi.group is G:
+        return
     if not is_irreducible_induced(G, psi):
         raise UsageError(f"psi={psi} does not induce irreducibly on {G}")
 
 
 def _fs_root_counts(
-    G: MetacyclicGroup, psi: SubgroupCharacter
+    G: MetacyclicGroup, psi: SubgroupCharacter | Irrep
 ) -> dict[int, int]:
     # Collapsed Frobenius-Schur sum: (x^i t^j)^2 = x^(i(1+s^j)) t^(2j).
     # Summing over i kills every j with a*(1+s^j) != 0 (mod m) and
     # contributes m*f * psi(t^(2j mod N)) otherwise; psi vanishes off
     # <x, t^f>, and f | 2j exactly when f/gcd(f, 2) | j. Returned counts
     # are exponents of zeta_{N/f} for the surviving j, NOT yet scaled by m*f.
-    f, a, c = psi
+    f, a, c = psi.f, psi.a, psi.c
     N, m = G.N, G.m
     Nf = N // f
     spow = G.s_powers
@@ -276,7 +328,7 @@ def _fs_root_counts(
     return counts
 
 
-def fs_indicator(G: MetacyclicGroup, psi: SubgroupCharacter) -> int:
+def fs_indicator(G: MetacyclicGroup, psi: SubgroupCharacter | Irrep) -> int:
     """Frobenius-Schur indicator of the induced irreducible: -1, 0 or +1.
 
     The exact sum of character values at squares must equal |G| * c with
@@ -305,7 +357,7 @@ def fs_indicator(G: MetacyclicGroup, psi: SubgroupCharacter) -> int:
     return ind
 
 
-def fs_indicator_raw(G: MetacyclicGroup, psi: SubgroupCharacter) -> CycInt:
+def fs_indicator_raw(G: MetacyclicGroup, psi: SubgroupCharacter | Irrep) -> CycInt:
     """The unnormalized Frobenius-Schur sum, a CycInt at conductor N/f.
 
     Equals |G| times the indicator; exposed so tests can compare the raw
@@ -332,22 +384,22 @@ def involution_count(G: MetacyclicGroup) -> int:
     return total
 
 
-def _orbit_sum(G: MetacyclicGroup, psi: SubgroupCharacter) -> int:
+def _orbit_sum(G: MetacyclicGroup, psi: SubgroupCharacter | Irrep) -> int:
     # sum over rho in [0, f) of a * s^rho, mod m; equals the det exponent
     # of pi(x) since the diagonal of pi(x) carries the orbit of a.
-    f, a, _ = psi
+    f, a = psi.f, psi.a
     return sum(a * p % G.m for p in G.s_powers[:f]) % G.m
 
 
 def det_exponents(
-    G: MetacyclicGroup, psi: SubgroupCharacter
+    G: MetacyclicGroup, psi: SubgroupCharacter | Irrep
 ) -> tuple[tuple[int, int], tuple[int, int]]:
     """Determinants of pi(x) and pi(t) as (conductor, exponent) pairs.
 
     det pi(x) = zeta_m^(sum of the orbit of a); det pi(t) =
     (-1)^(f-1) * zeta_{N/f}^c, returned at conductor lcm(2, N/f).
     """
-    f, _, c = psi
+    f, c = psi.f, psi.c
     Nf = G.N // f
     M1 = lcm(2, Nf)
     kx = _orbit_sum(G, psi)
@@ -360,7 +412,7 @@ def det_exponents(
 
 
 def matrix_of(
-    G: MetacyclicGroup, psi: SubgroupCharacter, g: GroupElem
+    G: MetacyclicGroup, psi: SubgroupCharacter | Irrep, g: GroupElem
 ) -> list[list[CycInt]]:
     """The monomial matrix of x^i t^j on the basis e_0 .. e_{f-1}.
 
@@ -368,7 +420,7 @@ def matrix_of(
     e_{rho+1} for rho < f-1 and pi(t) e_{f-1} = psi(t^f) e_0. Entries
     live at conductor lcm(m, N/f).
     """
-    f, a, c = psi
+    f, a, c = psi.f, psi.a, psi.c
     Nf = G.N // f
     M0 = _char_conductor(G, psi)
     step_m = M0 // G.m
@@ -385,7 +437,7 @@ def matrix_of(
 
 
 def matrix_model(
-    G: MetacyclicGroup, psi: SubgroupCharacter
+    G: MetacyclicGroup, psi: SubgroupCharacter | Irrep
 ) -> dict[str, list[list[CycInt]]]:
     """Matrices of the two generators x and t for the induced model."""
     return {
@@ -459,7 +511,7 @@ def apply_involution(
 
 
 def theta_sign(
-    G: MetacyclicGroup, theta: InvolutionSpec, psi: SubgroupCharacter
+    G: MetacyclicGroup, theta: InvolutionSpec, psi: SubgroupCharacter | Irrep
 ) -> int:
     """Sign of the theta-twisted invariant bilinear form: -1, 0 or +1.
 
@@ -476,7 +528,7 @@ def theta_sign(
     sum over j in [0, N) is accumulated at exponent level.
     """
     _require_irreducible(G, psi)
-    f, a, c = psi
+    f, a, c = psi.f, psi.a, psi.c
     N, m = G.N, G.m
     Nf = N // f
     u, v, w = theta.u, theta.v, theta.w

@@ -31,6 +31,7 @@ from math import gcd, lcm
 from .cyclotomic import euler_phi
 from .errors import InternalConsistencyError
 from .metacyclic import (
+    Irrep,
     MetacyclicGroup,
     SubgroupCharacter,
     _char_conductor,
@@ -59,7 +60,9 @@ class CharacterField:
         return (-1) % self.conductor in self.stabilizer
 
 
-def character_field(G: MetacyclicGroup, psi: SubgroupCharacter) -> CharacterField:
+def character_field(
+    G: MetacyclicGroup, psi: SubgroupCharacter | Irrep
+) -> CharacterField:
     """Field of character values of the induced irreducible for psi.
 
     Works at exponent level: the stabilizer of the value vector inside
@@ -71,7 +74,7 @@ def character_field(G: MetacyclicGroup, psi: SubgroupCharacter) -> CharacterFiel
     InternalConsistencyError.
     """
     _require_irreducible(G, psi)
-    f, a, c = psi
+    f, a, c = psi.f, psi.a, psi.c
     Nf = G.N // f
     M = _char_conductor(G, psi)
     m_a = G.m // gcd(a, G.m)
@@ -95,13 +98,15 @@ def character_field(G: MetacyclicGroup, psi: SubgroupCharacter) -> CharacterFiel
     )
 
 
-def is_real_character(G: MetacyclicGroup, psi: SubgroupCharacter) -> bool:
+def is_real_character(
+    G: MetacyclicGroup, psi: SubgroupCharacter | Irrep
+) -> bool:
     """Whether every character value is fixed by complex conjugation.
 
     Exponent-level test: -a must lie in the orbit of a and -c must equal
     c mod N/f. Equivalent to a nonvanishing Frobenius-Schur indicator.
     """
     _require_irreducible(G, psi)
-    f, a, c = psi
+    f, a, c = psi.f, psi.a, psi.c
     Nf = G.N // f
     return (-a) % G.m in set(orbit_of(a, G.s, G.m)) and (-c) % Nf == c % Nf

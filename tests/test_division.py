@@ -26,6 +26,7 @@ from tamesigns.division import (
     is_regular,
     is_selfdual_division,
     prime_power_base,
+    selfdual_row_count,
     sign_division_closed_form,
     sign_division_oracle,
 )
@@ -219,6 +220,13 @@ def _orbit_of(a, q, order):
 def test_enumerate_odd_degree_is_empty():
     assert enumerate_level1_selfdual(2, 3) == []
     assert enumerate_level1_selfdual(5, 1) == []
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_row_count_matches_enumeration(q):
+    for n in range(1, 7):
+        assert selfdual_row_count(q, n) == len(enumerate_level1_selfdual(q, n))
+    assert selfdual_row_count(2, 4) == 4  # the README's enumerate example
 
 
 @pytest.mark.parametrize("q,n", [(2, 2), (2, 4), (3, 2), (3, 4), (4, 2), (5, 2)])

@@ -32,6 +32,9 @@ from tamesigns.cyclotomic import (
 from tamesigns.errors import InternalConsistencyError, UsageError
 from tamesigns.metacyclic import (
     GroupElem,
+    Irrep,
+    MetacyclicGroup,
+    SubgroupCharacter,
     apply_involution,
     det_exponents,
     elem_inv,
@@ -52,7 +55,7 @@ from tamesigns.metacyclic import (
     orbit_of,
     theta_sign,
 )
-from tamesigns.rationality import character_field
+from tamesigns.rationality import character_field, is_real_character
 from tamesigns.signs import verify_flip
 
 # (m, N, s) triples that are small enough for literal sums.
@@ -174,6 +177,7 @@ def test_irreps_complete_and_irreducible(m, N, s):
     irr = enumerate_irreps(G)
     assert sum(psi.f**2 for psi in irr) == G.order
     assert len(set(irr)) == len(irr)
+    assert irr == sorted(irr)  # by (f, a, c); built in order, never sorted
     for psi in irr:
         assert is_irreducible_induced(G, psi)
         assert psi.a == min(orbit_of(psi.a, G.s, G.m))
@@ -543,32 +547,120 @@ def test_s_pow_reads_the_power_table(G):
         assert G.s_pow(k) == pow(G.s, k % G.N, G.m), k
 
 
-@pytest.mark.parametrize(
-    "route",
-    [
-        fs_indicator,
-        fs_indicator_raw,
-        lambda G, psi: theta_sign(G, identity_involution(G), psi),
-        character_field,
-    ],
-    ids=["fs_indicator", "fs_indicator_raw", "theta_sign", "character_field"],
-)
-def test_irreducibility_cross_check_runs_on_every_call(monkeypatch, route):
-    # An orbit route that disagrees with the norm route must be caught on
-    # every call, also after the same psi has passed once.
-    G = make_group(15, 8, 2)
-    irreps = enumerate_irreps(G)
-    for psi in irreps:
-        route(G, psi)
+ROUTES = [
+    fs_indicator,
+    fs_indicator_raw,
+    lambda G, psi: theta_sign(G, identity_involution(G), psi),
+    character_field,
+]
+ROUTE_IDS = ["fs_indicator", "fs_indicator_raw", "theta_sign", "character_field"]
+
+
+def _break_orbit_of(monkeypatch):
+    # an orbit route that reports one element too many
     real_orbit_of = tamesigns.metacyclic.orbit_of
     monkeypatch.setattr(
         tamesigns.metacyclic,
         "orbit_of",
         lambda a, s, m: real_orbit_of(a, s, m) + [a],
     )
+
+
+def test_enumeration_checks_each_orbit_and_names_both_routes(monkeypatch):
+    # With a broken orbit walk, enumerate_irreps partitions Z/15 into
+    # orbits one too large; the first, a = 0 with f = 2, fails the norm
+    # route before any Irrep is made.
+    G = make_group(15, 8, 2)
+    _break_orbit_of(monkeypatch)
+    with pytest.raises(InternalConsistencyError) as info:
+        enumerate_irreps(G)
+    assert str(info.value) == (
+        "norm route and orbit route disagree for "
+        "psi=SubgroupCharacter(f=2, a=0, c=0) on MetacyclicGroup(m=15, N=8, s=2): "
+        "norm sum 240 vs |G| = 120, orbit size 2 vs f = 2"
+    )
+
+
+def test_enumeration_refuses_an_orbit_both_routes_call_reducible(monkeypatch):
+    monkeypatch.setattr(
+        tamesigns.metacyclic, "is_irreducible_induced", lambda G, psi: psi.f < 4
+    )
+    with pytest.raises(
+        InternalConsistencyError,
+        match=r"orbit of a=1 has size 4 but does not induce irreducibly on "
+        r"MetacyclicGroup\(m=15, N=8, s=2\)",
+    ):
+        enumerate_irreps(make_group(15, 8, 2))
+
+
+@pytest.mark.parametrize("route", ROUTES, ids=ROUTE_IDS)
+def test_irreducibility_cross_check_runs_on_every_call(monkeypatch, route):
+    # A plain SubgroupCharacter carries no check, so an orbit route that
+    # disagrees with the norm route is caught on every call, also after
+    # the same psi has passed once.
+    G = make_group(15, 8, 2)
+    plain = [SubgroupCharacter(p.f, p.a, p.c) for p in enumerate_irreps(G)]
+    for psi in plain:
+        route(G, psi)
+    _break_orbit_of(monkeypatch)
+    for psi in plain:
+        for _ in range(2):
+            with pytest.raises(InternalConsistencyError):
+                route(G, psi)
+
+
+@pytest.mark.parametrize("route", ROUTES, ids=ROUTE_IDS)
+def test_irrep_of_another_group_is_never_trusted(monkeypatch, route):
+    G = make_group(15, 8, 2)
+    irreps = enumerate_irreps(G)
+    # on C_15 x| C_8 with s = 4 the orbit of 1 is {1, 4}: f = 4 is reducible
+    other = make_group(15, 8, 4)
+    with pytest.raises(UsageError, match="does not induce irreducibly"):
+        route(other, next(p for p in irreps if (p.f, p.a) == (4, 1)))
+    # an equal group that is a separate object is not the checked one
+    twin = MetacyclicGroup(15, 8, 2)
+    for psi in irreps:
+        route(twin, psi)
+    _break_orbit_of(monkeypatch)
     for psi in irreps:
         with pytest.raises(InternalConsistencyError):
-            route(G, psi)
+            route(twin, psi)
+        route(G, psi)  # checked on G when it was built
+
+
+def test_irreducibility_is_checked_once_per_orbit(monkeypatch):
+    G = make_group(15, 8, 2)
+    real = tamesigns.metacyclic.is_irreducible_induced
+    seen = []
+
+    def counted(G, psi):
+        seen.append((psi.f, psi.a))
+        return real(G, psi)
+
+    monkeypatch.setattr(tamesigns.metacyclic, "is_irreducible_induced", counted)
+    theta = identity_involution(G)
+    irreps = enumerate_irreps(G)
+    for psi in irreps:
+        fs_indicator(G, psi)
+        fs_indicator_raw(G, psi)
+        theta_sign(G, theta, psi)
+        character_field(G, psi)
+        is_real_character(G, psi)
+    # orbits of 2 on Z/15: {0}, {1, 2, 4, 8}, {3, 6, 12, 9}, {5, 10}, {7, ...}
+    assert seen == [(1, 0), (2, 5), (4, 1), (4, 3), (4, 7)]
+    assert len(irreps) == 18
+
+
+def test_hand_built_irrep_is_checked_when_built():
+    G = make_group(15, 8, 2)
+    psi = Irrep(2, 10, 1, G)  # 10 is in the orbit {5, 10}
+    assert fs_indicator(G, psi) == fs_indicator(G, SubgroupCharacter(2, 10, 1))
+    with pytest.raises(UsageError, match="does not induce irreducibly"):
+        Irrep(2, 0, 0, G)
+    with pytest.raises(UsageError, match="does not induce irreducibly"):
+        psi._replace(a=0)
+    with pytest.raises(UsageError, match="need 0 <= c < N/f"):
+        Irrep._make((2, 5, 4, G))
 
 
 def test_irreducibility_disagreement_names_both_routes(monkeypatch):

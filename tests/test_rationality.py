@@ -38,7 +38,7 @@ SMALL_GROUPS = [(3, 4, 2), (15, 8, 2), (1, 4, 0), (5, 2, 4), (16, 4, 3), (9, 6, 
 
 def literal_stabilizer(G, psi) -> tuple[int, ...]:
     """Every unit j of Z/M, in order, with j*a in orbit(a) and j*c = c mod N/f."""
-    f, a, c = psi
+    f, a, c = psi.f, psi.a, psi.c
     Nf = G.N // f
     M = lcm(G.m, Nf)
     orbit = set(orbit_of(a, G.s, G.m))
