@@ -23,7 +23,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from functools import cache
 from math import lcm
 
@@ -34,6 +33,7 @@ from .division import (
     is_prime_power,
     is_selfdual_division,
     prime_power_base,
+    selfdual_row_count,
     sign_division_closed_form,
 )
 from .errors import InternalConsistencyError, UsageError
@@ -46,6 +46,12 @@ SCHEMA_VERSION = 1
 GENERATOR_CONVENTION = "abstract-unramified-generator"
 # Largest field conductor a `sign` model may have (see _check_sign_size).
 MAX_SIGN_CONDUCTOR = 10**7
+# Largest q and n of an `enumerate` or `verify-flip` grid, checked before
+# any value is formed, and largest total of self-dual entries over its
+# (q, n) cells (see _check_grid_size).
+MAX_GRID_Q = 2**16
+MAX_GRID_N = 2**10
+MAX_GRID_ROWS = 10**6
 
 ENUMERATE_COLUMNS = (
     "q", "n", "f", "e", "a", "w",
@@ -64,30 +70,15 @@ SIGN_CELLS = frozenset(
 )
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Parsed invocation: one subcommand plus its arguments."""
-
-    command: str
-    q_values: tuple[int, ...] = ()
-    n_values: tuple[int, ...] = ()
-    recipe: str = "PR"
-    fmt: str = "csv"
-    side: str = ""
-    q: int = 0
-    n: int = 0
-    f: int = 0
-    a: int = 0
-    w: int = 0
-    signs: tuple[int, ...] = ()
-
-
 # ---------------------------------------------------------------------------
 # parsing helpers
 
 
-def parse_range(text: str, name: str) -> tuple[int, ...]:
-    """Parse "k" or "lo..hi" (inclusive) into a tuple of ints."""
+def parse_range(text: str, name: str, limit: int) -> range:
+    """Parse "k" or "lo..hi" (inclusive), refusing a value above limit.
+
+    The limit is checked on the two ends, so no value is formed first.
+    """
     lo_s, sep, hi_s = text.partition("..")
     try:
         lo = int(lo_s)
@@ -96,15 +87,20 @@ def parse_range(text: str, name: str) -> tuple[int, ...]:
         raise UsageError(f"cannot parse {name} range {text!r}; use k or lo..hi")
     if lo > hi:
         raise UsageError(f"empty range for {name}: {text}")
-    return tuple(range(lo, hi + 1))
+    if hi > limit:
+        raise UsageError(
+            f"{name}={hi} exceeds the limit MAX_GRID_{name.upper()} = {limit}"
+        )
+    return range(lo, hi + 1)
 
 
 def expand_q_range(text: str) -> tuple[int, ...]:
     """Prime powers in the range; a single non-prime-power is an error."""
-    values = parse_range(text, "q")
+    values = parse_range(text, "q", MAX_GRID_Q)
     if len(values) == 1:
         prime_power_base(values[0])
-        return values
+        return tuple(values)
+    values = range(max(values.start, 2), values.stop)  # no prime power is below 2
     kept = tuple(q for q in values if is_prime_power(q))
     if not kept:
         raise UsageError(f"no prime powers in q range {text!r}")
@@ -112,10 +108,10 @@ def expand_q_range(text: str) -> tuple[int, ...]:
 
 
 def expand_n_range(text: str) -> tuple[int, ...]:
-    values = parse_range(text, "n")
-    if any(n < 1 for n in values):
+    values = parse_range(text, "n", MAX_GRID_N)
+    if values.start < 1:
         raise UsageError(f"n must be >= 1, got range {text!r}")
-    return values
+    return tuple(values)
 
 
 def parse_sign(text: str) -> int:
@@ -196,23 +192,38 @@ def _enumerate_cell(q: int, n: int) -> list[tuple]:
     return rows
 
 
-def _cells(config: RunConfig) -> list[tuple[int, int]]:
-    return [(q, n) for q in sorted(config.q_values) for n in sorted(config.n_values)]
+def _cells(args: argparse.Namespace) -> list[tuple[int, int]]:
+    # q and n are ascending tuples, so the cells come in sorted order
+    return [(q, n) for q in args.q for n in args.n]
 
 
-def cmd_enumerate(config: RunConfig) -> tuple[int, str]:
-    rows = [row for q, n in _cells(config) for row in _enumerate_cell(q, n)]
-    return 0, render(config.fmt, "enumerate", ENUMERATE_COLUMNS, rows)
+def _check_grid_size(args: argparse.Namespace) -> None:
+    """Refuse a grid with more than MAX_GRID_ROWS self-dual entries.
+
+    Sums selfdual_row_count over the cells, which forms no group and
+    walks no orbit, and stops once the sum passes the limit.
+    """
+    total = 0
+    for q, n in _cells(args):
+        total += selfdual_row_count(q, n)
+        if total > MAX_GRID_ROWS:
+            raise UsageError(
+                f"grid too large: its cells through q={q}, n={n} hold {total} "
+                f"self-dual entries, above the limit MAX_GRID_ROWS = {MAX_GRID_ROWS}"
+            )
 
 
-def cmd_verify_flip(config: RunConfig) -> tuple[int, str]:
-    rows = [
-        row for q, n in _cells(config) for row in verify_flip(q, n, config.recipe)
-    ]
+def cmd_enumerate(args: argparse.Namespace) -> tuple[int, str]:
+    rows = [row for q, n in _cells(args) for row in _enumerate_cell(q, n)]
+    return 0, render(args.format, "enumerate", ENUMERATE_COLUMNS, rows)
+
+
+def cmd_verify_flip(args: argparse.Namespace) -> tuple[int, str]:
+    rows = [row for q, n in _cells(args) for row in verify_flip(q, n, args.recipe)]
     code = 0
     if any(row.recipe == "PR" and not row.consistent for row in rows):
         code = 3
-    return code, render(config.fmt, "verify-flip", FLIP_COLUMNS, rows)
+    return code, render(args.format, "verify-flip", FLIP_COLUMNS, rows)
 
 
 def _check_sign_size(q: int, d: int, f: int) -> None:
@@ -239,12 +250,12 @@ def _check_sign_size(q: int, d: int, f: int) -> None:
     )
 
 
-def cmd_sign(config: RunConfig) -> tuple[int, str]:
+def cmd_sign(args: argparse.Namespace) -> tuple[int, str]:
     # both sides build division_model(d, chi): the parameter side at d = f
-    division = config.side == "division"
-    d = config.n if division else config.f
-    _check_sign_size(config.q, d, config.f)
-    chi = TameCharacter(config.q, config.f, config.a, config.w)
+    division = args.side == "division"
+    d = args.n if division else args.f
+    _check_sign_size(args.q, d, args.f)
+    chi = TameCharacter(args.q, args.f, args.a, args.w)
     selfdual = is_selfdual_division(chi)
     G, psi = division_model(d, chi)
     closed_form = sign_division_closed_form if division else sign_weil_closed_form
@@ -263,18 +274,17 @@ def cmd_sign(config: RunConfig) -> tuple[int, str]:
             f"indicator {oracle} for {chi} on {G} (psi={psi})"
         )
     row = (
-        config.side, config.q, config.n if division else None, config.f,
-        config.a, config.w, True, selfdual, closed, oracle,
-        fmt_root(Mx, kx), fmt_root(Mt, kt), fmt_root(G.N // psi.f, psi.c),
-        field_info.conductor, field_info.degree,
+        args.side, args.q, args.n, args.f, args.a, args.w, True, selfdual,
+        closed, oracle, fmt_root(Mx, kx), fmt_root(Mt, kt),
+        fmt_root(G.N // psi.f, psi.c), field_info.conductor, field_info.degree,
     )
-    return 0, render(config.fmt, "sign", SIGN_COLUMNS, [row])
+    return 0, render(args.format, "sign", SIGN_COLUMNS, [row])
 
 
-def cmd_product_check(config: RunConfig) -> tuple[int, str]:
-    ok = product_check(config.signs)
-    row = (len(config.signs), 1 if ok else -1, "ok" if ok else "violated")
-    return 0, render(config.fmt, "product-check", PRODUCT_COLUMNS, [row])
+def cmd_product_check(args: argparse.Namespace) -> tuple[int, str]:
+    ok = product_check(args.signs)
+    row = (len(args.signs), 1 if ok else -1, "ok" if ok else "violated")
+    return 0, render(args.format, "product-check", PRODUCT_COLUMNS, [row])
 
 
 # ---------------------------------------------------------------------------
@@ -333,39 +343,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
+def config_from_args(args: argparse.Namespace) -> argparse.Namespace:
+    """Check and convert the parsed arguments in place, and return them.
+
+    Grid ranges become ascending tuples of q and n, bounded before any
+    cell runs; signs become ints; `sign` takes --n on the division side
+    only, so args.n is None on the weil side.
+    """
     if args.command in ("enumerate", "verify-flip"):
-        return RunConfig(
-            command=args.command,
-            q_values=expand_q_range(args.q),
-            n_values=expand_n_range(args.n),
-            recipe=getattr(args, "recipe", "PR"),
-            fmt=args.format,
-        )
-    if args.command == "sign":
-        if args.side == "division":
-            if args.n is None:
-                raise UsageError("sign --side division requires --n")
-            n = args.n
-        else:
-            if args.n is not None:
-                raise UsageError("sign --side weil takes no --n")
-            n = 0
-        return RunConfig(
-            command="sign",
-            side=args.side,
-            q=args.q,
-            n=n,
-            f=args.f,
-            a=args.a,
-            w=parse_sign(args.w),
-            fmt=args.format,
-        )
-    return RunConfig(
-        command="product-check",
-        signs=tuple(parse_sign(s) for s in args.signs),
-        fmt=args.format,
-    )
+        args.q, args.n = expand_q_range(args.q), expand_n_range(args.n)
+        _check_grid_size(args)
+    elif args.command == "sign":
+        if args.side == "division" and args.n is None:
+            raise UsageError("sign --side division requires --n")
+        if args.side == "weil" and args.n is not None:
+            raise UsageError("sign --side weil takes no --n")
+        args.w = parse_sign(args.w)
+    else:
+        args.signs = tuple(parse_sign(s) for s in args.signs)
+    return args
 
 
 DISPATCH = {
@@ -379,8 +375,7 @@ DISPATCH = {
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        config = config_from_args(args)
-        code, text = DISPATCH[config.command](config)
+        code, text = DISPATCH[args.command](config_from_args(args))
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -101,8 +101,9 @@ def divisors(n: int) -> list[int]:
 # cyclotomic polynomials
 
 
-def _poly_divexact(num: list[int], den: list[int]) -> list[int]:
+def _poly_divexact(num: list[int], den: list[int], r: int, p: int) -> list[int]:
     # Dense ascending coefficients, den monic; remainder must vanish.
+    # r and p name the step of _cyclotomic_squarefree(r) that divides.
     num = list(num)
     dd = len(den) - 1
     q = [0] * (len(num) - dd)
@@ -113,7 +114,10 @@ def _poly_divexact(num: list[int], den: list[int]) -> list[int]:
             for e in range(dd + 1):
                 num[k + e] -= c * den[e]
     if any(num):
-        raise InternalConsistencyError(f"division by degree {dd} left a remainder")
+        raise InternalConsistencyError(
+            f"building Phi_{r}: division by degree {dd} at the prime p={p} "
+            f"left a remainder"
+        )
     return q
 
 
@@ -126,7 +130,7 @@ def _cyclotomic_squarefree(r: int) -> tuple[int, ...]:
         fp = [0] * (p * (len(f) - 1) + 1)
         for e, c in enumerate(f):
             fp[p * e] = c
-        f = _poly_divexact(fp, f)
+        f = _poly_divexact(fp, f, r, p)
     return tuple(f)
 
 

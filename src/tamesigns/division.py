@@ -18,9 +18,11 @@ Self-duality (contragredient-invariance) of the induced representation
 forces f = 2d even together with (q^d - 1) | a; for these characters the
 orthogonal/symplectic sign has the closed form w, and an independent
 oracle recomputes it as the Frobenius-Schur indicator of the finite
-model. Both routes are exposed and never merged. The enumeration walks
-each Galois orbit of candidate exponents once, and checks each (q, n)
-cell's row count against its Moebius count.
+model. Both routes are exposed and never merged. The enumeration writes
+a self-dual exponent as a = (q^d - 1) * k; since q^f - 1 = (q^d - 1)(q^d
++ 1), multiplying a by q mod q^f - 1 multiplies k by q mod q^d + 1, so
+it walks each Galois orbit once in orbit_partition(q, q^d + 1). It
+checks each (q, n) cell's row count against its Moebius count.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from .metacyclic import (
     make_group,
     make_subgroup_character,
     orbit_of,
+    orbit_partition,
 )
 
 __all__ = [
@@ -190,10 +193,11 @@ def enumerate_level1_selfdual(q: int, n: int) -> list[SelfdualEntry]:
 
     One entry per (Galois orbit, w), ordered by (f ascending, minimal
     orbit exponent a ascending, w = +1 before w = -1). Every self-dual
-    datum has f = 2d even and a a multiple of q^d - 1, so only the
-    q^d + 1 multiples are scanned, and each orbit among them is walked
-    once: the first unseen multiple is its orbit's minimum. Each datum is
-    built as a (regular) TameCharacter and both sign routes, which check
+    datum has f = 2d even and a = (q^d - 1) * k, and a -> q*a mod q^f - 1
+    is k -> q*k mod q^d + 1, so the scan keeps the orbits of size f in
+    orbit_partition(q, q^d + 1); a grows with k on 0 <= k <= q^d, so
+    each orbit's least k gives its least a. Each datum is built as a
+    (regular) TameCharacter and both sign routes, which check
     self-duality, run on it; a datum refused there is an enumeration
     fault, and two routes that disagree are a fault too. The cell as a
     whole is checked against its Moebius row count. Every fault raises
@@ -206,24 +210,11 @@ def enumerate_level1_selfdual(q: int, n: int) -> list[SelfdualEntry]:
     for f in divisors(n):
         if f % 2 != 0:
             continue
-        d = f // 2
-        order = q**f - 1
-        step = q**d - 1
-        seen = bytearray(q**d + 1)  # indexed by a // step
-        for k in range(1, q**d + 1):
-            if seen[k]:
+        step = q ** (f // 2) - 1
+        for size, k in orbit_partition(q, step + 2):
+            if size != f:
                 continue
             a = step * k
-            orbit = orbit_of(a, q, order)
-            for b in orbit:
-                if b % step != 0:
-                    raise InternalConsistencyError(
-                        f"orbit of a={a} under multiplication by {q} mod "
-                        f"{order} leaves the multiples of {step}: it holds {b}"
-                    )
-                seen[b // step] = 1
-            if len(orbit) != f:
-                continue
             for w in (1, -1):
                 try:
                     chi = TameCharacter(q, f, a, w)

@@ -26,9 +26,11 @@ constructed, and checks s^N = 1 (mod m) from its last entry. make_group
 returns one shared group per (m, N, s): the group is frozen, so it is
 built and checked once per process, and a refused (m, N, s) raises on
 every call, since a raised error is not cached. The Galois
-orbit has one walk, orbit_of, a separate running product:
-enumerate_irreps partitions Z/m with it, and the irreducibility
-cross-check compares its size with the norm route, which reads the table.
+orbit has one walk, orbit_of, a separate running product, and one
+partition, orbit_partition, which walks each orbit of Z/m once with it.
+enumerate_irreps iterates orbit_partition(s, m); the division-side scan
+calls it at (q, q^(f/2) + 1); the irreducibility cross-check compares
+an orbit's size with the norm route, which reads the table.
 
 The cross-check runs when an irrep is built, not when it is used.
 enumerate_irreps runs it once per orbit (f, a): the norm route does not
@@ -61,6 +63,7 @@ __all__ = [
     "elem_mul",
     "elem_inv",
     "orbit_of",
+    "orbit_partition",
     "make_subgroup_character",
     "enumerate_irreps",
     "induced_character",
@@ -153,6 +156,25 @@ def orbit_of(a: int, s: int, m: int) -> list[int]:
     return out
 
 
+def orbit_partition(s: int, m: int) -> list[tuple[int, int]]:
+    """The orbits of multiplication by s (a unit) on Z/m, as (size, min).
+
+    Sorted by (size, min). Each orbit is walked once, with orbit_of from
+    its least element, the first residue no earlier walk has reached.
+    """
+    seen = bytearray(m)
+    orbits: list[tuple[int, int]] = []
+    for a in range(m):
+        if seen[a]:
+            continue
+        orbit = orbit_of(a, s, m)
+        for b in orbit:
+            seen[b] = 1
+        orbits.append((len(orbit), a))
+    orbits.sort()
+    return orbits
+
+
 class SubgroupCharacter(NamedTuple):
     """Inducing data (f, a, c) for an induced representation of G.
 
@@ -221,19 +243,9 @@ def enumerate_irreps(G: MetacyclicGroup) -> list[Irrep]:
     once by both irreducibility routes; a disagreement raises
     InternalConsistencyError naming psi (with c = 0), G and both values.
     """
-    seen = bytearray(G.m)
-    orbits: list[tuple[int, int]] = []
-    for a in range(G.m):
-        if seen[a]:
-            continue
-        orbit = orbit_of(a, G.s, G.m)
-        for b in orbit:
-            seen[b] = 1
-        orbits.append((len(orbit), a))
-    orbits.sort()
     out: list[Irrep] = []
     new = tuple.__new__
-    for f, a in orbits:
+    for f, a in orbit_partition(G.s, G.m):
         if not is_irreducible_induced(G, SubgroupCharacter(f, a, 0)):
             raise InternalConsistencyError(
                 f"orbit of a={a} has size {f} but does not induce "
@@ -308,14 +320,18 @@ def _require_irreducible(
         raise UsageError(f"psi={psi} does not induce irreducibly on {G}")
 
 
-def _fs_root_counts(
-    G: MetacyclicGroup, psi: SubgroupCharacter | Irrep
-) -> dict[int, int]:
-    # Collapsed Frobenius-Schur sum: (x^i t^j)^2 = x^(i(1+s^j)) t^(2j).
-    # Summing over i kills every j with a*(1+s^j) != 0 (mod m) and
-    # contributes m*f * psi(t^(2j mod N)) otherwise; psi vanishes off
-    # <x, t^f>, and f | 2j exactly when f/gcd(f, 2) | j. Returned counts
-    # are exponents of zeta_{N/f} for the surviving j, NOT yet scaled by m*f.
+def fs_indicator_raw(G: MetacyclicGroup, psi: SubgroupCharacter | Irrep) -> CycInt:
+    """The unnormalized Frobenius-Schur sum, a CycInt at conductor N/f.
+
+    The sum over g in G of the character at g^2, which is |G| times the
+    indicator; fs_indicator reads it, and tests compare it against
+    literal element-by-element evaluation.
+    """
+    _require_irreducible(G, psi)
+    # Collapsed: (x^i t^j)^2 = x^(i(1+s^j)) t^(2j). Summing over i kills
+    # every j with a*(1+s^j) != 0 (mod m) and contributes m*f *
+    # psi(t^(2j mod N)) otherwise; psi vanishes off <x, t^f>, and f | 2j
+    # exactly when f/gcd(f, 2) | j. Keys are exponents of zeta_{N/f}.
     f, a, c = psi.f, psi.a, psi.c
     N, m = G.N, G.m
     Nf = N // f
@@ -324,49 +340,32 @@ def _fs_root_counts(
     for j in range(0, N, f // gcd(f, 2)):
         if (a * (1 + spow[j])) % m == 0:
             e = (c * (((2 * j) % N) // f)) % Nf
-            counts[e] = counts.get(e, 0) + 1
-    return counts
+            counts[e] = counts.get(e, 0) + m * f
+    return root_sum(Nf, counts)
 
 
 def fs_indicator(G: MetacyclicGroup, psi: SubgroupCharacter | Irrep) -> int:
     """Frobenius-Schur indicator of the induced irreducible: -1, 0 or +1.
 
-    The exact sum of character values at squares must equal |G| * c with
-    c in {-1, 0, +1}; any other value raises InternalConsistencyError
-    rather than being rounded.
+    Reads fs_indicator_raw as |G| * c. The sum must be a rational
+    integer, |G| must divide it, and c must be in {-1, 0, +1}; any other
+    value raises InternalConsistencyError rather than being rounded.
     """
-    _require_irreducible(G, psi)
-    f = psi.f
-    Nf = G.N // f
-    partial = try_as_integer(root_sum(Nf, _fs_root_counts(G, psi)))
-    if partial is None:
+    total = try_as_integer(fs_indicator_raw(G, psi))
+    if total is None:
         raise InternalConsistencyError(
             f"FS sum for psi={psi} on {G} is not a rational integer"
         )
-    # full sum = m * f * partial; indicator = full / (m * N)
-    num = partial * f
-    if num % G.N != 0:
+    if total % G.order != 0:
         raise InternalConsistencyError(
-            f"FS sum for psi={psi} on {G} is not |G| * c: partial={partial}"
+            f"FS sum for psi={psi} on {G} is not |G| * c: sum={total}"
         )
-    ind = num // G.N
+    ind = total // G.order
     if ind not in (-1, 0, 1):
         raise InternalConsistencyError(
             f"FS indicator for psi={psi} on {G} out of range: {ind}"
         )
     return ind
-
-
-def fs_indicator_raw(G: MetacyclicGroup, psi: SubgroupCharacter | Irrep) -> CycInt:
-    """The unnormalized Frobenius-Schur sum, a CycInt at conductor N/f.
-
-    Equals |G| times the indicator; exposed so tests can compare the raw
-    exact sum against literal element-by-element evaluation.
-    """
-    _require_irreducible(G, psi)
-    counts = _fs_root_counts(G, psi)
-    scale = G.m * psi.f
-    return root_sum(G.N // psi.f, {e: scale * c for e, c in counts.items()})
 
 
 def involution_count(G: MetacyclicGroup) -> int:

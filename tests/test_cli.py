@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 import tamesigns.cli as cli
 import tamesigns.cyclotomic as cyclotomic
 import tamesigns.division
+import tamesigns.metacyclic
 import tamesigns.signs
 from tamesigns.cli import (
     expand_q_range,
@@ -27,7 +28,7 @@ from tamesigns.cli import (
     parse_range,
     parse_sign,
 )
-from tamesigns.division import TameCharacter
+from tamesigns.division import TameCharacter, is_prime_power, selfdual_row_count
 from tamesigns.errors import InternalConsistencyError, UsageError
 from tamesigns.rationality import CharacterField
 from tamesigns.signs import FlipRow
@@ -48,13 +49,15 @@ def call_main(argv):
 
 
 def test_parse_range():
-    assert parse_range("3", "n") == (3,)
-    assert parse_range("2..5", "n") == (2, 3, 4, 5)
+    assert tuple(parse_range("3", "n", 3)) == (3,)
+    assert tuple(parse_range("2..5", "n", 9)) == (2, 3, 4, 5)
     with pytest.raises(UsageError, match="empty range"):
-        parse_range("5..2", "n")
+        parse_range("5..2", "n", 9)
     for text in ("x", "2..", "..3"):
         with pytest.raises(UsageError, match="cannot parse"):
-            parse_range(text, "n")
+            parse_range(text, "n", 9)
+    with pytest.raises(UsageError, match="n=10 exceeds the limit MAX_GRID_N = 9"):
+        parse_range("2..10", "n", 9)
 
 
 def test_expand_q_range():
@@ -64,6 +67,8 @@ def test_expand_q_range():
         expand_q_range("6")
     with pytest.raises(UsageError):
         expand_q_range("14..15")
+    # values below 2 are skipped without being formed
+    assert expand_q_range("-999999999999..3") == (2, 3)
 
 
 def test_parse_sign():
@@ -343,15 +348,14 @@ def test_closed_form_oracle_disagreement_exits_two(capsys, monkeypatch, argv):
     ],
 )
 def test_dropped_orbit_fails_the_cell_count_and_exits_two(capsys, monkeypatch, argv):
-    # double the walk of the f = 4 orbit {3, 6, 12, 9} mod 15: the scan
-    # sees a wrong orbit size and drops it, and the Moebius count catches it
-    real = tamesigns.division.orbit_of
+    # misreport the f = 4 orbit of k = 1 mod 5 (a = 3 mod 15) as size 8:
+    # the scan drops it, and the Moebius count catches it
+    real = tamesigns.division.orbit_partition
 
-    def doubled(a, s, m):
-        orbit = real(a, s, m)
-        return orbit * 2 if (a, m) == (3, 15) else orbit
+    def misreported(s, m):
+        return [(8, k) if (m, k) == (5, 1) else (f, k) for f, k in real(s, m)]
 
-    monkeypatch.setattr(tamesigns.division, "orbit_of", doubled)
+    monkeypatch.setattr(tamesigns.division, "orbit_partition", misreported)
     code, out, err = run(capsys, argv)
     assert code == 2
     assert out == ""
@@ -381,7 +385,8 @@ def test_flip_case_analysis_disagreement_exits_two(capsys, monkeypatch):
 def _remainder_fault(monkeypatch):
     real = cyclotomic._poly_divexact
     monkeypatch.setattr(
-        cyclotomic, "_poly_divexact", lambda num, den: real([num[0] + 1, *num[1:]], den)
+        cyclotomic, "_poly_divexact",
+        lambda num, den, r, p: real([num[0] + 1, *num[1:]], den, r, p),
     )
 
 
@@ -460,6 +465,30 @@ def test_sign_realness_cross_check_exits_two(capsys, monkeypatch, route):
     assert "internal consistency failure: field of values real=" in err
 
 
+def test_off_by_one_fs_sum_fails_the_indicator_and_exits_two(capsys, monkeypatch):
+    # fs_indicator reads fs_indicator_raw as |G| * c: a sum off by one is
+    # not a multiple of |G| = 12 on the weil-side model C_3 x| C_4
+    real = tamesigns.metacyclic.fs_indicator_raw
+
+    def off_by_one(G, psi):
+        raw = real(G, psi)
+        return cyclotomic.cyc_add(raw, cyclotomic.cyc_integer(1, raw.conductor))
+
+    monkeypatch.setattr(tamesigns.metacyclic, "fs_indicator_raw", off_by_one)
+    message = (
+        "FS sum for psi=SubgroupCharacter(f=2, a=1, c=1) on "
+        "MetacyclicGroup(m=3, N=4, s=2) is not |G| * c: sum=-11"
+    )
+    G = tamesigns.metacyclic.make_group(3, 4, 2)
+    psi = tamesigns.metacyclic.SubgroupCharacter(2, 1, 1)
+    with pytest.raises(InternalConsistencyError) as info:
+        tamesigns.metacyclic.fs_indicator(G, psi)
+    assert str(info.value) == message
+    code, out, err = run(capsys, WEIL_SELFDUAL)
+    assert (code, out) == (2, "")
+    assert err == f"internal consistency failure: {message}\n"
+
+
 @pytest.mark.parametrize(
     "argv, datum",
     [
@@ -526,6 +555,48 @@ def test_sign_limit_admits_its_own_conductor(capsys, monkeypatch, argv, conducto
     assert code == 1
     assert out == ""
     assert f"MAX_SIGN_CONDUCTOR = {conductor - 1}" in err
+
+
+ROWS_AT_2_200 = selfdual_row_count(2, 200)  # about 1.3e28
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["enumerate", "--q", "2", "--n", "200"],
+         f"grid too large: its cells through q=2, n=200 hold {ROWS_AT_2_200} "
+         f"self-dual entries, above the limit MAX_GRID_ROWS = {cli.MAX_GRID_ROWS}"),
+        (["verify-flip", "--q", "2", "--n", "200"],
+         f"grid too large: its cells through q=2, n=200 hold {ROWS_AT_2_200} "
+         f"self-dual entries, above the limit MAX_GRID_ROWS = {cli.MAX_GRID_ROWS}"),
+        (["enumerate", "--q", "2..3", "--n", "1..999999999999"],
+         f"n=999999999999 exceeds the limit MAX_GRID_N = {cli.MAX_GRID_N}"),
+        (["enumerate", "--q", "2", "--n=-999999999999..3"],
+         "n must be >= 1, got range '-999999999999..3'"),
+        (["enumerate", "--q", "2305843009213693951", "--n", "1"],
+         f"q=2305843009213693951 exceeds the limit MAX_GRID_Q = {cli.MAX_GRID_Q}"),
+    ],
+    ids=["rows-enumerate", "rows-verify-flip", "n-range", "n-below-one", "q"],
+)
+def test_grid_is_refused_before_it_starts(run_cli, argv, message):
+    proc = run_cli(argv, timeout=60)
+    assert (proc.returncode, proc.stdout) == (1, b"")
+    assert proc.stderr.decode() == f"usage error: {message}\n"
+
+
+def test_grid_limit_admits_its_own_row_count(capsys, monkeypatch):
+    # flip_grid is the largest grid that the tests and the benchmark run
+    flip_grid = [(q, n) for q in range(2, 17) if is_prime_power(q) for n in range(2, 9)]
+    assert sum(selfdual_row_count(q, n) for q, n in flip_grid) == 34_886
+    assert 34_886 <= cli.MAX_GRID_ROWS
+    argv = ["enumerate", "--q", "2", "--n", "4"]  # 4 rows
+    monkeypatch.setattr(cli, "MAX_GRID_ROWS", 4)
+    code, out, _ = run(capsys, argv)
+    assert code == 0 and len(out.splitlines()) == 3 + 4
+    monkeypatch.setattr(cli, "MAX_GRID_ROWS", 3)
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err.endswith("hold 4 self-dual entries, above the limit MAX_GRID_ROWS = 3\n")
 
 
 def test_parser_reuse_matches_a_fresh_process(run_cli):

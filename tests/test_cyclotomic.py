@@ -213,9 +213,25 @@ def test_root_sum_matches_powers(M, c, k):
 
 
 def test_poly_divexact_remainder_is_an_internal_fault():
-    assert cyclotomic._poly_divexact([-1, 0, 1], [-1, 1]) == [1, 1]
+    assert cyclotomic._poly_divexact([-1, 0, 1], [-1, 1], 2, 2) == [1, 1]
     with pytest.raises(InternalConsistencyError, match="left a remainder"):
-        cyclotomic._poly_divexact([1, 0, 1], [-1, 1])  # x^2 + 1 by x - 1
+        cyclotomic._poly_divexact([1, 0, 1], [-1, 1], 2, 2)  # x^2 + 1 by x - 1
+
+
+def test_poly_divexact_fault_names_r_and_p(monkeypatch, fresh_polynomial_caches):
+    # break the second step of Phi_6 = Phi_2(x^3) / Phi_2(x): the message
+    # names the squarefree r and the prime p, so the fault can be rerun
+    real = cyclotomic._poly_divexact
+
+    def broken(num, den, r, p):
+        return real([num[0] + (p == 3), *num[1:]], den, r, p)
+
+    monkeypatch.setattr(cyclotomic, "_poly_divexact", broken)
+    with pytest.raises(InternalConsistencyError) as info:
+        cyclotomic._cyclotomic_squarefree(6)
+    assert str(info.value) == (
+        "building Phi_6: division by degree 1 at the prime p=3 left a remainder"
+    )
 
 
 def test_non_monic_phi_is_an_internal_fault(monkeypatch, fresh_polynomial_caches):

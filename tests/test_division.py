@@ -15,6 +15,7 @@ import sys
 import pytest
 
 import tamesigns.division
+import tamesigns.metacyclic
 from tamesigns.cyclotomic import cyc_integer, cyc_zero
 from tamesigns.cyclotomic import divisors
 from tamesigns.division import (
@@ -277,47 +278,35 @@ def test_one_walk_scan_matches_min_of_orbit_scan(q):
 
 
 def _orbit_partition_size(q, n):
-    # orbits of a -> q*a on the nonzero multiples of q^d - 1 mod q^f - 1,
-    # over even f | n, counted by removing whole orbits from a set
+    # orbits of k -> q*k on Z/(q^(f/2) + 1) over even f | n, counted by
+    # removing whole orbits from a set
     count = 0
     for f in range(2, n + 1, 2):
         if n % f:
             continue
-        order, step = q**f - 1, q ** (f // 2) - 1
-        left = set(range(step, order, step))
+        m = q ** (f // 2) + 1
+        left = set(range(m))
         while left:
-            a = left.pop()
-            left -= {a * q**i % order for i in range(f)}
+            k = left.pop()
+            left -= {k * q**i % m for i in range(f)}
             count += 1
     return count
 
 
 def test_scan_walks_each_orbit_once(monkeypatch):
-    real = tamesigns.division.orbit_of
+    real = tamesigns.metacyclic.orbit_of
     scan_walks = []
 
     def counted(a, s, m):
-        # is_regular walks too, once per datum built; count only the scan
-        if sys._getframe(1).f_code.co_name == "enumerate_level1_selfdual":
-            scan_walks.append(a)
+        # the FS oracle's irreducibility check walks too; count only the scan
+        if sys._getframe(1).f_code.co_name == "orbit_partition":
+            scan_walks.append((a, m))
         return real(a, s, m)
 
-    monkeypatch.setattr(tamesigns.division, "orbit_of", counted)
+    monkeypatch.setattr(tamesigns.metacyclic, "orbit_of", counted)
     entries = enumerate_level1_selfdual(3, 4)
     assert len(entries) == 2 * 1 + 2 * 2
-    assert _orbit_partition_size(3, 4) == 5
-    assert len(scan_walks) == 5
-    assert len(set(scan_walks)) == len(scan_walks)
-
-
-def test_scan_refuses_an_orbit_off_the_multiples(monkeypatch):
-    real = tamesigns.division.orbit_of
-    monkeypatch.setattr(
-        tamesigns.division, "orbit_of", lambda a, s, m: real(a, s, m) + [1]
-    )
-    with pytest.raises(InternalConsistencyError) as info:
-        enumerate_level1_selfdual(3, 4)
-    assert str(info.value) == (
-        "orbit of a=2 under multiplication by 3 mod 8 leaves the multiples "
-        "of 2: it holds 1"
-    )
+    # Z/4 under 3: {0}, {1, 3}, {2}; Z/10 under 3: {0}, {1, 3, 9, 7},
+    # {2, 6, 8, 4}, {5}
+    assert _orbit_partition_size(3, 4) == 3 + 4
+    assert scan_walks == [(0, 4), (1, 4), (2, 4), (0, 10), (1, 10), (2, 10), (5, 10)]

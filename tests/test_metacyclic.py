@@ -53,6 +53,7 @@ from tamesigns.metacyclic import (
     matrix_model,
     matrix_of,
     orbit_of,
+    orbit_partition,
     theta_sign,
 )
 from tamesigns.rationality import character_field, is_real_character
@@ -181,6 +182,18 @@ def test_irreps_complete_and_irreducible(m, N, s):
     for psi in irr:
         assert is_irreducible_induced(G, psi)
         assert psi.a == min(orbit_of(psi.a, G.s, G.m))
+
+
+@pytest.mark.parametrize("m,N,s", BATTERY)
+def test_orbit_partition_matches_a_set_partition(m, N, s):
+    # remove whole orbits {a s^j : j < N} from a set, least element first
+    left, expected = set(range(m)), []
+    while left:
+        a = min(left)
+        orbit = {a * pow(s, j, m) % m for j in range(N)}
+        expected.append((len(orbit), a))
+        left -= orbit
+    assert orbit_partition(s, m) == sorted(expected)
 
 
 def test_character_validation():

@@ -8,7 +8,9 @@ which keeps the oracle API the test suite relies on. A new public name
 that only tests call fails here until it is deleted or listed there.
 
 No check is an assert statement: `python -O` strips those, so a package
-check raises InternalConsistencyError (or UsageError) instead.
+check raises InternalConsistencyError (or UsageError) instead. No import
+is dead: a name a package module imports is used in its code or listed
+in its __all__ (no linter is assumed).
 """
 
 from __future__ import annotations
@@ -82,3 +84,20 @@ def test_package_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert not found, f"assert in the package (stripped by python -O): {found}"
+
+
+def test_package_has_no_unused_imports():
+    dead = []
+    for stem, tree in package_trees().items():
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        used |= set(public_names(tree))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                dead += [
+                    f"{stem}.py:{node.lineno} {alias.asname or alias.name}"
+                    for alias in node.names
+                    if (alias.asname or alias.name).split(".")[0] not in used
+                ]
+    assert not dead, f"imported but never used: {dead}"
