@@ -21,8 +21,15 @@ oracle recomputes it as the Frobenius-Schur indicator of the finite
 model. Both routes are exposed and never merged. The enumeration writes
 a self-dual exponent as a = (q^d - 1) * k; since q^f - 1 = (q^d - 1)(q^d
 + 1), multiplying a by q mod q^f - 1 multiplies k by q mod q^d + 1, so
-it walks each Galois orbit once in orbit_partition(q, q^d + 1). It
-checks each (q, n) cell's row count against its Moebius count.
+it walks each Galois orbit once in orbit_partition(q, q^d + 1).
+
+Where each check of the enumeration runs: per (q, n) cell, the model
+group is built once and the row count is checked against its Moebius
+count; per orbit, the model is checked irreducible once (orbit_irreps),
+which serves both w; per entry, the datum's constructor checks
+regularity, the closed form checks self-duality and (q - 1) | a, and
+the FS oracle, with its vanishing check, is compared with the closed
+form.
 """
 
 from __future__ import annotations
@@ -33,11 +40,13 @@ from math import gcd
 from .cyclotomic import divisors, factorize
 from .errors import InternalConsistencyError, UsageError
 from .metacyclic import (
+    Irrep,
     MetacyclicGroup,
     SubgroupCharacter,
     fs_indicator,
     make_group,
     make_subgroup_character,
+    orbit_irreps,
     orbit_of,
     orbit_partition,
 )
@@ -58,8 +67,11 @@ __all__ = [
 
 
 def is_prime_power(q: int) -> bool:
-    """Whether q = p^k for a prime p and some k >= 1."""
-    return q >= 2 and len(factorize(q)) == 1
+    """Whether q = p^k for a prime p and some k >= 1.
+
+    Calls the uncached factorize, so filtering a q range caches nothing.
+    """
+    return q >= 2 and len(factorize.__wrapped__(q)) == 1
 
 
 def prime_power_base(q: int) -> tuple[int, int]:
@@ -67,7 +79,7 @@ def prime_power_base(q: int) -> tuple[int, int]:
     if q < 2:
         raise UsageError(f"q must be a prime power >= 2, got {q}")
     fac = factorize(q)
-    if not is_prime_power(q):
+    if len(fac) != 1:
         pretty = " * ".join(
             f"{p}^{e}" if e > 1 else str(p) for p, e in fac
         )
@@ -154,11 +166,21 @@ def division_model(
         raise UsageError(f"n must be >= 1, got {n}")
     if n % chi.f != 0:
         raise UsageError(f"f = {chi.f} must divide n = {n}")
-    m = chi.q**n - 1
-    G = make_group(m, 2 * n, chi.q)
-    a_big = (chi.a * (m // chi.torus_order)) % m if m > 1 else 0
-    c = 0 if chi.w == 1 else n // chi.f
+    G = make_group(chi.q**n - 1, 2 * n, chi.q)
+    a_big = _model_exponent(chi.q, n, chi.f, chi.a)
+    c = _model_c(n, chi.f, chi.w)
     return G, make_subgroup_character(G, chi.f, a_big, c)
+
+
+def _model_exponent(q: int, n: int, f: int, a: int) -> int:
+    # a rescaled from Z/(q^f - 1) into the model's Z/(q^n - 1)
+    m = q**n - 1
+    return (a * (m // (q**f - 1))) % m
+
+
+def _model_c(n: int, f: int, w: int) -> int:
+    # the scalar at t^f that encodes w: 0 for w = +1, n/f for w = -1
+    return 0 if w == 1 else n // f
 
 
 def sign_division_oracle(n: int, chi: TameCharacter) -> int:
@@ -170,13 +192,24 @@ def sign_division_oracle(n: int, chi: TameCharacter) -> int:
     if not is_selfdual_division(chi):
         raise UsageError(f"oracle sign needs a self-dual datum, got {chi}")
     G, psi = division_model(n, chi)
+    return _model_sign(n, chi, G, psi)
+
+
+def _model_sign(
+    n: int, chi: TameCharacter, G: MetacyclicGroup, psi: SubgroupCharacter | Irrep
+) -> int:
+    # the FS indicator of chi's model (G, psi), which must not vanish
     ind = fs_indicator(G, psi)
     if ind == 0:
         raise InternalConsistencyError(
             f"model of self-dual datum {chi} at n={n} has vanishing "
-            f"indicator: psi={psi} on {G}"
+            f"indicator: psi={SubgroupCharacter(psi.f, psi.a, psi.c)} on {G}"
         )
     return ind
+
+
+# the uniformizer signs w in entry order: w = +1 before w = -1
+_SIGNS = (1, -1)
 
 
 @dataclass(frozen=True)
@@ -196,30 +229,40 @@ def enumerate_level1_selfdual(q: int, n: int) -> list[SelfdualEntry]:
     datum has f = 2d even and a = (q^d - 1) * k, and a -> q*a mod q^f - 1
     is k -> q*k mod q^d + 1, so the scan keeps the orbits of size f in
     orbit_partition(q, q^d + 1); a grows with k on 0 <= k <= q^d, so
-    each orbit's least k gives its least a. Each datum is built as a
-    (regular) TameCharacter and both sign routes, which check
-    self-duality, run on it; a datum refused there is an enumeration
-    fault, and two routes that disagree are a fault too. The cell as a
-    whole is checked against its Moebius row count. Every fault raises
+    each orbit's least k gives its least a.
+
+    The cell's model group G = C_{q^n-1} x| C_{2n} is built once. Each
+    orbit's model exponent a * (q^n-1)/(q^f-1) is formed once and checked
+    irreducible once, by orbit_irreps, which gives the inducing data of
+    both entries: c = 0 for w = +1 and c = n/f for w = -1, as in
+    division_model. Each entry's datum is built as a (regular)
+    TameCharacter, its closed form checks self-duality, and its oracle is
+    the FS indicator of its own Irrep, which must not vanish, as in
+    sign_division_oracle. A datum refused there is an enumeration fault,
+    and two routes that disagree are a fault too. The cell as a whole is
+    checked against its Moebius row count. Every fault raises
     InternalConsistencyError.
     """
     prime_power_base(q)
     if n < 1:
         raise UsageError(f"n must be >= 1, got {n}")
+    G = make_group(q**n - 1, 2 * n, q)
     entries: list[SelfdualEntry] = []
     for f in divisors(n):
         if f % 2 != 0:
             continue
         step = q ** (f // 2) - 1
+        cs = tuple(_model_c(n, f, w) for w in _SIGNS)
         for size, k in orbit_partition(q, step + 2):
             if size != f:
                 continue
             a = step * k
-            for w in (1, -1):
+            models = orbit_irreps(G, f, _model_exponent(q, n, f, a), cs)
+            for w, psi in zip(_SIGNS, models):
                 try:
                     chi = TameCharacter(q, f, a, w)
                     closed = sign_division_closed_form(chi)
-                    oracle = sign_division_oracle(n, chi)
+                    oracle = _model_sign(n, chi, G, psi)
                 except UsageError as exc:
                     raise InternalConsistencyError(
                         f"enumeration at q={q}, n={n} emitted an invalid "

@@ -32,14 +32,17 @@ enumerate_irreps iterates orbit_partition(s, m); the division-side scan
 calls it at (q, q^(f/2) + 1); the irreducibility cross-check compares
 an orbit's size with the norm route, which reads the table.
 
-The cross-check runs when an irrep is built, not when it is used.
-enumerate_irreps runs it once per orbit (f, a): the norm route does not
-depend on c, so one check covers every c of the orbit. It returns Irrep
-values bound to G, and the character routes (fs_indicator,
-fs_indicator_raw, theta_sign, and rationality's character_field and
-is_real_character) trust an Irrep only on the group it was checked on.
-Any other psi, a plain SubgroupCharacter or an Irrep of another group,
-is checked again on every call.
+The cross-check runs when an irrep is built, not when it is used, and
+once per orbit (f, a): the norm route does not depend on c, so one
+check covers every c of the orbit. orbit_irreps is that step: it checks
+the orbit once and then emits its Irreps. enumerate_irreps iterates it
+over orbit_partition(s, m), and the division-side scan calls it once
+per self-dual orbit for the two c it needs. An Irrep is bound to its
+group, and the character routes (fs_indicator, fs_indicator_raw,
+theta_sign, and rationality's character_field and is_real_character)
+trust an Irrep only on the group it was checked on. Any other psi, a
+plain SubgroupCharacter or an Irrep of another group, is checked again
+on every call.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cache
 from math import gcd, lcm
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .cyclotomic import CycInt, cyc_root, cyc_zero, root_sum, try_as_integer
 from .errors import InternalConsistencyError, UsageError
@@ -65,6 +68,7 @@ __all__ = [
     "orbit_of",
     "orbit_partition",
     "make_subgroup_character",
+    "orbit_irreps",
     "enumerate_irreps",
     "induced_character",
     "is_irreducible_induced",
@@ -217,7 +221,7 @@ class Irrep(_IrrepFields):
     """Inducing data (f, a, c) checked irreducible on its group.
 
     The irreducibility cross-check has run on `group`, so the character
-    routes take it there without checking again. enumerate_irreps builds
+    routes take it there without checking again. orbit_irreps builds
     these after one check per orbit; built any other way (the
     constructor, _make, _replace, unpickling), an Irrep is validated
     like make_subgroup_character and checked before it exists.
@@ -235,23 +239,49 @@ class Irrep(_IrrepFields):
         return cls(*iterable)
 
 
+def orbit_irreps(
+    G: MetacyclicGroup, f: int, a: int, cs: Iterable[int]
+) -> list[Irrep]:
+    """The Irreps (f, a, c) of G for each c in cs, in order, after one
+    irreducibility check of the orbit (f, a).
+
+    a, with 0 <= a < m, is in an orbit of multiplication by s on Z/m,
+    and f is that orbit's size as the caller's partition reports it.
+    (f, a) is validated like make_subgroup_character and checked once,
+    with c = 0, by both
+    irreducibility routes: the norm route does not depend on c. A
+    disagreement raises InternalConsistencyError naming psi, G and both
+    values, and an orbit both routes call reducible raises
+    InternalConsistencyError too. Each c is range-checked.
+    """
+    # a is not reduced mod m: the Irreps share the caller's int, which
+    # the caller's partition holds anyway
+    if not 0 <= a < G.m:
+        raise UsageError(f"need 0 <= a < m = {G.m}, got a={a}")
+    if not is_irreducible_induced(G, make_subgroup_character(G, f, a, 0)):
+        raise InternalConsistencyError(
+            f"orbit of a={a} has size {f} but does not induce "
+            f"irreducibly on {G}"
+        )
+    Nf = G.N // f
+    out = []
+    for c in cs:
+        if not 0 <= c < Nf:
+            raise UsageError(f"need 0 <= c < N/f = {Nf}, got c={c}")
+        out.append(tuple.__new__(Irrep, (f, a, c, G)))
+    return out
+
+
 def enumerate_irreps(G: MetacyclicGroup) -> list[Irrep]:
     """All irreducible representations of G, one Irrep each.
 
     Irreps are sorted by (f, a, c), with a the minimum of its orbit.
-    The list has sum of f^2 equal to |G|. Each orbit (f, a) is checked
-    once by both irreducibility routes; a disagreement raises
-    InternalConsistencyError naming psi (with c = 0), G and both values.
+    The list has sum of f^2 equal to |G|. Each orbit (f, a) of
+    orbit_partition is checked once, by orbit_irreps.
     """
     out: list[Irrep] = []
-    new = tuple.__new__
     for f, a in orbit_partition(G.s, G.m):
-        if not is_irreducible_induced(G, SubgroupCharacter(f, a, 0)):
-            raise InternalConsistencyError(
-                f"orbit of a={a} has size {f} but does not induce "
-                f"irreducibly on {G}"
-            )
-        out += [new(Irrep, (f, a, c, G)) for c in range(G.N // f)]
+        out += orbit_irreps(G, f, a, range(G.N // f))
     return out
 
 

@@ -16,7 +16,12 @@ by closed form and by the finite-model oracle, attach the Weil parameter
 under the chosen recipe (or under PR and then SZ), read its sign from
 the cell's table of Weil-side closed forms, push it through the flip,
 and record whether everything agrees, one FlipRow per representation
-and recipe.
+and recipe. Where each check runs: the division-side checks as
+enumerate_level1_selfdual places them (per cell, per orbit, per entry);
+the Weil closed form with its determinant route once per entry, in the
+cell's table; attach_parameter's guards once per row; and the flip's
+case analysis against transfer_sign once per distinct parameter sign
+in the cell.
 """
 
 from __future__ import annotations
@@ -133,9 +138,11 @@ def verify_flip(q: int, n: int, recipe: str) -> tuple[FlipRow, ...]:
     the recipe, its sign feeds the flip, and the row is consistent when
     closed form, oracle, and flipped prediction all agree. The attached
     parameter is one of the cell's own data, so its sign is read from a
-    per-cell table that runs sign_weil_closed_form once per datum.
-    recipe "both" enumerates the cell once and gives the PR rows, then
-    the SZ rows.
+    per-cell table that runs sign_weil_closed_form once per datum. The
+    flip depends only on (n, parameter sign), so flip_sign, with its
+    case-analysis-vs-transfer check, runs once per distinct parameter
+    sign in the cell: at most twice. recipe "both" enumerates the cell
+    once and gives the PR rows, then the SZ rows.
     """
     if recipe != "both" and recipe not in RECIPES:
         raise UsageError(f"recipe must be one of {RECIPES} or 'both', got {recipe!r}")
@@ -144,6 +151,7 @@ def verify_flip(q: int, n: int, recipe: str) -> tuple[FlipRow, ...]:
         (entry.chi.f, entry.chi.a, entry.chi.w): sign_weil_closed_form(entry.chi)
         for entry in entries
     }
+    flipped: dict[int, int] = {}  # parameter sign -> flip_sign(n, sign)
     rows = []
     for row_recipe in RECIPES if recipe == "both" else (recipe,):
         for entry in entries:
@@ -151,23 +159,24 @@ def verify_flip(q: int, n: int, recipe: str) -> tuple[FlipRow, ...]:
             e = n // chi.f
             param_w = attach_parameter(n, chi, row_recipe)
             psign = weil_sign[chi.f, chi.a, param_w] * sp_sign(e)
-            predicted = flip_sign(n, psign)
-            consistent = entry.sign_closed == entry.sign_oracle == predicted
+            if psign not in flipped:
+                flipped[psign] = flip_sign(n, psign)
+            predicted = flipped[psign]
             rows.append(
                 FlipRow(
-                    q=q,
-                    n=n,
-                    recipe=row_recipe,
-                    f=chi.f,
-                    e=e,
-                    a=chi.a,
-                    w=chi.w,
-                    sign_closed=entry.sign_closed,
-                    sign_oracle=entry.sign_oracle,
-                    param_w=param_w,
-                    param_sign=psign,
-                    predicted=predicted,
-                    consistent=consistent,
+                    q,
+                    n,
+                    row_recipe,
+                    chi.f,
+                    e,
+                    chi.a,
+                    chi.w,
+                    entry.sign_closed,
+                    entry.sign_oracle,
+                    param_w,
+                    psign,
+                    predicted,
+                    entry.sign_closed == entry.sign_oracle == predicted,
                 )
             )
     return tuple(rows)

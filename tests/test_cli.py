@@ -71,6 +71,21 @@ def test_expand_q_range():
     assert expand_q_range("-999999999999..3") == (2, 3)
 
 
+def test_q_range_does_not_fill_the_factorize_cache():
+    # factorize's cache keeps every argument: filtering a range must not
+    # add one entry per q, and a run adds at most one per kept q (the
+    # cell's prime_power_base)
+    cache = cyclotomic.factorize.cache_info
+    before = cache().currsize
+    kept = expand_q_range("40000..42000")
+    assert cache().currsize == before
+    code, out, err = call_main(["enumerate", "--q", "40000..42000", "--n", "1"])
+    assert (code, err) == (0, "") and len(out.splitlines()) == 3
+    assert cache().currsize - before <= len(kept) + 1
+    factorized = range(40000, 42001)
+    assert kept == tuple(q for q in factorized if len(cyclotomic.factorize(q)) == 1)
+
+
 def test_parse_sign():
     assert parse_sign("+1") == 1
     assert parse_sign("1") == 1
@@ -151,11 +166,17 @@ GOLDEN_DIGESTS = [
     (["verify-flip", "--q", "2..9", "--n", "2..6", "--recipe", "both",
       "--format", "json"],
      "f0505bdbc7c676a5f0aee6563218147fed25b7d97c0e7819494666b710450a22"),
+    # the flip_grid benchmark's whole CSV (bench/reference.json's sha256);
+    # its n = 8 cells hold most of its 34,886 entries
+    (["verify-flip", "--q", "2..16", "--n", "2..8", "--recipe", "both"],
+     "9527ecc3d3553353fe053ad585fc1355aafe034bbfdcb7685081c4219a3308ed"),
 ]
 
 
 @pytest.mark.parametrize(
-    "argv,digest", GOLDEN_DIGESTS, ids=["enumerate-json", "flip-csv", "flip-json"]
+    "argv,digest",
+    GOLDEN_DIGESTS,
+    ids=["enumerate-json", "flip-csv", "flip-json", "flip-grid-csv"],
 )
 def test_golden_digests(argv, digest):
     code, out, err = call_main(argv)
@@ -338,6 +359,27 @@ def test_closed_form_oracle_disagreement_exits_two(capsys, monkeypatch, argv):
     assert out == ""
     assert err.startswith("internal consistency failure: closed-form sign ")
     assert "TameCharacter(q=2, f=2, a=1, w=1)" in err and "n=4" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "--q", "2", "--n", "4"],
+        ["verify-flip", "--q", "2", "--n", "4", "--recipe", "both"],
+    ],
+)
+def test_vanishing_scan_oracle_exits_two(capsys, monkeypatch, argv):
+    # the scan's FS oracle shares sign_division_oracle's vanishing check,
+    # and its message names n, psi's (f, a, c) and G
+    monkeypatch.setattr(tamesigns.division, "fs_indicator", lambda G, psi: 0)
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "internal consistency failure: model of self-dual datum "
+        "TameCharacter(q=2, f=2, a=1, w=1) at n=4 has vanishing indicator: "
+        "psi=SubgroupCharacter(f=2, a=5, c=0) on MetacyclicGroup(m=15, N=8, s=2)\n"
+    )
 
 
 @pytest.mark.parametrize(

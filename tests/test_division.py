@@ -17,7 +17,7 @@ import pytest
 import tamesigns.division
 import tamesigns.metacyclic
 from tamesigns.cyclotomic import cyc_integer, cyc_zero
-from tamesigns.cyclotomic import divisors
+from tamesigns.cyclotomic import divisors, factorize
 from tamesigns.division import (
     SelfdualEntry,
     TameCharacter,
@@ -53,6 +53,9 @@ def test_prime_power_base():
     assert [q for q in range(-2, 33) if is_prime_power(q)] == [
         2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32,
     ]
+    # agrees with the full factorization
+    for q in range(2, 3000):
+        assert is_prime_power(q) == (len(factorize(q)) == 1), q
 
 
 def test_tame_character_validation():
@@ -295,12 +298,15 @@ def _orbit_partition_size(q, n):
 
 def test_scan_walks_each_orbit_once(monkeypatch):
     real = tamesigns.metacyclic.orbit_of
-    scan_walks = []
+    scan_walks, check_walks = [], []
 
     def counted(a, s, m):
-        # the FS oracle's irreducibility check walks too; count only the scan
-        if sys._getframe(1).f_code.co_name == "orbit_partition":
+        # the scan's partition walks, and so does the irreducibility check
+        caller = sys._getframe(1).f_code.co_name
+        if caller == "orbit_partition":
             scan_walks.append((a, m))
+        elif caller == "is_irreducible_induced":
+            check_walks.append((a, m))
         return real(a, s, m)
 
     monkeypatch.setattr(tamesigns.metacyclic, "orbit_of", counted)
@@ -310,3 +316,6 @@ def test_scan_walks_each_orbit_once(monkeypatch):
     # {2, 6, 8, 4}, {5}
     assert _orbit_partition_size(3, 4) == 3 + 4
     assert scan_walks == [(0, 4), (1, 4), (2, 4), (0, 10), (1, 10), (2, 10), (5, 10)]
+    # one check per kept orbit, on the model exponent mod 3^4 - 1 = 80:
+    # f = 2, k = 1 gives a = 2 and 2 * 80/8 = 20; f = 4 gives a = 8, 16
+    assert check_walks == [(20, 80), (8, 80), (16, 80)]

@@ -52,6 +52,7 @@ from tamesigns.metacyclic import (
     make_subgroup_character,
     matrix_model,
     matrix_of,
+    orbit_irreps,
     orbit_of,
     orbit_partition,
     theta_sign,
@@ -674,6 +675,24 @@ def test_hand_built_irrep_is_checked_when_built():
         psi._replace(a=0)
     with pytest.raises(UsageError, match="need 0 <= c < N/f"):
         Irrep._make((2, 5, 4, G))
+
+
+def test_orbit_irreps_validates_its_orbit_and_each_c():
+    G = make_group(15, 8, 2)
+    irreps = orbit_irreps(G, 2, 10, (3, 0))  # orbit {5, 10}
+    assert irreps == [(2, 10, 3, G), (2, 10, 0, G)]
+    assert all(type(p) is Irrep and p.group is G for p in irreps)
+    with pytest.raises(UsageError, match=r"need 0 <= a < m = 15, got a=20"):
+        orbit_irreps(G, 2, 20, (0,))
+    with pytest.raises(UsageError, match=r"need 0 <= c < N/f = 4, got c=4"):
+        orbit_irreps(G, 2, 5, (0, 4))
+    with pytest.raises(UsageError, match="f must divide N"):
+        orbit_irreps(G, 3, 5, (0,))
+    # the orbit of 0 has size 1, so both routes call f = 2 reducible
+    with pytest.raises(
+        InternalConsistencyError, match="orbit of a=0 has size 2 but does not"
+    ):
+        orbit_irreps(G, 2, 0, (0,))
 
 
 def test_irreducibility_disagreement_names_both_routes(monkeypatch):

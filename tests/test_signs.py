@@ -13,6 +13,7 @@ from __future__ import annotations
 import pytest
 
 import tamesigns.division
+import tamesigns.metacyclic
 import tamesigns.signs
 from tamesigns.division import enumerate_level1_selfdual
 from tamesigns.errors import UsageError
@@ -184,7 +185,31 @@ def test_regularity_is_checked_once_per_built_datum(monkeypatch):
         "sign_weil_closed_form",
         lambda mu: closed.append(mu) or real_closed(mu),
     )
+    # irreducibility once per orbit (both w share it), the FS oracle once
+    # per entry, and the flip once per distinct parameter sign
+    checked, indicated, flipped = [], [], []
+    real_check = tamesigns.metacyclic.is_irreducible_induced
+    real_fs = tamesigns.division.fs_indicator
+    real_flip = tamesigns.signs.flip_sign
+    monkeypatch.setattr(
+        tamesigns.metacyclic,
+        "is_irreducible_induced",
+        lambda G, psi: checked.append(psi) or real_check(G, psi),
+    )
+    monkeypatch.setattr(
+        tamesigns.division,
+        "fs_indicator",
+        lambda G, psi: indicated.append(psi) or real_fs(G, psi),
+    )
+    monkeypatch.setattr(
+        tamesigns.signs,
+        "flip_sign",
+        lambda n, sign: flipped.append((n, sign)) or real_flip(n, sign),
+    )
     rows = verify_flip(3, 4, "both")
     assert len(rows) == 2 * entries
     assert len(regular) == entries
     assert len(closed) == entries
+    assert len(checked) == entries // 2
+    assert len(indicated) == entries
+    assert sorted(flipped) == sorted({(4, row.param_sign) for row in rows})
