@@ -43,6 +43,14 @@ theta_sign, and rationality's character_field and is_real_character)
 trust an Irrep only on the group it was checked on. Any other psi, a
 plain SubgroupCharacter or an Irrep of another group, is checked again
 on every call.
+
+Most irreps are not self-dual, and each sign route decides their 0 by
+its own orbit test, after the irreducibility guard and before any
+cyclotomic arithmetic: fs_indicator_raw returns cyc_zero(N/f) when -a
+is not in the orbit of a (no j has a*s^j = -a), and theta_sign returns
+0 when -u*a is not (no seed survives). Every other psi goes through
+root_sum and, in theta_sign, the seed projection with its symmetry
+check; fs_indicator's three checks run on every sum.
 """
 
 from __future__ import annotations
@@ -356,6 +364,11 @@ def fs_indicator_raw(G: MetacyclicGroup, psi: SubgroupCharacter | Irrep) -> CycI
     The sum over g in G of the character at g^2, which is |G| times the
     indicator; fs_indicator reads it, and tests compare it against
     literal element-by-element evaluation.
+
+    A j survives the collapse iff a*s^j = -a (mod m). When none does,
+    -a is not in the orbit of a, psi is not self-dual, and the sum is
+    cyc_zero(N/f), returned without calling root_sum; otherwise root_sum
+    canonicalises the surviving terms, which may still cancel to 0.
     """
     _require_irreducible(G, psi)
     # Collapsed: (x^i t^j)^2 = x^(i(1+s^j)) t^(2j). Summing over i kills
@@ -371,6 +384,9 @@ def fs_indicator_raw(G: MetacyclicGroup, psi: SubgroupCharacter | Irrep) -> CycI
         if (a * (1 + spow[j])) % m == 0:
             e = (c * (((2 * j) % N) // f)) % Nf
             counts[e] = counts.get(e, 0) + m * f
+    if not counts:
+        # no j survives: -a is not in the orbit of a, and the sum is 0
+        return cyc_zero(Nf)
     return root_sum(Nf, counts)
 
 
@@ -381,10 +397,12 @@ def fs_indicator(G: MetacyclicGroup, psi: SubgroupCharacter | Irrep) -> int:
     integer, |G| must divide it, and c must be in {-1, 0, +1}; any other
     value raises InternalConsistencyError rather than being rounded.
     """
-    total = try_as_integer(fs_indicator_raw(G, psi))
+    raw = fs_indicator_raw(G, psi)
+    total = try_as_integer(raw)
     if total is None:
         raise InternalConsistencyError(
-            f"FS sum for psi={psi} on {G} is not a rational integer"
+            f"FS sum for psi={psi} on {G} is not a rational integer: "
+            f"conductor {raw.conductor}, coefficients {raw.coeffs}"
         )
     if total % G.order != 0:
         raise InternalConsistencyError(
@@ -555,6 +573,12 @@ def theta_sign(
     The sum over the normal subgroup <x> is collapsed exactly: the seed
     survives only if a*s^-mu = -u*a*s^-nu (mod m), and the remaining
     sum over j in [0, N) is accumulated at exponent level.
+
+    Where 0 is decided: some seed survives iff -u*a is in the orbit
+    {a*s^r : 0 <= r < f}, which depends on u and not on v, w or c. When
+    it is not, the sign is 0 before any seed is built. Otherwise -u*a =
+    a*s^r, the surviving seeds are the f pairs (mu, mu + r mod f), they
+    are projected in turn, and 0 means every projection vanished.
     """
     _require_irreducible(G, psi)
     f, a, c = psi.f, psi.a, psi.c
@@ -562,24 +586,21 @@ def theta_sign(
     Nf = N // f
     u, v, w = theta.u, theta.v, theta.w
     spow = G.s_powers
-    sinv_pows = [spow[-r % N] for r in range(f)]
-    # Index nu by -u*a*s^-nu, so row mu looks up its surviving seeds.
-    partners: dict[int, list[int]] = {}
-    for nu in range(f):
-        partners.setdefault((-u * a * sinv_pows[nu]) % m, []).append(nu)
-    seeds = [
-        (mu, nu)
-        for mu in range(f)
-        for nu in partners.get((a * sinv_pows[mu]) % m, ())
-    ]
-    if not seeds:
+    # a*s^-mu = -u*a*s^-nu iff -u*a = a*s^(nu-mu); the orbit has exactly
+    # f points, so row mu has one seed, nu = mu + r, or none has any
+    orbit = [a * p % m for p in spow[:f]]
+    target = (-u * a) % m
+    if target not in orbit:
         return 0
+    r = orbit.index(target)
+    sinv_pows = [spow[-k % N] for k in range(f)]
     T = _twisted_prefix(G, w)
     M0 = _char_conductor(G, psi)
     step_m = M0 // m
     step_t = M0 // Nf
 
-    for mu, nu in seeds:
+    for mu in range(f):
+        nu = (mu + r) % f
         vas = v * a * sinv_pows[nu] % m  # em below is v*T[j]*a*s^-nu
         cells: dict[tuple[int, int], dict[int, int]] = {}
         for j in range(N):
@@ -623,6 +644,7 @@ def theta_sign(
             return -1
         raise InternalConsistencyError(
             f"twisted form for psi={psi}, theta={theta} on {G} is "
-            f"neither symmetric nor antisymmetric"
+            f"neither symmetric nor antisymmetric at seed (mu, nu) = "
+            f"({mu}, {nu})"
         )
     return 0

@@ -27,6 +27,7 @@ from tamesigns.cyclotomic import (
     cyc_root,
     cyc_scale,
     cyc_zero,
+    root_sum,
     try_as_integer,
 )
 from tamesigns.errors import InternalConsistencyError, UsageError
@@ -499,6 +500,10 @@ def test_theta_identity_equals_fs(m, N, s):
         (4, 2, 1, 1, 2, 1),
         (16, 4, 3, 15, 0, 1),
         (9, 6, 2, 8, 0, 1),
+        # u not in {1, -1}: the zero test must read -u*a, not -a
+        (15, 8, 2, 4, 0, 1),
+        (15, 8, 2, 11, 0, 1),
+        (21, 6, 2, 8, 0, 1),
     ],
 )
 def test_theta_sign_literal_matches_collapsed(m, N, s, u, v, w):
@@ -518,6 +523,99 @@ def test_theta_with_translation_part():
     for psi in enumerate_irreps(G):
         expected = 1 if psi.a % 2 == 0 else 0
         assert theta_sign(G, theta, psi) == expected, psi
+
+
+def _count_root_sum(monkeypatch) -> list[int]:
+    calls = [0]
+    real = tamesigns.metacyclic.root_sum
+
+    def counted(conductor, counts):
+        calls[0] += 1
+        return real(conductor, counts)
+
+    monkeypatch.setattr(tamesigns.metacyclic, "root_sum", counted)
+    return calls
+
+
+def _in_orbit(G, b, psi) -> bool:
+    # b mod m against {a*s^r : 0 <= r < f}, with powers taken afresh
+    return b % G.m in {psi.a * pow(G.s, r, G.m) % G.m for r in range(psi.f)}
+
+
+# u = 11 = -s^2 and u = 14 = -1 put -u*a in the orbit of every a
+@pytest.mark.parametrize(
+    "u,some_skip", [(1, True), (4, True), (11, False), (14, False)]
+)
+def test_zero_sign_skips_root_sum_exactly_off_the_orbit(monkeypatch, u, some_skip):
+    # On C_15 x| C_8, theta_sign decides 0 without root_sum exactly when
+    # -u*a is outside the orbit of a, and projects a seed otherwise.
+    G = make_group(15, 8, 2)
+    theta = make_involution(G, u, 0, 1)
+    calls = _count_root_sum(monkeypatch)
+    skipped = 0
+    for psi in enumerate_irreps(G):
+        calls[0] = 0
+        sign = theta_sign(G, theta, psi)
+        if _in_orbit(G, -u * psi.a, psi):
+            assert calls[0] > 0, psi
+        else:
+            assert (sign, calls[0]) == (0, 0), psi
+            skipped += 1
+    assert (skipped > 0) == some_skip
+
+
+def test_fs_zero_skips_root_sum_exactly_off_the_orbit(monkeypatch):
+    # fs_indicator_raw returns root_sum's empty sum at conductor N/f,
+    # without calling it, exactly when -a is outside the orbit of a.
+    G = make_group(15, 8, 2)
+    calls = _count_root_sum(monkeypatch)
+    skipped = 0
+    for psi in enumerate_irreps(G):
+        ind = fs_indicator(G, psi)
+        calls[0] = 0
+        raw = fs_indicator_raw(G, psi)
+        if _in_orbit(G, -psi.a, psi):
+            assert calls[0] == 1, psi
+        else:
+            assert calls[0] == 0, psi
+            assert raw == root_sum(G.N // psi.f, {}), psi
+            skipped += 1
+        if ind != 0:
+            assert calls[0] == 1, psi
+    assert skipped > 0
+
+
+def test_fs_not_integer_message_names_the_raw_sum(monkeypatch):
+    G = make_group(3, 4, 2)
+    psi = enumerate_irreps(G)[-1]
+    monkeypatch.setattr(
+        tamesigns.metacyclic, "fs_indicator_raw", lambda G, psi: cyc_root(4, 1)
+    )
+    with pytest.raises(InternalConsistencyError) as info:
+        fs_indicator(G, psi)
+    assert str(info.value) == (
+        f"FS sum for psi={psi} on {G} is not a rational integer: "
+        "conductor 4, coefficients (0, 1)"
+    )
+
+
+def test_neither_type_message_names_the_seed(monkeypatch):
+    # distinct positive values in every cell: the form is neither type
+    G = make_group(3, 4, 2)
+    theta = identity_involution(G)
+    psi = make_subgroup_character(G, 2, 1, 0)
+    values = itertools.count(1)
+    monkeypatch.setattr(
+        tamesigns.metacyclic,
+        "root_sum",
+        lambda conductor, counts: cyc_integer(next(values), conductor),
+    )
+    with pytest.raises(InternalConsistencyError) as info:
+        theta_sign(G, theta, psi)
+    assert str(info.value) == (
+        f"twisted form for psi={psi}, theta={theta} on {G} is "
+        "neither symmetric nor antisymmetric at seed (mu, nu) = (0, 1)"
+    )
 
 
 # ---------------------------------------------------------------------------
