@@ -25,6 +25,7 @@ import json
 import sys
 from functools import cache
 from math import lcm
+from operator import itemgetter
 
 from .division import (
     TameCharacter,
@@ -68,6 +69,11 @@ PRODUCT_COLUMNS = ("count", "product", "verdict")
 SIGN_CELLS = frozenset(
     {"w", "sign_closed", "sign_oracle", "param_w", "param_sign", "predicted", "product"}
 )
+# columns holding a bool
+BOOL_CELLS = frozenset({"regular", "selfdual", "agree", "consistent"})
+# (command, column) pairs outside SIGN_CELLS that may hold None: the weil
+# side of `sign` has no n
+OPTIONAL_CELLS = frozenset({("sign", "n")})
 
 
 # ---------------------------------------------------------------------------
@@ -127,10 +133,7 @@ def parse_sign(text: str) -> int:
 
 
 _SIGN_TEXT = {1: "+1", -1: "-1", 0: "0", None: ""}
-
-
-def fmt_bool(v: bool) -> str:
-    return "true" if v else "false"
+_BOOL_TEXT = {True: "true", False: "false"}
 
 
 def fmt_root(conductor: int, exponent: int) -> str:
@@ -143,16 +146,31 @@ def fmt_root(conductor: int, exponent: int) -> str:
     return f"zeta{conductor}^{k}"
 
 
-def _csv_cell(value) -> str:
-    if isinstance(value, bool):
-        return fmt_bool(value)
-    if value is None:
-        return ""
-    return str(value)
+def _optional_text(value) -> str:
+    return "" if value is None else str(value)
+
+
+def _cell_text(command: str, column: str):
+    """The function that writes one CSV cell of the column, by its kind."""
+    if column in SIGN_CELLS:
+        return _SIGN_TEXT.__getitem__
+    if column in BOOL_CELLS:
+        return _BOOL_TEXT.__getitem__
+    if (command, column) in OPTIONAL_CELLS:
+        return _optional_text
+    return str
 
 
 def render(fmt: str, command: str, columns: tuple[str, ...], rows: list[tuple]) -> str:
-    """Render rows, each a tuple in column order, as CSV or JSON."""
+    """Render rows, each a tuple in column order, as CSV or JSON.
+
+    A CSV cell is written by its column's kind, whose function is chosen
+    once per call: a sign as +1, -1, 0 or empty (None); a bool as true or
+    false; a column of OPTIONAL_CELLS as empty for None; any other value
+    by str. Each column's cells are written lazily and zipped back into
+    lines, so on enumerate and verify-flip, whose functions are all
+    builtins, no Python-level code runs per row or per cell.
+    """
     if fmt == "json":
         payload = {
             "schema_version": SCHEMA_VERSION,
@@ -167,10 +185,10 @@ def render(fmt: str, command: str, columns: tuple[str, ...], rows: list[tuple]) 
         ",".join(columns),
     ]
     cells = [
-        _SIGN_TEXT.__getitem__ if col in SIGN_CELLS else _csv_cell for col in columns
+        map(_cell_text(command, col), map(itemgetter(i), rows))
+        for i, col in enumerate(columns)
     ]
-    for row in rows:
-        lines.append(",".join([cell(value) for cell, value in zip(cells, row)]))
+    lines.extend(map(",".join, zip(*cells)))
     return "\n".join(lines) + "\n"
 
 

@@ -25,11 +25,11 @@ it walks each Galois orbit once in orbit_partition(q, q^d + 1).
 
 Where each check of the enumeration runs: per (q, n) cell, the model
 group is built once and the row count is checked against its Moebius
-count; per orbit, the model is checked irreducible once (orbit_irreps),
-which serves both w; per entry, the datum's constructor checks
-regularity, the closed form checks self-duality and (q - 1) | a, and
-the FS oracle, with its vanishing check, is compared with the closed
-form.
+count; per orbit, the model is checked irreducible once (orbit_irreps)
+and the datum regular once (by the constructor of its w = +1 entry;
+regularity depends on (q, f, a) only), and both checks serve both w;
+per entry, the closed form checks self-duality and (q - 1) | a, and the
+FS oracle, with its vanishing check, is compared with the closed form.
 """
 
 from __future__ import annotations
@@ -212,13 +212,28 @@ def _model_sign(
 _SIGNS = (1, -1)
 
 
+def _with_sign(chi: TameCharacter, w: int) -> TameCharacter:
+    # chi with uniformizer sign w = +-1, of chi's own type, built without
+    # __post_init__: its checks other than w's, regularity's orbit walk
+    # among them, depend on (q, f, a) only, and chi has passed them
+    twin = object.__new__(type(chi))
+    twin.__dict__.update(chi.__dict__, w=w)
+    return twin
+
+
 @dataclass(frozen=True)
 class SelfdualEntry:
-    """One enumerated self-dual representation with both sign routes."""
+    """One enumerated self-dual representation with both sign routes.
+
+    psi is the representation's model on the cell's group (psi.group):
+    division_model(n, chi), checked irreducible. It is derived from chi,
+    so it is not in ==, hash or repr.
+    """
 
     chi: TameCharacter
     sign_closed: int
     sign_oracle: int
+    psi: Irrep = field(repr=False, compare=False)
 
 
 def enumerate_level1_selfdual(q: int, n: int) -> list[SelfdualEntry]:
@@ -235,13 +250,15 @@ def enumerate_level1_selfdual(q: int, n: int) -> list[SelfdualEntry]:
     orbit's model exponent a * (q^n-1)/(q^f-1) is formed once and checked
     irreducible once, by orbit_irreps, which gives the inducing data of
     both entries: c = 0 for w = +1 and c = n/f for w = -1, as in
-    division_model. Each entry's datum is built as a (regular)
-    TameCharacter, its closed form checks self-duality, and its oracle is
-    the FS indicator of its own Irrep, which must not vanish, as in
-    sign_division_oracle. A datum refused there is an enumeration fault,
-    and two routes that disagree are a fault too. The cell as a whole is
-    checked against its Moebius row count. Every fault raises
-    InternalConsistencyError.
+    division_model; each entry keeps its Irrep. Each orbit's w = +1
+    datum is built as a TameCharacter, whose constructor checks it in
+    full, regularity included, and its w = -1 twin is copied from it
+    with only w changed. Each entry's closed form checks self-duality,
+    and its oracle is the FS indicator of its own Irrep, which must not
+    vanish, as in sign_division_oracle. A datum refused there is an
+    enumeration fault, and two routes that disagree are a fault too.
+    The cell as a whole is checked against its Moebius row count. Every
+    fault raises InternalConsistencyError.
     """
     prime_power_base(q)
     if n < 1:
@@ -260,7 +277,9 @@ def enumerate_level1_selfdual(q: int, n: int) -> list[SelfdualEntry]:
             models = orbit_irreps(G, f, _model_exponent(q, n, f, a), cs)
             for w, psi in zip(_SIGNS, models):
                 try:
-                    chi = TameCharacter(q, f, a, w)
+                    # _SIGNS lists w = +1 first: its datum is built and
+                    # checked, and the w = -1 datum is its twin
+                    chi = TameCharacter(q, f, a, w) if w == 1 else _with_sign(chi, w)
                     closed = sign_division_closed_form(chi)
                     oracle = _model_sign(n, chi, G, psi)
                 except UsageError as exc:
@@ -273,7 +292,7 @@ def enumerate_level1_selfdual(q: int, n: int) -> list[SelfdualEntry]:
                         f"closed-form sign {closed} disagrees with the "
                         f"Frobenius-Schur oracle {oracle} for {chi} at n={n}"
                     )
-                entries.append(SelfdualEntry(chi, closed, oracle))
+                entries.append(SelfdualEntry(chi, closed, oracle, psi))
     predicted = selfdual_row_count(q, n)
     if len(entries) != predicted:
         raise InternalConsistencyError(

@@ -35,7 +35,7 @@ from .division import (
     sign_division_closed_form,
 )
 from .errors import InternalConsistencyError, UsageError
-from .metacyclic import det_exponents
+from .metacyclic import Irrep, MetacyclicGroup, SubgroupCharacter, det_exponents
 
 __all__ = [
     "RECIPES",
@@ -56,8 +56,20 @@ def sign_weil_closed_form(mu: TameCharacter) -> int:
     on the torus and equals -w at t, so det mu is nontrivial exactly when
     mu is orthogonal. Any mismatch raises InternalConsistencyError.
     """
-    w = sign_division_closed_form(mu)
     G, psi = division_model(mu.f, mu)
+    return _sign_weil_on_model(mu, G, psi)
+
+
+def _sign_weil_on_model(
+    mu: TameCharacter, G: MetacyclicGroup, psi: SubgroupCharacter | Irrep
+) -> int:
+    """sign_weil_closed_form(mu) with mu's model (G, psi) given.
+
+    (G, psi) must be division_model(f, mu), however it was built: the
+    verify-flip table passes an entry's own Irrep at f = n, where the
+    cell's model is mu's.
+    """
+    w = sign_division_closed_form(mu)
     (Mx, kx), (Mt, kt) = det_exponents(G, psi)
     if kx % Mx != 0:
         raise InternalConsistencyError(

@@ -170,13 +170,29 @@ GOLDEN_DIGESTS = [
     # its n = 8 cells hold most of its 34,886 entries
     (["verify-flip", "--q", "2..16", "--n", "2..8", "--recipe", "both"],
      "9527ecc3d3553353fe053ad585fc1355aafe034bbfdcb7685081c4219a3308ed"),
+    # the CSV of every other command: enumerate's bool columns, the weil
+    # side's empty n, and a non-self-dual datum's empty closed form and
+    # zero oracle
+    (["enumerate", "--q", "2..9", "--n", "1..8"],
+     "4711d69b7a3f2834cf6eb8517e857be97517935eed205ad3d566807dcc321773"),
+    (["sign", "--side", "weil", "--q", "2", "--f", "2", "--a", "1", "--w", "-1"],
+     "474fa3178319ed18b5ad7be26ee7cb222be39a5f36e22f47af57d88c960dd57f"),
+    (["sign", "--side", "division", "--q", "3", "--n", "2", "--f", "2", "--a", "1",
+      "--w", "+1"],
+     "89adb6141a70f25ed46d39f1172daa9062f3688b6680a5c4d5576126cded2134"),
+    (["product-check", "-1", "+1"],
+     "13df02bee48ff0a7aa42fc8408b4392504044480ed78f5ea5611fe6f72bc0e13"),
 ]
 
 
 @pytest.mark.parametrize(
     "argv,digest",
     GOLDEN_DIGESTS,
-    ids=["enumerate-json", "flip-csv", "flip-json", "flip-grid-csv"],
+    ids=[
+        "enumerate-json", "flip-csv", "flip-json", "flip-grid-csv",
+        "enumerate-csv", "sign-weil-csv", "sign-non-selfdual-csv",
+        "product-check-csv",
+    ],
 )
 def test_golden_digests(argv, digest):
     code, out, err = call_main(argv)
@@ -259,6 +275,68 @@ def test_sign_rejects_non_regular(capsys):
     assert code == 1
     assert out == ""
     assert "regular" in err
+
+
+COMMAND_COLUMNS = {
+    "enumerate": cli.ENUMERATE_COLUMNS,
+    "verify-flip": cli.FLIP_COLUMNS,
+    "sign": cli.SIGN_COLUMNS,
+    "product-check": cli.PRODUCT_COLUMNS,
+}
+
+
+def test_every_column_has_one_kind():
+    # a column is a sign, a bool, or written by str (empty for None where
+    # OPTIONAL_CELLS allows it), and each kind names real columns
+    named = set().union(*COMMAND_COLUMNS.values())
+    assert not cli.SIGN_CELLS & cli.BOOL_CELLS
+    assert cli.SIGN_CELLS | cli.BOOL_CELLS <= named
+    for command, column in cli.OPTIONAL_CELLS:
+        assert column in COMMAND_COLUMNS[command]
+        assert column not in cli.SIGN_CELLS | cli.BOOL_CELLS
+    assert cli.BOOL_CELLS == {"regular", "selfdual", "agree", "consistent"}
+
+
+def test_rows_hold_what_their_column_kind_writes(monkeypatch):
+    # {True: "true"}[1] and _SIGN_TEXT[True] would print an int as a bool
+    # and a bool as a sign, so each kind's column holds only its own type
+    seen = []
+    real = cli.render
+
+    def recording(fmt, command, columns, rows):
+        seen.append((command, columns, rows))
+        return real(fmt, command, columns, rows)
+
+    monkeypatch.setattr(cli, "render", recording)
+    for argv in (
+        ["enumerate", "--q", "2..5", "--n", "1..4"],
+        ["verify-flip", "--q", "2..5", "--n", "2..4", "--recipe", "both"],
+        ["sign", "--side", "weil", "--q", "2", "--f", "2", "--a", "1", "--w", "-1"],
+        ["sign", "--side", "division", "--q", "2", "--n", "4", "--f", "2",
+         "--a", "1", "--w", "-1"],
+        ["sign", "--side", "division", "--q", "3", "--n", "2", "--f", "2",
+         "--a", "1", "--w", "+1"],
+        ["product-check", "+1", "-1", "-1"],
+        ["product-check", "-1", "+1"],
+    ):
+        assert call_main(argv)[0] == 0, argv
+    assert {command for command, _, _ in seen} == set(COMMAND_COLUMNS)
+    nones = set()
+    for command, columns, rows in seen:
+        assert columns == COMMAND_COLUMNS[command]
+        for row in rows:
+            assert len(row) == len(columns)
+            for column, value in zip(columns, row):
+                if column in cli.BOOL_CELLS:
+                    assert type(value) is bool, (command, column, value)
+                elif column in cli.SIGN_CELLS:
+                    assert type(value) in (int, type(None)), (command, column)
+                    assert value in (1, -1, 0, None), (command, column, value)
+                else:
+                    assert not isinstance(value, bool), (command, column)
+                    if value is None:
+                        nones.add((command, column))
+    assert nones == cli.OPTIONAL_CELLS
 
 
 def test_product_check_ok_and_violated(capsys):

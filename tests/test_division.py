@@ -34,6 +34,7 @@ from tamesigns.division import (
 from tamesigns.errors import InternalConsistencyError, UsageError
 from tamesigns.metacyclic import (
     GroupElem,
+    Irrep,
     SubgroupCharacter,
     is_irreducible_induced,
     matrix_of,
@@ -227,6 +228,21 @@ def test_enumerate_odd_degree_is_empty():
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_enumerated_datum_matches_a_built_one(q):
+    # the w = -1 datum of each orbit is copied from the w = +1 one, not
+    # built: it must be indistinguishable from a TameCharacter built fresh
+    for n in range(1, 9):
+        for entry in enumerate_level1_selfdual(q, n):
+            chi = entry.chi
+            built = TameCharacter(q, chi.f, chi.a, chi.w)
+            assert type(chi) is TameCharacter
+            assert chi == built and hash(chi) == hash(built), chi
+            assert repr(chi) == repr(built)
+            assert chi.torus_order == built.torus_order
+            assert vars(chi) == vars(built)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
 def test_row_count_matches_enumeration(q):
     for n in range(1, 7):
         assert selfdual_row_count(q, n) == len(enumerate_level1_selfdual(q, n))
@@ -270,14 +286,18 @@ def _min_of_orbit_scan(q, n):
                 chi = TameCharacter(q, f, a, w)
                 closed = sign_division_closed_form(chi)
                 oracle = sign_division_oracle(n, chi)
-                entries.append(SelfdualEntry(chi, closed, oracle))
+                G, psi = division_model(n, chi)
+                entries.append(SelfdualEntry(chi, closed, oracle, Irrep(*psi, G)))
     return entries
 
 
 @pytest.mark.parametrize("q", [q for q in range(2, 17) if is_prime_power(q)])
 def test_one_walk_scan_matches_min_of_orbit_scan(q):
+    # == leaves out the derived psi, so compare it too, with its group
     for n in range(1, 9):
-        assert enumerate_level1_selfdual(q, n) == _min_of_orbit_scan(q, n), n
+        got, want = enumerate_level1_selfdual(q, n), _min_of_orbit_scan(q, n)
+        assert got == want, n
+        assert [e.psi for e in got] == [e.psi for e in want], n
 
 
 def _orbit_partition_size(q, n):

@@ -15,6 +15,7 @@ import pytest
 import tamesigns.division
 import tamesigns.metacyclic
 import tamesigns.signs
+import tamesigns.weil
 from tamesigns.division import enumerate_level1_selfdual
 from tamesigns.errors import UsageError
 from tamesigns.signs import (
@@ -168,13 +169,19 @@ def test_verify_flip_refuses_unknown_recipe_before_enumerating(monkeypatch, n):
 
 
 def test_regularity_is_checked_once_per_built_datum(monkeypatch):
-    # one is_regular walk per TameCharacter built, and that is only the
-    # enumerated entries: each row's attached parameter is one of them, so
-    # the Weil closed form also runs once per entry, under both recipes
-    entries = len(enumerate_level1_selfdual(3, 4))
-    regular, closed = [], []
+    # one is_regular walk per orbit: the w = +1 datum is built and checked,
+    # and its w = -1 twin copied from it. Each row's attached parameter is
+    # an enumerated datum, so the Weil closed form runs once per entry
+    # under both recipes: through sign_weil_closed_form at f < n, and on
+    # the entry's own model at f = n; either way its det route runs once
+    listed = enumerate_level1_selfdual(3, 4)
+    entries = len(listed)
+    below = sum(entry.chi.f < 4 for entry in listed)
+    assert 0 < below < entries
+    regular, closed, dets = [], [], []
     real_regular = tamesigns.division.is_regular
     real_closed = tamesigns.signs.sign_weil_closed_form
+    real_det = tamesigns.weil.det_exponents
     monkeypatch.setattr(
         tamesigns.division,
         "is_regular",
@@ -184,6 +191,11 @@ def test_regularity_is_checked_once_per_built_datum(monkeypatch):
         tamesigns.signs,
         "sign_weil_closed_form",
         lambda mu: closed.append(mu) or real_closed(mu),
+    )
+    monkeypatch.setattr(
+        tamesigns.weil,
+        "det_exponents",
+        lambda G, psi: dets.append(psi) or real_det(G, psi),
     )
     # irreducibility once per orbit (both w share it), the FS oracle once
     # per entry, and the flip once per distinct parameter sign
@@ -208,8 +220,9 @@ def test_regularity_is_checked_once_per_built_datum(monkeypatch):
     )
     rows = verify_flip(3, 4, "both")
     assert len(rows) == 2 * entries
-    assert len(regular) == entries
-    assert len(closed) == entries
+    assert len(regular) == entries // 2
+    assert len(closed) == below
+    assert len(dets) == entries
     assert len(checked) == entries // 2
     assert len(indicated) == entries
     assert sorted(flipped) == sorted({(4, row.param_sign) for row in rows})
