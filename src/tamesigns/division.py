@@ -223,17 +223,11 @@ def _with_sign(chi: TameCharacter, w: int) -> TameCharacter:
 
 @dataclass(frozen=True)
 class SelfdualEntry:
-    """One enumerated self-dual representation with both sign routes.
-
-    psi is the representation's model on the cell's group (psi.group):
-    division_model(n, chi), checked irreducible. It is derived from chi,
-    so it is not in ==, hash or repr.
-    """
+    """One enumerated self-dual representation with both sign routes."""
 
     chi: TameCharacter
     sign_closed: int
     sign_oracle: int
-    psi: Irrep = field(repr=False, compare=False)
 
 
 def enumerate_level1_selfdual(q: int, n: int) -> list[SelfdualEntry]:
@@ -250,15 +244,17 @@ def enumerate_level1_selfdual(q: int, n: int) -> list[SelfdualEntry]:
     orbit's model exponent a * (q^n-1)/(q^f-1) is formed once and checked
     irreducible once, by orbit_irreps, which gives the inducing data of
     both entries: c = 0 for w = +1 and c = n/f for w = -1, as in
-    division_model; each entry keeps its Irrep. Each orbit's w = +1
-    datum is built as a TameCharacter, whose constructor checks it in
-    full, regularity included, and its w = -1 twin is copied from it
-    with only w changed. Each entry's closed form checks self-duality,
-    and its oracle is the FS indicator of its own Irrep, which must not
-    vanish, as in sign_division_oracle. A datum refused there is an
-    enumeration fault, and two routes that disagree are a fault too.
-    The cell as a whole is checked against its Moebius row count. Every
-    fault raises InternalConsistencyError.
+    division_model. Each orbit's w = +1 datum is built as a
+    TameCharacter, whose constructor checks it in full, regularity
+    included, and its w = -1 twin is copied from it with only w changed.
+    Each entry's closed form checks self-duality, and its oracle is the
+    FS indicator of its Irrep, which must not vanish, as in
+    sign_division_oracle. A datum refused there is an enumeration fault,
+    and two routes that disagree are a fault too. The cell as a whole is
+    checked against its Moebius row count. Every fault raises
+    InternalConsistencyError. An entry keeps only chi and its two signs:
+    the Weil side builds its own model, division_model(f, chi), in
+    sign_weil_closed_form.
     """
     prime_power_base(q)
     if n < 1:
@@ -292,7 +288,7 @@ def enumerate_level1_selfdual(q: int, n: int) -> list[SelfdualEntry]:
                         f"closed-form sign {closed} disagrees with the "
                         f"Frobenius-Schur oracle {oracle} for {chi} at n={n}"
                     )
-                entries.append(SelfdualEntry(chi, closed, oracle, psi))
+                entries.append(SelfdualEntry(chi, closed, oracle))
     predicted = selfdual_row_count(q, n)
     if len(entries) != predicted:
         raise InternalConsistencyError(

@@ -431,13 +431,6 @@ def involution_count(G: MetacyclicGroup) -> int:
     return total
 
 
-def _orbit_sum(G: MetacyclicGroup, psi: SubgroupCharacter | Irrep) -> int:
-    # sum over rho in [0, f) of a * s^rho, mod m; equals the det exponent
-    # of pi(x) since the diagonal of pi(x) carries the orbit of a.
-    f, a = psi.f, psi.a
-    return sum(a * p % G.m for p in G.s_powers[:f]) % G.m
-
-
 def det_exponents(
     G: MetacyclicGroup, psi: SubgroupCharacter | Irrep
 ) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -449,7 +442,9 @@ def det_exponents(
     f, c = psi.f, psi.c
     Nf = G.N // f
     M1 = lcm(2, Nf)
-    kx = _orbit_sum(G, psi)
+    # the diagonal of pi(x) carries the orbit a * s^rho, 0 <= rho < f, so
+    # its exponents sum to a * (s^0 + ... + s^(f-1)) mod m
+    kx = psi.a * sum(G.s_powers[:f]) % G.m
     kt = (((f - 1) % 2) * (M1 // 2) + (c % Nf) * (M1 // Nf)) % M1
     return (G.m, kx), (M1, kt)
 

@@ -18,11 +18,10 @@ the cell's table of Weil-side closed forms, push it through the flip,
 and record whether everything agrees, one FlipRow per representation
 and recipe. Where each check runs: the division-side checks as
 enumerate_level1_selfdual places them (per cell, per orbit, per entry);
-the Weil closed form with its determinant route once per entry, in the
-cell's table, on the entry's own model at f = n and on a model built by
-sign_weil_closed_form at f < n; attach_parameter's guards once per row;
-and the flip's case analysis against transfer_sign once per distinct
-parameter sign in the cell.
+the Weil closed form with its determinant route once per entry, by
+sign_weil_closed_form in the cell's table; attach_parameter's guards
+once per row; and the flip's case analysis against transfer_sign once
+per distinct parameter sign in the cell.
 """
 
 from __future__ import annotations
@@ -32,13 +31,7 @@ from typing import Iterable, NamedTuple
 
 from .division import enumerate_level1_selfdual
 from .errors import InternalConsistencyError, UsageError
-from .weil import (
-    RECIPES,
-    _sign_weil_on_model,
-    attach_parameter,
-    sign_weil_closed_form,
-    sp_sign,
-)
+from .weil import RECIPES, attach_parameter, sign_weil_closed_form, sp_sign
 
 __all__ = [
     "transfer_sign",
@@ -145,27 +138,20 @@ def verify_flip(q: int, n: int, recipe: str) -> tuple[FlipRow, ...]:
     the recipe, its sign feeds the flip, and the row is consistent when
     closed form, oracle, and flipped prediction all agree. The attached
     parameter is one of the cell's own data, so its sign is read from a
-    per-cell table that runs the Weil closed form, with its guards and
-    determinant route, once per datum: at f = n the datum's model
-    division_model(f, mu) is the cell's, so the route runs on the
-    entry's own Irrep, and at f < n sign_weil_closed_form builds it. The
-    flip depends only on (n, parameter sign), so flip_sign, with its
-    case-analysis-vs-transfer check, runs once per distinct parameter
-    sign in the cell: at most twice. recipe "both" enumerates the cell
-    once and gives the PR rows, then the SZ rows.
+    per-cell table that runs sign_weil_closed_form, with its guards and
+    determinant route, once per datum. The flip depends only on (n,
+    parameter sign), so flip_sign, with its case-analysis-vs-transfer
+    check, runs once per distinct parameter sign in the cell: at most
+    twice. recipe "both" enumerates the cell once and gives the PR rows,
+    then the SZ rows.
     """
     if recipe != "both" and recipe not in RECIPES:
         raise UsageError(f"recipe must be one of {RECIPES} or 'both', got {recipe!r}")
     entries = enumerate_level1_selfdual(q, n)
-    weil_sign = {}
+    weil_sign = {}  # (f, a, w) -> sign_weil_closed_form of that datum
     for entry in entries:
         chi = entry.chi
-        if chi.f == n:
-            weil_sign[chi.f, chi.a, chi.w] = _sign_weil_on_model(
-                chi, entry.psi.group, entry.psi
-            )
-        else:
-            weil_sign[chi.f, chi.a, chi.w] = sign_weil_closed_form(chi)
+        weil_sign[chi.f, chi.a, chi.w] = sign_weil_closed_form(chi)
     flipped: dict[int, int] = {}  # parameter sign -> flip_sign(n, sign)
     rows = []
     for row_recipe in RECIPES if recipe == "both" else (recipe,):

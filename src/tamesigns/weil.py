@@ -35,7 +35,7 @@ from .division import (
     sign_division_closed_form,
 )
 from .errors import InternalConsistencyError, UsageError
-from .metacyclic import Irrep, MetacyclicGroup, SubgroupCharacter, det_exponents
+from .metacyclic import det_exponents
 
 __all__ = [
     "RECIPES",
@@ -54,22 +54,12 @@ def sign_weil_closed_form(mu: TameCharacter) -> int:
     Then the determinant characterization is cross-checked on the model
     division_model(f, mu): for f even and self-dual mu, det mu is trivial
     on the torus and equals -w at t, so det mu is nontrivial exactly when
-    mu is orthogonal. Any mismatch raises InternalConsistencyError.
-    """
-    G, psi = division_model(mu.f, mu)
-    return _sign_weil_on_model(mu, G, psi)
-
-
-def _sign_weil_on_model(
-    mu: TameCharacter, G: MetacyclicGroup, psi: SubgroupCharacter | Irrep
-) -> int:
-    """sign_weil_closed_form(mu) with mu's model (G, psi) given.
-
-    (G, psi) must be division_model(f, mu), however it was built: the
-    verify-flip table passes an entry's own Irrep at f = n, where the
-    cell's model is mu's.
+    mu is orthogonal. Any mismatch raises InternalConsistencyError. This
+    is the one place the closed form and its determinant route run:
+    verify-flip's per-cell table calls it once per datum.
     """
     w = sign_division_closed_form(mu)
+    G, psi = division_model(mu.f, mu)
     (Mx, kx), (Mt, kt) = det_exponents(G, psi)
     if kx % Mx != 0:
         raise InternalConsistencyError(

@@ -266,6 +266,32 @@ def test_sign_non_selfdual_reports_zero(capsys):
     assert cols["sign_oracle"] == "0"
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="self-duality is read as 'f even', which fails at f = 1 for "
+    "the quadratic characters a = 0 and a = (q-1)/2",
+)
+def test_sign_selfdual_matches_nonzero_indicator_at_f_one(capsys):
+    # f = 1 with a = 0 or a = (q-1)/2 is a quadratic character: its model
+    # has indicator +1 for either w, so it is self-dual although f is odd
+    for side, q, n, a, w in [
+        ("division", 3, 2, 1, 1),
+        ("division", 3, 2, 0, -1),
+        ("division", 4, 2, 0, 1),
+        ("weil", 5, None, 2, -1),
+        ("weil", 2, None, 0, 1),
+    ]:
+        argv = ["sign", "--side", side, "--q", str(q), "--f", "1",
+                "--a", str(a), "--w", str(w), "--format", "json"]
+        if n is not None:
+            argv += ["--n", str(n)]
+        code, out, _ = run(capsys, argv)
+        assert code == 0, argv
+        row = json.loads(out)["rows"][0]
+        assert row["selfdual"] == (row["sign_oracle"] != 0), argv
+
+
 def test_sign_rejects_non_regular(capsys):
     code, out, err = run(
         capsys,

@@ -34,7 +34,6 @@ from tamesigns.division import (
 from tamesigns.errors import InternalConsistencyError, UsageError
 from tamesigns.metacyclic import (
     GroupElem,
-    Irrep,
     SubgroupCharacter,
     is_irreducible_induced,
     matrix_of,
@@ -286,18 +285,15 @@ def _min_of_orbit_scan(q, n):
                 chi = TameCharacter(q, f, a, w)
                 closed = sign_division_closed_form(chi)
                 oracle = sign_division_oracle(n, chi)
-                G, psi = division_model(n, chi)
-                entries.append(SelfdualEntry(chi, closed, oracle, Irrep(*psi, G)))
+                entries.append(SelfdualEntry(chi, closed, oracle))
     return entries
 
 
 @pytest.mark.parametrize("q", [q for q in range(2, 17) if is_prime_power(q)])
 def test_one_walk_scan_matches_min_of_orbit_scan(q):
-    # == leaves out the derived psi, so compare it too, with its group
     for n in range(1, 9):
         got, want = enumerate_level1_selfdual(q, n), _min_of_orbit_scan(q, n)
         assert got == want, n
-        assert [e.psi for e in got] == [e.psi for e in want], n
 
 
 def _orbit_partition_size(q, n):

@@ -30,6 +30,7 @@ from tamesigns.cyclotomic import (
     root_sum,
     try_as_integer,
 )
+from tamesigns.division import division_model, enumerate_level1_selfdual
 from tamesigns.errors import InternalConsistencyError, UsageError
 from tamesigns.metacyclic import (
     GroupElem,
@@ -415,6 +416,27 @@ def test_det_matches_literal(m, N, s):
         Mt = lcm(M0, det_t.conductor)
         assert cyc_embed(literal_det(model["x"]), Mx) == cyc_embed(det_x, Mx), psi
         assert cyc_embed(literal_det(model["t"]), Mt) == cyc_embed(det_t, Mt), psi
+
+
+def literal_orbit_sum(G, psi):
+    # the det exponent of pi(x) as the engine once summed it: one reduced
+    # term per element of the orbit of a
+    return sum(psi.a * p % G.m for p in G.s_powers[: psi.f]) % G.m
+
+
+def test_det_orbit_sum_matches_per_term_sum():
+    # every battery irrep, and both models (at n and at f) of every
+    # self-dual entry with q in 2..4 and n in 2..8
+    groups = [make_group(m, N, s) for m, N, s in BATTERY]
+    models = [(G, psi) for G in groups for psi in enumerate_irreps(G)]
+    for q in (2, 3, 4):
+        for n in range(2, 9):
+            for entry in enumerate_level1_selfdual(q, n):
+                chi = entry.chi
+                models += [division_model(n, chi), division_model(chi.f, chi)]
+    assert len(models) > 400
+    for G, psi in models:
+        assert det_exponents(G, psi)[0] == (G.m, literal_orbit_sum(G, psi)), (G, psi)
 
 
 # ---------------------------------------------------------------------------

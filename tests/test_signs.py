@@ -171,13 +171,11 @@ def test_verify_flip_refuses_unknown_recipe_before_enumerating(monkeypatch, n):
 def test_regularity_is_checked_once_per_built_datum(monkeypatch):
     # one is_regular walk per orbit: the w = +1 datum is built and checked,
     # and its w = -1 twin copied from it. Each row's attached parameter is
-    # an enumerated datum, so the Weil closed form runs once per entry
-    # under both recipes: through sign_weil_closed_form at f < n, and on
-    # the entry's own model at f = n; either way its det route runs once
+    # an enumerated datum, so sign_weil_closed_form, with its det route,
+    # runs once per entry under both recipes, at f < n and at f = n alike
     listed = enumerate_level1_selfdual(3, 4)
     entries = len(listed)
-    below = sum(entry.chi.f < 4 for entry in listed)
-    assert 0 < below < entries
+    assert 0 < sum(entry.chi.f < 4 for entry in listed) < entries
     regular, closed, dets = [], [], []
     real_regular = tamesigns.division.is_regular
     real_closed = tamesigns.signs.sign_weil_closed_form
@@ -221,7 +219,7 @@ def test_regularity_is_checked_once_per_built_datum(monkeypatch):
     rows = verify_flip(3, 4, "both")
     assert len(rows) == 2 * entries
     assert len(regular) == entries // 2
-    assert len(closed) == below
+    assert len(closed) == entries
     assert len(dets) == entries
     assert len(checked) == entries // 2
     assert len(indicated) == entries

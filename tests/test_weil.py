@@ -94,9 +94,8 @@ def test_det_route_break_raises_and_exits_two(monkeypatch, capsys):
         assert "internal consistency failure: det route disagrees" in err
     # break only (q, f, a, w) = (2, 4, 3, -1), whose model is C_15 x| C_8
     # with inducing datum (4, 3, 1): every distinct datum of the cell
-    # runs the det route, so verify-flip still exits 2. At f = n the route
-    # runs on the entry's own Irrep, so compare psi's fields only
-    broken = lambda G, psi: (G.m, G.N, (psi.f, psi.a, psi.c)) == (15, 8, (4, 3, 1))
+    # runs the det route, so verify-flip still exits 2
+    broken = lambda G, psi: (G.m, G.N, psi) == (15, 8, (4, 3, 1))
     assert sign_weil_closed_form(TameCharacter(2, 4, 3, 1)) == 1
     assert main(["verify-flip", "--q", "2", "--n", "4", "--recipe", "both"]) == 2
     out, err = capsys.readouterr()
