@@ -5,11 +5,15 @@ coordinates in the power basis 1, z, z^2, ..., z^(phi(M)-1) where
 z = exp(2*pi*i/M). Coordinates are arbitrary-precision Python ints, so
 every operation here is exact; no floating point is used anywhere.
 
-Arithmetic is performed on exponent vectors modulo x^M - 1 and then
-reduced to the canonical basis by exact long division against the M-th
-cyclotomic polynomial Phi_M. Phi_M is stored sparsely through the
-identity Phi_M(x) = Phi_r(x^(M/r)) with r = radical(M), so reduction
-costs O((M - phi(M)) * nnz(Phi_r)) rather than O(M * phi(M)).
+Values are built as exponent counts modulo x^M - 1 and then reduced to
+the canonical basis by exact long division against the M-th cyclotomic
+polynomial Phi_M. root_sum is the one path from exponent counts to a
+canonical value (cyc_root, cyc_galois and cyc_embed go through it);
+only cyc_mul, whose exponents collide, reduces on its own. The ring
+operations are the cyc_* functions; CycInt has no arithmetic operators.
+Phi_M is stored sparsely through the identity Phi_M(x) = Phi_r(x^(M/r))
+with r = radical(M), so reduction costs O((M - phi(M)) * nnz(Phi_r))
+rather than O(M * phi(M)).
 
 Two values are equal iff they have the same conductor and the same
 coordinates. There is no automatic conductor reduction: the square of
@@ -21,6 +25,7 @@ conductors.
 from __future__ import annotations
 
 from functools import cache
+from math import gcd
 from typing import Iterable, Mapping
 
 from .errors import InternalConsistencyError, UsageError
@@ -216,25 +221,6 @@ class CycInt:
     def __repr__(self) -> str:
         return f"CycInt({self.conductor}, {self.coeffs})"
 
-    def __add__(self, other: "CycInt") -> "CycInt":
-        return cyc_add(self, other)
-
-    def __sub__(self, other: "CycInt") -> "CycInt":
-        return cyc_sub(self, other)
-
-    def __neg__(self) -> "CycInt":
-        return cyc_neg(self)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return cyc_scale(self, other)
-        return cyc_mul(self, other)
-
-    def __rmul__(self, other):
-        if isinstance(other, int):
-            return cyc_scale(self, other)
-        return NotImplemented
-
 
 def cyc_zero(conductor: int = 1) -> CycInt:
     """The zero value at the given conductor."""
@@ -250,25 +236,17 @@ def cyc_integer(c: int, conductor: int = 1) -> CycInt:
 
 def cyc_root(conductor: int, k: int = 1) -> CycInt:
     """zeta_conductor^k in canonical form (k may be any integer)."""
-    if conductor < 1:
-        raise UsageError(f"conductor must be >= 1, got {conductor}")
-    k %= conductor
-    phi = euler_phi(conductor)
-    if k < phi:
-        coeffs = [0] * phi
-        coeffs[k] = 1
-        return CycInt(conductor, coeffs)
-    vec = [0] * conductor
-    vec[k] = 1
-    return CycInt(conductor, _canonical(conductor, vec))
+    return root_sum(conductor, {k: 1})
 
 
 def root_sum(conductor: int, counts: Mapping[int, int]) -> CycInt:
     """Canonical form of sum_k counts[k] * zeta_conductor^k.
 
     Keys are exponents (any ints, folded mod conductor). This is the
-    bridge from exponent-level accumulation to canonical values.
+    one path from exponent counts to canonical values.
     """
+    if conductor < 1:
+        raise UsageError(f"conductor must be >= 1, got {conductor}")
     vec = [0] * conductor
     for k, c in counts.items():
         if c:
@@ -337,17 +315,11 @@ def cyc_pow(a: CycInt, k: int) -> CycInt:
 
 def cyc_galois(a: CycInt, j: int) -> CycInt:
     """Galois action zeta -> zeta^j; requires gcd(j, conductor) = 1."""
-    from math import gcd
-
     M = a.conductor
     j %= M
     if gcd(j, M) != 1:
         raise UsageError(f"cyc_galois needs gcd(j, {M}) = 1, got j = {j}")
-    vec = [0] * M
-    for i, c in enumerate(a.coeffs):
-        if c:
-            vec[(i * j) % M] += c
-    return CycInt(M, _canonical(M, vec))
+    return root_sum(M, {i * j: c for i, c in enumerate(a.coeffs)})
 
 
 def cyc_embed(a: CycInt, conductor: int) -> CycInt:
@@ -357,11 +329,7 @@ def cyc_embed(a: CycInt, conductor: int) -> CycInt:
             f"cyc_embed target {conductor} is not a multiple of {a.conductor}"
         )
     step = conductor // a.conductor
-    vec = [0] * conductor
-    for i, c in enumerate(a.coeffs):
-        if c:
-            vec[i * step] += c
-    return CycInt(conductor, _canonical(conductor, vec))
+    return root_sum(conductor, {i * step: c for i, c in enumerate(a.coeffs)})
 
 
 def try_as_integer(a: CycInt) -> int | None:

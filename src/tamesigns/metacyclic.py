@@ -60,7 +60,7 @@ from functools import cache
 from math import gcd, lcm
 from typing import Iterable, Iterator, NamedTuple
 
-from .cyclotomic import CycInt, cyc_root, cyc_zero, root_sum, try_as_integer
+from .cyclotomic import CycInt, cyc_neg, cyc_root, cyc_zero, root_sum, try_as_integer
 from .errors import InternalConsistencyError, UsageError
 
 __all__ = [
@@ -84,7 +84,6 @@ __all__ = [
     "fs_indicator_raw",
     "involution_count",
     "det_exponents",
-    "matrix_model",
     "matrix_of",
     "make_involution",
     "identity_involution",
@@ -478,16 +477,6 @@ def matrix_of(
     return rows
 
 
-def matrix_model(
-    G: MetacyclicGroup, psi: SubgroupCharacter | Irrep
-) -> dict[str, list[list[CycInt]]]:
-    """Matrices of the two generators x and t for the induced model."""
-    return {
-        "x": matrix_of(G, psi, GroupElem(1 % G.m, 0)),
-        "t": matrix_of(G, psi, GroupElem(0, 1 % G.N)),
-    }
-
-
 # ---------------------------------------------------------------------------
 # involutions of G and twisted orthogonality
 
@@ -631,7 +620,7 @@ def theta_sign(
         if sym:
             return 1
         anti = all(
-            vals.get((b_, a_), zero) == -vals.get((a_, b_), zero)
+            vals.get((b_, a_), zero) == cyc_neg(vals.get((a_, b_), zero))
             for a_ in range(f)
             for b_ in range(f)
         )

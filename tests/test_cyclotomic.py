@@ -96,6 +96,48 @@ def test_embed_transitivity():
     assert cyc_embed(cyc_embed(v, 20), 60) == cyc_embed(v, 60)
 
 
+def test_root_below_phi_is_a_basis_vector():
+    # z^k for 0 <= k < phi(M) needs no reduction: its coefficients are e_k,
+    # checked here without going through root_sum
+    for M in range(1, 61):
+        phi = euler_phi(M)
+        for k in range(phi):
+            assert cyc_root(M, k).coeffs == tuple(int(i == k) for i in range(phi))
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: root_sum(0, {1: 1}), "conductor must be >= 1, got 0"),
+        (lambda: root_sum(-4, {1: 1}), "conductor must be >= 1, got -4"),
+        (lambda: cyc_root(0), "conductor must be >= 1, got 0"),
+        (lambda: cyc_root(-4), "conductor must be >= 1, got -4"),
+        (lambda: cyc_embed(cyc_root(2), 0), "conductor must be >= 1, got 0"),
+        (lambda: cyc_embed(cyc_root(2), -4), "conductor must be >= 1, got -4"),
+        (lambda: factorize(0), "factorize requires n >= 1, got 0"),
+        (
+            lambda: cyclotomic_polynomial(0),
+            "cyclotomic_polynomial requires M >= 1, got 0",
+        ),
+        (lambda: CycInt(6, (1,)), "conductor 6 needs 2 coefficients, got 1"),
+        (lambda: cyc_pow(cyc_root(5), -1), "cyc_pow requires k >= 0, got -1"),
+        (
+            lambda: cyc_galois(cyc_root(4), 2),
+            "cyc_galois needs gcd(j, 4) = 1, got j = 2",
+        ),
+    ],
+    ids=[
+        "root_sum-0", "root_sum-neg", "cyc_root-0", "cyc_root-neg", "cyc_embed-0",
+        "cyc_embed-neg", "factorize", "cyclotomic_polynomial", "CycInt", "cyc_pow",
+        "cyc_galois",
+    ],
+)
+def test_argument_guards(call, message):
+    with pytest.raises(UsageError) as info:
+        call()
+    assert str(info.value) == message
+
+
 def test_conductor_mismatch_rejected():
     with pytest.raises(UsageError):
         cyc_add(cyc_root(3), cyc_root(4))

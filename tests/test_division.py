@@ -138,6 +138,9 @@ def test_division_model_validation():
     chi = TameCharacter(2, 2, 1, 1)
     with pytest.raises(UsageError):
         division_model(3, chi)  # f does not divide n
+    with pytest.raises(UsageError) as info:
+        division_model(0, chi)
+    assert str(info.value) == "n must be >= 1, got 0"
     with pytest.raises(UsageError, match="not regular"):
         TameCharacter(2, 2, 0, 1)  # so no model is ever built for it
 
@@ -152,6 +155,12 @@ def test_closed_form_and_oracle_signs():
     assert sign_division_oracle(2, chi_plus) == 1
     with pytest.raises(UsageError):
         sign_division_closed_form(TameCharacter(2, 4, 1, 1))
+    with pytest.raises(UsageError) as info:
+        sign_division_oracle(4, TameCharacter(2, 4, 1, 1))
+    assert str(info.value) == (
+        "oracle sign needs a self-dual datum, got "
+        "TameCharacter(q=2, f=4, a=1, w=1)"
+    )
 
 
 def test_vanishing_oracle_indicator_names_its_model(monkeypatch):
@@ -224,6 +233,9 @@ def _orbit_of(a, q, order):
 def test_enumerate_odd_degree_is_empty():
     assert enumerate_level1_selfdual(2, 3) == []
     assert enumerate_level1_selfdual(5, 1) == []
+    with pytest.raises(UsageError) as info:
+        enumerate_level1_selfdual(2, 0)
+    assert str(info.value) == "n must be >= 1, got 0"
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])

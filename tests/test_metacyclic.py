@@ -24,6 +24,7 @@ from tamesigns.cyclotomic import (
     cyc_embed,
     cyc_integer,
     cyc_mul,
+    cyc_neg,
     cyc_root,
     cyc_scale,
     cyc_zero,
@@ -52,7 +53,6 @@ from tamesigns.metacyclic import (
     make_group,
     make_involution,
     make_subgroup_character,
-    matrix_model,
     matrix_of,
     orbit_irreps,
     orbit_of,
@@ -409,13 +409,14 @@ def test_det_matches_literal(m, N, s):
     for psi in enumerate_irreps(G):
         if psi.f > 4:
             continue
-        model = matrix_model(G, psi)
+        mat_x = matrix_of(G, psi, GroupElem(1 % m, 0))
+        mat_t = matrix_of(G, psi, GroupElem(0, 1 % N))
         det_x, det_t = (cyc_root(*pair) for pair in det_exponents(G, psi))
-        M0 = model["x"][0][0].conductor
+        M0 = mat_x[0][0].conductor
         Mx = lcm(M0, det_x.conductor)
         Mt = lcm(M0, det_t.conductor)
-        assert cyc_embed(literal_det(model["x"]), Mx) == cyc_embed(det_x, Mx), psi
-        assert cyc_embed(literal_det(model["t"]), Mt) == cyc_embed(det_t, Mt), psi
+        assert cyc_embed(literal_det(mat_x), Mx) == cyc_embed(det_x, Mx), psi
+        assert cyc_embed(literal_det(mat_t), Mt) == cyc_embed(det_t, Mt), psi
 
 
 def literal_orbit_sum(G, psi):
@@ -468,7 +469,7 @@ def literal_theta_sign(G, theta, psi) -> int:
                 continue
             if all(B[r][c_] == B[c_][r] for r in range(f) for c_ in range(f)):
                 return 1
-            if all(B[r][c_] == -B[c_][r] for r in range(f) for c_ in range(f)):
+            if all(B[r][c_] == cyc_neg(B[c_][r]) for r in range(f) for c_ in range(f)):
                 return -1
             raise AssertionError("literal twisted form is neither type")
     return 0
@@ -484,6 +485,14 @@ def test_involution_validation():
     G2 = make_group(4, 2, 1)
     theta = make_involution(G2, 1, 2, 1)  # theta(t) = x^2 t works here
     assert apply_involution(G2, theta, GroupElem(1, 1)) == GroupElem(3, 1)
+    for group, (u, v, w), message in [
+        ((15, 8, 2), (1, 0, 3), "theta breaks the conjugation relation: u=1, w=3"),
+        ((4, 2, 1), (1, 1, 1), "theta(t)^N != 1: v=1, w=1"),
+        ((3, 2, 2), (1, 1, 1), "theta^2(t) != t: u=1, v=1, w=1"),
+    ]:
+        with pytest.raises(UsageError) as info:
+            make_involution(make_group(*group), u, v, w)
+        assert str(info.value) == message
 
 
 def test_identity_involution_fixes_everything():
@@ -619,6 +628,20 @@ def test_fs_not_integer_message_names_the_raw_sum(monkeypatch):
         f"FS sum for psi={psi} on {G} is not a rational integer: "
         "conductor 4, coefficients (0, 1)"
     )
+
+
+def test_fs_out_of_range_is_an_internal_fault(monkeypatch):
+    # an integer sum that |G| divides, but with quotient 2
+    G = make_group(3, 4, 2)
+    psi = enumerate_irreps(G)[-1]
+    monkeypatch.setattr(
+        tamesigns.metacyclic,
+        "fs_indicator_raw",
+        lambda G, psi: cyc_integer(2 * G.order, G.N // psi.f),
+    )
+    with pytest.raises(InternalConsistencyError) as info:
+        fs_indicator(G, psi)
+    assert str(info.value) == f"FS indicator for psi={psi} on {G} out of range: 2"
 
 
 def test_neither_type_message_names_the_seed(monkeypatch):

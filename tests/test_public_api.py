@@ -101,3 +101,9 @@ def test_package_has_no_unused_imports():
                     if (alias.asname or alias.name).split(".")[0] not in used
                 ]
     assert not dead, f"imported but never used: {dead}"
+
+
+def test_package_parses_under_the_oldest_supported_python():
+    # pyproject.toml promises Python >= 3.10; parse with that grammar
+    for path in sorted(PACKAGE.glob("*.py")):
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))

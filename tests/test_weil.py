@@ -103,6 +103,22 @@ def test_det_route_break_raises_and_exits_two(monkeypatch, capsys):
     assert "det route disagrees" in err and "f=4, a=3, w=-1" in err
 
 
+@pytest.mark.parametrize(
+    "exponents,message",
+    [
+        (((3, 1), (2, 0)), "det of self-dual {} is nontrivial on the torus: zeta_3^1"),
+        (((3, 0), (4, 1)), "det at t for self-dual {} is not a sign: zeta_4^1"),
+    ],
+    ids=["torus", "not-a-sign"],
+)
+def test_det_shape_faults_raise(monkeypatch, exponents, message):
+    mu = TameCharacter(2, 2, 1, -1)
+    monkeypatch.setattr(tamesigns.weil, "det_exponents", lambda G, psi: exponents)
+    with pytest.raises(InternalConsistencyError) as info:
+        sign_weil_closed_form(mu)
+    assert str(info.value) == message.format(mu)
+
+
 def test_q_minus_one_guard_raises(monkeypatch):
     # (3, 2, 1) is regular but not self-dual, and 2 does not divide a = 1
     chi = TameCharacter(3, 2, 1, 1)
