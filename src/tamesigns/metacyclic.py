@@ -33,11 +33,17 @@ calls it at (q, q^(f/2) + 1); the irreducibility cross-check compares
 an orbit's size with the norm route, which reads the table.
 
 The cross-check runs when an irrep is built, not when it is used, and
-once per orbit (f, a): the norm route does not depend on c, so one
-check covers every c of the orbit. orbit_irreps is that step: it checks
-the orbit once and then emits its Irreps. enumerate_irreps iterates it
-over orbit_partition(s, m), and the division-side scan calls it once
-per self-dual orbit for the two c it needs. An Irrep is bound to its
+at most once per orbit (f, a): the norm route does not depend on c, so
+one check covers every c of the orbit. orbit_irreps is that step: it
+checks the orbit once and then emits its Irreps. The division-side scan
+calls it once per self-dual orbit for the two c it needs.
+enumerate_irreps checks less often still, once per class
+d = m/gcd(a, m): a*s^r = a*s^r' (mod m) iff d | s^r - s^r', so the
+orbit size, the norm route's pair count and well-definedness are all
+functions of d. It runs orbit_irreps on the first orbit of each class,
+and for every other orbit compares the size the partition walked with
+its class's checked size (a mismatch raises InternalConsistencyError)
+before emitting that orbit's Irreps the same way. An Irrep is bound to its
 group, and the character routes (fs_indicator, fs_indicator_raw,
 theta_sign, and rationality's character_field and is_real_character)
 trust an Irrep only on the group it was checked on. Any other psi, a
@@ -58,7 +64,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cache
 from math import gcd, lcm
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, NoReturn
 
 from .cyclotomic import CycInt, cyc_neg, cyc_root, cyc_zero, root_sum, try_as_integer
 from .errors import InternalConsistencyError, UsageError
@@ -156,8 +162,21 @@ def elem_inv(G: MetacyclicGroup, g: GroupElem) -> GroupElem:
     return GroupElem((-G.s_pow(-g.j) * g.i) % G.m, (-g.j) % G.N)
 
 
+def _refuse_walk(s: int, m: int) -> NoReturn:
+    # the walk returns to its start only when s is a unit mod m >= 1
+    if m < 1:
+        raise UsageError(f"need m >= 1, got m={m}")
+    raise UsageError(f"s={s} is not a unit mod m={m}, so its orbits do not close")
+
+
 def orbit_of(a: int, s: int, m: int) -> list[int]:
-    """Orbit of a mod m (m >= 1) under multiplication by s, starting at a."""
+    """Orbit of a mod m (m >= 1) under multiplication by s, starting at a.
+
+    s must be a unit mod m; any other s or m raises UsageError before
+    the walk, which would otherwise never return to a.
+    """
+    if m < 1 or gcd(s, m) != 1:
+        _refuse_walk(s, m)
     a %= m
     out = [a]
     cur = (a * s) % m
@@ -172,7 +191,10 @@ def orbit_partition(s: int, m: int) -> list[tuple[int, int]]:
 
     Sorted by (size, min). Each orbit is walked once, with orbit_of from
     its least element, the first residue no earlier walk has reached.
+    A non-unit s or an m < 1 raises UsageError, as in orbit_of.
     """
+    if m < 1 or gcd(s, m) != 1:
+        _refuse_walk(s, m)
     seen = bytearray(m)
     orbits: list[tuple[int, int]] = []
     for a in range(m):
@@ -229,7 +251,8 @@ class Irrep(_IrrepFields):
 
     The irreducibility cross-check has run on `group`, so the character
     routes take it there without checking again. orbit_irreps builds
-    these after one check per orbit; built any other way (the
+    these after one check per orbit, and enumerate_irreps after one per
+    class d = m/gcd(a, m); built any other way (the
     constructor, _make, _replace, unpickling), an Irrep is validated
     like make_subgroup_character and checked before it exists.
     """
@@ -270,6 +293,13 @@ def orbit_irreps(
             f"orbit of a={a} has size {f} but does not induce "
             f"irreducibly on {G}"
         )
+    return _emit_irreps(G, f, a, cs)
+
+
+def _emit_irreps(
+    G: MetacyclicGroup, f: int, a: int, cs: Iterable[int]
+) -> list[Irrep]:
+    # the Irreps of an orbit (f, a) already checked, each c range-checked
     Nf = G.N // f
     out = []
     for c in cs:
@@ -283,12 +313,30 @@ def enumerate_irreps(G: MetacyclicGroup) -> list[Irrep]:
     """All irreducible representations of G, one Irrep each.
 
     Irreps are sorted by (f, a, c), with a the minimum of its orbit.
-    The list has sum of f^2 equal to |G|. Each orbit (f, a) of
-    orbit_partition is checked once, by orbit_irreps.
+    The list has sum of f^2 equal to |G|. The orbits (f, a) of
+    orbit_partition fall into classes d = m/gcd(a, m), and the orbit
+    size is the order of s mod d. The first orbit of each class is
+    checked by orbit_irreps; every other orbit's walked size f must
+    equal its class's checked size, or InternalConsistencyError names
+    a, f, d, that size and G. Its Irreps are then emitted as
+    orbit_irreps emits them.
     """
+    m, N = G.m, G.N
+    checked: dict[int, int] = {}  # class d -> the orbit size checked for it
     out: list[Irrep] = []
-    for f, a in orbit_partition(G.s, G.m):
-        out += orbit_irreps(G, f, a, range(G.N // f))
+    for f, a in orbit_partition(G.s, m):
+        d = m // gcd(a, m)
+        size = checked.get(d)
+        if size is None:
+            out += orbit_irreps(G, f, a, range(N // f))
+            checked[d] = f
+        elif size == f:
+            out += _emit_irreps(G, f, a, range(N // f))
+        else:
+            raise InternalConsistencyError(
+                f"orbit of a={a} has size {f}, but its class "
+                f"d = m/gcd(a, m) = {d} was checked at size {size} on {G}"
+            )
     return out
 
 

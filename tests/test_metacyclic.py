@@ -11,12 +11,17 @@ the sign conventions from outside.
 from __future__ import annotations
 
 import itertools
-from math import lcm
+import os
+import subprocess
+import sys
+from math import gcd, lcm
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import tamesigns
 import tamesigns.metacyclic
 from tamesigns.cyclotomic import (
     CycInt,
@@ -197,6 +202,85 @@ def test_orbit_partition_matches_a_set_partition(m, N, s):
         expected.append((len(orbit), a))
         left -= orbit
     assert orbit_partition(s, m) == sorted(expected)
+
+
+def _multiplicative_order(s, d):
+    # least k >= 1 with s^k = 1 (mod d), by repeated multiplication
+    k, x = 1, s % d
+    while x != 1 % d:
+        k, x = k + 1, x * s % d
+    return k
+
+
+@st.composite
+def modulus_and_unit(draw):
+    m = draw(st.integers(1, 3_000))
+    s = draw(st.integers(0, m - 1).filter(lambda u: gcd(u, m) == 1))
+    return m, s
+
+
+@settings(max_examples=60, deadline=None)
+@given(modulus_and_unit())
+@example((1, 0))
+@example((15, 2))
+@example((2_997, 2_996))
+def test_orbit_size_is_the_order_of_s_modulo_d(ms):
+    # the fact enumerate_irreps checks by: the orbit of a under s has
+    # the size of the order of s mod d = m/gcd(a, m), the same for
+    # every a of the class d
+    m, s = ms
+    orbits = orbit_partition(s, m)
+    assert sum(f for f, _ in orbits) == m
+    for f, a in orbits:
+        d = m // gcd(a, m)
+        orbit = orbit_of(a, s, m)
+        assert len(orbit) == f == _multiplicative_order(s, d), (m, s, a)
+        assert {m // gcd(b, m) for b in orbit} == {d}
+
+
+def test_orbit_walk_refuses_a_non_unit_or_a_bad_modulus():
+    # each call would walk forever (or fail on its own arithmetic) without
+    # the unit check, so they run in a child with a timeout
+    calls = [
+        "orbit_partition(2, 4)",
+        "orbit_of(1, 2, 4)",
+        "orbit_of(3, 6, 9)",
+        "orbit_partition(0, 5)",
+        "orbit_partition(1, 0)",
+        "orbit_of(0, 1, 0)",
+        "orbit_of(1, 1, -3)",
+        "orbit_partition(5, -7)",
+    ]
+    script = "\n".join(
+        [
+            "from tamesigns.errors import UsageError",
+            "from tamesigns.metacyclic import orbit_of, orbit_partition",
+            f"for call in {calls!r}:",
+            "    try:",
+            "        eval(call)",
+            "    except UsageError as exc:",
+            "        print(exc)",
+            "    else:",
+            "        print('returned')",
+        ]
+    )
+    src_root = str(Path(tamesigns.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src_root},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "s=2 is not a unit mod m=4, so its orbits do not close",
+        "s=2 is not a unit mod m=4, so its orbits do not close",
+        "s=6 is not a unit mod m=9, so its orbits do not close",
+        "s=0 is not a unit mod m=5, so its orbits do not close",
+        "need m >= 1, got m=0",
+        "need m >= 1, got m=0",
+        "need m >= 1, got m=-3",
+        "need m >= 1, got m=-7",
+    ]
 
 
 def test_character_validation():
@@ -785,7 +869,7 @@ def test_irrep_of_another_group_is_never_trusted(monkeypatch, route):
         route(G, psi)  # checked on G when it was built
 
 
-def test_irreducibility_is_checked_once_per_orbit(monkeypatch):
+def test_irreducibility_is_checked_once_per_class(monkeypatch):
     G = make_group(15, 8, 2)
     real = tamesigns.metacyclic.is_irreducible_induced
     seen = []
@@ -803,9 +887,53 @@ def test_irreducibility_is_checked_once_per_orbit(monkeypatch):
         theta_sign(G, theta, psi)
         character_field(G, psi)
         is_real_character(G, psi)
-    # orbits of 2 on Z/15: {0}, {1, 2, 4, 8}, {3, 6, 12, 9}, {5, 10}, {7, ...}
-    assert seen == [(1, 0), (2, 5), (4, 1), (4, 3), (4, 7)]
+    # orbits of 2 on Z/15: {0}, {1, 2, 4, 8}, {3, 6, 12, 9}, {5, 10}, {7, ...};
+    # their classes d = 15/gcd(a, 15) are 1, 15, 5, 3, 15, so (4, 7) is
+    # not checked again: it shares d = 15 with (4, 1)
+    assert seen == [(1, 0), (2, 5), (4, 1), (4, 3)]
     assert len(irreps) == 18
+
+
+def test_class_size_mismatch_names_the_orbit_its_class_and_the_group(
+    monkeypatch,
+):
+    # a partition that reports the orbit of 7 with size 2: its class
+    # d = 15 was checked at size 4 on the orbit of 1
+    G = make_group(15, 8, 2)
+    monkeypatch.setattr(
+        tamesigns.metacyclic,
+        "orbit_partition",
+        lambda s, m: [(1, 0), (2, 5), (4, 1), (4, 3), (2, 7)],
+    )
+    with pytest.raises(InternalConsistencyError) as info:
+        enumerate_irreps(G)
+    assert str(info.value) == (
+        "orbit of a=7 has size 2, but its class d = m/gcd(a, m) = 15 was "
+        "checked at size 4 on MetacyclicGroup(m=15, N=8, s=2)"
+    )
+
+
+ENGINE_GROUPS_UP_TO_7000 = [
+    (q**n - 1, 2 * n, q)
+    for q in (2, 3, 4, 5, 7, 8, 9)
+    for n in (2, 4, 6)
+    if q**n - 1 <= 7_000
+]
+
+
+@pytest.mark.parametrize("m,N,s", BATTERY + ENGINE_GROUPS_UP_TO_7000)
+def test_enumeration_equals_the_per_orbit_reference(m, N, s):
+    # checking once per class leaves the list as one check per orbit
+    # builds it: same order, same values, bound to the same group
+    G = make_group(m, N, s)
+    reference = [
+        ir
+        for f, a in orbit_partition(G.s, G.m)
+        for ir in orbit_irreps(G, f, a, range(G.N // f))
+    ]
+    irreps = enumerate_irreps(G)
+    assert irreps == reference
+    assert all(type(p) is Irrep and p.group is G for p in irreps)
 
 
 def test_hand_built_irrep_is_checked_when_built():
