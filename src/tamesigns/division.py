@@ -25,11 +25,13 @@ it walks each Galois orbit once in orbit_partition(q, q^d + 1).
 
 Where each check of the enumeration runs: per (q, n) cell, the model
 group is built once and the row count is checked against its Moebius
-count; per orbit, the model is checked irreducible once (orbit_irreps)
-and the datum regular once (by the constructor of its w = +1 entry;
-regularity depends on (q, f, a) only), and both checks serve both w;
-per entry, the closed form checks self-duality and (q - 1) | a, and the
-FS oracle, with its vanishing check, is compared with the closed form.
+count; per class d = m/gcd(a, m) of the model exponents, the model is
+checked irreducible once (orbit_irreps, with one table per cell); per
+orbit, the datum is checked regular once (by the constructor of its
+w = +1 entry; regularity depends on (q, f, a) only), and both checks
+serve both w; per entry, the closed form checks self-duality and
+(q - 1) | a, and the FS oracle, with its vanishing check, is compared
+with the closed form.
 """
 
 from __future__ import annotations
@@ -241,9 +243,10 @@ def enumerate_level1_selfdual(q: int, n: int) -> list[SelfdualEntry]:
     each orbit's least k gives its least a.
 
     The cell's model group G = C_{q^n-1} x| C_{2n} is built once. Each
-    orbit's model exponent a * (q^n-1)/(q^f-1) is formed once and checked
-    irreducible once, by orbit_irreps, which gives the inducing data of
-    both entries: c = 0 for w = +1 and c = n/f for w = -1, as in
+    orbit's model exponent a * (q^n-1)/(q^f-1) is formed once and goes
+    through orbit_irreps with one table for the call, which checks
+    irreducibility once per class d = m/gcd(a, m) and gives the inducing
+    data of both entries: c = 0 for w = +1 and c = n/f for w = -1, as in
     division_model. Each orbit's w = +1 datum is built as a
     TameCharacter, whose constructor checks it in full, regularity
     included, and its w = -1 twin is copied from it with only w changed.
@@ -261,6 +264,7 @@ def enumerate_level1_selfdual(q: int, n: int) -> list[SelfdualEntry]:
         raise UsageError(f"n must be >= 1, got {n}")
     G = make_group(q**n - 1, 2 * n, q)
     entries: list[SelfdualEntry] = []
+    checked: dict[int, int] = {}  # class d -> the orbit size checked for it
     for f in divisors(n):
         if f % 2 != 0:
             continue
@@ -270,7 +274,7 @@ def enumerate_level1_selfdual(q: int, n: int) -> list[SelfdualEntry]:
             if size != f:
                 continue
             a = step * k
-            models = orbit_irreps(G, f, _model_exponent(q, n, f, a), cs)
+            models = orbit_irreps(G, f, _model_exponent(q, n, f, a), cs, checked)
             for w, psi in zip(_SIGNS, models):
                 try:
                     # _SIGNS lists w = +1 first: its datum is built and

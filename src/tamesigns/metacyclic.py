@@ -33,22 +33,19 @@ calls it at (q, q^(f/2) + 1); the irreducibility cross-check compares
 an orbit's size with the norm route, which reads the table.
 
 The cross-check runs when an irrep is built, not when it is used, and
-at most once per orbit (f, a): the norm route does not depend on c, so
-one check covers every c of the orbit. orbit_irreps is that step: it
-checks the orbit once and then emits its Irreps. The division-side scan
-calls it once per self-dual orbit for the two c it needs.
-enumerate_irreps checks less often still, once per class
-d = m/gcd(a, m): a*s^r = a*s^r' (mod m) iff d | s^r - s^r', so the
-orbit size, the norm route's pair count and well-definedness are all
-functions of d. It runs orbit_irreps on the first orbit of each class,
-and for every other orbit compares the size the partition walked with
-its class's checked size (a mismatch raises InternalConsistencyError)
-before emitting that orbit's Irreps the same way. An Irrep is bound to its
-group, and the character routes (fs_indicator, fs_indicator_raw,
-theta_sign, and rationality's character_field and is_real_character)
-trust an Irrep only on the group it was checked on. Any other psi, a
-plain SubgroupCharacter or an Irrep of another group, is checked again
-on every call.
+once per class d = m/gcd(a, m) of an enumeration: a*s^r = a*s^r'
+(mod m) iff d | s^r - s^r', so the orbit size, the norm route's pair
+count and well-definedness are all functions of d, and none depends on
+c. orbit_irreps is that step for both enumerations, enumerate_irreps
+and the division-side scan: each passes it a fresh table d -> checked
+size per call, so it checks the first orbit of each class and compares
+every other orbit's walked size with its class's checked size (a
+mismatch raises InternalConsistencyError) before emitting the Irreps.
+An Irrep is bound to its group, and the character routes
+(fs_indicator, fs_indicator_raw, theta_sign, and rationality's
+character_field and is_real_character) trust an Irrep only on the
+group it was checked on. Any other psi, a plain SubgroupCharacter or
+an Irrep of another group, is checked again on every call.
 
 Most irreps are not self-dual, and each sign route decides their 0 by
 its own orbit test, after the irreducibility guard and before any
@@ -251,10 +248,10 @@ class Irrep(_IrrepFields):
 
     The irreducibility cross-check has run on `group`, so the character
     routes take it there without checking again. orbit_irreps builds
-    these after one check per orbit, and enumerate_irreps after one per
-    class d = m/gcd(a, m); built any other way (the
-    constructor, _make, _replace, unpickling), an Irrep is validated
-    like make_subgroup_character and checked before it exists.
+    these after one check per class d = m/gcd(a, m) of an enumeration;
+    built any other way (the constructor, _make, _replace, unpickling),
+    an Irrep is validated like make_subgroup_character and checked
+    before it exists.
     """
 
     __slots__ = ()
@@ -270,36 +267,42 @@ class Irrep(_IrrepFields):
 
 
 def orbit_irreps(
-    G: MetacyclicGroup, f: int, a: int, cs: Iterable[int]
+    G: MetacyclicGroup, f: int, a: int, cs: Iterable[int], checked: dict[int, int]
 ) -> list[Irrep]:
     """The Irreps (f, a, c) of G for each c in cs, in order, after one
-    irreducibility check of the orbit (f, a).
+    irreducibility check per class d = m/gcd(a, m).
 
     a, with 0 <= a < m, is in an orbit of multiplication by s on Z/m,
     and f is that orbit's size as the caller's partition reports it.
-    (f, a) is validated like make_subgroup_character and checked once,
-    with c = 0, by both
-    irreducibility routes: the norm route does not depend on c. A
-    disagreement raises InternalConsistencyError naming psi, G and both
-    values, and an orbit both routes call reducible raises
-    InternalConsistencyError too. Each c is range-checked.
+    checked is the caller's table for one enumeration, class d -> the
+    size checked for it, empty at its start. On the first orbit of a class, (f, a) is validated like
+    make_subgroup_character and checked, with c = 0, by both
+    irreducibility routes, whose disagreement raises
+    InternalConsistencyError naming psi, G and both values; an orbit
+    both routes call reducible raises InternalConsistencyError too.
+    Every other orbit of the class must have the checked size, or
+    InternalConsistencyError names a, f, d, that size and G: the orbit
+    size, the norm route, f | N and well-definedness all depend on a
+    only through d. Each c is range-checked.
     """
     # a is not reduced mod m: the Irreps share the caller's int, which
     # the caller's partition holds anyway
     if not 0 <= a < G.m:
         raise UsageError(f"need 0 <= a < m = {G.m}, got a={a}")
-    if not is_irreducible_induced(G, make_subgroup_character(G, f, a, 0)):
+    d = G.m // gcd(a, G.m)
+    size = checked.get(d)
+    if size is None:
+        if not is_irreducible_induced(G, make_subgroup_character(G, f, a, 0)):
+            raise InternalConsistencyError(
+                f"orbit of a={a} has size {f} but does not induce "
+                f"irreducibly on {G}"
+            )
+        checked[d] = f
+    elif size != f:
         raise InternalConsistencyError(
-            f"orbit of a={a} has size {f} but does not induce "
-            f"irreducibly on {G}"
+            f"orbit of a={a} has size {f}, but its class "
+            f"d = m/gcd(a, m) = {d} was checked at size {size} on {G}"
         )
-    return _emit_irreps(G, f, a, cs)
-
-
-def _emit_irreps(
-    G: MetacyclicGroup, f: int, a: int, cs: Iterable[int]
-) -> list[Irrep]:
-    # the Irreps of an orbit (f, a) already checked, each c range-checked
     Nf = G.N // f
     out = []
     for c in cs:
@@ -313,30 +316,14 @@ def enumerate_irreps(G: MetacyclicGroup) -> list[Irrep]:
     """All irreducible representations of G, one Irrep each.
 
     Irreps are sorted by (f, a, c), with a the minimum of its orbit.
-    The list has sum of f^2 equal to |G|. The orbits (f, a) of
-    orbit_partition fall into classes d = m/gcd(a, m), and the orbit
-    size is the order of s mod d. The first orbit of each class is
-    checked by orbit_irreps; every other orbit's walked size f must
-    equal its class's checked size, or InternalConsistencyError names
-    a, f, d, that size and G. Its Irreps are then emitted as
-    orbit_irreps emits them.
+    The list has sum of f^2 equal to |G|. Each orbit (f, a) of
+    orbit_partition goes through orbit_irreps with one table for the
+    call, so irreducibility is checked once per class d = m/gcd(a, m).
     """
-    m, N = G.m, G.N
-    checked: dict[int, int] = {}  # class d -> the orbit size checked for it
+    checked: dict[int, int] = {}
     out: list[Irrep] = []
-    for f, a in orbit_partition(G.s, m):
-        d = m // gcd(a, m)
-        size = checked.get(d)
-        if size is None:
-            out += orbit_irreps(G, f, a, range(N // f))
-            checked[d] = f
-        elif size == f:
-            out += _emit_irreps(G, f, a, range(N // f))
-        else:
-            raise InternalConsistencyError(
-                f"orbit of a={a} has size {f}, but its class "
-                f"d = m/gcd(a, m) = {d} was checked at size {size} on {G}"
-            )
+    for f, a in orbit_partition(G.s, G.m):
+        out += orbit_irreps(G, f, a, range(G.N // f), checked)
     return out
 
 

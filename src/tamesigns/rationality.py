@@ -10,17 +10,19 @@ phi(M) divided by the stabilizer size. Realness (j = -1 in the
 stabilizer) is equivalent to a nonvanishing Frobenius-Schur indicator,
 which the test suite checks value-by-value on small groups.
 
-The stabilizer is a union of cosets, so it is built without scanning
-Z/M. With m_a = m/gcd(a, m) and n_c = (N/f)/gcd(c, N/f),
+The stabilizer is found without scanning Z/M. With m_a = m/gcd(a, m)
+and n_c = (N/f)/gcd(c, N/f),
 
     j*a = a*s^k (mod m)  <=>  j = s^k (mod m_a),
-    j*c = c (mod N/f)    <=>  j = 1 (mod n_c).
+    j*c = c (mod N/f)    <=>  j = 1 (mod n_c),
 
-For each residue r in {s^k mod m_a} the two congruences meet in one
-class mod L = lcm(m_a, n_c) (or in none), and the stabilizer collects
-the units among that class's lifts to Z/M. The work is proportional to
-the stabilizer's size, not to M; the test suite keeps the full scan of
-Z/M as the oracle.
+so membership depends on j mod L = lcm(m_a, n_c) only. For each r in
+{s^k mod m_a} the two congruences meet in one unit class mod L (or in
+none). The stabilizer is the preimage of the group H_L of those
+classes under (Z/M)^x -> (Z/L)^x, which is onto with fibres of size
+phi(M)/phi(L), so the degree is phi(L)/|H_L| and the field is real
+when -1 mod L is in H_L. H_L has at most N elements, whatever M is;
+the test suite keeps the full scan of Z/M, reduced mod L, as the oracle.
 """
 
 from __future__ import annotations
@@ -44,9 +46,10 @@ __all__ = ["CharacterField", "character_field", "is_real_character"]
 
 @dataclass(frozen=True)
 class CharacterField:
-    """The field of values: ambient conductor, stabilizer, and degree."""
+    """The field of values: conductor M, modulus L, H_L sorted in [0, L), degree."""
 
     conductor: int
+    modulus: int
     stabilizer: tuple[int, ...]
     degree: int
 
@@ -56,8 +59,8 @@ class CharacterField:
 
     @property
     def is_real(self) -> bool:
-        # conjugation is the unit -1; residues are stored in [0, M)
-        return (-1) % self.conductor in self.stabilizer
+        # conjugation is the unit -1
+        return (-1) % self.modulus in self.stabilizer
 
 
 def character_field(
@@ -66,36 +69,29 @@ def character_field(
     """Field of character values of the induced irreducible for psi.
 
     Works at exponent level: the stabilizer of the value vector inside
-    (Z/M)^x is {j : j*a in orbit(a), j*c = c mod N/f}. It is assembled
-    coset by coset (see the module docstring): j = s^k mod m/gcd(a, m)
-    and j = 1 mod (N/f)/gcd(c, N/f), lifted to the units of Z/M and
-    sorted. The degree phi(M)/|stabilizer| must divide exactly; a
-    remainder would contradict the group structure and raises
-    InternalConsistencyError.
+    (Z/M)^x is {j : j*a in orbit(a), j*c = c mod N/f}, the preimage of
+    its image H_L in (Z/L)^x (see the module docstring). H_L holds, for
+    each r = s^k mod m/gcd(a, m), the class mod L that is r there and
+    1 mod (N/f)/gcd(c, N/f), if there is one. The degree phi(L)/|H_L|
+    must divide exactly; a remainder would contradict the group
+    structure and raises InternalConsistencyError.
     """
     _require_irreducible(G, psi)
     f, a, c = psi.f, psi.a, psi.c
     Nf = G.N // f
-    M = _char_conductor(G, psi)
     m_a = G.m // gcd(a, G.m)
     n_c = Nf // gcd(c, Nf)
     L = lcm(m_a, n_c)
-    stab: list[int] = []
-    for r in {p % m_a for p in G.s_powers}:
-        # the lift of r to Z/L that is 1 mod n_c, if there is one
-        j0 = next((j for j in range(r, L, m_a) if j % n_c == 1 % n_c), None)
-        if j0 is not None:
-            stab.extend(j for j in range(j0, M, L) if gcd(j, M) == 1)
-    stab.sort()
-    phi = euler_phi(M)
+    # each r = s^k mod m_a meets 1 mod n_c in at most one class mod L
+    residues = {p % m_a for p in G.s_powers}
+    stab = sorted(j for r in residues for j in range(r, L, m_a) if j % n_c == 1 % n_c)
+    phi = euler_phi(L)
     if phi % len(stab) != 0:
         raise InternalConsistencyError(
-            f"stabilizer size {len(stab)} does not divide phi({M}) = {phi} "
+            f"stabilizer size {len(stab)} does not divide phi({L}) = {phi} "
             f"for psi={psi} on {G}"
         )
-    return CharacterField(
-        conductor=M, stabilizer=tuple(stab), degree=phi // len(stab)
-    )
+    return CharacterField(_char_conductor(G, psi), L, tuple(stab), phi // len(stab))
 
 
 def is_real_character(

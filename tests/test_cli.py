@@ -598,9 +598,9 @@ def test_sign_realness_cross_check_exits_two(capsys, monkeypatch, route):
 
         def broken(G, psi):
             field = real_field(G, psi)
-            minus_one = field.conductor - 1
+            minus_one = field.modulus - 1
             stab = tuple(j for j in field.stabilizer if j != minus_one)
-            return CharacterField(field.conductor, stab, field.degree)
+            return CharacterField(field.conductor, field.modulus, stab, field.degree)
 
         monkeypatch.setattr(cli, "character_field", broken)
     else:
@@ -621,18 +621,48 @@ def test_off_by_one_fs_sum_fails_the_indicator_and_exits_two(capsys, monkeypatch
         return cyclotomic.cyc_add(raw, cyclotomic.cyc_integer(1, raw.conductor))
 
     monkeypatch.setattr(tamesigns.metacyclic, "fs_indicator_raw", off_by_one)
-    message = (
-        "FS sum for psi=SubgroupCharacter(f=2, a=1, c=1) on "
-        "MetacyclicGroup(m=3, N=4, s=2) is not |G| * c: sum=-11"
-    )
     G = tamesigns.metacyclic.make_group(3, 4, 2)
     psi = tamesigns.metacyclic.SubgroupCharacter(2, 1, 1)
     with pytest.raises(InternalConsistencyError) as info:
         tamesigns.metacyclic.fs_indicator(G, psi)
-    assert str(info.value) == message
+    assert str(info.value) == (
+        "FS sum for psi=SubgroupCharacter(f=2, a=1, c=1) on "
+        "MetacyclicGroup(m=3, N=4, s=2) is not |G| * c: sum=-11"
+    )
+    # sign checks its model once, as an Irrep, and the text names it
     code, out, err = run(capsys, WEIL_SELFDUAL)
     assert (code, out) == (2, "")
-    assert err == f"internal consistency failure: {message}\n"
+    assert err == (
+        "internal consistency failure: FS sum for psi=Irrep(f=2, a=1, c=1, "
+        "group=MetacyclicGroup(m=3, N=4, s=2)) on "
+        "MetacyclicGroup(m=3, N=4, s=2) is not |G| * c: sum=-11\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        WEIL_SELFDUAL,
+        ["sign", "--side", "division", "--q", "2", "--n", "4",
+         "--f", "2", "--a", "1", "--w", "-1"],
+        ["sign", "--side", "division", "--q", "3", "--n", "2",
+         "--f", "2", "--a", "1", "--w", "1"],
+    ],
+    ids=["weil", "division", "not-selfdual"],
+)
+def test_sign_checks_its_model_irreducible_once(capsys, monkeypatch, argv):
+    # the Irrep is checked when cmd_sign builds it; fs_indicator and
+    # character_field then trust it on its group
+    real = tamesigns.metacyclic.is_irreducible_induced
+    checks = []
+    monkeypatch.setattr(
+        tamesigns.metacyclic,
+        "is_irreducible_induced",
+        lambda G, psi: checks.append(psi) or real(G, psi),
+    )
+    code, _, _ = run(capsys, argv)
+    assert code == 0
+    assert len(checks) == 1
 
 
 @pytest.mark.parametrize(

@@ -347,3 +347,43 @@ def test_scan_walks_each_orbit_once(monkeypatch):
     # one check per kept orbit, on the model exponent mod 3^4 - 1 = 80:
     # f = 2, k = 1 gives a = 2 and 2 * 80/8 = 20; f = 4 gives a = 8, 16
     assert check_walks == [(20, 80), (8, 80), (16, 80)]
+
+
+def test_scan_checks_irreducibility_once_per_class(monkeypatch):
+    real = tamesigns.metacyclic.is_irreducible_induced
+    checks = []
+    monkeypatch.setattr(
+        tamesigns.metacyclic,
+        "is_irreducible_induced",
+        lambda G, psi: checks.append((psi.f, psi.a)) or real(G, psi),
+    )
+    entries = enumerate_level1_selfdual(4, 4)
+    # 6 orbits on the model C_255 x| C_8: f = 2 has model exponents 51,
+    # 102 (class d = 255/51 = 5); f = 4 has 15, 30, 45, 90 (d = 17)
+    assert sorted({(e.chi.f, e.chi.a) for e in entries}) == [
+        (2, 3), (2, 6), (4, 15), (4, 30), (4, 45), (4, 90),
+    ]
+    assert checks == [(2, 51), (4, 15)]
+    # a fresh table per call: the next call checks its classes again
+    enumerate_level1_selfdual(4, 4)
+    assert checks == [(2, 51), (4, 15)] * 2
+
+
+def test_scan_catches_a_route_broken_after_a_good_call(monkeypatch):
+    assert len(enumerate_level1_selfdual(4, 4)) == 12
+    # an orbit route that reports one element too many on the model's
+    # Z/255; the scan's partitions of Z/5 and Z/17 stay intact
+    real_orbit_of = tamesigns.metacyclic.orbit_of
+    monkeypatch.setattr(
+        tamesigns.metacyclic,
+        "orbit_of",
+        lambda a, s, m: real_orbit_of(a, s, m) + ([a] if m == 255 else []),
+    )
+    with pytest.raises(InternalConsistencyError) as info:
+        enumerate_level1_selfdual(4, 4)
+    assert str(info.value) == (
+        "norm route and orbit route disagree for "
+        "psi=SubgroupCharacter(f=2, a=51, c=0) on "
+        "MetacyclicGroup(m=255, N=8, s=4): "
+        "norm sum 2040 vs |G| = 2040, orbit size 3 vs f = 2"
+    )

@@ -924,12 +924,13 @@ ENGINE_GROUPS_UP_TO_7000 = [
 @pytest.mark.parametrize("m,N,s", BATTERY + ENGINE_GROUPS_UP_TO_7000)
 def test_enumeration_equals_the_per_orbit_reference(m, N, s):
     # checking once per class leaves the list as one check per orbit
-    # builds it: same order, same values, bound to the same group
+    # builds it: same order, same values, bound to the same group; a
+    # fresh table per orbit checks every orbit
     G = make_group(m, N, s)
     reference = [
         ir
         for f, a in orbit_partition(G.s, G.m)
-        for ir in orbit_irreps(G, f, a, range(G.N // f))
+        for ir in orbit_irreps(G, f, a, range(G.N // f), {})
     ]
     irreps = enumerate_irreps(G)
     assert irreps == reference
@@ -950,20 +951,45 @@ def test_hand_built_irrep_is_checked_when_built():
 
 def test_orbit_irreps_validates_its_orbit_and_each_c():
     G = make_group(15, 8, 2)
-    irreps = orbit_irreps(G, 2, 10, (3, 0))  # orbit {5, 10}
+    irreps = orbit_irreps(G, 2, 10, (3, 0), {})  # orbit {5, 10}
     assert irreps == [(2, 10, 3, G), (2, 10, 0, G)]
     assert all(type(p) is Irrep and p.group is G for p in irreps)
     with pytest.raises(UsageError, match=r"need 0 <= a < m = 15, got a=20"):
-        orbit_irreps(G, 2, 20, (0,))
+        orbit_irreps(G, 2, 20, (0,), {})
     with pytest.raises(UsageError, match=r"need 0 <= c < N/f = 4, got c=4"):
-        orbit_irreps(G, 2, 5, (0, 4))
+        orbit_irreps(G, 2, 5, (0, 4), {})
     with pytest.raises(UsageError, match="f must divide N"):
-        orbit_irreps(G, 3, 5, (0,))
+        orbit_irreps(G, 3, 5, (0,), {})
     # the orbit of 0 has size 1, so both routes call f = 2 reducible
     with pytest.raises(
         InternalConsistencyError, match="orbit of a=0 has size 2 but does not"
     ):
-        orbit_irreps(G, 2, 0, (0,))
+        orbit_irreps(G, 2, 0, (0,), {})
+    # the table has no default: each enumeration passes its own
+    with pytest.raises(TypeError, match="checked"):
+        orbit_irreps(G, 2, 10, (0,))
+
+
+def test_orbit_irreps_checks_once_per_class_of_its_table(monkeypatch):
+    G = make_group(15, 8, 2)
+    real = tamesigns.metacyclic.is_irreducible_induced
+    seen = []
+    monkeypatch.setattr(
+        tamesigns.metacyclic,
+        "is_irreducible_induced",
+        lambda G, psi: seen.append((psi.f, psi.a)) or real(G, psi),
+    )
+    checked = {}
+    assert orbit_irreps(G, 4, 1, (0,), checked) == [(4, 1, 0, G)]
+    assert checked == {15: 4}
+    # 7 shares d = 15 with 1: compared with the table, not checked again
+    assert orbit_irreps(G, 4, 7, (1,), checked) == [(4, 7, 1, G)]
+    assert seen == [(4, 1)]
+    with pytest.raises(InternalConsistencyError, match="was checked at size 4"):
+        orbit_irreps(G, 2, 7, (0,), checked)
+    # another table checks again
+    orbit_irreps(G, 4, 7, (1,), {})
+    assert seen == [(4, 1), (4, 7)]
 
 
 def test_irreducibility_disagreement_names_both_routes(monkeypatch):

@@ -3,9 +3,11 @@
 The exponent-level stabilizer is cross-checked on small groups by the
 value-level Galois action: a unit j fixes the character iff applying
 zeta -> zeta^j to every single character value returns the same vector.
-The coset-built stabilizer must equal the literal scan of Z/M
-(literal_stabilizer) on every irrep of every small group and on large
-sign-query models. Realness must coincide with a nonvanishing
+character_field keeps the stabilizer's image H_L in (Z/L)^x; the
+literal scan of Z/M (literal_stabilizer), reduced mod L, must equal it,
+with |scan| = |H_L| * phi(M)/phi(L), and the scan's degree and realness
+must equal the field's, on every irrep of every small group and on
+large sign-query models. Realness must coincide with a nonvanishing
 Frobenius-Schur indicator.
 """
 
@@ -51,6 +53,18 @@ def literal_stabilizer(G, psi) -> tuple[int, ...]:
     )
 
 
+def assert_matches_literal_scan(G, psi, field) -> None:
+    # the scan of (Z/M)^x is the full preimage of H_L, and gives the
+    # same degree and realness
+    M, L = field.conductor, field.modulus
+    scan = literal_stabilizer(G, psi)
+    assert M == lcm(G.m, G.N // psi.f) and M % L == 0, (G, psi)
+    assert field.stabilizer == tuple(sorted({j % L for j in scan})), (G, psi)
+    assert len(scan) == len(field.stabilizer) * euler_phi(M) // euler_phi(L)
+    assert field.degree == euler_phi(M) // len(scan), (G, psi)
+    assert field.is_real == ((-1) % M in scan), (G, psi)
+
+
 def galois_fixes_all_values(G, psi, j) -> bool:
     return all(
         cyc_galois(v, j) == v
@@ -68,7 +82,8 @@ def test_stabilizer_matches_value_level_action(m, N, s):
         for j in range(M):
             if gcd(j, M) != 1:
                 continue
-            assert (j in stab) == galois_fixes_all_values(G, psi, j), (psi, j)
+            fixed = galois_fixes_all_values(G, psi, j)
+            assert (j % field.modulus in stab) == fixed, (psi, j)
 
 
 def test_stabilizer_matches_literal_scan_on_every_small_group():
@@ -80,8 +95,7 @@ def test_stabilizer_matches_literal_scan_on_every_small_group():
                     continue
                 G = make_group(m, N, s)
                 for psi in enumerate_irreps(G):
-                    field = character_field(G, psi)
-                    assert field.stabilizer == literal_stabilizer(G, psi), (G, psi)
+                    assert_matches_literal_scan(G, psi, character_field(G, psi))
                     checked += 1
     assert checked == 24648
 
@@ -100,7 +114,18 @@ def test_stabilizer_matches_literal_scan_on_large_models(side, q, n, f, a):
         G, psi = division_model(n if side == "division" else f, chi)
         field = character_field(G, psi)
         assert field.conductor > 390_000
-        assert field.stabilizer == literal_stabilizer(G, psi), (G, psi)
+        assert_matches_literal_scan(G, psi, field)
+
+
+def test_field_of_a_large_conductor_reads_at_most_n_residues():
+    # M = 9,840,768 is under MAX_SIGN_CONDUCTOR, but phi(M) units are
+    # far too many to list: the field is read in (Z/L)^x
+    chi = TameCharacter(3137, 2, 3280256, 1)
+    G, psi = division_model(2, chi)
+    field = character_field(G, psi)
+    assert (field.conductor, field.degree, field.is_real) == (9_840_768, 1, True)
+    assert len(field.stabilizer) <= G.N
+    assert field.modulus == 3  # m/gcd(a, m) = 3138/1046
 
 
 @pytest.mark.parametrize("m,N,s", SMALL_GROUPS)
@@ -108,7 +133,7 @@ def test_degree_times_stabilizer_is_phi(m, N, s):
     G = make_group(m, N, s)
     for psi in enumerate_irreps(G):
         field = character_field(G, psi)
-        assert field.degree * len(field.stabilizer) == euler_phi(field.conductor)
+        assert field.degree * len(field.stabilizer) == euler_phi(field.modulus)
 
 
 @pytest.mark.parametrize("m,N,s", SMALL_GROUPS)
@@ -148,17 +173,19 @@ def test_field_of_division_models():
 
 
 def test_stabilizer_size_must_divide_phi(monkeypatch):
-    # the trivial character of C_3 x| C_4 is fixed by all 4 units of Z/12
+    # the 2-dimensional (2, 1, 0) of C_3 x| C_4 is fixed by both units
+    # of Z/L, L = 3
     G = make_group(3, 4, 2)
-    triv = make_subgroup_character(G, 1, 0, 0)
-    assert len(character_field(G, triv).stabilizer) == 4
-    monkeypatch.setattr("tamesigns.rationality.euler_phi", lambda M: 6)
+    psi = make_subgroup_character(G, 2, 1, 0)
+    field = character_field(G, psi)
+    assert (field.modulus, field.stabilizer) == (3, (1, 2))
+    monkeypatch.setattr("tamesigns.rationality.euler_phi", lambda M: 3)
     with pytest.raises(InternalConsistencyError, match="does not divide") as info:
-        character_field(G, triv)
+        character_field(G, psi)
     # the message carries what reruns it: psi and the group
     assert str(info.value) == (
-        "stabilizer size 4 does not divide phi(12) = 6 for "
-        "psi=SubgroupCharacter(f=1, a=0, c=0) on MetacyclicGroup(m=3, N=4, s=2)"
+        "stabilizer size 2 does not divide phi(3) = 3 for "
+        "psi=SubgroupCharacter(f=2, a=1, c=0) on MetacyclicGroup(m=3, N=4, s=2)"
     )
 
 
@@ -176,5 +203,6 @@ def test_character_field_dataclass_shape():
     field = character_field(G, make_subgroup_character(G, 1, 0, 1))
     assert isinstance(field, CharacterField)
     assert field.conductor == 4
+    assert field.modulus == 4
     assert field.stabilizer == (1,)
     assert field.degree == 2
