@@ -222,8 +222,10 @@ class CycInt:
         return f"CycInt({self.conductor}, {self.coeffs})"
 
 
+@cache
 def cyc_zero(conductor: int = 1) -> CycInt:
-    """The zero value at the given conductor."""
+    """The zero value at the given conductor, one shared instance per
+    conductor (CycInt is immutable in use)."""
     return CycInt(conductor, (0,) * euler_phi(conductor))
 
 

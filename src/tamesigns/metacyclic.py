@@ -49,11 +49,17 @@ an Irrep of another group, is checked again on every call.
 
 Most irreps are not self-dual, and each sign route decides their 0 by
 its own orbit test, after the irreducibility guard and before any
-cyclotomic arithmetic: fs_indicator_raw returns cyc_zero(N/f) when -a
-is not in the orbit of a (no j has a*s^j = -a), and theta_sign returns
-0 when -u*a is not (no seed survives). Every other psi goes through
-root_sum and, in theta_sign, the seed projection with its symmetry
-check; fs_indicator's three checks run on every sum.
+cyclotomic arithmetic. Both tests depend on a only through its class
+d = m/gcd(a, m): a*(1+s^j) = 0 (mod m) iff d | 1+s^j, and -u*a = a*s^r
+(mod m) iff d | s^r+u. So each route reads its test from its own
+memo, one entry per class, and the two share no table:
+fs_indicator_raw reads the surviving (2j mod N)/f from one keyed by
+(G, f, d) and returns the shared cyc_zero(N/f) when none survives (-a
+is not in the orbit of a); theta_sign reads its shift r, or None, from
+one keyed by (G, u mod m, f, d) and returns 0 on None (-u*a is not in
+the orbit). Every other psi goes through root_sum and, in theta_sign,
+the seed projection with its symmetry check; fs_indicator's three
+checks run on every sum.
 """
 
 from __future__ import annotations
@@ -392,6 +398,20 @@ def _require_irreducible(
         raise UsageError(f"psi={psi} does not induce irreducibly on {G}")
 
 
+@cache
+def _fs_survivors(G: MetacyclicGroup, f: int, d: int) -> tuple[int, ...]:
+    # (2j mod N)/f for each j of the FS collapse that survives, in j
+    # order. psi vanishes off <x, t^f>, and f | 2j exactly when
+    # f/gcd(f, 2) | j; a*(1+s^j) = 0 (mod m) iff d = m/gcd(a, m) divides
+    # 1+s^j, so the list is one per class (G, f, d).
+    N, spow = G.N, G.s_powers
+    return tuple(
+        (2 * j % N) // f
+        for j in range(0, N, f // gcd(f, 2))
+        if (1 + spow[j]) % d == 0
+    )
+
+
 def fs_indicator_raw(G: MetacyclicGroup, psi: SubgroupCharacter | Irrep) -> CycInt:
     """The unnormalized Frobenius-Schur sum, a CycInt at conductor N/f.
 
@@ -399,28 +419,29 @@ def fs_indicator_raw(G: MetacyclicGroup, psi: SubgroupCharacter | Irrep) -> CycI
     indicator; fs_indicator reads it, and tests compare it against
     literal element-by-element evaluation.
 
-    A j survives the collapse iff a*s^j = -a (mod m). When none does,
-    -a is not in the orbit of a, psi is not self-dual, and the sum is
-    cyc_zero(N/f), returned without calling root_sum; otherwise root_sum
-    canonicalises the surviving terms, which may still cancel to 0.
+    A j survives the collapse iff a*s^j = -a (mod m), that is iff d =
+    m/gcd(a, m) divides 1+s^j, so the surviving j are read from a memo
+    with one entry per class (G, f, d), used by this route only. When
+    none survives, -a is not in the orbit of a, psi is not self-dual,
+    and the sum is the shared cyc_zero(N/f), returned without calling
+    root_sum; otherwise root_sum canonicalises the surviving terms,
+    which may still cancel to 0.
     """
     _require_irreducible(G, psi)
     # Collapsed: (x^i t^j)^2 = x^(i(1+s^j)) t^(2j). Summing over i kills
     # every j with a*(1+s^j) != 0 (mod m) and contributes m*f *
-    # psi(t^(2j mod N)) otherwise; psi vanishes off <x, t^f>, and f | 2j
-    # exactly when f/gcd(f, 2) | j. Keys are exponents of zeta_{N/f}.
+    # psi(t^(2j mod N)) otherwise. Keys are exponents of zeta_{N/f}.
     f, a, c = psi.f, psi.a, psi.c
-    N, m = G.N, G.m
-    Nf = N // f
-    spow = G.s_powers
-    counts: dict[int, int] = {}
-    for j in range(0, N, f // gcd(f, 2)):
-        if (a * (1 + spow[j])) % m == 0:
-            e = (c * (((2 * j) % N) // f)) % Nf
-            counts[e] = counts.get(e, 0) + m * f
-    if not counts:
+    Nf = G.N // f
+    ks = _fs_survivors(G, f, G.m // gcd(a, G.m))
+    if not ks:
         # no j survives: -a is not in the orbit of a, and the sum is 0
         return cyc_zero(Nf)
+    mf = G.m * f
+    counts: dict[int, int] = {}
+    for k in ks:
+        e = c * k % Nf
+        counts[e] = counts.get(e, 0) + mf
     return root_sum(Nf, counts)
 
 
@@ -576,6 +597,17 @@ def apply_involution(
     )
 
 
+@cache
+def _theta_shift(G: MetacyclicGroup, u: int, f: int, d: int) -> int | None:
+    # the least r in [0, f) with -u*a = a*s^r (mod m), or None when -u*a
+    # is not in the orbit of a; the congruence is d | s^r + u with
+    # d = m/gcd(a, m), so the shift is one per class (G, u, f, d)
+    for r, p in enumerate(G.s_powers[:f]):
+        if (p + u) % d == 0:
+            return r
+    return None
+
+
 def theta_sign(
     G: MetacyclicGroup, theta: InvolutionSpec, psi: SubgroupCharacter | Irrep
 ) -> int:
@@ -594,24 +626,25 @@ def theta_sign(
     sum over j in [0, N) is accumulated at exponent level.
 
     Where 0 is decided: some seed survives iff -u*a is in the orbit
-    {a*s^r : 0 <= r < f}, which depends on u and not on v, w or c. When
-    it is not, the sign is 0 before any seed is built. Otherwise -u*a =
-    a*s^r, the surviving seeds are the f pairs (mu, mu + r mod f), they
-    are projected in turn, and 0 means every projection vanished.
+    {a*s^r : 0 <= r < f}, which depends on u and not on v, w or c, and
+    on a only through d = m/gcd(a, m): -u*a = a*s^r iff d | s^r+u. The
+    least such r, or None, is read from a memo with one entry per class
+    (G, u mod m, f, d), used by this route only. On None the sign is 0
+    before any seed is built. Otherwise the surviving seeds are the f
+    pairs (mu, mu + r mod f), they are projected in turn, and 0 means
+    every projection vanished.
     """
     _require_irreducible(G, psi)
     f, a, c = psi.f, psi.a, psi.c
-    N, m = G.N, G.m
-    Nf = N // f
-    u, v, w = theta.u, theta.v, theta.w
-    spow = G.s_powers
+    m = G.m
     # a*s^-mu = -u*a*s^-nu iff -u*a = a*s^(nu-mu); the orbit has exactly
     # f points, so row mu has one seed, nu = mu + r, or none has any
-    orbit = [a * p % m for p in spow[:f]]
-    target = (-u * a) % m
-    if target not in orbit:
+    r = _theta_shift(G, theta.u % m, f, m // gcd(a, m))
+    if r is None:
         return 0
-    r = orbit.index(target)
+    N, spow = G.N, G.s_powers
+    Nf = N // f
+    v, w = theta.v, theta.w
     sinv_pows = [spow[-k % N] for k in range(f)]
     T = _twisted_prefix(G, w)
     M0 = _char_conductor(G, psi)

@@ -54,7 +54,8 @@ def sign_weil_closed_form(mu: TameCharacter) -> int:
     Then the determinant characterization is cross-checked on the model
     division_model(f, mu): for f even and self-dual mu, det mu is trivial
     on the torus and equals -w at t, so det mu is nontrivial exactly when
-    mu is orthogonal. Any mismatch raises InternalConsistencyError. This
+    mu is orthogonal. Any mismatch raises InternalConsistencyError naming
+    mu, the model psi and G, and the determinant it read. This
     is the one place the closed form and its determinant route run:
     verify-flip's per-cell table calls it once per datum.
     """
@@ -63,8 +64,8 @@ def sign_weil_closed_form(mu: TameCharacter) -> int:
     (Mx, kx), (Mt, kt) = det_exponents(G, psi)
     if kx % Mx != 0:
         raise InternalConsistencyError(
-            f"det of self-dual {mu} is nontrivial on the torus: "
-            f"zeta_{Mx}^{kx}"
+            f"det of self-dual {mu} with model psi={psi} on {G} is "
+            f"nontrivial on the torus: zeta_{Mx}^{kx}"
         )
     # det at t is a sign since f is even: kt = 0 means +1, Mt/2 means -1
     if kt == 0:
@@ -73,11 +74,13 @@ def sign_weil_closed_form(mu: TameCharacter) -> int:
         det_t = -1
     else:
         raise InternalConsistencyError(
-            f"det at t for self-dual {mu} is not a sign: zeta_{Mt}^{kt}"
+            f"det at t for self-dual {mu} with model psi={psi} on {G} is "
+            f"not a sign: zeta_{Mt}^{kt}"
         )
     if det_t != -w:
         raise InternalConsistencyError(
-            f"det route disagrees with w for {mu}: det_t={det_t}, w={w}"
+            f"det route disagrees with w for {mu} with model psi={psi} on "
+            f"{G}: det_t={det_t}, w={w}"
         )
     return w
 

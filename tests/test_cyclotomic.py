@@ -218,6 +218,14 @@ def test_ring_axioms(data):
     assert cyc_scale(a, 3) == cyc_add(a, cyc_add(a, a))
 
 
+@pytest.mark.parametrize("M", [1, 2, 8, 12, 15, 60])
+def test_zero_is_one_shared_instance_per_conductor(M):
+    zero = cyc_zero(M)
+    assert zero is cyc_zero(M)
+    assert zero == root_sum(M, {}) == cyc_integer(0, M)
+    assert zero.coeffs == (0,) * euler_phi(M)
+
+
 @settings(max_examples=60, deadline=None)
 @given(triple(), st.integers(1, 200), st.integers(1, 200))
 def test_galois_properties(data, j_raw, k_raw):

@@ -82,6 +82,13 @@ BATTERY = [
     (20, 4, 3),
 ]
 
+ENGINE_GROUPS_UP_TO_7000 = [
+    (q**n - 1, 2 * n, q)
+    for q in (2, 3, 4, 5, 7, 8, 9)
+    for n in (2, 4, 6)
+    if q**n - 1 <= 7_000
+]
+
 
 def char_conductor(G, psi):
     return lcm(G.m, G.N // psi.f)
@@ -700,6 +707,119 @@ def test_fs_zero_skips_root_sum_exactly_off_the_orbit(monkeypatch):
     assert skipped > 0
 
 
+def reference_fs_raw(G, psi) -> CycInt:
+    # fs_indicator_raw's collapse as it was before the per-class memo:
+    # every j tested against psi's own a
+    f, a, c = psi.f, psi.a, psi.c
+    N, m = G.N, G.m
+    Nf = N // f
+    counts = {}
+    for j in range(0, N, f // gcd(f, 2)):
+        if (a * (1 + G.s_powers[j])) % m == 0:
+            e = (c * (((2 * j) % N) // f)) % Nf
+            counts[e] = counts.get(e, 0) + m * f
+    return root_sum(Nf, counts)
+
+
+def reference_shift(G, u, psi) -> int | None:
+    # theta_sign's orbit test as it was before the per-class memo: the
+    # orbit of psi's own a listed, and -u*a looked up in it
+    orbit = [psi.a * p % G.m for p in G.s_powers[: psi.f]]
+    target = (-u * psi.a) % G.m
+    return orbit.index(target) if target in orbit else None
+
+
+@pytest.mark.parametrize("m,N,s", BATTERY + ENGINE_GROUPS_UP_TO_7000)
+def test_per_class_orbit_tests_match_the_per_residue_loops(m, N, s):
+    # every residue a, not only orbit minima, as a plain SubgroupCharacter,
+    # against every involution x -> x^u (v = 0, w = 1; u^2 = 1 mod m)
+    G = make_group(m, N, s)
+    thetas = [
+        make_involution(G, u, 0, 1) for u in range(m) if (u * u - 1) % m == 0
+    ]
+    assert len(thetas) >= 2 or m <= 2
+    for a in range(m):
+        f = len(orbit_of(a, G.s, m))
+        d = m // gcd(a, m)
+        for c in range(N // f):
+            psi = SubgroupCharacter(f, a, c)
+            assert fs_indicator_raw(G, psi) == reference_fs_raw(G, psi), psi
+        psi = SubgroupCharacter(f, a, 0)
+        for theta in thetas:
+            r = reference_shift(G, theta.u, psi)
+            shift = tamesigns.metacyclic._theta_shift(G, theta.u, f, d)
+            assert shift == r, (psi, theta)
+            if r is None:
+                assert theta_sign(G, theta, psi) == 0, (psi, theta)
+
+
+def test_memos_tell_groups_with_one_m_apart():
+    # groups on C_15 share classes (f, d) with different entries: the
+    # surviving j differ at (1, 1) between s = 2 (N = 8) and s = 4, and
+    # at (2, 15) -1 is a power of s = 14 but not of s = 4, so a memo not
+    # keyed on the group would serve a later group an earlier one's entry
+    tamesigns.metacyclic._fs_survivors.cache_clear()
+    tamesigns.metacyclic._theta_shift.cache_clear()
+    for G in (make_group(15, 8, 2), make_group(15, 4, 4), make_group(15, 4, 14)):
+        theta = identity_involution(G)
+        for psi in enumerate_irreps(G):
+            M = char_conductor(G, psi)
+            literal = literal_fs_raw(G, psi)
+            assert cyc_embed(fs_indicator_raw(G, psi), M) == literal, (G, psi)
+            ind = try_as_integer(literal) // G.order
+            assert theta_sign(G, theta, psi) == ind, (G, psi)
+
+
+def test_each_route_tests_its_orbit_once_per_class(monkeypatch):
+    # C_4095 x| C_12 (q = 4, n = 6): each route's orbit test runs once per
+    # class (f, d = m/gcd(a, m)), and root_sum runs only for the irreps
+    # that pass it, which include every self-dual one
+    mc = tamesigns.metacyclic
+    G = make_group(4095, 12, 4)
+    theta = identity_involution(G)
+    irreps = enumerate_irreps(G)
+    classes = {(p.f, G.m // gcd(p.a, G.m)) for p in irreps}
+    mc._fs_survivors.cache_clear()
+    mc._theta_shift.cache_clear()
+    calls = _count_root_sum(monkeypatch)
+    passed = selfdual = 0
+    for psi in irreps:
+        calls[0] = 0
+        ind = fs_indicator(G, psi)
+        raw = fs_indicator_raw(G, psi)
+        sign = theta_sign(G, theta, psi)
+        assert sign == ind and raw == cyc_integer(G.order * ind, G.N // psi.f)
+        if _in_orbit(G, -psi.a, psi):
+            assert calls[0] > 0, psi
+            passed += 1
+        else:
+            assert calls[0] == 0, psi
+        selfdual += ind != 0
+    assert mc._fs_survivors.cache_info().misses == len(classes)
+    assert mc._theta_shift.cache_info().misses == len(classes)
+    assert mc._fs_survivors.cache_info().hits == 2 * len(irreps) - len(classes)
+    assert mc._theta_shift.cache_info().hits == len(irreps) - len(classes)
+    assert 0 < selfdual <= passed < len(irreps)
+    assert len(classes) < len(irreps)
+
+
+def test_shared_zeros_stay_zero_after_a_battery_sweep():
+    conductors = set()
+    for m, N, s in BATTERY:
+        G = make_group(m, N, s)
+        theta = identity_involution(G)
+        for psi in enumerate_irreps(G):
+            raw = fs_indicator_raw(G, psi)
+            if not _in_orbit(G, -psi.a, psi):
+                assert raw is cyc_zero(G.N // psi.f), psi
+            theta_sign(G, theta, psi)
+            induced_character(G, psi, GroupElem(1 % m, 1 % N))
+            matrix_of(G, psi, GroupElem(1 % m, 1 % N))
+            conductors |= {G.N // psi.f, char_conductor(G, psi)}
+    for M in conductors:
+        assert cyc_zero(M) == root_sum(M, {}), M
+
+
 def test_fs_not_integer_message_names_the_raw_sum(monkeypatch):
     G = make_group(3, 4, 2)
     psi = enumerate_irreps(G)[-1]
@@ -911,14 +1031,6 @@ def test_class_size_mismatch_names_the_orbit_its_class_and_the_group(
         "orbit of a=7 has size 2, but its class d = m/gcd(a, m) = 15 was "
         "checked at size 4 on MetacyclicGroup(m=15, N=8, s=2)"
     )
-
-
-ENGINE_GROUPS_UP_TO_7000 = [
-    (q**n - 1, 2 * n, q)
-    for q in (2, 3, 4, 5, 7, 8, 9)
-    for n in (2, 4, 6)
-    if q**n - 1 <= 7_000
-]
 
 
 @pytest.mark.parametrize("m,N,s", BATTERY + ENGINE_GROUPS_UP_TO_7000)

@@ -106,10 +106,23 @@ def test_det_route_break_raises_and_exits_two(monkeypatch, capsys):
 @pytest.mark.parametrize(
     "exponents,message",
     [
-        (((3, 1), (2, 0)), "det of self-dual {} is nontrivial on the torus: zeta_3^1"),
-        (((3, 0), (4, 1)), "det at t for self-dual {} is not a sign: zeta_4^1"),
+        (
+            ((3, 1), (2, 0)),
+            "det of self-dual {} with model psi=SubgroupCharacter(f=2, a=1, c=1) "
+            "on MetacyclicGroup(m=3, N=4, s=2) is nontrivial on the torus: zeta_3^1",
+        ),
+        (
+            ((3, 0), (4, 1)),
+            "det at t for self-dual {} with model psi=SubgroupCharacter(f=2, a=1, "
+            "c=1) on MetacyclicGroup(m=3, N=4, s=2) is not a sign: zeta_4^1",
+        ),
+        (
+            ((3, 0), (2, 1)),
+            "det route disagrees with w for {} with model psi=SubgroupCharacter("
+            "f=2, a=1, c=1) on MetacyclicGroup(m=3, N=4, s=2): det_t=-1, w=-1",
+        ),
     ],
-    ids=["torus", "not-a-sign"],
+    ids=["torus", "not-a-sign", "disagrees"],
 )
 def test_det_shape_faults_raise(monkeypatch, exponents, message):
     mu = TameCharacter(2, 2, 1, -1)
