@@ -290,7 +290,8 @@ def enumerate_level1_selfdual(q: int, n: int) -> list[SelfdualEntry]:
                 if closed != oracle:
                     raise InternalConsistencyError(
                         f"closed-form sign {closed} disagrees with the "
-                        f"Frobenius-Schur oracle {oracle} for {chi} at n={n}"
+                        f"Frobenius-Schur oracle {oracle} for {chi} at n={n} "
+                        f"on {G} (psi={psi})"
                     )
                 entries.append(SelfdualEntry(chi, closed, oracle))
     predicted = selfdual_row_count(q, n)

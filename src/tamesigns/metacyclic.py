@@ -21,45 +21,31 @@ suite re-derives the same quantities by literal sums over all group
 elements on small groups.
 
 Every power of s is read from one table, s^k mod m for 0 <= k < N
-(MetacyclicGroup.s_powers). The group builds it once, when it is
-constructed, and checks s^N = 1 (mod m) from its last entry. make_group
-returns one shared group per (m, N, s): the group is frozen, so it is
-built and checked once per process, and a refused (m, N, s) raises on
-every call, since a raised error is not cached. The Galois
-orbit has one walk, orbit_of, a separate running product, and one
-partition, orbit_partition, which walks each orbit of Z/m once with it.
-enumerate_irreps iterates orbit_partition(s, m); the division-side scan
-calls it at (q, q^(f/2) + 1); the irreducibility cross-check compares
-an orbit's size with the norm route, which reads the table.
+(MetacyclicGroup.s_powers), built and checked (s^N = 1 mod m) once per
+(m, N, s): make_group shares one frozen group per triple, and a refused
+triple raises on every call. orbit_of is the one orbit walk and
+orbit_partition the one partition of Z/m into orbits.
 
-The cross-check runs when an irrep is built, not when it is used, and
-once per class d = m/gcd(a, m) of an enumeration: a*s^r = a*s^r'
-(mod m) iff d | s^r - s^r', so the orbit size, the norm route's pair
-count and well-definedness are all functions of d, and none depends on
-c. orbit_irreps is that step for both enumerations, enumerate_irreps
-and the division-side scan: each passes it a fresh table d -> checked
-size per call, so it checks the first orbit of each class and compares
-every other orbit's walked size with its class's checked size (a
-mismatch raises InternalConsistencyError) before emitting the Irreps.
-An Irrep is bound to its group, and the character routes
-(fs_indicator, fs_indicator_raw, theta_sign, and rationality's
-character_field and is_real_character) trust an Irrep only on the
-group it was checked on. Any other psi, a plain SubgroupCharacter or
-an Irrep of another group, is checked again on every call.
+Validated data is bound to its group and trusted only there. An Irrep
+has passed the irreducibility cross-check on its group: orbit_irreps,
+the step of both enumerations (enumerate_irreps and the division-side
+scan), runs it once per class d = m/gcd(a, m), since the orbit size,
+the norm route's pair count and well-definedness depend on a only
+through d. An InvolutionSpec carries the group make_involution
+validated it on and the twisted prefix it checked. The character
+routes (fs_indicator, fs_indicator_raw, theta_sign, and rationality's
+character_field and is_real_character) check any other psi again on
+every call, from make_subgroup_character's validation on, and
+theta_sign and apply_involution validate any other theta again.
 
 Most irreps are not self-dual, and each sign route decides their 0 by
-its own orbit test, after the irreducibility guard and before any
-cyclotomic arithmetic. Both tests depend on a only through its class
-d = m/gcd(a, m): a*(1+s^j) = 0 (mod m) iff d | 1+s^j, and -u*a = a*s^r
-(mod m) iff d | s^r+u. So each route reads its test from its own
-memo, one entry per class, and the two share no table:
-fs_indicator_raw reads the surviving (2j mod N)/f from one keyed by
-(G, f, d) and returns the shared cyc_zero(N/f) when none survives (-a
-is not in the orbit of a); theta_sign reads its shift r, or None, from
-one keyed by (G, u mod m, f, d) and returns 0 on None (-u*a is not in
-the orbit). Every other psi goes through root_sum and, in theta_sign,
-the seed projection with its symmetry check; fs_indicator's three
-checks run on every sum.
+its own orbit test, before any cyclotomic arithmetic. Both tests depend
+on a only through d: a*(1+s^j) = 0 (mod m) iff d | 1+s^j, and
+-u*a = a*s^r (mod m) iff d | s^r+u. fs_indicator_raw reads its
+surviving (2j mod N)/f from a memo keyed by (G, f, d) and returns the
+shared cyc_zero(N/f) when none survives; theta_sign reads its shift r,
+or None, from one keyed by (G, u mod m, f, d) and returns 0 on None.
+The two share no table.
 """
 
 from __future__ import annotations
@@ -369,8 +355,11 @@ def is_irreducible_induced(
 
     Two routes, checked against each other on every call: the norm-square
     sum over G, collapsed to m * (N/f) * #{(rho, rho') : a s^rho = a s^rho'},
-    must equal |G| exactly when the orbit of a has size f.
+    must equal |G| exactly when the orbit of a has size f. psi is first
+    validated like make_subgroup_character, so ill-defined or
+    out-of-range data raises its UsageError.
     """
+    make_subgroup_character(G, psi.f, psi.a, psi.c)
     f, a = psi.f, psi.a
     m = G.m
     orbit = orbit_of(a, G.s, m)
@@ -539,25 +528,28 @@ def matrix_of(
 
 @dataclass(frozen=True)
 class InvolutionSpec:
-    """An order-<=2 automorphism theta(x) = x^u, theta(t) = x^v t^w."""
+    """An order-<=2 automorphism theta(x) = x^u, theta(t) = x^v t^w.
+
+    make_involution binds it to the group it validated it on, with the
+    prefix[j] = sum_{l<j} s^(w l) mod m (0 <= j <= N) that it checked;
+    theta_sign and apply_involution trust it there and validate it
+    again on any other group. Built any other way (the constructor,
+    dataclasses.replace), it has no group.
+    """
 
     u: int
     v: int
     w: int
-
-
-def _twisted_prefix(G: MetacyclicGroup, w: int) -> list[int]:
-    # T[j] = sum over l in [0, j) of s^(w*l), mod m, for 0 <= j <= N.
-    spow, N, m = G.s_powers, G.N, G.m
-    T = [0] * (N + 1)
-    for j in range(N):
-        T[j + 1] = (T[j] + spow[(w * j) % N]) % m
-    return T
+    # set by make_involution; derived, so not in repr, == or hash
+    group: MetacyclicGroup | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    prefix: tuple[int, ...] = field(default=(), init=False, repr=False, compare=False)
 
 
 def make_involution(G: MetacyclicGroup, u: int, v: int, w: int) -> InvolutionSpec:
-    """Validated involution data; raises UsageError unless theta is an
-    automorphism with theta^2 = identity.
+    """Validated involution data, bound to G; raises UsageError unless
+    theta is an automorphism with theta^2 = identity.
 
     Conditions, with all congruences mod m unless noted:
     u^2 = 1; w^2 = 1 (mod N); u*s^w = u*s (theta respects t x t^-1 = x^s);
@@ -573,12 +565,17 @@ def make_involution(G: MetacyclicGroup, u: int, v: int, w: int) -> InvolutionSpe
         raise UsageError(f"w^2 != 1 mod N: w={w}, N={G.N}")
     if (u * (G.s_pow(w) - G.s)) % G.m != 0:
         raise UsageError(f"theta breaks the conjugation relation: u={u}, w={w}")
-    T = _twisted_prefix(G, w)
+    T = [0]  # T[j] = sum over l in [0, j) of s^(w*l), mod m, for 0 <= j <= N
+    for j in range(G.N):
+        T.append((T[-1] + G.s_pow(w * j)) % G.m)
     if (v * T[G.N]) % G.m != 0:
         raise UsageError(f"theta(t)^N != 1: v={v}, w={w}")
     if (u * v + v * T[w]) % G.m != 0:
         raise UsageError(f"theta^2(t) != t: u={u}, v={v}, w={w}")
-    return InvolutionSpec(u, v, w)
+    spec = InvolutionSpec(u, v, w)
+    object.__setattr__(spec, "group", G)
+    object.__setattr__(spec, "prefix", tuple(T))
+    return spec
 
 
 def identity_involution(G: MetacyclicGroup) -> InvolutionSpec:
@@ -589,10 +586,15 @@ def identity_involution(G: MetacyclicGroup) -> InvolutionSpec:
 def apply_involution(
     G: MetacyclicGroup, theta: InvolutionSpec, g: GroupElem
 ) -> GroupElem:
-    """theta(x^i t^j) = x^(u i + v * sum_{l<j} s^(w l)) t^(w j)."""
+    """theta(x^i t^j) = x^(u i + v * sum_{l<j} s^(w l)) t^(w j).
+
+    A theta not bound to G is validated on G first, as in theta_sign.
+    """
+    if theta.group is not G:
+        theta = make_involution(G, theta.u, theta.v, theta.w)
     i, j = g.i % G.m, g.j % G.N
     return GroupElem(
-        (theta.u * i + theta.v * _twisted_prefix(G, theta.w)[j]) % G.m,
+        (theta.u * i + theta.v * theta.prefix[j]) % G.m,
         (theta.w * j) % G.N,
     )
 
@@ -619,41 +621,42 @@ def theta_sign(
     nonzero projection decides: B symmetric gives +1, antisymmetric -1;
     all projections zero gives 0. A nonzero B that is neither raises
     InternalConsistencyError. With theta the identity this computes the
-    Frobenius-Schur indicator by an independent route.
+    Frobenius-Schur indicator by an independent route. theta is taken
+    as it is on the group make_involution bound it to, and validated
+    again on any other.
 
-    The sum over the normal subgroup <x> is collapsed exactly: the seed
-    survives only if a*s^-mu = -u*a*s^-nu (mod m), and the remaining
-    sum over j in [0, N) is accumulated at exponent level.
+    The sum over <x> is collapsed exactly: the seed survives only if
+    a*s^-mu = -u*a*s^-nu (mod m), and the sum over j in [0, N) fills,
+    at exponent level, only the cells of B it reaches. An absent cell
+    is 0, so one pass over the filled cells, each against its
+    transpose, decides B^T = B, B^T = -B, or both (B = 0).
 
-    Where 0 is decided: some seed survives iff -u*a is in the orbit
-    {a*s^r : 0 <= r < f}, which depends on u and not on v, w or c, and
-    on a only through d = m/gcd(a, m): -u*a = a*s^r iff d | s^r+u. The
-    least such r, or None, is read from a memo with one entry per class
-    (G, u mod m, f, d), used by this route only. On None the sign is 0
-    before any seed is built. Otherwise the surviving seeds are the f
-    pairs (mu, mu + r mod f), they are projected in turn, and 0 means
-    every projection vanished.
+    Some seed survives iff -u*a = a*s^r for an r in [0, f), that is iff
+    d = m/gcd(a, m) divides s^r+u. The least such r, or None, is read
+    from a memo with one entry per class (G, u mod m, f, d), used by
+    this route only. On None the sign is 0 before any seed is built;
+    otherwise the f seeds (mu, mu + r mod f) are projected in turn.
     """
     _require_irreducible(G, psi)
+    if theta.group is not G:
+        theta = make_involution(G, theta.u, theta.v, theta.w)
     f, a, c = psi.f, psi.a, psi.c
     m = G.m
     # a*s^-mu = -u*a*s^-nu iff -u*a = a*s^(nu-mu); the orbit has exactly
     # f points, so row mu has one seed, nu = mu + r, or none has any
-    r = _theta_shift(G, theta.u % m, f, m // gcd(a, m))
+    r = _theta_shift(G, theta.u, f, m // gcd(a, m))
     if r is None:
         return 0
-    N, spow = G.N, G.s_powers
+    N = G.N
     Nf = N // f
-    v, w = theta.v, theta.w
-    sinv_pows = [spow[-k % N] for k in range(f)]
-    T = _twisted_prefix(G, w)
+    v, w, T = theta.v, theta.w, theta.prefix
     M0 = _char_conductor(G, psi)
     step_m = M0 // m
     step_t = M0 // Nf
 
     for mu in range(f):
         nu = (mu + r) % f
-        vas = v * a * sinv_pows[nu] % m  # em below is v*T[j]*a*s^-nu
+        vas = v * a * G.s_pow(-nu) % m  # em below is v*T[j]*a*s^-nu
         cells: dict[tuple[int, int], dict[int, int]] = {}
         for j in range(N):
             alpha = (mu - j) % f
@@ -667,33 +670,22 @@ def theta_sign(
             ctr = cells.setdefault((alpha, beta), {})
             ctr[e] = ctr.get(e, 0) + 1
         # shrink to the smallest conductor the exponents actually need
-        g_all = 0
-        for ctr in cells.values():
-            for e in ctr:
-                g_all = gcd(g_all, e)
-        g_all = gcd(g_all, M0) or M0
+        g_all = gcd(M0, *(e for ctr in cells.values() for e in ctr))
         Meff = M0 // g_all
         vals = {
             key: root_sum(Meff, {e // g_all: n for e, n in ctr.items()})
             for key, ctr in cells.items()
         }
-        if not any(bool(val) for val in vals.values()):
-            continue
         zero = cyc_zero(Meff)
-        sym = all(
-            vals.get((b_, a_), zero) == vals.get((a_, b_), zero)
-            for a_ in range(f)
-            for b_ in range(f)
-        )
-        if sym:
-            return 1
-        anti = all(
-            vals.get((b_, a_), zero) == cyc_neg(vals.get((a_, b_), zero))
-            for a_ in range(f)
-            for b_ in range(f)
-        )
-        if anti:
-            return -1
+        sym = anti = True
+        for (alpha, beta), val in vals.items():
+            other = vals.get((beta, alpha), zero)
+            sym = sym and other == val
+            anti = anti and other == cyc_neg(val)
+        if sym and anti:  # B = 0
+            continue
+        if sym or anti:
+            return 1 if sym else -1
         raise InternalConsistencyError(
             f"twisted form for psi={psi}, theta={theta} on {G} is "
             f"neither symmetric nor antisymmetric at seed (mu, nu) = "

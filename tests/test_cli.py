@@ -465,6 +465,22 @@ def test_closed_form_oracle_disagreement_exits_two(capsys, monkeypatch, argv):
     assert "TameCharacter(q=2, f=2, a=1, w=1)" in err and "n=4" in err
 
 
+def test_closed_form_disagreement_names_the_model(capsys, monkeypatch):
+    # the scan's closed form against its oracle: the message names chi, n,
+    # the model group and the model's Irrep, as cmd_sign's twin does
+    monkeypatch.setattr(
+        tamesigns.division, "sign_division_closed_form", lambda chi: -chi.w
+    )
+    code, out, err = run(capsys, ["enumerate", "--q", "2", "--n", "4"])
+    assert (code, out) == (2, "")
+    G = "MetacyclicGroup(m=15, N=8, s=2)"
+    assert err == (
+        "internal consistency failure: closed-form sign -1 disagrees with "
+        "the Frobenius-Schur oracle 1 for TameCharacter(q=2, f=2, a=1, w=1) "
+        f"at n=4 on {G} (psi=Irrep(f=2, a=5, c=0, group={G}))\n"
+    )
+
+
 @pytest.mark.parametrize(
     "argv",
     [

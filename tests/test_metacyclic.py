@@ -40,6 +40,7 @@ from tamesigns.division import division_model, enumerate_level1_selfdual
 from tamesigns.errors import InternalConsistencyError, UsageError
 from tamesigns.metacyclic import (
     GroupElem,
+    InvolutionSpec,
     Irrep,
     MetacyclicGroup,
     SubgroupCharacter,
@@ -647,6 +648,132 @@ def test_theta_with_translation_part():
         assert theta_sign(G, theta, psi) == expected, psi
 
 
+def reference_theta_sign(G, theta, psi) -> int:
+    # theta_sign as it was before its one-pass check: the twisted prefix
+    # built per call, the shift found in psi's own orbit, and each seed's
+    # projection scanned over all f x f cells for B^T = B, then B^T = -B
+    f, a, c = psi.f, psi.a, psi.c
+    m, N = G.m, G.N
+    u, v, w = theta.u % m, theta.v % m, theta.w % N
+    orbit = [a * G.s_pow(r) % m for r in range(f)]
+    if -u * a % m not in orbit:
+        return 0
+    r = orbit.index(-u * a % m)
+    T = [0] * (N + 1)
+    for j in range(N):
+        T[j + 1] = (T[j] + G.s_pow(w * j)) % m
+    Nf = N // f
+    M0 = char_conductor(G, psi)
+    for mu in range(f):
+        nu = (mu + r) % f
+        cells = {}
+        for j in range(N):
+            alpha = (mu - j) % f
+            jp = (w * j) % N
+            beta = (nu - jp) % f
+            em = v * T[j] * a * G.s_pow(-nu) % m
+            et = c * ((alpha + j) // f + (beta + jp) // f) % Nf
+            e = (em * (M0 // m) + et * (M0 // Nf)) % M0
+            ctr = cells.setdefault((alpha, beta), {})
+            ctr[e] = ctr.get(e, 0) + 1
+        g_all = 0
+        for ctr in cells.values():
+            for e in ctr:
+                g_all = gcd(g_all, e)
+        g_all = gcd(g_all, M0) or M0
+        Meff = M0 // g_all
+        vals = {
+            key: root_sum(Meff, {e // g_all: n for e, n in ctr.items()})
+            for key, ctr in cells.items()
+        }
+        if not any(vals.values()):
+            continue
+        zero = cyc_zero(Meff)
+        pairs = [(vals.get((x, y), zero), vals.get((y, x), zero))
+                 for x in range(f) for y in range(f)]
+        if all(b == b_t for b, b_t in pairs):
+            return 1
+        if all(b == cyc_neg(b_t) for b, b_t in pairs):
+            return -1
+        raise AssertionError("reference twisted form is neither type")
+    return 0
+
+
+def all_involutions(G):
+    out = []
+    for u, v, w in itertools.product(range(G.m), range(G.m), range(G.N)):
+        try:
+            out.append(make_involution(G, u, v, w))
+        except UsageError:
+            pass
+    return out
+
+
+def test_one_pass_theta_sign_matches_the_two_scan_reference():
+    # every valid involution of every BATTERY group, translation parts
+    # v != 0 and u outside {1, -1} included
+    kinds = set()
+    for m, N, s in BATTERY:
+        G = make_group(m, N, s)
+        for theta in all_involutions(G):
+            kinds.add((theta.v != 0, theta.u not in (1 % m, -1 % m)))
+            for psi in enumerate_irreps(G):
+                expected = reference_theta_sign(G, theta, psi)
+                assert theta_sign(G, theta, psi) == expected, (G, theta, psi)
+    assert kinds == {(False, False), (True, False), (False, True), (True, True)}
+
+
+@pytest.mark.parametrize("m,N,s", BATTERY)
+def test_involution_prefix_is_the_literal_twisted_sum(m, N, s):
+    G = make_group(m, N, s)
+    for theta in all_involutions(G):
+        assert theta.group is G
+        assert theta.prefix == tuple(
+            sum(pow(G.s, theta.w * l, m) for l in range(j)) % m
+            for j in range(N + 1)
+        ), theta
+
+
+def test_involution_of_another_group_is_refused():
+    # x -> x^4 is an involution of C_5 x| C_4, but 4^2 != 1 mod 7
+    theta = make_involution(make_group(5, 4, 2), 4, 0, 1)
+    G = make_group(7, 3, 2)
+    trivial = enumerate_irreps(G)[0]
+    for call in (
+        lambda: theta_sign(G, theta, trivial),
+        lambda: apply_involution(G, theta, GroupElem(1, 1)),
+    ):
+        with pytest.raises(UsageError) as info:
+            call()
+        assert str(info.value) == "u^2 != 1 mod m: u=4, m=7"
+
+
+def test_involution_is_validated_once_on_its_group(monkeypatch):
+    G = make_group(15, 8, 2)
+    theta = make_involution(G, 14, 0, 1)
+    plain = InvolutionSpec(14, 0, 1)
+    assert (plain, repr(plain), hash(plain)) == (theta, repr(theta), hash(theta))
+    assert plain.group is None
+    real = tamesigns.metacyclic.make_involution
+    calls = []
+    monkeypatch.setattr(
+        tamesigns.metacyclic,
+        "make_involution",
+        lambda G, u, v, w: calls.append((u, v, w)) or real(G, u, v, w),
+    )
+    irreps = enumerate_irreps(G)
+    signs = [theta_sign(G, theta, psi) for psi in irreps]
+    images = [apply_involution(G, theta, g) for g in elements(G)]
+    assert calls == []
+    # a spec with no group, or bound to an equal group that is a separate
+    # object, is validated on every call
+    assert [theta_sign(G, plain, psi) for psi in irreps] == signs
+    assert len(calls) == len(irreps)
+    twin = MetacyclicGroup(15, 8, 2)
+    assert apply_involution(twin, theta, GroupElem(1, 1)) == images[9]
+    assert len(calls) == len(irreps) + 1
+
+
 def _count_root_sum(monkeypatch) -> list[int]:
     calls = [0]
     real = tamesigns.metacyclic.root_sum
@@ -925,6 +1052,24 @@ def _break_orbit_of(monkeypatch):
         "orbit_of",
         lambda a, s, m: real_orbit_of(a, s, m) + [a],
     )
+
+
+@pytest.mark.parametrize(
+    "route", ROUTES + [is_irreducible_induced], ids=ROUTE_IDS + ["is_irreducible_induced"]
+)
+@pytest.mark.parametrize(
+    "psi,message",
+    [
+        # 1*(s^2 - 1) = 3 mod 5: psi is not well defined on <x, t^2>
+        (SubgroupCharacter(2, 1, 0), "a=1 is not fixed by t^f: a*(s^f - 1) != 0 mod 5"),
+        (SubgroupCharacter(4, 1, 7), "need 0 <= c < N/f = 1, got c=7"),
+    ],
+    ids=["ill-defined", "c-out-of-range"],
+)
+def test_invalid_inducing_data_is_a_usage_error(route, psi, message):
+    with pytest.raises(UsageError) as info:
+        route(make_group(5, 4, 2), psi)
+    assert str(info.value) == message
 
 
 def test_enumeration_checks_each_orbit_and_names_both_routes(monkeypatch):
