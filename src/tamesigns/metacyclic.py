@@ -35,17 +35,23 @@ through d. An InvolutionSpec carries the group make_involution
 validated it on and the twisted prefix it checked. The character
 routes (fs_indicator, fs_indicator_raw, theta_sign, and rationality's
 character_field and is_real_character) check any other psi again on
-every call, from make_subgroup_character's validation on, and
-theta_sign and apply_involution validate any other theta again.
+every call, from make_subgroup_character's validation on;
+det_exponents, induced_character and matrix_of validate it as
+make_subgroup_character does; theta_sign and apply_involution validate
+any other theta again.
 
 Most irreps are not self-dual, and each sign route decides their 0 by
 its own orbit test, before any cyclotomic arithmetic. Both tests depend
 on a only through d: a*(1+s^j) = 0 (mod m) iff d | 1+s^j, and
--u*a = a*s^r (mod m) iff d | s^r+u. fs_indicator_raw reads its
-surviving (2j mod N)/f from a memo keyed by (G, f, d) and returns the
-shared cyc_zero(N/f) when none survives; theta_sign reads its shift r,
-or None, from one keyed by (G, u mod m, f, d) and returns 0 on None.
-The two share no table.
+-u*a = a*s^r (mod m) iff d | s^r+u. Each route keeps its answers on
+the group, one entry per class, built on the class's first call:
+fs_indicator_raw reads its surviving (2j mod N)/f from G.fs_survivors,
+keyed by (f, d), and returns the shared cyc_zero(N/f) when none
+survives; theta_sign reads its shift r, or None, from G.theta_shifts,
+keyed by (u mod m, f, d), and returns 0 on None. The two share no
+table. Their keys are small-int tuples, which hash without the
+Python-level call a frozen group's hash makes, and they go away with
+their group. G.order (m*N) is a stored field, like G.s_powers.
 """
 
 from __future__ import annotations
@@ -94,8 +100,16 @@ class MetacyclicGroup:
     m: int
     N: int
     s: int
-    # s^k mod m for 0 <= k < N; derived, so not in repr, == or hash
+    # derived, so not in repr, == or hash: s^k mod m for 0 <= k < N,
+    # m*N, and the two sign routes' per-class memos, filled on demand
     s_powers: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    order: int = field(init=False, repr=False, compare=False)
+    fs_survivors: dict[tuple[int, int], tuple[int, ...]] = field(
+        init=False, repr=False, compare=False
+    )
+    theta_shifts: dict[tuple[int, int, int], int | None] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.m < 1 or self.N < 1:
@@ -108,10 +122,9 @@ class MetacyclicGroup:
         if powers[-1] * s % m != 1 % m:
             raise UsageError(f"s^N must be 1 mod m: s={s}, N={self.N}, m={m}")
         object.__setattr__(self, "s_powers", tuple(powers))
-
-    @property
-    def order(self) -> int:
-        return self.m * self.N
+        object.__setattr__(self, "order", m * self.N)
+        object.__setattr__(self, "fs_survivors", {})
+        object.__setattr__(self, "theta_shifts", {})
 
     def s_pow(self, k: int) -> int:
         """s^k mod m for any integer k (negatives use s^-1 = s^(N-1))."""
@@ -330,8 +343,11 @@ def induced_character(
 
     Zero unless f | j; otherwise
     zeta_{N/f}^(c*j/f) * sum_rho zeta_m^(a * s^rho * i), rho over [0, f).
-    The result lives at conductor lcm(m, N/f).
+    The result lives at conductor lcm(m, N/f). A psi that is not an
+    Irrep on G is validated first, as by make_subgroup_character.
     """
+    if type(psi) is not Irrep or psi.group is not G:
+        make_subgroup_character(G, psi.f, psi.a, psi.c)
     f, a, c = psi.f, psi.a, psi.c
     Nf = G.N // f
     M0 = _char_conductor(G, psi)
@@ -387,12 +403,12 @@ def _require_irreducible(
         raise UsageError(f"psi={psi} does not induce irreducibly on {G}")
 
 
-@cache
 def _fs_survivors(G: MetacyclicGroup, f: int, d: int) -> tuple[int, ...]:
     # (2j mod N)/f for each j of the FS collapse that survives, in j
     # order. psi vanishes off <x, t^f>, and f | 2j exactly when
     # f/gcd(f, 2) | j; a*(1+s^j) = 0 (mod m) iff d = m/gcd(a, m) divides
-    # 1+s^j, so the list is one per class (G, f, d).
+    # 1+s^j, so the list is one per class (f, d) of G: G.fs_survivors
+    # keeps it.
     N, spow = G.N, G.s_powers
     return tuple(
         (2 * j % N) // f
@@ -409,20 +425,26 @@ def fs_indicator_raw(G: MetacyclicGroup, psi: SubgroupCharacter | Irrep) -> CycI
     literal element-by-element evaluation.
 
     A j survives the collapse iff a*s^j = -a (mod m), that is iff d =
-    m/gcd(a, m) divides 1+s^j, so the surviving j are read from a memo
-    with one entry per class (G, f, d), used by this route only. When
+    m/gcd(a, m) divides 1+s^j, so the surviving j are read from the
+    memo G.fs_survivors, built on a class's first call with one entry
+    per class (f, d) of G and used by this route only. When
     none survives, -a is not in the orbit of a, psi is not self-dual,
     and the sum is the shared cyc_zero(N/f), returned without calling
     root_sum; otherwise root_sum canonicalises the surviving terms,
     which may still cancel to 0.
     """
-    _require_irreducible(G, psi)
+    if type(psi) is not Irrep or psi.group is not G:
+        _require_irreducible(G, psi)
     # Collapsed: (x^i t^j)^2 = x^(i(1+s^j)) t^(2j). Summing over i kills
     # every j with a*(1+s^j) != 0 (mod m) and contributes m*f *
     # psi(t^(2j mod N)) otherwise. Keys are exponents of zeta_{N/f}.
     f, a, c = psi.f, psi.a, psi.c
     Nf = G.N // f
-    ks = _fs_survivors(G, f, G.m // gcd(a, G.m))
+    key = (f, G.m // gcd(a, G.m))
+    try:
+        ks = G.fs_survivors[key]
+    except KeyError:
+        ks = G.fs_survivors[key] = _fs_survivors(G, *key)
     if not ks:
         # no j survives: -a is not in the orbit of a, and the sum is 0
         return cyc_zero(Nf)
@@ -481,8 +503,12 @@ def det_exponents(
     """Determinants of pi(x) and pi(t) as (conductor, exponent) pairs.
 
     det pi(x) = zeta_m^(sum of the orbit of a); det pi(t) =
-    (-1)^(f-1) * zeta_{N/f}^c, returned at conductor lcm(2, N/f).
+    (-1)^(f-1) * zeta_{N/f}^c, returned at conductor lcm(2, N/f). A psi
+    that is not an Irrep on G is validated first, as by
+    make_subgroup_character.
     """
+    if type(psi) is not Irrep or psi.group is not G:
+        make_subgroup_character(G, psi.f, psi.a, psi.c)
     f, c = psi.f, psi.c
     Nf = G.N // f
     M1 = lcm(2, Nf)
@@ -504,8 +530,11 @@ def matrix_of(
 
     The model: pi(x) e_rho = zeta_m^(a * s^-rho) e_rho, pi(t) e_rho =
     e_{rho+1} for rho < f-1 and pi(t) e_{f-1} = psi(t^f) e_0. Entries
-    live at conductor lcm(m, N/f).
+    live at conductor lcm(m, N/f). A psi that is not an Irrep on G is
+    validated first, as by make_subgroup_character.
     """
+    if type(psi) is not Irrep or psi.group is not G:
+        make_subgroup_character(G, psi.f, psi.a, psi.c)
     f, a, c = psi.f, psi.a, psi.c
     Nf = G.N // f
     M0 = _char_conductor(G, psi)
@@ -599,11 +628,11 @@ def apply_involution(
     )
 
 
-@cache
 def _theta_shift(G: MetacyclicGroup, u: int, f: int, d: int) -> int | None:
     # the least r in [0, f) with -u*a = a*s^r (mod m), or None when -u*a
     # is not in the orbit of a; the congruence is d | s^r + u with
-    # d = m/gcd(a, m), so the shift is one per class (G, u, f, d)
+    # d = m/gcd(a, m), so the shift is one per class (u mod m, f, d) of
+    # G: G.theta_shifts keeps it
     for r, p in enumerate(G.s_powers[:f]):
         if (p + u) % d == 0:
             return r
@@ -633,18 +662,25 @@ def theta_sign(
 
     Some seed survives iff -u*a = a*s^r for an r in [0, f), that is iff
     d = m/gcd(a, m) divides s^r+u. The least such r, or None, is read
-    from a memo with one entry per class (G, u mod m, f, d), used by
-    this route only. On None the sign is 0 before any seed is built;
-    otherwise the f seeds (mu, mu + r mod f) are projected in turn.
+    from the memo G.theta_shifts, built on a class's first call with one
+    entry per class (u mod m, f, d) of G and used by this route only. On
+    None the sign is 0 before any seed is built; otherwise the f seeds
+    (mu, mu + r mod f) are projected in turn.
     """
-    _require_irreducible(G, psi)
+    if type(psi) is not Irrep or psi.group is not G:
+        _require_irreducible(G, psi)
     if theta.group is not G:
         theta = make_involution(G, theta.u, theta.v, theta.w)
     f, a, c = psi.f, psi.a, psi.c
     m = G.m
     # a*s^-mu = -u*a*s^-nu iff -u*a = a*s^(nu-mu); the orbit has exactly
-    # f points, so row mu has one seed, nu = mu + r, or none has any
-    r = _theta_shift(G, theta.u, f, m // gcd(a, m))
+    # f points, so row mu has one seed, nu = mu + r, or none has any.
+    # make_involution reduced u mod m.
+    key = (theta.u, f, m // gcd(a, m))
+    try:
+        r = G.theta_shifts[key]
+    except KeyError:
+        r = G.theta_shifts[key] = _theta_shift(G, *key)
     if r is None:
         return 0
     N = G.N

@@ -148,6 +148,32 @@ def test_make_group_shares_one_group_per_triple():
             make_group(5, 2, 2)
 
 
+def test_stored_fields_and_memos_are_derived_state():
+    G = make_group(15, 8, 2)
+    theta = identity_involution(G)
+    for psi in enumerate_irreps(G):
+        fs_indicator_raw(G, psi)
+        theta_sign(G, theta, psi)
+    assert G.fs_survivors and G.theta_shifts
+    twin = MetacyclicGroup(15, 8, 2)
+    assert not twin.fs_survivors and not twin.theta_shifts
+    assert twin == G and hash(twin) == hash(G)
+    assert repr(twin) == repr(G) == "MetacyclicGroup(m=15, N=8, s=2)"
+    assert G.order == G.m * G.N == twin.order == 120
+
+
+@pytest.mark.parametrize("m,N,s", BATTERY)
+def test_a_directly_built_group_gives_its_shared_twins_signs(m, N, s):
+    # twin's memos fill from its own Irreps and from G's, checked again
+    G, twin = make_group(m, N, s), MetacyclicGroup(m, N, s)
+    theta, twin_theta = identity_involution(G), identity_involution(twin)
+    for psi in enumerate_irreps(G):
+        raw, sign = fs_indicator_raw(G, psi), theta_sign(G, theta, psi)
+        for other in (Irrep(psi.f, psi.a, psi.c, twin), psi):
+            assert fs_indicator_raw(twin, other) == raw, psi
+            assert theta_sign(twin, twin_theta, other) == sign, psi
+
+
 def test_verify_flip_builds_each_model_group_once(monkeypatch):
     # at q = 3, n = 4 the rows need C_80 x| C_8 (both sides, f | 4) and
     # C_8 x| C_4 (the parameter side at f = 2), each built once
@@ -884,10 +910,12 @@ def test_memos_tell_groups_with_one_m_apart():
     # groups on C_15 share classes (f, d) with different entries: the
     # surviving j differ at (1, 1) between s = 2 (N = 8) and s = 4, and
     # at (2, 15) -1 is a power of s = 14 but not of s = 4, so a memo not
-    # keyed on the group would serve a later group an earlier one's entry
-    tamesigns.metacyclic._fs_survivors.cache_clear()
-    tamesigns.metacyclic._theta_shift.cache_clear()
-    for G in (make_group(15, 8, 2), make_group(15, 4, 4), make_group(15, 4, 14)):
+    # kept off the group would serve a later group an earlier one's entry
+    groups = (make_group(15, 8, 2), make_group(15, 4, 4), make_group(15, 4, 14))
+    for G in groups:
+        G.fs_survivors.clear()
+        G.theta_shifts.clear()
+    for G in groups:
         theta = identity_involution(G)
         for psi in enumerate_irreps(G):
             M = char_conductor(G, psi)
@@ -897,17 +925,30 @@ def test_memos_tell_groups_with_one_m_apart():
             assert theta_sign(G, theta, psi) == ind, (G, psi)
 
 
+def _count_builder(monkeypatch, name) -> list[int]:
+    calls = [0]
+    real = getattr(tamesigns.metacyclic, name)
+
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(tamesigns.metacyclic, name, counted)
+    return calls
+
+
 def test_each_route_tests_its_orbit_once_per_class(monkeypatch):
     # C_4095 x| C_12 (q = 4, n = 6): each route's orbit test runs once per
     # class (f, d = m/gcd(a, m)), and root_sum runs only for the irreps
     # that pass it, which include every self-dual one
-    mc = tamesigns.metacyclic
     G = make_group(4095, 12, 4)
     theta = identity_involution(G)
     irreps = enumerate_irreps(G)
     classes = {(p.f, G.m // gcd(p.a, G.m)) for p in irreps}
-    mc._fs_survivors.cache_clear()
-    mc._theta_shift.cache_clear()
+    G.fs_survivors.clear()
+    G.theta_shifts.clear()
+    fs_built = _count_builder(monkeypatch, "_fs_survivors")
+    shifts_built = _count_builder(monkeypatch, "_theta_shift")
     calls = _count_root_sum(monkeypatch)
     passed = selfdual = 0
     for psi in irreps:
@@ -922,10 +963,8 @@ def test_each_route_tests_its_orbit_once_per_class(monkeypatch):
         else:
             assert calls[0] == 0, psi
         selfdual += ind != 0
-    assert mc._fs_survivors.cache_info().misses == len(classes)
-    assert mc._theta_shift.cache_info().misses == len(classes)
-    assert mc._fs_survivors.cache_info().hits == 2 * len(irreps) - len(classes)
-    assert mc._theta_shift.cache_info().hits == len(irreps) - len(classes)
+    assert fs_built[0] == shifts_built[0] == len(classes)
+    assert len(G.fs_survivors) == len(G.theta_shifts) == len(classes)
     assert 0 < selfdual <= passed < len(irreps)
     assert len(classes) < len(irreps)
 
@@ -1054,9 +1093,19 @@ def _break_orbit_of(monkeypatch):
     )
 
 
-@pytest.mark.parametrize(
-    "route", ROUTES + [is_irreducible_induced], ids=ROUTE_IDS + ["is_irreducible_induced"]
-)
+# routes that validate inducing data but do not require it irreducible
+UNCHECKED_ROUTES = [
+    is_irreducible_induced,
+    det_exponents,
+    lambda G, psi: induced_character(G, psi, GroupElem(1, 0)),
+    lambda G, psi: matrix_of(G, psi, GroupElem(1, 0)),
+]
+UNCHECKED_IDS = [
+    "is_irreducible_induced", "det_exponents", "induced_character", "matrix_of"
+]
+
+
+@pytest.mark.parametrize("route", ROUTES + UNCHECKED_ROUTES, ids=ROUTE_IDS + UNCHECKED_IDS)
 @pytest.mark.parametrize(
     "psi,message",
     [
