@@ -47,7 +47,6 @@ from .metacyclic import (
     SubgroupCharacter,
     fs_indicator,
     make_group,
-    make_subgroup_character,
     orbit_irreps,
     orbit_of,
     orbit_partition,
@@ -162,7 +161,8 @@ def division_model(
     Returns (G, psi) with G = C_{q^n-1} x| C_{2n}, s = q, and psi the
     inducing datum (f, a * (q^n-1)/(q^f-1), c) where c = 0 encodes
     w = +1 and c = n/f encodes w = -1 (the scalar at t^f).
-    Requires f | n; chi is regular by construction.
+    Requires f | n; chi is regular by construction, and so is psi valid,
+    so psi is a plain SubgroupCharacter, which each consumer validates.
     """
     if n < 1:
         raise UsageError(f"n must be >= 1, got {n}")
@@ -171,7 +171,7 @@ def division_model(
     G = make_group(chi.q**n - 1, 2 * n, chi.q)
     a_big = _model_exponent(chi.q, n, chi.f, chi.a)
     c = _model_c(n, chi.f, chi.w)
-    return G, make_subgroup_character(G, chi.f, a_big, c)
+    return G, SubgroupCharacter(chi.f, a_big, c)
 
 
 def _model_exponent(q: int, n: int, f: int, a: int) -> int:

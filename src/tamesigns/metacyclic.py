@@ -23,8 +23,10 @@ elements on small groups.
 Every power of s is read from one table, s^k mod m for 0 <= k < N
 (MetacyclicGroup.s_powers), built and checked (s^N = 1 mod m) once per
 (m, N, s): make_group shares one frozen group per triple, and a refused
-triple raises on every call. orbit_of is the one orbit walk and
-orbit_partition the one partition of Z/m into orbits.
+triple raises on every call. The geometric sums sum_{l<j} s^l mod m,
+0 <= j <= N, are a second table built with it (MetacyclicGroup.s_prefix).
+orbit_of is the one orbit walk and orbit_partition the one partition
+of Z/m into orbits.
 
 Validated data is bound to its group and trusted only there. An Irrep
 has passed the irreducibility cross-check on its group: orbit_irreps,
@@ -32,7 +34,7 @@ the step of both enumerations (enumerate_irreps and the division-side
 scan), runs it once per class d = m/gcd(a, m), since the orbit size,
 the norm route's pair count and well-definedness depend on a only
 through d. An InvolutionSpec carries the group make_involution
-validated it on and the twisted prefix it checked. The character
+validated it on, whose s_prefix gives its twisted sums. The character
 routes (fs_indicator, fs_indicator_raw, theta_sign, and rationality's
 character_field and is_real_character) check any other psi again on
 every call, from make_subgroup_character's validation on;
@@ -58,6 +60,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache
+from itertools import accumulate
 from math import gcd, lcm
 from typing import Iterable, Iterator, NamedTuple, NoReturn
 
@@ -101,8 +104,10 @@ class MetacyclicGroup:
     N: int
     s: int
     # derived, so not in repr, == or hash: s^k mod m for 0 <= k < N,
-    # m*N, and the two sign routes' per-class memos, filled on demand
+    # sum_{l<j} s^l mod m for 0 <= j <= N, m*N, and the two sign routes'
+    # per-class memos, filled on demand
     s_powers: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    s_prefix: tuple[int, ...] = field(init=False, repr=False, compare=False)
     order: int = field(init=False, repr=False, compare=False)
     fs_survivors: dict[tuple[int, int], tuple[int, ...]] = field(
         init=False, repr=False, compare=False
@@ -122,6 +127,8 @@ class MetacyclicGroup:
         if powers[-1] * s % m != 1 % m:
             raise UsageError(f"s^N must be 1 mod m: s={s}, N={self.N}, m={m}")
         object.__setattr__(self, "s_powers", tuple(powers))
+        prefix = tuple(total % m for total in accumulate(powers, initial=0))
+        object.__setattr__(self, "s_prefix", prefix)
         object.__setattr__(self, "order", m * self.N)
         object.__setattr__(self, "fs_survivors", {})
         object.__setattr__(self, "theta_shifts", {})
@@ -514,7 +521,7 @@ def det_exponents(
     M1 = lcm(2, Nf)
     # the diagonal of pi(x) carries the orbit a * s^rho, 0 <= rho < f, so
     # its exponents sum to a * (s^0 + ... + s^(f-1)) mod m
-    kx = psi.a * sum(G.s_powers[:f]) % G.m
+    kx = psi.a * G.s_prefix[f] % G.m
     kt = (((f - 1) % 2) * (M1 // 2) + (c % Nf) * (M1 // Nf)) % M1
     return (G.m, kx), (M1, kt)
 
@@ -559,11 +566,10 @@ def matrix_of(
 class InvolutionSpec:
     """An order-<=2 automorphism theta(x) = x^u, theta(t) = x^v t^w.
 
-    make_involution binds it to the group it validated it on, with the
-    prefix[j] = sum_{l<j} s^(w l) mod m (0 <= j <= N) that it checked;
-    theta_sign and apply_involution trust it there and validate it
-    again on any other group. Built any other way (the constructor,
-    dataclasses.replace), it has no group.
+    make_involution binds it to the group it validated it on, whose
+    s_prefix gives its twisted sums; theta_sign and apply_involution
+    trust it there and validate it again on any other group. Built any
+    other way (the constructor, dataclasses.replace), it has no group.
     """
 
     u: int
@@ -573,7 +579,6 @@ class InvolutionSpec:
     group: MetacyclicGroup | None = field(
         default=None, init=False, repr=False, compare=False
     )
-    prefix: tuple[int, ...] = field(default=(), init=False, repr=False, compare=False)
 
 
 def make_involution(G: MetacyclicGroup, u: int, v: int, w: int) -> InvolutionSpec:
@@ -584,6 +589,7 @@ def make_involution(G: MetacyclicGroup, u: int, v: int, w: int) -> InvolutionSpe
     u^2 = 1; w^2 = 1 (mod N); u*s^w = u*s (theta respects t x t^-1 = x^s);
     v * sum_{l<N} s^(w l) = 0 (theta(t)^N = 1);
     u*v + v * sum_{l<w} s^(w l) = 0 (theta^2(t) = t).
+    u is a unit, so s^w = s and the sums are G.s_prefix[N], G.s_prefix[w].
     """
     u %= G.m
     v %= G.m
@@ -594,16 +600,12 @@ def make_involution(G: MetacyclicGroup, u: int, v: int, w: int) -> InvolutionSpe
         raise UsageError(f"w^2 != 1 mod N: w={w}, N={G.N}")
     if (u * (G.s_pow(w) - G.s)) % G.m != 0:
         raise UsageError(f"theta breaks the conjugation relation: u={u}, w={w}")
-    T = [0]  # T[j] = sum over l in [0, j) of s^(w*l), mod m, for 0 <= j <= N
-    for j in range(G.N):
-        T.append((T[-1] + G.s_pow(w * j)) % G.m)
-    if (v * T[G.N]) % G.m != 0:
+    if (v * G.s_prefix[G.N]) % G.m != 0:
         raise UsageError(f"theta(t)^N != 1: v={v}, w={w}")
-    if (u * v + v * T[w]) % G.m != 0:
+    if (u * v + v * G.s_prefix[w]) % G.m != 0:
         raise UsageError(f"theta^2(t) != t: u={u}, v={v}, w={w}")
     spec = InvolutionSpec(u, v, w)
     object.__setattr__(spec, "group", G)
-    object.__setattr__(spec, "prefix", tuple(T))
     return spec
 
 
@@ -617,13 +619,14 @@ def apply_involution(
 ) -> GroupElem:
     """theta(x^i t^j) = x^(u i + v * sum_{l<j} s^(w l)) t^(w j).
 
-    A theta not bound to G is validated on G first, as in theta_sign.
+    The sum is G.s_prefix[j] (s^w = s). A theta not bound to G is
+    validated on G first, as in theta_sign.
     """
     if theta.group is not G:
         theta = make_involution(G, theta.u, theta.v, theta.w)
     i, j = g.i % G.m, g.j % G.N
     return GroupElem(
-        (theta.u * i + theta.v * theta.prefix[j]) % G.m,
+        (theta.u * i + theta.v * G.s_prefix[j]) % G.m,
         (theta.w * j) % G.N,
     )
 
@@ -644,28 +647,30 @@ def theta_sign(
 ) -> int:
     """Sign of the theta-twisted invariant bilinear form: -1, 0 or +1.
 
-    Projects elementary-matrix seeds E_{mu,nu} (row-major order) by the
-    exact average B = sum_g pi(g)^T E pi(theta(g)). The space of
-    invariant forms is at most one-dimensional, so the first seed with a
-    nonzero projection decides: B symmetric gives +1, antisymmetric -1;
-    all projections zero gives 0. A nonzero B that is neither raises
+    Projects the elementary-matrix seed E = E_{0,r} by the exact average
+    B = sum_g pi(g)^T E pi(theta(g)). The space of invariant forms is at
+    most one-dimensional, so B decides: symmetric gives +1,
+    antisymmetric -1, B = 0 gives 0; a nonzero B that is neither raises
     InternalConsistencyError. With theta the identity this computes the
     Frobenius-Schur indicator by an independent route. theta is taken
     as it is on the group make_involution bound it to, and validated
     again on any other.
 
-    The sum over <x> is collapsed exactly: the seed survives only if
-    a*s^-mu = -u*a*s^-nu (mod m), and the sum over j in [0, N) fills,
-    at exponent level, only the cells of B it reaches. An absent cell
-    is 0, so one pass over the filled cells, each against its
-    transpose, decides B^T = B, B^T = -B, or both (B = 0).
+    The sum over <x> is collapsed exactly: E_{mu,nu} survives only if
+    -u*a = a*s^r (mod m) with nu = mu + r (mod f), that is iff d =
+    m/gcd(a, m) divides s^r+u. The least such r in [0, f), or None, is
+    read from the memo G.theta_shifts, built on a class's first call
+    with one entry per class (u mod m, f, d) of G and used by this route
+    only; on None the sign is 0 before any seed is built.
 
-    Some seed survives iff -u*a = a*s^r for an r in [0, f), that is iff
-    d = m/gcd(a, m) divides s^r+u. The least such r, or None, is read
-    from the memo G.theta_shifts, built on a class's first call with one
-    entry per class (u mod m, f, d) of G and used by this route only. On
-    None the sign is 0 before any seed is built; otherwise the f seeds
-    (mu, mu + r mod f) are projected in turn.
+    One seed is enough: re-indexing the sum gives P(pi(h)^T E pi(theta h))
+    = P(E) for every h, and for h = t^k the left side is a nonzero root
+    of unity times one seed in row mu-k. Row 0's only seed is (0, r), so
+    if any seed (mu, mu+r) has a nonzero projection, so has (0, r). The
+    sum over j in [0, N) fills the cells (-j, r - w*j) mod f, reading
+    the twisted prefix from G.s_prefix, and every transpose is filled
+    (w^2 = 1 and r*(1+w) = 0 mod f), so one pass over the cells, each
+    against its transpose, decides B^T = B, B^T = -B, or both (B = 0).
     """
     if type(psi) is not Irrep or psi.group is not G:
         _require_irreducible(G, psi)
@@ -673,9 +678,7 @@ def theta_sign(
         theta = make_involution(G, theta.u, theta.v, theta.w)
     f, a, c = psi.f, psi.a, psi.c
     m = G.m
-    # a*s^-mu = -u*a*s^-nu iff -u*a = a*s^(nu-mu); the orbit has exactly
-    # f points, so row mu has one seed, nu = mu + r, or none has any.
-    # make_involution reduced u mod m.
+    # make_involution reduced u mod m
     key = (theta.u, f, m // gcd(a, m))
     try:
         r = G.theta_shifts[key]
@@ -685,46 +688,41 @@ def theta_sign(
         return 0
     N = G.N
     Nf = N // f
-    v, w, T = theta.v, theta.w, theta.prefix
+    w, T = theta.w, G.s_prefix
     M0 = _char_conductor(G, psi)
     step_m = M0 // m
     step_t = M0 // Nf
 
-    for mu in range(f):
-        nu = (mu + r) % f
-        vas = v * a * G.s_pow(-nu) % m  # em below is v*T[j]*a*s^-nu
-        cells: dict[tuple[int, int], dict[int, int]] = {}
-        for j in range(N):
-            alpha = (mu - j) % f
-            k1 = (alpha + j) // f
-            jp = (w * j) % N
-            beta = (nu - jp) % f
-            k2 = (beta + jp) // f
-            em = T[j] * vas % m
-            et = (c * (k1 + k2)) % Nf
-            e = (em * step_m + et * step_t) % M0
-            ctr = cells.setdefault((alpha, beta), {})
-            ctr[e] = ctr.get(e, 0) + 1
-        # shrink to the smallest conductor the exponents actually need
-        g_all = gcd(M0, *(e for ctr in cells.values() for e in ctr))
-        Meff = M0 // g_all
-        vals = {
-            key: root_sum(Meff, {e // g_all: n for e, n in ctr.items()})
-            for key, ctr in cells.items()
-        }
-        zero = cyc_zero(Meff)
-        sym = anti = True
-        for (alpha, beta), val in vals.items():
-            other = vals.get((beta, alpha), zero)
-            sym = sym and other == val
-            anti = anti and other == cyc_neg(val)
-        if sym and anti:  # B = 0
-            continue
-        if sym or anti:
-            return 1 if sym else -1
-        raise InternalConsistencyError(
-            f"twisted form for psi={psi}, theta={theta} on {G} is "
-            f"neither symmetric nor antisymmetric at seed (mu, nu) = "
-            f"({mu}, {nu})"
-        )
-    return 0
+    vas = theta.v * a * G.s_pow(-r) % m  # em below is v*T[j]*a*s^-r
+    cells: dict[tuple[int, int], dict[int, int]] = {}
+    for j in range(N):
+        alpha = -j % f
+        k1 = (alpha + j) // f
+        jp = (w * j) % N
+        beta = (r - jp) % f
+        k2 = (beta + jp) // f
+        em = T[j] * vas % m
+        et = (c * (k1 + k2)) % Nf
+        e = (em * step_m + et * step_t) % M0
+        ctr = cells.setdefault((alpha, beta), {})
+        ctr[e] = ctr.get(e, 0) + 1
+    # shrink to the smallest conductor the exponents actually need
+    g_all = gcd(M0, *(e for ctr in cells.values() for e in ctr))
+    Meff = M0 // g_all
+    vals = {
+        key: root_sum(Meff, {e // g_all: n for e, n in ctr.items()})
+        for key, ctr in cells.items()
+    }
+    sym = anti = True
+    for (alpha, beta), val in vals.items():
+        other = vals[beta, alpha]
+        sym = sym and other == val
+        anti = anti and other == cyc_neg(val)
+    if sym and anti:  # B = 0
+        return 0
+    if sym or anti:
+        return 1 if sym else -1
+    raise InternalConsistencyError(
+        f"twisted form for psi={psi}, theta={theta} on {G} is "
+        f"neither symmetric nor antisymmetric at seed (mu, nu) = (0, {r})"
+    )

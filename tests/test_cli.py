@@ -32,6 +32,7 @@ from tamesigns.division import TameCharacter, is_prime_power, selfdual_row_count
 from tamesigns.errors import InternalConsistencyError, UsageError
 from tamesigns.rationality import CharacterField
 from tamesigns.signs import FlipRow
+from tamesigns.weil import sign_weil_closed_form
 
 
 def run(capsys, argv):
@@ -479,6 +480,42 @@ def test_closed_form_disagreement_names_the_model(capsys, monkeypatch):
         "the Frobenius-Schur oracle 1 for TameCharacter(q=2, f=2, a=1, w=1) "
         f"at n=4 on {G} (psi=Irrep(f=2, a=5, c=0, group={G}))\n"
     )
+
+
+def test_invalid_model_datum_is_refused_by_every_consumer(capsys, monkeypatch):
+    # division_model does not validate its datum; each consumer does, so
+    # an out-of-range scalar c = N/f is refused on every route, exit 1
+    monkeypatch.setattr(tamesigns.division, "_model_c", lambda n, f, w: 2 * n // f)
+    chi = TameCharacter(2, 2, 1, 1)
+    for call, message in [
+        (lambda: tamesigns.division.sign_division_oracle(4, chi), "got c=4"),
+        (lambda: sign_weil_closed_form(chi), "N/f = 2, got c=2"),
+    ]:
+        with pytest.raises(UsageError, match="need 0 <= c < N/f") as info:
+            call()
+        assert str(info.value).endswith(message)
+    argv = ["sign", "--side", "division", "--q", "2", "--n", "4", "--f", "2",
+            "--a", "1", "--w", "+1"]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err == "usage error: need 0 <= c < N/f = 4, got c=4\n"
+
+
+def test_enumeration_emitting_an_invalid_datum_exits_two(capsys, monkeypatch):
+    # a datum the scan built but the closed form refuses is an enumeration
+    # fault: pinned from the library and from the CLI
+    monkeypatch.setattr(tamesigns.division, "is_selfdual_division", lambda chi: False)
+    message = (
+        "enumeration at q=2, n=2 emitted an invalid datum (f=2, a=1, w=1): "
+        "closed-form sign needs a self-dual datum, got "
+        "TameCharacter(q=2, f=2, a=1, w=1)"
+    )
+    with pytest.raises(InternalConsistencyError) as info:
+        tamesigns.division.enumerate_level1_selfdual(2, 2)
+    assert str(info.value) == message
+    code, out, err = run(capsys, ["enumerate", "--q", "2", "--n", "2"])
+    assert (code, out) == (2, "")
+    assert err == f"internal consistency failure: {message}\n"
 
 
 @pytest.mark.parametrize(

@@ -160,6 +160,7 @@ def test_stored_fields_and_memos_are_derived_state():
     assert twin == G and hash(twin) == hash(G)
     assert repr(twin) == repr(G) == "MetacyclicGroup(m=15, N=8, s=2)"
     assert G.order == G.m * G.N == twin.order == 120
+    assert G.s_prefix == twin.s_prefix == (0, 1, 3, 7, 0, 1, 3, 7, 0)
 
 
 @pytest.mark.parametrize("m,N,s", BATTERY)
@@ -749,12 +750,73 @@ def test_one_pass_theta_sign_matches_the_two_scan_reference():
     assert kinds == {(False, False), (True, False), (False, True), (True, True)}
 
 
+def seed_projection(G, theta, psi, mu, r):
+    # the cells of seed (mu, mu + r)'s projection, as reference_theta_sign's
+    # loop body builds them, each canonicalised at conductor lcm(m, N/f)
+    f, a, c = psi.f, psi.a, psi.c
+    m, N = G.m, G.N
+    v, w = theta.v % m, theta.w % N
+    T = [0] * (N + 1)
+    for j in range(N):
+        T[j + 1] = (T[j] + G.s_pow(w * j)) % m
+    Nf = N // f
+    M0 = char_conductor(G, psi)
+    nu = (mu + r) % f
+    cells = {}
+    for j in range(N):
+        alpha = (mu - j) % f
+        jp = (w * j) % N
+        beta = (nu - jp) % f
+        em = v * T[j] * a * G.s_pow(-nu) % m
+        et = c * ((alpha + j) // f + (beta + jp) // f) % Nf
+        e = (em * (M0 // m) + et * (M0 // Nf)) % M0
+        ctr = cells.setdefault((alpha, beta), {})
+        ctr[e] = ctr.get(e, 0) + 1
+    return [root_sum(M0, ctr) for ctr in cells.values()]
+
+
+def test_every_seed_projects_to_zero_or_none_does():
+    # theta_sign projects only (0, r): for each irrep with a surviving
+    # shift r, the seeds (mu, mu + r) are all zero or all nonzero, and the
+    # sign is 0 exactly when they are all zero. Cases: every valid
+    # involution of every BATTERY group, and the identity on the model
+    # groups with m <= 800.
+    small_models = [triple for triple in ENGINE_GROUPS_UP_TO_7000 if triple[0] <= 800]
+    cases = [
+        (G, theta, psi)
+        for G in (make_group(*triple) for triple in BATTERY)
+        for theta in all_involutions(G)
+        for psi in enumerate_irreps(G)
+    ] + [
+        (G, identity_involution(G), psi)
+        for G in (make_group(*triple) for triple in small_models)
+        for psi in enumerate_irreps(G)
+    ]
+    surviving = 0
+    for G, theta, psi in cases:
+        orbit = [psi.a * G.s_pow(r) % G.m for r in range(psi.f)]
+        target = -theta.u * psi.a % G.m
+        if target not in orbit:
+            continue
+        surviving += 1
+        r = orbit.index(target)
+        nonzero = {any(seed_projection(G, theta, psi, mu, r)) for mu in range(psi.f)}
+        assert len(nonzero) == 1, (G, theta, psi)
+        assert nonzero == {theta_sign(G, theta, psi) != 0}, (G, theta, psi)
+    assert surviving == 2366
+
+
 @pytest.mark.parametrize("m,N,s", BATTERY)
 def test_involution_prefix_is_the_literal_twisted_sum(m, N, s):
+    # G.s_prefix is the literal geometric sum of s, and it is also the
+    # w-twisted sum of every valid theta: each has s^w = s
     G = make_group(m, N, s)
+    assert G.s_prefix == tuple(
+        sum(pow(G.s, l, m) for l in range(j)) % m for j in range(N + 1)
+    )
     for theta in all_involutions(G):
         assert theta.group is G
-        assert theta.prefix == tuple(
+        assert G.s_prefix == tuple(
             sum(pow(G.s, theta.w * l, m) for l in range(j)) % m
             for j in range(N + 1)
         ), theta
