@@ -21,9 +21,9 @@ falsification under recipe PR.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from functools import cache
+from json.encoder import encode_basestring_ascii
 from math import lcm
 from operator import itemgetter
 
@@ -74,6 +74,8 @@ BOOL_CELLS = frozenset({"regular", "selfdual", "agree", "consistent"})
 # (command, column) pairs outside SIGN_CELLS that may hold None: the weil
 # side of `sign` has no n
 OPTIONAL_CELLS = frozenset({("sign", "n")})
+# columns holding a str; a column of none of these kinds holds an int
+TEXT_CELLS = frozenset({"recipe", "side", "det_x", "det_t", "scalar_tf", "verdict"})
 
 
 # ---------------------------------------------------------------------------
@@ -132,10 +134,6 @@ def parse_sign(text: str) -> int:
 # formatting helpers
 
 
-_SIGN_TEXT = {1: "+1", -1: "-1", 0: "0", None: ""}
-_BOOL_TEXT = {True: "true", False: "false"}
-
-
 def fmt_root(conductor: int, exponent: int) -> str:
     """A root of unity as +1, -1, or zeta{M}^{k}."""
     k = exponent % conductor
@@ -150,46 +148,102 @@ def _optional_text(value) -> str:
     return "" if value is None else str(value)
 
 
-def _cell_text(command: str, column: str):
-    """The function that writes one CSV cell of the column, by its kind."""
+def _optional_json(value) -> str:
+    return "null" if value is None else int.__repr__(value)
+
+
+# per format, the writers of a sign (+-1, 0 or None), a bool, an
+# OPTIONAL_CELLS cell, a TEXT_CELLS cell and any other cell (an int); the
+# JSON ones write each type as json.dumps does
+_CELL_WRITERS = {
+    "csv": (
+        {1: "+1", -1: "-1", 0: "0", None: ""}.__getitem__,
+        {True: "true", False: "false"}.__getitem__,
+        _optional_text,
+        str,
+        str,
+    ),
+    "json": (
+        {1: "1", -1: "-1", 0: "0", None: "null"}.__getitem__,
+        {True: "true", False: "false"}.__getitem__,
+        _optional_json,
+        encode_basestring_ascii,
+        int.__repr__,
+    ),
+}
+
+
+def _cell_writer(fmt: str, command: str, column: str):
+    """The function that writes one cell of the column, by its kind."""
+    sign, boolean, optional, text, other = _CELL_WRITERS[fmt]
     if column in SIGN_CELLS:
-        return _SIGN_TEXT.__getitem__
+        return sign
     if column in BOOL_CELLS:
-        return _BOOL_TEXT.__getitem__
+        return boolean
     if (command, column) in OPTIONAL_CELLS:
-        return _optional_text
-    return str
+        return optional
+    if column in TEXT_CELLS:
+        return text
+    return other
+
+
+@cache
+def _layout(fmt: str, command: str, columns: tuple[str, ...]) -> tuple:
+    """How render writes a command's rows: (head, steps, cell_sep, row_sep, tail, empty).
+
+    steps holds, per column, the builtins that take a row to its written
+    cell: the column's item, its kind's writer and, in JSON, the key
+    before it. A row's cells are joined by cell_sep and rows by row_sep,
+    between head and tail; empty is the whole text for no rows.
+    """
+    steps = tuple(
+        (itemgetter(i), _cell_writer(fmt, command, column))
+        for i, column in enumerate(columns)
+    )
+    if fmt == "json":
+        head = (
+            "{\n"
+            f'  "schema_version": {SCHEMA_VERSION},\n'
+            f'  "generator_convention": {encode_basestring_ascii(GENERATOR_CONVENTION)},\n'
+            f'  "command": {encode_basestring_ascii(command)},\n'
+            '  "rows": ['
+        )
+        steps = tuple(
+            (*step, f"      {encode_basestring_ascii(column)}: ".__add__)
+            for step, column in zip(steps, columns)
+        )
+        return (
+            head + "\n    {\n", steps, ",\n", "\n    },\n    {\n",
+            "\n    }\n  ]\n}\n", head + "]\n}\n",
+        )
+    head = (
+        f"# schema_version={SCHEMA_VERSION}\n"
+        f"# generator_convention={GENERATOR_CONVENTION}\n"
+        + ",".join(columns) + "\n"
+    )
+    return head, steps, ",", "\n", "\n", head
 
 
 def render(fmt: str, command: str, columns: tuple[str, ...], rows: list[tuple]) -> str:
     """Render rows, each a tuple in column order, as CSV or JSON.
 
-    A CSV cell is written by its column's kind, whose function is chosen
-    once per call: a sign as +1, -1, 0 or empty (None); a bool as true or
-    false; a column of OPTIONAL_CELLS as empty for None; any other value
-    by str. Each column's cells are written lazily and zipped back into
-    lines, so on enumerate and verify-flip, whose functions are all
-    builtins, no Python-level code runs per row or per cell.
+    A cell is written by its column's kind (_CELL_WRITERS), with the
+    writers and fixed text built once per (fmt, command, columns) by
+    _layout. JSON is byte for byte json.dumps(payload, indent=2) + "\n",
+    with each row an object in column order. Each column's cells are
+    written lazily and zipped back into rows, so where the writers are
+    builtins no Python-level code runs per row or per cell.
     """
-    if fmt == "json":
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "generator_convention": GENERATOR_CONVENTION,
-            "command": command,
-            "rows": [dict(zip(columns, row)) for row in rows],
-        }
-        return json.dumps(payload, indent=2) + "\n"
-    lines = [
-        f"# schema_version={SCHEMA_VERSION}",
-        f"# generator_convention={GENERATOR_CONVENTION}",
-        ",".join(columns),
-    ]
-    cells = [
-        map(_cell_text(command, col), map(itemgetter(i), rows))
-        for i, col in enumerate(columns)
-    ]
-    lines.extend(map(",".join, zip(*cells)))
-    return "\n".join(lines) + "\n"
+    head, steps, cell_sep, row_sep, tail, empty = _layout(fmt, command, columns)
+    if not rows:
+        return empty
+    cells = []
+    for column_steps in steps:
+        cell = rows
+        for step in column_steps:
+            cell = map(step, cell)
+        cells.append(cell)
+    return head + row_sep.join(map(cell_sep.join, zip(*cells))) + tail
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ import json
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import tamesigns.cli as cli
@@ -183,6 +183,16 @@ GOLDEN_DIGESTS = [
      "89adb6141a70f25ed46d39f1172daa9062f3688b6680a5c4d5576126cded2134"),
     (["product-check", "-1", "+1"],
      "13df02bee48ff0a7aa42fc8408b4392504044480ed78f5ea5611fe6f72bc0e13"),
+    # the JSON of the same data: the weil side's null n, a non-self-dual
+    # datum's null closed form and zero oracle, and a text verdict
+    (["sign", "--side", "weil", "--q", "2", "--f", "2", "--a", "1", "--w", "-1",
+      "--format", "json"],
+     "ebf43adf5970aa6c09685b42d7365f5055ec4ff00407a03f5186ff06f7d54185"),
+    (["sign", "--side", "division", "--q", "3", "--n", "2", "--f", "2", "--a", "1",
+      "--w", "+1", "--format", "json"],
+     "105410540d2f61e2b46830d26a7ab64257f31ec025bd2fe8fdc4eaeb4195fe6a"),
+    (["product-check", "-1", "+1", "--format", "json"],
+     "19dba19511eef9374bdd8bbc09b6031849663c405b987c908bafffd4f9175f73"),
 ]
 
 
@@ -192,7 +202,8 @@ GOLDEN_DIGESTS = [
     ids=[
         "enumerate-json", "flip-csv", "flip-json", "flip-grid-csv",
         "enumerate-csv", "sign-weil-csv", "sign-non-selfdual-csv",
-        "product-check-csv",
+        "product-check-csv", "sign-weil-json", "sign-non-selfdual-json",
+        "product-check-json",
     ],
 )
 def test_golden_digests(argv, digest):
@@ -313,20 +324,23 @@ COMMAND_COLUMNS = {
 
 
 def test_every_column_has_one_kind():
-    # a column is a sign, a bool, or written by str (empty for None where
+    # a column is a sign, a bool, text, or an int (None too where
     # OPTIONAL_CELLS allows it), and each kind names real columns
     named = set().union(*COMMAND_COLUMNS.values())
-    assert not cli.SIGN_CELLS & cli.BOOL_CELLS
-    assert cli.SIGN_CELLS | cli.BOOL_CELLS <= named
+    kinds = (cli.SIGN_CELLS, cli.BOOL_CELLS, cli.TEXT_CELLS)
+    for i, kind in enumerate(kinds):
+        assert kind <= named
+        for other in kinds[i + 1:]:
+            assert not kind & other
     for command, column in cli.OPTIONAL_CELLS:
         assert column in COMMAND_COLUMNS[command]
-        assert column not in cli.SIGN_CELLS | cli.BOOL_CELLS
+        assert column not in cli.SIGN_CELLS | cli.BOOL_CELLS | cli.TEXT_CELLS
     assert cli.BOOL_CELLS == {"regular", "selfdual", "agree", "consistent"}
+    assert cli.TEXT_CELLS == {"recipe", "side", "det_x", "det_t", "scalar_tf", "verdict"}
 
 
-def test_rows_hold_what_their_column_kind_writes(monkeypatch):
-    # {True: "true"}[1] and _SIGN_TEXT[True] would print an int as a bool
-    # and a bool as a sign, so each kind's column holds only its own type
+def recorded_renders(monkeypatch):
+    """(command, columns, rows) of each render call, over runs of every command."""
     seen = []
     real = cli.render
 
@@ -347,9 +361,18 @@ def test_rows_hold_what_their_column_kind_writes(monkeypatch):
         ["product-check", "-1", "+1"],
     ):
         assert call_main(argv)[0] == 0, argv
+    monkeypatch.undo()
     assert {command for command, _, _ in seen} == set(COMMAND_COLUMNS)
+    return seen
+
+
+def test_rows_hold_what_their_column_kind_writes(monkeypatch):
+    # {True: "true"}[1] and a sign writer given True would print an int as
+    # a bool and a bool as a sign, and a JSON int writer given a str (or a
+    # text writer given an int) would quote an int or leave text bare, so
+    # each kind's column holds only its own type
     nones = set()
-    for command, columns, rows in seen:
+    for command, columns, rows in recorded_renders(monkeypatch):
         assert columns == COMMAND_COLUMNS[command]
         for row in rows:
             assert len(row) == len(columns)
@@ -359,11 +382,71 @@ def test_rows_hold_what_their_column_kind_writes(monkeypatch):
                 elif column in cli.SIGN_CELLS:
                     assert type(value) in (int, type(None)), (command, column)
                     assert value in (1, -1, 0, None), (command, column, value)
+                elif column in cli.TEXT_CELLS:
+                    assert type(value) is str, (command, column, value)
+                elif value is None:
+                    nones.add((command, column))
                 else:
-                    assert not isinstance(value, bool), (command, column)
-                    if value is None:
-                        nones.add((command, column))
+                    assert type(value) is int, (command, column, value)
     assert nones == cli.OPTIONAL_CELLS
+
+
+def json_oracle(command, columns, rows):
+    """What render("json", ...) must return: json.dumps of the payload."""
+    payload = {
+        "schema_version": cli.SCHEMA_VERSION,
+        "generator_convention": cli.GENERATOR_CONVENTION,
+        "command": command,
+        "rows": [dict(zip(columns, row)) for row in rows],
+    }
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def test_json_is_what_json_dumps_writes(monkeypatch):
+    for command, columns, rows in recorded_renders(monkeypatch):
+        assert cli.render("json", command, columns, rows) == json_oracle(
+            command, columns, rows
+        )
+    for command, columns in COMMAND_COLUMNS.items():
+        assert cli.render("json", command, columns, []) == json_oracle(
+            command, columns, []
+        )
+
+
+def kind_value(command, column):
+    """A strategy for one cell of the column, drawn by its kind."""
+    if column in cli.SIGN_CELLS:
+        return st.sampled_from((1, -1, 0, None))
+    if column in cli.BOOL_CELLS:
+        return st.booleans()
+    if column in cli.TEXT_CELLS:
+        return st.text(alphabet=st.sampled_from(["a", "^", "9", '"', "\\", "\n", "é"]))
+    ints = st.integers(min_value=-(2**70), max_value=2**70)
+    if (command, column) in cli.OPTIONAL_CELLS:
+        return st.none() | ints
+    return ints
+
+
+@st.composite
+def kind_rows(draw):
+    command = draw(st.sampled_from(sorted(COMMAND_COLUMNS)))
+    columns = COMMAND_COLUMNS[command]
+    row = st.tuples(*(kind_value(command, column) for column in columns))
+    return command, columns, draw(st.lists(row, max_size=3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(kind_rows())
+@example((
+    "sign", cli.SIGN_COLUMNS,
+    [('"\\\né', -3, None, 2**64 + 1, -(2**64), 0, False, True, None, 0,
+      "zeta7^3", "", "é", 10**30, -1)],
+))
+def test_json_of_drawn_rows_is_what_json_dumps_writes(case):
+    command, columns, rows = case
+    assert cli.render("json", command, columns, rows) == json_oracle(
+        command, columns, rows
+    )
 
 
 def test_product_check_ok_and_violated(capsys):
