@@ -15,13 +15,16 @@ with t^n central. The representation is induced from (f, a', c) where
 a' rescales a into Z/(q^n-1) and c encodes w as the scalar at t^f.
 
 Self-duality (contragredient-invariance) of the induced representation
-forces f = 2d even together with (q^d - 1) | a; for these characters the
-orthogonal/symplectic sign has the closed form w, and an independent
-oracle recomputes it as the Frobenius-Schur indicator of the finite
-model. Both routes are exposed and never merged. The enumeration writes
-a self-dual exponent as a = (q^d - 1) * k; since q^f - 1 = (q^d - 1)(q^d
-+ 1), multiplying a by q mod q^f - 1 multiplies k by q mod q^d + 1, so
-it walks each Galois orbit once in orbit_partition(q, q^d + 1).
+holds for the quadratic characters at f = 1 (2a = 0 mod q - 1), whose
+sign is +1, and otherwise forces f = 2d even together with (q^d - 1) | a,
+where the orthogonal/symplectic sign has the closed form w. An
+independent oracle recomputes the sign as the Frobenius-Schur indicator
+of the finite model. Both routes are exposed and never merged. The
+enumeration covers the even f only; the f = 1 data are not yet among
+its rows. It writes a self-dual exponent as a = (q^d - 1) * k; since
+q^f - 1 = (q^d - 1)(q^d + 1), multiplying a by q mod q^f - 1 multiplies
+k by q mod q^d + 1, so it walks each Galois orbit once in
+orbit_partition(q, q^d + 1).
 
 Where each check of the enumeration runs: per (q, n) cell, the model
 group is built once and the row count is checked against its Moebius
@@ -128,9 +131,14 @@ def is_regular(chi: TameCharacter) -> bool:
 def is_selfdual_division(chi: TameCharacter) -> bool:
     """Whether the associated representation is self-dual.
 
-    chi is regular by construction. The condition is f = 2d even and
-    a * (q^d + 1) = 0 (mod q^f - 1), equivalently (q^d - 1) | a.
+    chi is regular by construction. At f = 1 the condition is 2a = 0
+    (mod q - 1): chi is a quadratic character of F_q^x (a = 0, or
+    a = (q-1)/2 for q odd), whose representation is chi o Nrd. Otherwise
+    it is f = 2d even and a * (q^d + 1) = 0 (mod q^f - 1), equivalently
+    (q^d - 1) | a.
     """
+    if chi.f == 1:
+        return 2 * chi.a % chi.torus_order == 0
     if chi.f % 2 != 0:
         return False
     d = chi.f // 2
@@ -138,14 +146,19 @@ def is_selfdual_division(chi: TameCharacter) -> bool:
 
 
 def sign_division_closed_form(chi: TameCharacter) -> int:
-    """Closed-form orthogonal/symplectic sign of the self-dual datum: w.
+    """Closed-form orthogonal/symplectic sign of the self-dual datum.
 
-    A self-dual datum automatically has (q - 1) | a; that divisibility is
+    At f = 1 it is +1 whatever w is: the representation is a character,
+    real-valued when chi is quadratic. At even f it is w. A self-dual
+    datum of even f automatically has (q - 1) | a; that divisibility is
     verified here and a failure raises InternalConsistencyError, since it
-    would falsify the closed form's derivation.
+    would falsify the closed form's derivation. At f = 1 it holds only
+    for a = 0, so it is not checked there.
     """
     if not is_selfdual_division(chi):
         raise UsageError(f"closed-form sign needs a self-dual datum, got {chi}")
+    if chi.f == 1:
+        return 1
     if chi.torus_order > 1 and chi.a % (chi.q - 1) != 0:
         raise InternalConsistencyError(
             f"self-dual datum with a not divisible by q-1: {chi}"

@@ -46,14 +46,17 @@ Most irreps are not self-dual, and each sign route decides their 0 by
 its own orbit test, before any cyclotomic arithmetic. Both tests depend
 on a only through d: a*(1+s^j) = 0 (mod m) iff d | 1+s^j, and
 -u*a = a*s^r (mod m) iff d | s^r+u. Each route keeps its answers on
-the group, one entry per class, built on the class's first call:
-fs_indicator_raw reads its surviving (2j mod N)/f from G.fs_survivors,
-keyed by (f, d), and returns the shared cyc_zero(N/f) when none
-survives; theta_sign reads its shift r, or None, from G.theta_shifts,
-keyed by (u mod m, f, d), and returns 0 on None. The two share no
-table. Their keys are small-int tuples, which hash without the
-Python-level call a frozen group's hash makes, and they go away with
-their group. G.order (m*N) is a stored field, like G.s_powers.
+the group, one entry per class, built on the class's first call. The
+Frobenius-Schur sum depends on psi only through (f, d, c), so
+G.fs_values keeps one (sum, indicator) entry per class (f, d, c): its
+one builder, _fs_value, forms the collapsed sum (the shared
+cyc_zero(N/f) when no j survives) and runs the indicator's three checks
+once per class, and fs_indicator_raw and fs_indicator both read it.
+theta_sign reads its shift r, or None, from G.theta_shifts, keyed by
+(u mod m, f, d), and returns 0 on None. The two share no table. Their
+keys are small-int tuples, which hash without the Python-level call a
+frozen group's hash makes, and they go away with their group. G.order
+(m*N) is a stored field, like G.s_powers.
 """
 
 from __future__ import annotations
@@ -109,7 +112,7 @@ class MetacyclicGroup:
     s_powers: tuple[int, ...] = field(init=False, repr=False, compare=False)
     s_prefix: tuple[int, ...] = field(init=False, repr=False, compare=False)
     order: int = field(init=False, repr=False, compare=False)
-    fs_survivors: dict[tuple[int, int], tuple[int, ...]] = field(
+    fs_values: dict[tuple[int, int, int], tuple[CycInt, int]] = field(
         init=False, repr=False, compare=False
     )
     theta_shifts: dict[tuple[int, int, int], int | None] = field(
@@ -130,7 +133,7 @@ class MetacyclicGroup:
         prefix = tuple(total % m for total in accumulate(powers, initial=0))
         object.__setattr__(self, "s_prefix", prefix)
         object.__setattr__(self, "order", m * self.N)
-        object.__setattr__(self, "fs_survivors", {})
+        object.__setattr__(self, "fs_values", {})
         object.__setattr__(self, "theta_shifts", {})
 
     def s_pow(self, k: int) -> int:
@@ -410,67 +413,73 @@ def _require_irreducible(
         raise UsageError(f"psi={psi} does not induce irreducibly on {G}")
 
 
-def _fs_survivors(G: MetacyclicGroup, f: int, d: int) -> tuple[int, ...]:
-    # (2j mod N)/f for each j of the FS collapse that survives, in j
-    # order. psi vanishes off <x, t^f>, and f | 2j exactly when
-    # f/gcd(f, 2) | j; a*(1+s^j) = 0 (mod m) iff d = m/gcd(a, m) divides
-    # 1+s^j, so the list is one per class (f, d) of G: G.fs_survivors
-    # keeps it.
-    N, spow = G.N, G.s_powers
-    return tuple(
-        (2 * j % N) // f
-        for j in range(0, N, f // gcd(f, 2))
-        if (1 + spow[j]) % d == 0
-    )
-
-
 def fs_indicator_raw(G: MetacyclicGroup, psi: SubgroupCharacter | Irrep) -> CycInt:
     """The unnormalized Frobenius-Schur sum, a CycInt at conductor N/f.
 
     The sum over g in G of the character at g^2, which is |G| times the
-    indicator; fs_indicator reads it, and tests compare it against
-    literal element-by-element evaluation.
-
-    A j survives the collapse iff a*s^j = -a (mod m), that is iff d =
-    m/gcd(a, m) divides 1+s^j, so the surviving j are read from the
-    memo G.fs_survivors, built on a class's first call with one entry
-    per class (f, d) of G and used by this route only. When
-    none survives, -a is not in the orbit of a, psi is not self-dual,
-    and the sum is the shared cyc_zero(N/f), returned without calling
-    root_sum; otherwise root_sum canonicalises the surviving terms,
-    which may still cancel to 0.
+    indicator fs_indicator returns; tests compare it against literal
+    element-by-element evaluation. It is read from the group's memo
+    G.fs_values, one (sum, indicator) entry per class (f, d, c) of G with
+    d = m/gcd(a, m), built on the class's first call by _fs_value; see
+    there for why the class decides the sum. The builder also runs the
+    indicator's checks, so a sum that fails them raises
+    InternalConsistencyError from this route too.
     """
     if type(psi) is not Irrep or psi.group is not G:
         _require_irreducible(G, psi)
-    # Collapsed: (x^i t^j)^2 = x^(i(1+s^j)) t^(2j). Summing over i kills
-    # every j with a*(1+s^j) != 0 (mod m) and contributes m*f *
-    # psi(t^(2j mod N)) otherwise. Keys are exponents of zeta_{N/f}.
-    f, a, c = psi.f, psi.a, psi.c
-    Nf = G.N // f
-    key = (f, G.m // gcd(a, G.m))
+    key = (psi.f, G.m // gcd(psi.a, G.m), psi.c)
     try:
-        ks = G.fs_survivors[key]
+        return G.fs_values[key][0]
     except KeyError:
-        ks = G.fs_survivors[key] = _fs_survivors(G, *key)
-    if not ks:
-        # no j survives: -a is not in the orbit of a, and the sum is 0
-        return cyc_zero(Nf)
-    mf = G.m * f
-    counts: dict[int, int] = {}
-    for k in ks:
-        e = c * k % Nf
-        counts[e] = counts.get(e, 0) + mf
-    return root_sum(Nf, counts)
+        return _fs_value(G, psi, key)[0]
 
 
 def fs_indicator(G: MetacyclicGroup, psi: SubgroupCharacter | Irrep) -> int:
     """Frobenius-Schur indicator of the induced irreducible: -1, 0 or +1.
 
-    Reads fs_indicator_raw as |G| * c. The sum must be a rational
-    integer, |G| must divide it, and c must be in {-1, 0, +1}; any other
-    value raises InternalConsistencyError rather than being rounded.
+    The indicator c of fs_indicator_raw's sum, |G| * c, read from the
+    same entry of G.fs_values. When its class's entry was built, the sum
+    had to be a rational integer that |G| divides, with c in {-1, 0, +1};
+    any other value raised InternalConsistencyError rather than being
+    rounded, and was not kept.
     """
-    raw = fs_indicator_raw(G, psi)
+    if type(psi) is not Irrep or psi.group is not G:
+        _require_irreducible(G, psi)
+    key = (psi.f, G.m // gcd(psi.a, G.m), psi.c)
+    try:
+        return G.fs_values[key][1]
+    except KeyError:
+        return _fs_value(G, psi, key)[1]
+
+
+def _fs_value(
+    G: MetacyclicGroup, psi: SubgroupCharacter | Irrep, key: tuple[int, int, int]
+) -> tuple[CycInt, int]:
+    """Build, check and keep the FS entry (sum, indicator) of psi's class.
+
+    key is (f, d, c) with d = m/gcd(a, m). The sum is collapsed exactly:
+    (x^i t^j)^2 = x^(i(1+s^j)) t^(2j), psi vanishes off <x, t^f>, and
+    f | 2j exactly when f/gcd(f, 2) | j. Summing over i kills every j
+    with a*(1+s^j) != 0 (mod m), that is every j with d not dividing
+    1+s^j, and each surviving j adds m*f * zeta_{N/f}^(c*k) with k =
+    (2j mod N)/f. So the sum and the indicator are functions of (f, d, c)
+    on G. When no j survives, -a is not in the orbit of a, psi is not
+    self-dual, and the sum is the shared cyc_zero(N/f), formed without
+    root_sum; otherwise root_sum canonicalises the surviving terms, which
+    may still cancel to 0. The sum must be a rational integer that |G|
+    divides, with quotient in {-1, 0, +1}; any other value raises
+    InternalConsistencyError naming psi and G, and no entry is kept.
+    """
+    f, d, c = key
+    N, spow = G.N, G.s_powers
+    Nf = N // f
+    mf = G.m * f
+    counts: dict[int, int] = {}  # exponents of zeta_{N/f} -> coefficient
+    for j in range(0, N, f // gcd(f, 2)):
+        if (1 + spow[j]) % d == 0:
+            e = c * ((2 * j % N) // f) % Nf
+            counts[e] = counts.get(e, 0) + mf
+    raw = root_sum(Nf, counts) if counts else cyc_zero(Nf)
     total = try_as_integer(raw)
     if total is None:
         raise InternalConsistencyError(
@@ -486,7 +495,8 @@ def fs_indicator(G: MetacyclicGroup, psi: SubgroupCharacter | Irrep) -> int:
         raise InternalConsistencyError(
             f"FS indicator for psi={psi} on {G} out of range: {ind}"
         )
-    return ind
+    entry = G.fs_values[key] = (raw, ind)
+    return entry
 
 
 def involution_count(G: MetacyclicGroup) -> int:

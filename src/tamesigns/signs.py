@@ -19,7 +19,9 @@ and record whether everything agrees, one FlipRow per representation
 and recipe. Where each check runs: the division-side checks as
 enumerate_level1_selfdual places them (per cell, per orbit, per entry);
 the Weil closed form with its determinant route once per entry, by
-sign_weil_closed_form in the cell's table; attach_parameter's guards
+sign_weil_closed_form in the cell's table, and, for f < n, the
+parameter model's Frobenius-Schur indicator against it, in the same
+table; attach_parameter's guards
 once per row; and the flip's case analysis against transfer_sign once
 per distinct parameter sign in the cell.
 """
@@ -29,7 +31,7 @@ from __future__ import annotations
 from math import prod
 from typing import Iterable, NamedTuple
 
-from .division import enumerate_level1_selfdual
+from .division import division_model, enumerate_level1_selfdual, sign_division_oracle
 from .errors import InternalConsistencyError, UsageError
 from .weil import RECIPES, attach_parameter, sign_weil_closed_form, sp_sign
 
@@ -139,19 +141,34 @@ def verify_flip(q: int, n: int, recipe: str) -> tuple[FlipRow, ...]:
     closed form, oracle, and flipped prediction all agree. The attached
     parameter is one of the cell's own data, so its sign is read from a
     per-cell table that runs sign_weil_closed_form, with its guards and
-    determinant route, once per datum. The flip depends only on (n,
-    parameter sign), so flip_sign, with its case-analysis-vs-transfer
-    check, runs once per distinct parameter sign in the cell: at most
-    twice. recipe "both" enumerates the cell once and gives the PR rows,
-    then the SZ rows.
+    determinant route, once per datum. For f < n the table also compares
+    it with the Frobenius-Schur indicator of the parameter's own model,
+    sign_division_oracle(f, mu) on C_{q^f-1} x| C_{2f}, and a
+    disagreement raises InternalConsistencyError naming mu, both values
+    and that group. At f = n that model is the cell's own, whose
+    indicator the enumeration has already compared with the closed form,
+    so the comparison would add no evidence and is not made. The flip
+    depends only on (n, parameter sign), so flip_sign, with its
+    case-analysis-vs-transfer check, runs once per distinct parameter
+    sign in the cell: at most twice. recipe "both" enumerates the cell
+    once and gives the PR rows, then the SZ rows.
     """
     if recipe != "both" and recipe not in RECIPES:
         raise UsageError(f"recipe must be one of {RECIPES} or 'both', got {recipe!r}")
     entries = enumerate_level1_selfdual(q, n)
     weil_sign = {}  # (f, a, w) -> sign_weil_closed_form of that datum
     for entry in entries:
-        chi = entry.chi
-        weil_sign[chi.f, chi.a, chi.w] = sign_weil_closed_form(chi)
+        mu = entry.chi
+        closed = weil_sign[mu.f, mu.a, mu.w] = sign_weil_closed_form(mu)
+        if mu.f < n:
+            oracle = sign_division_oracle(mu.f, mu)
+            if oracle != closed:
+                G, _ = division_model(mu.f, mu)
+                raise InternalConsistencyError(
+                    f"parameter-side closed-form sign {closed} disagrees with "
+                    f"the Frobenius-Schur oracle {oracle} for mu={mu} on its "
+                    f"model {G}"
+                )
     flipped: dict[int, int] = {}  # parameter sign -> flip_sign(n, sign)
     rows = []
     for row_recipe in RECIPES if recipe == "both" else (recipe,):

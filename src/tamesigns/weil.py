@@ -10,11 +10,14 @@ Frobenius-slot sign of mu.
 The finite model of mu is C_{q^f-1} x| C_{2f} with s = q and t^f the
 scalar w: it is the division-side model at n = f, division_model(f, mu),
 so the parameter side has no model builder or indicator oracle of its
-own (its oracle is sign_division_oracle(f, mu)). For self-dual mu the
-sign has closed form w, and an equivalent characterization via the
-determinant (det mu nontrivial iff mu orthogonal, for f even) is
-re-verified on every call. sp(e) is orthogonal for e odd and symplectic
-for e even, and signs multiply across the tensor factor.
+own (its oracle is sign_division_oracle(f, mu)). For self-dual mu of
+even f the sign has closed form w, and an equivalent characterization
+via the determinant (det mu nontrivial iff mu orthogonal) is
+re-verified on every call. At f = 1 a self-dual mu is a quadratic
+character, with sign +1, and the determinant is mu itself, so that
+route is replaced there by the oracle and a literal mu^2 = 1. sp(e) is
+orthogonal for e odd and symplectic for e even, and signs multiply
+across the tensor factor.
 
 attach_parameter gives the Frobenius-slot sign of the parameter a
 division-side datum predicts under a chosen twisting recipe: recipe
@@ -33,6 +36,7 @@ from .division import (
     division_model,
     is_selfdual_division,
     sign_division_closed_form,
+    sign_division_oracle,
 )
 from .errors import InternalConsistencyError, UsageError
 from .metacyclic import det_exponents
@@ -48,20 +52,38 @@ RECIPES = ("PR", "SZ")
 
 
 def sign_weil_closed_form(mu: TameCharacter) -> int:
-    """Closed-form sign of a self-dual mu: w.
+    """Closed-form sign of a self-dual mu: w at even f, +1 at f = 1.
 
-    The self-duality and (q - 1) | a guards are sign_division_closed_form's.
-    Then the determinant characterization is cross-checked on the model
-    division_model(f, mu): for f even and self-dual mu, det mu is trivial
-    on the torus and equals -w at t, so det mu is nontrivial exactly when
-    mu is orthogonal. Any mismatch raises InternalConsistencyError naming
-    mu, the model psi and G, and the determinant it read. This
-    is the one place the closed form and its determinant route run:
-    verify-flip's per-cell table calls it once per datum.
+    The closed form and its guards are sign_division_closed_form's. Then
+    a second route runs on the model division_model(f, mu), whose
+    determinants det_exponents reads. For f even and self-dual mu, det
+    mu is trivial on the torus and equals -w at t, so det mu is
+    nontrivial exactly when mu is orthogonal. At f = 1 mu is its own
+    determinant, and that relation does not hold: there mu^2 = 1 is read
+    literally off mu(x) and mu(t), and the Frobenius-Schur indicator
+    sign_division_oracle(1, mu) must equal the closed form. Any mismatch
+    raises InternalConsistencyError naming mu, the model psi and G, and
+    the values it read. This is the one place the closed form and its
+    second route run: verify-flip's per-cell table calls it once per
+    datum.
     """
     w = sign_division_closed_form(mu)
     G, psi = division_model(mu.f, mu)
     (Mx, kx), (Mt, kt) = det_exponents(G, psi)
+    if mu.f == 1:
+        if 2 * kx % Mx or 2 * kt % Mt:
+            raise InternalConsistencyError(
+                f"self-dual {mu} with model psi={psi} on {G} is not "
+                f"quadratic: mu(x) = zeta_{Mx}^{kx}, mu(t) = zeta_{Mt}^{kt}"
+            )
+        oracle = sign_division_oracle(1, mu)
+        if oracle != w:
+            raise InternalConsistencyError(
+                f"Frobenius-Schur route disagrees with the closed form for "
+                f"{mu} with model psi={psi} on {G}: indicator {oracle}, "
+                f"closed form {w}"
+            )
+        return w
     if kx % Mx != 0:
         raise InternalConsistencyError(
             f"det of self-dual {mu} with model psi={psi} on {G} is "

@@ -11,6 +11,7 @@ import pytest
 
 import tamesigns
 import tamesigns.cyclotomic as cyclotomic
+import tamesigns.metacyclic as metacyclic
 
 
 @pytest.fixture
@@ -57,3 +58,19 @@ def fresh_polynomial_caches(monkeypatch):
     yield
     for fn in cached:
         fn.cache_clear()
+
+
+@pytest.fixture
+def fresh_groups(monkeypatch):
+    """Empty make_group's cache of shared groups before and after the test.
+
+    A shared group keeps each Frobenius-Schur value it has decided, so a
+    test that injects a fault under that value uses this: the fault is
+    reached (no warm group serves the value), and no value formed under
+    the fault outlives the test on a shared group. Like
+    fresh_polynomial_caches, it sets up after monkeypatch, so its final
+    clear runs before monkeypatch restores the real functions.
+    """
+    metacyclic.make_group.cache_clear()
+    yield
+    metacyclic.make_group.cache_clear()

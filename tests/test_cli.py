@@ -278,12 +278,6 @@ def test_sign_non_selfdual_reports_zero(capsys):
     assert cols["sign_oracle"] == "0"
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=AssertionError,
-    reason="self-duality is read as 'f even', which fails at f = 1 for "
-    "the quadratic characters a = 0 and a = (q-1)/2",
-)
 def test_sign_selfdual_matches_nonzero_indicator_at_f_one(capsys):
     # f = 1 with a = 0 or a = (q-1)/2 is a quadratic character: its model
     # has indicator +1 for either w, so it is self-dual although f is odd
@@ -685,7 +679,7 @@ def _non_monic_fault(monkeypatch):
     ids=["poly_divexact", "phi_tail"],
 )
 def test_cyclotomic_fault_exits_two(capsys, monkeypatch, fresh_polynomial_caches,
-                                    inject, message):
+                                    fresh_groups, inject, message):
     inject(monkeypatch)
     code, out, err = run(capsys, WEIL_SELFDUAL)
     assert code == 2
@@ -747,16 +741,19 @@ def test_sign_realness_cross_check_exits_two(capsys, monkeypatch, route):
     assert "internal consistency failure: field of values real=" in err
 
 
-def test_off_by_one_fs_sum_fails_the_indicator_and_exits_two(capsys, monkeypatch):
-    # fs_indicator reads fs_indicator_raw as |G| * c: a sum off by one is
-    # not a multiple of |G| = 12 on the weil-side model C_3 x| C_4
-    real = tamesigns.metacyclic.fs_indicator_raw
+def test_off_by_one_fs_sum_fails_the_indicator_and_exits_two(
+    capsys, monkeypatch, fresh_groups
+):
+    # the FS builder reads its sum as |G| * c: a sum off by one is not a
+    # multiple of |G| = 12 on the weil-side model C_3 x| C_4
+    real = tamesigns.metacyclic.root_sum
 
-    def off_by_one(G, psi):
-        raw = real(G, psi)
-        return cyclotomic.cyc_add(raw, cyclotomic.cyc_integer(1, raw.conductor))
+    def off_by_one(conductor, counts):
+        return cyclotomic.cyc_add(
+            real(conductor, counts), cyclotomic.cyc_integer(1, conductor)
+        )
 
-    monkeypatch.setattr(tamesigns.metacyclic, "fs_indicator_raw", off_by_one)
+    monkeypatch.setattr(tamesigns.metacyclic, "root_sum", off_by_one)
     G = tamesigns.metacyclic.make_group(3, 4, 2)
     psi = tamesigns.metacyclic.SubgroupCharacter(2, 1, 1)
     with pytest.raises(InternalConsistencyError) as info:

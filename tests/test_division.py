@@ -100,7 +100,16 @@ def test_selfduality_condition():
     assert is_selfdual_division(TameCharacter(2, 2, 1, 1))
     assert is_selfdual_division(TameCharacter(2, 4, 3, 1))
     assert not is_selfdual_division(TameCharacter(2, 4, 1, 1))
-    assert not is_selfdual_division(TameCharacter(2, 1, 0, 1))  # f odd
+    assert not is_selfdual_division(TameCharacter(2, 3, 1, 1))  # f odd
+    # f = 1: exactly the quadratic characters, 2a = 0 (mod q - 1)
+    for q in (2, 3, 4, 5, 7, 9):
+        for a in range(max(q - 1, 1)):
+            for w in (1, -1):
+                chi = TameCharacter(q, 1, a, w)
+                assert is_selfdual_division(chi) == (2 * a % (q - 1) == 0), chi
+    assert is_selfdual_division(TameCharacter(2, 1, 0, 1))
+    assert is_selfdual_division(TameCharacter(5, 1, 2, -1))
+    assert not is_selfdual_division(TameCharacter(5, 1, 1, 1))
     with pytest.raises(UsageError, match="not regular"):
         TameCharacter(2, 2, 0, 1)
 

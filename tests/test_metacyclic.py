@@ -154,9 +154,9 @@ def test_stored_fields_and_memos_are_derived_state():
     for psi in enumerate_irreps(G):
         fs_indicator_raw(G, psi)
         theta_sign(G, theta, psi)
-    assert G.fs_survivors and G.theta_shifts
+    assert G.fs_values and G.theta_shifts
     twin = MetacyclicGroup(15, 8, 2)
-    assert not twin.fs_survivors and not twin.theta_shifts
+    assert not twin.fs_values and not twin.theta_shifts
     assert twin == G and hash(twin) == hash(G)
     assert repr(twin) == repr(G) == "MetacyclicGroup(m=15, N=8, s=2)"
     assert G.order == G.m * G.N == twin.order == 120
@@ -902,24 +902,31 @@ def test_zero_sign_skips_root_sum_exactly_off_the_orbit(monkeypatch, u, some_ski
 
 
 def test_fs_zero_skips_root_sum_exactly_off_the_orbit(monkeypatch):
-    # fs_indicator_raw returns root_sum's empty sum at conductor N/f,
-    # without calling it, exactly when -a is outside the orbit of a.
-    G = make_group(15, 8, 2)
+    # On a group with an empty memo, the first call of a class (f, d, c),
+    # by either route, calls root_sum once when -a is in the orbit of a,
+    # and not at all when it is outside, where the sum is root_sum's
+    # empty sum at conductor N/f; later calls of the class call it no more.
     calls = _count_root_sum(monkeypatch)
-    skipped = 0
-    for psi in enumerate_irreps(G):
-        ind = fs_indicator(G, psi)
-        calls[0] = 0
-        raw = fs_indicator_raw(G, psi)
-        if _in_orbit(G, -psi.a, psi):
-            assert calls[0] == 1, psi
-        else:
-            assert calls[0] == 0, psi
-            assert raw == root_sum(G.N // psi.f, {}), psi
-            skipped += 1
-        if ind != 0:
-            assert calls[0] == 1, psi
-    assert skipped > 0
+    for first in (fs_indicator_raw, fs_indicator):
+        G = MetacyclicGroup(15, 8, 2)
+        seen = set()
+        skipped = 0
+        for psi in enumerate_irreps(G):
+            key = (psi.f, G.m // gcd(psi.a, G.m), psi.c)
+            calls[0] = 0
+            first(G, psi)
+            ind, raw = fs_indicator(G, psi), fs_indicator_raw(G, psi)
+            if key in seen:
+                assert calls[0] == 0, psi
+            elif _in_orbit(G, -psi.a, psi):
+                assert calls[0] == 1, psi
+            else:
+                assert calls[0] == 0, psi
+                assert raw == root_sum(G.N // psi.f, {}) and ind == 0, psi
+                skipped += 1
+            seen.add(key)
+        assert skipped > 0
+        assert len(seen) < len(enumerate_irreps(G))
 
 
 def reference_fs_raw(G, psi) -> CycInt:
@@ -975,7 +982,7 @@ def test_memos_tell_groups_with_one_m_apart():
     # kept off the group would serve a later group an earlier one's entry
     groups = (make_group(15, 8, 2), make_group(15, 4, 4), make_group(15, 4, 14))
     for G in groups:
-        G.fs_survivors.clear()
+        G.fs_values.clear()
         G.theta_shifts.clear()
     for G in groups:
         theta = identity_involution(G)
@@ -985,6 +992,26 @@ def test_memos_tell_groups_with_one_m_apart():
             assert cyc_embed(fs_indicator_raw(G, psi), M) == literal, (G, psi)
             ind = try_as_integer(literal) // G.order
             assert theta_sign(G, theta, psi) == ind, (G, psi)
+
+
+@pytest.mark.parametrize("m,N,s", BATTERY)
+def test_fs_values_kept_per_class_are_each_irreps_own(m, N, s):
+    # one group's memo, filled over the whole enumeration, serves every
+    # irrep the value a group with an empty memo computes for it, and the
+    # literal sum over G; it holds one entry per class (f, d, c)
+    G = MetacyclicGroup(m, N, s)
+    irreps = enumerate_irreps(G)
+    for psi in irreps:
+        raw, ind = fs_indicator_raw(G, psi), fs_indicator(G, psi)
+        fresh = MetacyclicGroup(m, N, s)
+        other = Irrep(psi.f, psi.a, psi.c, fresh)
+        assert fs_indicator_raw(fresh, other) == raw, psi
+        assert fs_indicator(fresh, other) == ind, psi
+        literal = literal_fs_raw(G, psi)
+        assert cyc_embed(raw, char_conductor(G, psi)) == literal, psi
+        assert try_as_integer(literal) == ind * G.order, psi
+    classes = {(p.f, m // gcd(p.a, m), p.c) for p in irreps}
+    assert len(G.fs_values) == len(classes)
 
 
 def _count_builder(monkeypatch, name) -> list[int]:
@@ -1000,16 +1027,18 @@ def _count_builder(monkeypatch, name) -> list[int]:
 
 
 def test_each_route_tests_its_orbit_once_per_class(monkeypatch):
-    # C_4095 x| C_12 (q = 4, n = 6): each route's orbit test runs once per
-    # class (f, d = m/gcd(a, m)), and root_sum runs only for the irreps
-    # that pass it, which include every self-dual one
+    # C_4095 x| C_12 (q = 4, n = 6): the FS value is built once per class
+    # (f, d = m/gcd(a, m), c), theta_sign's orbit test runs once per class
+    # (f, d), and root_sum runs only for the irreps that pass the orbit
+    # test, which include every self-dual one
     G = make_group(4095, 12, 4)
     theta = identity_involution(G)
     irreps = enumerate_irreps(G)
     classes = {(p.f, G.m // gcd(p.a, G.m)) for p in irreps}
-    G.fs_survivors.clear()
+    fs_classes = {(p.f, G.m // gcd(p.a, G.m), p.c) for p in irreps}
+    G.fs_values.clear()
     G.theta_shifts.clear()
-    fs_built = _count_builder(monkeypatch, "_fs_survivors")
+    fs_built = _count_builder(monkeypatch, "_fs_value")
     shifts_built = _count_builder(monkeypatch, "_theta_shift")
     calls = _count_root_sum(monkeypatch)
     passed = selfdual = 0
@@ -1025,10 +1054,10 @@ def test_each_route_tests_its_orbit_once_per_class(monkeypatch):
         else:
             assert calls[0] == 0, psi
         selfdual += ind != 0
-    assert fs_built[0] == shifts_built[0] == len(classes)
-    assert len(G.fs_survivors) == len(G.theta_shifts) == len(classes)
+    assert fs_built[0] == len(G.fs_values) == len(fs_classes)
+    assert shifts_built[0] == len(G.theta_shifts) == len(classes)
     assert 0 < selfdual <= passed < len(irreps)
-    assert len(classes) < len(irreps)
+    assert len(classes) < len(fs_classes) < len(irreps)
 
 
 def test_shared_zeros_stay_zero_after_a_battery_sweep():
@@ -1048,32 +1077,38 @@ def test_shared_zeros_stay_zero_after_a_battery_sweep():
         assert cyc_zero(M) == root_sum(M, {}), M
 
 
-def test_fs_not_integer_message_names_the_raw_sum(monkeypatch):
+def test_fs_not_integer_message_names_the_raw_sum(monkeypatch, fresh_groups):
+    # the fault is in the canonical form the FS builder reads; no entry
+    # is kept, so every call, by either route, meets the fault again
     G = make_group(3, 4, 2)
     psi = enumerate_irreps(G)[-1]
     monkeypatch.setattr(
-        tamesigns.metacyclic, "fs_indicator_raw", lambda G, psi: cyc_root(4, 1)
+        tamesigns.metacyclic, "root_sum", lambda conductor, counts: cyc_root(4, 1)
     )
-    with pytest.raises(InternalConsistencyError) as info:
-        fs_indicator(G, psi)
-    assert str(info.value) == (
-        f"FS sum for psi={psi} on {G} is not a rational integer: "
-        "conductor 4, coefficients (0, 1)"
-    )
+    for route in (fs_indicator, fs_indicator_raw, fs_indicator):
+        with pytest.raises(InternalConsistencyError) as info:
+            route(G, psi)
+        assert str(info.value) == (
+            f"FS sum for psi={psi} on {G} is not a rational integer: "
+            "conductor 4, coefficients (0, 1)"
+        )
+    assert G.fs_values == {}
 
 
-def test_fs_out_of_range_is_an_internal_fault(monkeypatch):
+def test_fs_out_of_range_is_an_internal_fault(monkeypatch, fresh_groups):
     # an integer sum that |G| divides, but with quotient 2
     G = make_group(3, 4, 2)
     psi = enumerate_irreps(G)[-1]
     monkeypatch.setattr(
         tamesigns.metacyclic,
-        "fs_indicator_raw",
-        lambda G, psi: cyc_integer(2 * G.order, G.N // psi.f),
+        "root_sum",
+        lambda conductor, counts: cyc_integer(2 * G.order, conductor),
     )
-    with pytest.raises(InternalConsistencyError) as info:
-        fs_indicator(G, psi)
-    assert str(info.value) == f"FS indicator for psi={psi} on {G} out of range: 2"
+    for route in (fs_indicator, fs_indicator_raw):
+        with pytest.raises(InternalConsistencyError) as info:
+            route(G, psi)
+        assert str(info.value) == f"FS indicator for psi={psi} on {G} out of range: 2"
+    assert G.fs_values == {}
 
 
 def test_neither_type_message_names_the_seed(monkeypatch):

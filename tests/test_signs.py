@@ -16,8 +16,13 @@ import tamesigns.division
 import tamesigns.metacyclic
 import tamesigns.signs
 import tamesigns.weil
-from tamesigns.division import enumerate_level1_selfdual
-from tamesigns.errors import UsageError
+from tamesigns.cli import main
+from tamesigns.division import (
+    TameCharacter,
+    enumerate_level1_selfdual,
+    is_prime_power,
+)
+from tamesigns.errors import InternalConsistencyError, UsageError
 from tamesigns.signs import (
     casewise_sign,
     flip_sign,
@@ -175,7 +180,8 @@ def test_regularity_is_checked_once_per_built_datum(monkeypatch):
     # runs once per entry under both recipes, at f < n and at f = n alike
     listed = enumerate_level1_selfdual(3, 4)
     entries = len(listed)
-    assert 0 < sum(entry.chi.f < 4 for entry in listed) < entries
+    below = sum(entry.chi.f < 4 for entry in listed)
+    assert 0 < below < entries
     regular, closed, dets = [], [], []
     real_regular = tamesigns.division.is_regular
     real_closed = tamesigns.signs.sign_weil_closed_form
@@ -196,7 +202,9 @@ def test_regularity_is_checked_once_per_built_datum(monkeypatch):
         lambda G, psi: dets.append(psi) or real_det(G, psi),
     )
     # irreducibility once per orbit (both w share it), the FS oracle once
-    # per entry, and the flip once per distinct parameter sign
+    # per entry, the flip once per distinct parameter sign, and, at f < n,
+    # the parameter model's FS oracle, with its irreducibility check, once
+    # per entry
     checked, indicated, flipped = [], [], []
     real_check = tamesigns.metacyclic.is_irreducible_induced
     real_fs = tamesigns.division.fs_indicator
@@ -221,6 +229,57 @@ def test_regularity_is_checked_once_per_built_datum(monkeypatch):
     assert len(regular) == entries // 2
     assert len(closed) == entries
     assert len(dets) == entries
-    assert len(checked) == entries // 2
-    assert len(indicated) == entries
+    assert len(checked) == entries // 2 + below
+    assert len(indicated) == entries + below
     assert sorted(flipped) == sorted({(4, row.param_sign) for row in rows})
+
+
+def test_parameter_side_oracle_disagreement_exits_two(monkeypatch, capsys):
+    # at f < n the parameter's closed form is compared with the FS
+    # indicator of its own model; at f = n it is not, so a fault there is
+    # not met: q = 2, n = 2 has only f = n entries
+    calls = []
+    monkeypatch.setattr(
+        tamesigns.signs,
+        "sign_division_oracle",
+        lambda n, mu: calls.append((n, mu)) or -mu.w,
+    )
+    assert all(row.consistent for row in verify_flip(2, 2, "PR"))
+    assert calls == []
+    with pytest.raises(InternalConsistencyError) as info:
+        verify_flip(2, 4, "PR")
+    mu = TameCharacter(2, 2, 1, 1)
+    assert calls == [(2, mu)]
+    assert str(info.value) == (
+        f"parameter-side closed-form sign 1 disagrees with the "
+        f"Frobenius-Schur oracle -1 for mu={mu} on its model "
+        "MetacyclicGroup(m=3, N=4, s=2)"
+    )
+    assert main(["verify-flip", "--q", "2", "--n", "2..4"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"internal consistency failure: {info.value}\n"
+
+
+
+def test_consistent_restates_the_recipe_on_the_grid():
+    # On every row, consistent holds exactly when the two division-side
+    # routes agree and the recipe gives param_w = w * (-1)^e: at even n,
+    # predicted = flip_sign(n, param_w * sp_sign(e)) = param_w * (-1)^e.
+    # PR gives that for every even f, so its rows add no evidence beyond
+    # the two routes; SZ (param_w = -w) fails exactly on its even-e rows.
+    rows = [
+        row
+        for q in range(2, 10)
+        if is_prime_power(q)
+        for n in range(2, 9)
+        for row in verify_flip(q, n, "both")
+    ]
+    assert len(rows) == 8956
+    for row in rows:
+        restated = row.param_w == row.w * (-1) ** row.e
+        assert row.consistent == (row.sign_closed == row.sign_oracle and restated), row
+    sz = [row for row in rows if row.recipe == "SZ"]
+    failed = [row for row in sz if not row.consistent]
+    assert failed == [row for row in sz if row.e % 2 == 0]
+    assert len(failed) == 190

@@ -172,3 +172,46 @@ def test_attach_parameter_validation():
         attach_parameter(3, chi, "PR")
     with pytest.raises(UsageError):
         attach_parameter(8, TameCharacter(2, 4, 1, 1), "PR")  # not self-dual
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_f_one_closed_forms_are_plus_one_on_the_quadratic_characters(q):
+    # f = 1: self-dual exactly when 2a = 0 (mod q - 1), with sign +1 for
+    # either w on both sides; both FS oracles agree, at n = 1 and n = 2
+    for a in range(max(q - 1, 1)):
+        for w in (1, -1):
+            mu = TameCharacter(q, 1, a, w)
+            if 2 * a % (q - 1):
+                for closed_form in (sign_division_closed_form, sign_weil_closed_form):
+                    with pytest.raises(UsageError, match="self-dual"):
+                        closed_form(mu)
+                continue
+            assert sign_weil_closed_form(mu) == sign_division_closed_form(mu) == 1
+            assert sign_division_oracle(1, mu) == sign_division_oracle(2, mu) == 1
+            assert attach_parameter(2, mu, "PR") == attach_parameter(2, mu, "SZ") == w
+
+
+def test_f_one_oracle_disagreement_raises(monkeypatch):
+    mu = TameCharacter(5, 1, 2, -1)
+    monkeypatch.setattr(tamesigns.weil, "sign_division_oracle", lambda n, chi: -1)
+    with pytest.raises(InternalConsistencyError) as info:
+        sign_weil_closed_form(mu)
+    assert str(info.value) == (
+        f"Frobenius-Schur route disagrees with the closed form for {mu} with "
+        "model psi=SubgroupCharacter(f=1, a=2, c=1) on "
+        "MetacyclicGroup(m=4, N=2, s=1): indicator -1, closed form 1"
+    )
+
+
+def test_f_one_character_that_is_not_quadratic_raises(monkeypatch):
+    mu = TameCharacter(5, 1, 2, 1)
+    monkeypatch.setattr(
+        tamesigns.weil, "det_exponents", lambda G, psi: ((4, 1), (2, 0))
+    )
+    with pytest.raises(InternalConsistencyError) as info:
+        sign_weil_closed_form(mu)
+    assert str(info.value) == (
+        f"self-dual {mu} with model psi=SubgroupCharacter(f=1, a=2, c=0) on "
+        "MetacyclicGroup(m=4, N=2, s=1) is not quadratic: "
+        "mu(x) = zeta_4^1, mu(t) = zeta_2^0"
+    )
