@@ -38,7 +38,7 @@ from .division import (
     sign_division_closed_form,
 )
 from .errors import InternalConsistencyError, UsageError
-from .metacyclic import Irrep, det_exponents, fs_indicator
+from .metacyclic import det_exponents, fs_indicator
 from .rationality import character_field
 from .signs import FlipRow, product_check, verify_flip
 from .weil import RECIPES, sign_weil_closed_form
@@ -329,8 +329,7 @@ def cmd_sign(args: argparse.Namespace) -> tuple[int, str]:
     _check_sign_size(args.q, d, args.f)
     chi = TameCharacter(args.q, args.f, args.a, args.w)
     selfdual = is_selfdual_division(chi)
-    G, datum = division_model(d, chi)
-    psi = Irrep(*datum, G)  # checked once; the routes below trust it on G
+    G, psi = division_model(d, chi)  # an Irrep: the routes trust it on G
     closed_form = sign_division_closed_form if division else sign_weil_closed_form
     closed = closed_form(chi) if selfdual else None
     oracle = fs_indicator(G, psi)

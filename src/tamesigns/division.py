@@ -29,7 +29,9 @@ orbit_partition(q, q^d + 1).
 Where each check of the enumeration runs: per (q, n) cell, the model
 group is built once and the row count is checked against its Moebius
 count; per class d = m/gcd(a, m) of the model exponents, the model is
-checked irreducible once (orbit_irreps, with one table per cell); per
+checked irreducible once (orbit_irreps keeps the checked classes in
+G.orbit_sizes on the shared model group, so neither a later scan of the
+cell nor division_model on that group checks them again); per
 orbit, the datum is checked regular once (by the constructor of its
 w = +1 entry; regularity depends on (q, f, a) only), and both checks
 serve both w; per entry, the closed form checks self-duality and
@@ -166,16 +168,15 @@ def sign_division_closed_form(chi: TameCharacter) -> int:
     return chi.w
 
 
-def division_model(
-    n: int, chi: TameCharacter
-) -> tuple[MetacyclicGroup, SubgroupCharacter]:
+def division_model(n: int, chi: TameCharacter) -> tuple[MetacyclicGroup, Irrep]:
     """The finite model of the degree-n division algebra representation.
 
     Returns (G, psi) with G = C_{q^n-1} x| C_{2n}, s = q, and psi the
-    inducing datum (f, a * (q^n-1)/(q^f-1), c) where c = 0 encodes
-    w = +1 and c = n/f encodes w = -1 (the scalar at t^f).
-    Requires f | n; chi is regular by construction, and so is psi valid,
-    so psi is a plain SubgroupCharacter, which each consumer validates.
+    Irrep (f, a * (q^n-1)/(q^f-1), c) bound to G, where c = 0 encodes
+    w = +1 and c = n/f encodes w = -1 (the scalar at t^f). Requires
+    f | n. chi is regular by construction, so its model exponent's orbit
+    has size f, and orbit_irreps checks psi irreducible once per class
+    d = m/gcd(a, m) of G; every route then trusts psi on G.
     """
     if n < 1:
         raise UsageError(f"n must be >= 1, got {n}")
@@ -184,7 +185,7 @@ def division_model(
     G = make_group(chi.q**n - 1, 2 * n, chi.q)
     a_big = _model_exponent(chi.q, n, chi.f, chi.a)
     c = _model_c(n, chi.f, chi.w)
-    return G, SubgroupCharacter(chi.f, a_big, c)
+    return G, orbit_irreps(G, chi.f, a_big, (c,))[0]
 
 
 def _model_exponent(q: int, n: int, f: int, a: int) -> int:
@@ -210,9 +211,7 @@ def sign_division_oracle(n: int, chi: TameCharacter) -> int:
     return _model_sign(n, chi, G, psi)
 
 
-def _model_sign(
-    n: int, chi: TameCharacter, G: MetacyclicGroup, psi: SubgroupCharacter | Irrep
-) -> int:
+def _model_sign(n: int, chi: TameCharacter, G: MetacyclicGroup, psi: Irrep) -> int:
     # the FS indicator of chi's model (G, psi), which must not vanish
     ind = fs_indicator(G, psi)
     if ind == 0:
@@ -257,12 +256,12 @@ def enumerate_level1_selfdual(q: int, n: int) -> list[SelfdualEntry]:
 
     The cell's model group G = C_{q^n-1} x| C_{2n} is built once. Each
     orbit's model exponent a * (q^n-1)/(q^f-1) is formed once and goes
-    through orbit_irreps with one table for the call, which checks
-    irreducibility once per class d = m/gcd(a, m) and gives the inducing
-    data of both entries: c = 0 for w = +1 and c = n/f for w = -1, as in
-    division_model. Each orbit's w = +1 datum is built as a
-    TameCharacter, whose constructor checks it in full, regularity
-    included, and its w = -1 twin is copied from it with only w changed.
+    through orbit_irreps, which checks irreducibility once per class
+    d = m/gcd(a, m) of G and gives the inducing data of both entries:
+    c = 0 for w = +1 and c = n/f for w = -1, as in division_model. Each
+    orbit's w = +1 datum is built as a TameCharacter, whose constructor
+    checks it in full, regularity included, and its w = -1 twin is
+    copied from it with only w changed.
     Each entry's closed form checks self-duality, and its oracle is the
     FS indicator of its Irrep, which must not vanish, as in
     sign_division_oracle. A datum refused there is an enumeration fault,
@@ -277,7 +276,6 @@ def enumerate_level1_selfdual(q: int, n: int) -> list[SelfdualEntry]:
         raise UsageError(f"n must be >= 1, got {n}")
     G = make_group(q**n - 1, 2 * n, q)
     entries: list[SelfdualEntry] = []
-    checked: dict[int, int] = {}  # class d -> the orbit size checked for it
     for f in divisors(n):
         if f % 2 != 0:
             continue
@@ -287,7 +285,7 @@ def enumerate_level1_selfdual(q: int, n: int) -> list[SelfdualEntry]:
             if size != f:
                 continue
             a = step * k
-            models = orbit_irreps(G, f, _model_exponent(q, n, f, a), cs, checked)
+            models = orbit_irreps(G, f, _model_exponent(q, n, f, a), cs)
             for w, psi in zip(_SIGNS, models):
                 try:
                     # _SIGNS lists w = +1 first: its datum is built and

@@ -31,10 +31,11 @@ of Z/m into orbits.
 Validated data is bound to its group and trusted only there. An Irrep
 has passed the irreducibility cross-check on its group: orbit_irreps,
 the step of both enumerations (enumerate_irreps and the division-side
-scan), runs it once per class d = m/gcd(a, m), since the orbit size,
-the norm route's pair count and well-definedness depend on a only
-through d. An InvolutionSpec carries the group make_involution
-validated it on, whose s_prefix gives its twisted sums. The character
+scan) and of division_model, runs it once per class d = m/gcd(a, m) of
+the group, since the orbit size, the norm route's pair count and
+well-definedness depend on a only through d; G.orbit_sizes keeps the
+size checked for each class. An InvolutionSpec carries the group
+make_involution validated it on, whose s_prefix gives its twisted sums. The character
 routes (fs_indicator, fs_indicator_raw, theta_sign, and rationality's
 character_field and is_real_character) check any other psi again on
 every call, from make_subgroup_character's validation on;
@@ -49,9 +50,9 @@ on a only through d: a*(1+s^j) = 0 (mod m) iff d | 1+s^j, and
 the group, one entry per class, built on the class's first call. The
 Frobenius-Schur sum depends on psi only through (f, d, c), so
 G.fs_values keeps one (sum, indicator) entry per class (f, d, c): its
-one builder, _fs_value, forms the collapsed sum (the shared
-cyc_zero(N/f) when no j survives) and runs the indicator's three checks
-once per class, and fs_indicator_raw and fs_indicator both read it.
+one builder, _fs_value, forms the collapsed sum with root_sum and runs
+the indicator's three checks once per class, and fs_indicator_raw and
+fs_indicator both read it.
 theta_sign reads its shift r, or None, from G.theta_shifts, keyed by
 (u mod m, f, d), and returns 0 on None. The two share no table. Their
 keys are small-int tuples, which hash without the Python-level call a
@@ -107,11 +108,12 @@ class MetacyclicGroup:
     N: int
     s: int
     # derived, so not in repr, == or hash: s^k mod m for 0 <= k < N,
-    # sum_{l<j} s^l mod m for 0 <= j <= N, m*N, and the two sign routes'
-    # per-class memos, filled on demand
+    # sum_{l<j} s^l mod m for 0 <= j <= N, m*N, and the per-class memos
+    # of orbit_irreps and the two sign routes, filled on demand
     s_powers: tuple[int, ...] = field(init=False, repr=False, compare=False)
     s_prefix: tuple[int, ...] = field(init=False, repr=False, compare=False)
     order: int = field(init=False, repr=False, compare=False)
+    orbit_sizes: dict[int, int] = field(init=False, repr=False, compare=False)
     fs_values: dict[tuple[int, int, int], tuple[CycInt, int]] = field(
         init=False, repr=False, compare=False
     )
@@ -133,6 +135,7 @@ class MetacyclicGroup:
         prefix = tuple(total % m for total in accumulate(powers, initial=0))
         object.__setattr__(self, "s_prefix", prefix)
         object.__setattr__(self, "order", m * self.N)
+        object.__setattr__(self, "orbit_sizes", {})
         object.__setattr__(self, "fs_values", {})
         object.__setattr__(self, "theta_shifts", {})
 
@@ -263,7 +266,7 @@ class Irrep(_IrrepFields):
 
     The irreducibility cross-check has run on `group`, so the character
     routes take it there without checking again. orbit_irreps builds
-    these after one check per class d = m/gcd(a, m) of an enumeration;
+    these after one check per class d = m/gcd(a, m) of the group;
     built any other way (the constructor, _make, _replace, unpickling),
     an Irrep is validated like make_subgroup_character and checked
     before it exists.
@@ -282,19 +285,19 @@ class Irrep(_IrrepFields):
 
 
 def orbit_irreps(
-    G: MetacyclicGroup, f: int, a: int, cs: Iterable[int], checked: dict[int, int]
+    G: MetacyclicGroup, f: int, a: int, cs: Iterable[int]
 ) -> list[Irrep]:
     """The Irreps (f, a, c) of G for each c in cs, in order, after one
-    irreducibility check per class d = m/gcd(a, m).
+    irreducibility check per class d = m/gcd(a, m) of G.
 
     a, with 0 <= a < m, is in an orbit of multiplication by s on Z/m,
-    and f is that orbit's size as the caller's partition reports it.
-    checked is the caller's table for one enumeration, class d -> the
-    size checked for it, empty at its start. On the first orbit of a class, (f, a) is validated like
-    make_subgroup_character and checked, with c = 0, by both
-    irreducibility routes, whose disagreement raises
-    InternalConsistencyError naming psi, G and both values; an orbit
-    both routes call reducible raises InternalConsistencyError too.
+    and f is that orbit's size as the caller reports it. G.orbit_sizes
+    keeps, for each class d, the size checked for it. On the first
+    orbit of a class, (f, a) is validated like make_subgroup_character
+    and checked, with c = 0, by both irreducibility routes, whose
+    disagreement raises InternalConsistencyError naming psi, G and both
+    values; an orbit both routes call reducible raises
+    InternalConsistencyError too.
     Every other orbit of the class must have the checked size, or
     InternalConsistencyError names a, f, d, that size and G: the orbit
     size, the norm route, f | N and well-definedness all depend on a
@@ -305,14 +308,14 @@ def orbit_irreps(
     if not 0 <= a < G.m:
         raise UsageError(f"need 0 <= a < m = {G.m}, got a={a}")
     d = G.m // gcd(a, G.m)
-    size = checked.get(d)
+    size = G.orbit_sizes.get(d)
     if size is None:
         if not is_irreducible_induced(G, make_subgroup_character(G, f, a, 0)):
             raise InternalConsistencyError(
                 f"orbit of a={a} has size {f} but does not induce "
                 f"irreducibly on {G}"
             )
-        checked[d] = f
+        G.orbit_sizes[d] = f
     elif size != f:
         raise InternalConsistencyError(
             f"orbit of a={a} has size {f}, but its class "
@@ -332,13 +335,12 @@ def enumerate_irreps(G: MetacyclicGroup) -> list[Irrep]:
 
     Irreps are sorted by (f, a, c), with a the minimum of its orbit.
     The list has sum of f^2 equal to |G|. Each orbit (f, a) of
-    orbit_partition goes through orbit_irreps with one table for the
-    call, so irreducibility is checked once per class d = m/gcd(a, m).
+    orbit_partition goes through orbit_irreps, so irreducibility is
+    checked once per class d = m/gcd(a, m) of G.
     """
-    checked: dict[int, int] = {}
     out: list[Irrep] = []
     for f, a in orbit_partition(G.s, G.m):
-        out += orbit_irreps(G, f, a, range(G.N // f), checked)
+        out += orbit_irreps(G, f, a, range(G.N // f))
     return out
 
 
@@ -463,12 +465,12 @@ def _fs_value(
     with a*(1+s^j) != 0 (mod m), that is every j with d not dividing
     1+s^j, and each surviving j adds m*f * zeta_{N/f}^(c*k) with k =
     (2j mod N)/f. So the sum and the indicator are functions of (f, d, c)
-    on G. When no j survives, -a is not in the orbit of a, psi is not
-    self-dual, and the sum is the shared cyc_zero(N/f), formed without
-    root_sum; otherwise root_sum canonicalises the surviving terms, which
-    may still cancel to 0. The sum must be a rational integer that |G|
-    divides, with quotient in {-1, 0, +1}; any other value raises
-    InternalConsistencyError naming psi and G, and no entry is kept.
+    on G. root_sum canonicalises the surviving terms, which may cancel to
+    0; when no j survives, -a is not in the orbit of a, psi is not
+    self-dual, and the sum is root_sum's empty sum. The sum must be a
+    rational integer that |G| divides, with quotient in {-1, 0, +1}; any
+    other value raises InternalConsistencyError naming psi and G, and no
+    entry is kept.
     """
     f, d, c = key
     N, spow = G.N, G.s_powers
@@ -479,7 +481,7 @@ def _fs_value(
         if (1 + spow[j]) % d == 0:
             e = c * ((2 * j % N) // f) % Nf
             counts[e] = counts.get(e, 0) + mf
-    raw = root_sum(Nf, counts) if counts else cyc_zero(Nf)
+    raw = root_sum(Nf, counts)
     total = try_as_integer(raw)
     if total is None:
         raise InternalConsistencyError(
@@ -510,7 +512,7 @@ def involution_count(G: MetacyclicGroup) -> int:
     js = [0] + ([G.N // 2] if G.N % 2 == 0 else [])
     for j in js:
         K = (1 + G.s_pow(j)) % G.m
-        total += gcd(K, G.m) if K else G.m
+        total += gcd(K, G.m)
     return total
 
 

@@ -18,12 +18,11 @@ the cell's table of Weil-side closed forms, push it through the flip,
 and record whether everything agrees, one FlipRow per representation
 and recipe. Where each check runs: the division-side checks as
 enumerate_level1_selfdual places them (per cell, per orbit, per entry);
-the Weil closed form with its determinant route once per entry, by
-sign_weil_closed_form in the cell's table, and, for f < n, the
-parameter model's Frobenius-Schur indicator against it, in the same
-table; attach_parameter's guards
-once per row; and the flip's case analysis against transfer_sign once
-per distinct parameter sign in the cell.
+the Weil closed form with its second routes (the parameter model's
+Frobenius-Schur indicator and, at even f, the determinant) once per
+entry, by sign_weil_closed_form in the cell's table; attach_parameter's
+guards once per row; and the flip's case analysis against transfer_sign
+once per distinct parameter sign in the cell.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from __future__ import annotations
 from math import prod
 from typing import Iterable, NamedTuple
 
-from .division import division_model, enumerate_level1_selfdual, sign_division_oracle
+from .division import enumerate_level1_selfdual
 from .errors import InternalConsistencyError, UsageError
 from .weil import RECIPES, attach_parameter, sign_weil_closed_form, sp_sign
 
@@ -141,13 +140,8 @@ def verify_flip(q: int, n: int, recipe: str) -> tuple[FlipRow, ...]:
     closed form, oracle, and flipped prediction all agree. The attached
     parameter is one of the cell's own data, so its sign is read from a
     per-cell table that runs sign_weil_closed_form, with its guards and
-    determinant route, once per datum. For f < n the table also compares
-    it with the Frobenius-Schur indicator of the parameter's own model,
-    sign_division_oracle(f, mu) on C_{q^f-1} x| C_{2f}, and a
-    disagreement raises InternalConsistencyError naming mu, both values
-    and that group. At f = n that model is the cell's own, whose
-    indicator the enumeration has already compared with the closed form,
-    so the comparison would add no evidence and is not made. The flip
+    its routes on the parameter's own model C_{q^f-1} x| C_{2f}, once
+    per datum; a disagreement raises InternalConsistencyError. The flip
     depends only on (n, parameter sign), so flip_sign, with its
     case-analysis-vs-transfer check, runs once per distinct parameter
     sign in the cell: at most twice. recipe "both" enumerates the cell
@@ -156,19 +150,10 @@ def verify_flip(q: int, n: int, recipe: str) -> tuple[FlipRow, ...]:
     if recipe != "both" and recipe not in RECIPES:
         raise UsageError(f"recipe must be one of {RECIPES} or 'both', got {recipe!r}")
     entries = enumerate_level1_selfdual(q, n)
-    weil_sign = {}  # (f, a, w) -> sign_weil_closed_form of that datum
-    for entry in entries:
-        mu = entry.chi
-        closed = weil_sign[mu.f, mu.a, mu.w] = sign_weil_closed_form(mu)
-        if mu.f < n:
-            oracle = sign_division_oracle(mu.f, mu)
-            if oracle != closed:
-                G, _ = division_model(mu.f, mu)
-                raise InternalConsistencyError(
-                    f"parameter-side closed-form sign {closed} disagrees with "
-                    f"the Frobenius-Schur oracle {oracle} for mu={mu} on its "
-                    f"model {G}"
-                )
+    # (f, a, w) -> sign_weil_closed_form of that datum
+    weil_sign = {
+        (e.chi.f, e.chi.a, e.chi.w): sign_weil_closed_form(e.chi) for e in entries
+    }
     flipped: dict[int, int] = {}  # parameter sign -> flip_sign(n, sign)
     rows = []
     for row_recipe in RECIPES if recipe == "both" else (recipe,):

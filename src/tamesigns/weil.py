@@ -9,15 +9,15 @@ Frobenius-slot sign of mu.
 
 The finite model of mu is C_{q^f-1} x| C_{2f} with s = q and t^f the
 scalar w: it is the division-side model at n = f, division_model(f, mu),
-so the parameter side has no model builder or indicator oracle of its
-own (its oracle is sign_division_oracle(f, mu)). For self-dual mu of
-even f the sign has closed form w, and an equivalent characterization
-via the determinant (det mu nontrivial iff mu orthogonal) is
-re-verified on every call. At f = 1 a self-dual mu is a quadratic
-character, with sign +1, and the determinant is mu itself, so that
-route is replaced there by the oracle and a literal mu^2 = 1. sp(e) is
-orthogonal for e odd and symplectic for e even, and signs multiply
-across the tensor factor.
+so the parameter side has no model builder of its own.
+sign_weil_closed_form is the one place the parameter side's routes
+run, all on that one model: for self-dual mu the closed form (w at
+even f, +1 at f = 1) is compared with the model's Frobenius-Schur
+indicator at every f, and with the determinant (det mu nontrivial iff
+mu orthogonal) at even f. At f = 1 a self-dual mu is a quadratic
+character and the determinant is mu itself, so that route is replaced
+there by a literal mu^2 = 1. sp(e) is orthogonal for e odd and
+symplectic for e even, and signs multiply across the tensor factor.
 
 attach_parameter gives the Frobenius-slot sign of the parameter a
 division-side datum predicts under a chosen twisting recipe: recipe
@@ -36,10 +36,15 @@ from .division import (
     division_model,
     is_selfdual_division,
     sign_division_closed_form,
-    sign_division_oracle,
 )
 from .errors import InternalConsistencyError, UsageError
-from .metacyclic import det_exponents
+from .metacyclic import (
+    Irrep,
+    MetacyclicGroup,
+    SubgroupCharacter,
+    det_exponents,
+    fs_indicator,
+)
 
 __all__ = [
     "RECIPES",
@@ -54,40 +59,38 @@ RECIPES = ("PR", "SZ")
 def sign_weil_closed_form(mu: TameCharacter) -> int:
     """Closed-form sign of a self-dual mu: w at even f, +1 at f = 1.
 
-    The closed form and its guards are sign_division_closed_form's. Then
-    a second route runs on the model division_model(f, mu), whose
-    determinants det_exponents reads. For f even and self-dual mu, det
-    mu is trivial on the torus and equals -w at t, so det mu is
+    The closed form and its guards are sign_division_closed_form's. The
+    other routes run on one model, the Irrep division_model(f, mu) on
+    G: its Frobenius-Schur indicator must equal the closed form at every
+    f, and det_exponents reads its determinants. For f even and self-dual
+    mu, det mu is trivial on the torus and equals -w at t, so det mu is
     nontrivial exactly when mu is orthogonal. At f = 1 mu is its own
     determinant, and that relation does not hold: there mu^2 = 1 is read
-    literally off mu(x) and mu(t), and the Frobenius-Schur indicator
-    sign_division_oracle(1, mu) must equal the closed form. Any mismatch
-    raises InternalConsistencyError naming mu, the model psi and G, and
-    the values it read. This is the one place the closed form and its
-    second route run: verify-flip's per-cell table calls it once per
-    datum.
+    literally off mu(x) and mu(t). Any mismatch raises
+    InternalConsistencyError naming mu, the model datum psi and G, and
+    the values it read. This is the one place the parameter side's
+    routes run: verify-flip's per-cell table calls it once per datum.
     """
     w = sign_division_closed_form(mu)
     G, psi = division_model(mu.f, mu)
+    oracle = fs_indicator(G, psi)
+    if oracle != w:
+        raise InternalConsistencyError(
+            f"Frobenius-Schur route disagrees with the closed form for "
+            f"{_model_text(mu, G, psi)}: indicator {oracle}, closed form {w}"
+        )
     (Mx, kx), (Mt, kt) = det_exponents(G, psi)
     if mu.f == 1:
         if 2 * kx % Mx or 2 * kt % Mt:
             raise InternalConsistencyError(
-                f"self-dual {mu} with model psi={psi} on {G} is not "
-                f"quadratic: mu(x) = zeta_{Mx}^{kx}, mu(t) = zeta_{Mt}^{kt}"
-            )
-        oracle = sign_division_oracle(1, mu)
-        if oracle != w:
-            raise InternalConsistencyError(
-                f"Frobenius-Schur route disagrees with the closed form for "
-                f"{mu} with model psi={psi} on {G}: indicator {oracle}, "
-                f"closed form {w}"
+                f"self-dual {_model_text(mu, G, psi)} is not quadratic: "
+                f"mu(x) = zeta_{Mx}^{kx}, mu(t) = zeta_{Mt}^{kt}"
             )
         return w
     if kx % Mx != 0:
         raise InternalConsistencyError(
-            f"det of self-dual {mu} with model psi={psi} on {G} is "
-            f"nontrivial on the torus: zeta_{Mx}^{kx}"
+            f"det of self-dual {_model_text(mu, G, psi)} is nontrivial on "
+            f"the torus: zeta_{Mx}^{kx}"
         )
     # det at t is a sign since f is even: kt = 0 means +1, Mt/2 means -1
     if kt == 0:
@@ -96,15 +99,22 @@ def sign_weil_closed_form(mu: TameCharacter) -> int:
         det_t = -1
     else:
         raise InternalConsistencyError(
-            f"det at t for self-dual {mu} with model psi={psi} on {G} is "
-            f"not a sign: zeta_{Mt}^{kt}"
+            f"det at t for self-dual {_model_text(mu, G, psi)} is not a "
+            f"sign: zeta_{Mt}^{kt}"
         )
     if det_t != -w:
         raise InternalConsistencyError(
-            f"det route disagrees with w for {mu} with model psi={psi} on "
-            f"{G}: det_t={det_t}, w={w}"
+            f"det route disagrees with w for {_model_text(mu, G, psi)}: "
+            f"det_t={det_t}, w={w}"
         )
     return w
+
+
+def _model_text(mu: TameCharacter, G: MetacyclicGroup, psi: Irrep) -> str:
+    # mu and its model for an error text: psi's inducing data is printed
+    # as a SubgroupCharacter, without its group, then G; formed only on a
+    # fault, since building it costs as much as a route's lookup
+    return f"{mu} with model psi={SubgroupCharacter(psi.f, psi.a, psi.c)} on {G}"
 
 
 def sp_sign(e: int) -> int:

@@ -64,10 +64,11 @@ def fresh_polynomial_caches(monkeypatch):
 def fresh_groups(monkeypatch):
     """Empty make_group's cache of shared groups before and after the test.
 
-    A shared group keeps each Frobenius-Schur value it has decided, so a
-    test that injects a fault under that value uses this: the fault is
-    reached (no warm group serves the value), and no value formed under
-    the fault outlives the test on a shared group. Like
+    A shared group keeps each Frobenius-Schur value it has decided and
+    the orbit size it has checked irreducible for each class, so a test
+    that injects a fault under either, or counts the checks, uses this:
+    the fault is reached (no warm group serves the value), and no value
+    formed under the fault outlives the test on a shared group. Like
     fresh_polynomial_caches, it sets up after monkeypatch, so its final
     clear runs before monkeypatch restores the real functions.
     """

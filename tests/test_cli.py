@@ -560,8 +560,8 @@ def test_closed_form_disagreement_names_the_model(capsys, monkeypatch):
 
 
 def test_invalid_model_datum_is_refused_by_every_consumer(capsys, monkeypatch):
-    # division_model does not validate its datum; each consumer does, so
-    # an out-of-range scalar c = N/f is refused on every route, exit 1
+    # division_model range-checks its scalar c, so an out-of-range
+    # c = N/f is refused on every route, exit 1
     monkeypatch.setattr(tamesigns.division, "_model_c", lambda n, f, w: 2 * n // f)
     chi = TameCharacter(2, 2, 1, 1)
     for call, message in [
@@ -783,9 +783,11 @@ def test_off_by_one_fs_sum_fails_the_indicator_and_exits_two(
     ],
     ids=["weil", "division", "not-selfdual"],
 )
-def test_sign_checks_its_model_irreducible_once(capsys, monkeypatch, argv):
-    # the Irrep is checked when cmd_sign builds it; fs_indicator and
-    # character_field then trust it on its group
+def test_sign_checks_its_model_irreducible_once(
+    capsys, monkeypatch, fresh_groups, argv
+):
+    # on a fresh group, the model is checked once, when division_model
+    # builds its Irrep; the routes then trust it on its group
     real = tamesigns.metacyclic.is_irreducible_induced
     checks = []
     monkeypatch.setattr(

@@ -34,7 +34,7 @@ from tamesigns.division import (
 from tamesigns.errors import InternalConsistencyError, UsageError
 from tamesigns.metacyclic import (
     GroupElem,
-    SubgroupCharacter,
+    Irrep,
     is_irreducible_induced,
     matrix_of,
     orbit_of,
@@ -133,14 +133,38 @@ def test_division_model_frozen_example():
     chi = TameCharacter(2, 2, 1, -1)
     G, psi = division_model(4, chi)
     assert (G.m, G.N, G.s) == (15, 8, 2)
-    assert psi == SubgroupCharacter(2, 5, 2)
+    assert type(psi) is Irrep and psi == (2, 5, 2, G) and psi.group is G
     assert is_irreducible_induced(G, psi)
     # the t^2 scalar realizes w = -1
     minus, zero = cyc_integer(-1, 60), cyc_zero(60)
     assert matrix_of(G, psi, GroupElem(0, 2)) == [[minus, zero], [zero, minus]]
     chi_plus = TameCharacter(2, 2, 1, 1)
     _, psi_plus = division_model(4, chi_plus)
-    assert psi_plus == SubgroupCharacter(2, 5, 0)
+    assert type(psi_plus) is Irrep and psi_plus == (2, 5, 0, G)
+
+
+def test_division_model_is_the_scans_irrep(monkeypatch):
+    # every entry's model, built alone, is the Irrep the scan built for it,
+    # bound to the cell's shared group
+    real = tamesigns.division.fs_indicator
+    scanned = []
+    monkeypatch.setattr(
+        tamesigns.division,
+        "fs_indicator",
+        lambda G, psi: scanned.append((G, psi)) or real(G, psi),
+    )
+    total = 0
+    for q in filter(is_prime_power, range(2, 10)):
+        for n in range(2, 9):
+            scanned.clear()
+            entries = enumerate_level1_selfdual(q, n)
+            assert len(scanned) == len(entries)
+            for entry, (G, psi) in zip(entries, scanned):
+                G_model, model = division_model(n, entry.chi)
+                assert type(model) is Irrep and model == psi, entry
+                assert G_model is G and model.group is G, entry
+            total += len(entries)
+    assert total == 4478
 
 
 def test_division_model_validation():
@@ -333,7 +357,7 @@ def _orbit_partition_size(q, n):
     return count
 
 
-def test_scan_walks_each_orbit_once(monkeypatch):
+def test_scan_walks_each_orbit_once(monkeypatch, fresh_groups):
     real = tamesigns.metacyclic.orbit_of
     scan_walks, check_walks = [], []
 
@@ -358,7 +382,7 @@ def test_scan_walks_each_orbit_once(monkeypatch):
     assert check_walks == [(20, 80), (8, 80), (16, 80)]
 
 
-def test_scan_checks_irreducibility_once_per_class(monkeypatch):
+def test_scan_checks_irreducibility_once_per_class(monkeypatch, fresh_groups):
     real = tamesigns.metacyclic.is_irreducible_induced
     checks = []
     monkeypatch.setattr(
@@ -373,13 +397,20 @@ def test_scan_checks_irreducibility_once_per_class(monkeypatch):
         (2, 3), (2, 6), (4, 15), (4, 30), (4, 45), (4, 90),
     ]
     assert checks == [(2, 51), (4, 15)]
-    # a fresh table per call: the next call checks its classes again
+    # the classes are kept on the shared model group: the next call
+    # checks none of them, and a fresh group checks them again
+    enumerate_level1_selfdual(4, 4)
+    assert checks == [(2, 51), (4, 15)]
+    tamesigns.metacyclic.make_group.cache_clear()
     enumerate_level1_selfdual(4, 4)
     assert checks == [(2, 51), (4, 15)] * 2
 
 
-def test_scan_catches_a_route_broken_after_a_good_call(monkeypatch):
+def test_scan_catches_a_route_broken_after_a_good_call(monkeypatch, fresh_groups):
     assert len(enumerate_level1_selfdual(4, 4)) == 12
+    # the good call's checked classes stay on its model group, so the
+    # broken route is met on a fresh one
+    tamesigns.metacyclic.make_group.cache_clear()
     # an orbit route that reports one element too many on the model's
     # Z/255; the scan's partitions of Z/5 and Z/17 stay intact
     real_orbit_of = tamesigns.metacyclic.orbit_of

@@ -901,31 +901,27 @@ def test_zero_sign_skips_root_sum_exactly_off_the_orbit(monkeypatch, u, some_ski
     assert (skipped > 0) == some_skip
 
 
-def test_fs_zero_skips_root_sum_exactly_off_the_orbit(monkeypatch):
+def test_fs_forms_one_root_sum_per_class(monkeypatch):
     # On a group with an empty memo, the first call of a class (f, d, c),
-    # by either route, calls root_sum once when -a is in the orbit of a,
-    # and not at all when it is outside, where the sum is root_sum's
-    # empty sum at conductor N/f; later calls of the class call it no more.
+    # by either route, calls root_sum once, on the orbit and off it; off
+    # it (-a is not in the orbit of a) the sum is root_sum's empty sum at
+    # conductor N/f. Later calls of the class call it no more.
     calls = _count_root_sum(monkeypatch)
     for first in (fs_indicator_raw, fs_indicator):
         G = MetacyclicGroup(15, 8, 2)
         seen = set()
-        skipped = 0
+        off = 0
         for psi in enumerate_irreps(G):
             key = (psi.f, G.m // gcd(psi.a, G.m), psi.c)
             calls[0] = 0
             first(G, psi)
             ind, raw = fs_indicator(G, psi), fs_indicator_raw(G, psi)
-            if key in seen:
-                assert calls[0] == 0, psi
-            elif _in_orbit(G, -psi.a, psi):
-                assert calls[0] == 1, psi
-            else:
-                assert calls[0] == 0, psi
+            assert calls[0] == (0 if key in seen else 1), psi
+            if not _in_orbit(G, -psi.a, psi):
                 assert raw == root_sum(G.N // psi.f, {}) and ind == 0, psi
-                skipped += 1
+                off += 1
             seen.add(key)
-        assert skipped > 0
+        assert off > 0
         assert len(seen) < len(enumerate_irreps(G))
 
 
@@ -1028,9 +1024,10 @@ def _count_builder(monkeypatch, name) -> list[int]:
 
 def test_each_route_tests_its_orbit_once_per_class(monkeypatch):
     # C_4095 x| C_12 (q = 4, n = 6): the FS value is built once per class
-    # (f, d = m/gcd(a, m), c), theta_sign's orbit test runs once per class
-    # (f, d), and root_sum runs only for the irreps that pass the orbit
-    # test, which include every self-dual one
+    # (f, d = m/gcd(a, m), c), with one root_sum, theta_sign's orbit test
+    # runs once per class (f, d), and theta_sign calls root_sum only for
+    # the irreps that pass its orbit test, which include every self-dual
+    # one
     G = make_group(4095, 12, 4)
     theta = identity_involution(G)
     irreps = enumerate_irreps(G)
@@ -1042,17 +1039,21 @@ def test_each_route_tests_its_orbit_once_per_class(monkeypatch):
     shifts_built = _count_builder(monkeypatch, "_theta_shift")
     calls = _count_root_sum(monkeypatch)
     passed = selfdual = 0
+    fs_seen = set()
     for psi in irreps:
+        key = (psi.f, G.m // gcd(psi.a, G.m), psi.c)
+        built = 0 if key in fs_seen else 1  # FS's root_sum on a new class
+        fs_seen.add(key)
         calls[0] = 0
         ind = fs_indicator(G, psi)
         raw = fs_indicator_raw(G, psi)
         sign = theta_sign(G, theta, psi)
         assert sign == ind and raw == cyc_integer(G.order * ind, G.N // psi.f)
         if _in_orbit(G, -psi.a, psi):
-            assert calls[0] > 0, psi
+            assert calls[0] > built, psi
             passed += 1
         else:
-            assert calls[0] == 0, psi
+            assert calls[0] == built, psi
         selfdual += ind != 0
     assert fs_built[0] == len(G.fs_values) == len(fs_classes)
     assert shifts_built[0] == len(G.theta_shifts) == len(classes)
@@ -1068,7 +1069,7 @@ def test_shared_zeros_stay_zero_after_a_battery_sweep():
         for psi in enumerate_irreps(G):
             raw = fs_indicator_raw(G, psi)
             if not _in_orbit(G, -psi.a, psi):
-                assert raw is cyc_zero(G.N // psi.f), psi
+                assert raw == cyc_zero(G.N // psi.f), psi
             theta_sign(G, theta, psi)
             induced_character(G, psi, GroupElem(1 % m, 1 % N))
             matrix_of(G, psi, GroupElem(1 % m, 1 % N))
@@ -1218,7 +1219,9 @@ def test_invalid_inducing_data_is_a_usage_error(route, psi, message):
     assert str(info.value) == message
 
 
-def test_enumeration_checks_each_orbit_and_names_both_routes(monkeypatch):
+def test_enumeration_checks_each_orbit_and_names_both_routes(
+    monkeypatch, fresh_groups
+):
     # With a broken orbit walk, enumerate_irreps partitions Z/15 into
     # orbits one too large; the first, a = 0 with f = 2, fails the norm
     # route before any Irrep is made.
@@ -1233,7 +1236,9 @@ def test_enumeration_checks_each_orbit_and_names_both_routes(monkeypatch):
     )
 
 
-def test_enumeration_refuses_an_orbit_both_routes_call_reducible(monkeypatch):
+def test_enumeration_refuses_an_orbit_both_routes_call_reducible(
+    monkeypatch, fresh_groups
+):
     monkeypatch.setattr(
         tamesigns.metacyclic, "is_irreducible_induced", lambda G, psi: psi.f < 4
     )
@@ -1281,7 +1286,7 @@ def test_irrep_of_another_group_is_never_trusted(monkeypatch, route):
 
 
 def test_irreducibility_is_checked_once_per_class(monkeypatch):
-    G = make_group(15, 8, 2)
+    G = MetacyclicGroup(15, 8, 2)  # unshared: no class is checked yet
     real = tamesigns.metacyclic.is_irreducible_induced
     seen = []
 
@@ -1328,16 +1333,27 @@ def test_class_size_mismatch_names_the_orbit_its_class_and_the_group(
 def test_enumeration_equals_the_per_orbit_reference(m, N, s):
     # checking once per class leaves the list as one check per orbit
     # builds it: same order, same values, bound to the same group; a
-    # fresh table per orbit checks every orbit
+    # fresh group per orbit, with no class checked, checks every orbit
     G = make_group(m, N, s)
     reference = [
         ir
         for f, a in orbit_partition(G.s, G.m)
-        for ir in orbit_irreps(G, f, a, range(G.N // f), {})
+        for ir in orbit_irreps(MetacyclicGroup(m, N, s), f, a, range(G.N // f))
     ]
     irreps = enumerate_irreps(G)
     assert irreps == reference
     assert all(type(p) is Irrep and p.group is G for p in irreps)
+
+
+@pytest.mark.parametrize("m,N,s", BATTERY)
+def test_enumeration_keeps_one_orbit_size_per_class(m, N, s):
+    # the group keeps the checked size of each class d = m/gcd(a, m),
+    # which is the size of every orbit of the class
+    G = MetacyclicGroup(m, N, s)
+    irreps = enumerate_irreps(G)
+    classes = {G.m // gcd(p.a, G.m) for p in irreps}
+    assert len(G.orbit_sizes) == len(classes)
+    assert G.orbit_sizes == {G.m // gcd(p.a, G.m): p.f for p in irreps}
 
 
 def test_hand_built_irrep_is_checked_when_built():
@@ -1353,28 +1369,33 @@ def test_hand_built_irrep_is_checked_when_built():
 
 
 def test_orbit_irreps_validates_its_orbit_and_each_c():
-    G = make_group(15, 8, 2)
-    irreps = orbit_irreps(G, 2, 10, (3, 0), {})  # orbit {5, 10}
+    # each call on a group of its own, with no class checked yet
+    def fresh():
+        return MetacyclicGroup(15, 8, 2)
+
+    G = fresh()
+    irreps = orbit_irreps(G, 2, 10, (3, 0))  # orbit {5, 10}
     assert irreps == [(2, 10, 3, G), (2, 10, 0, G)]
     assert all(type(p) is Irrep and p.group is G for p in irreps)
+    assert G.orbit_sizes == {3: 2}
     with pytest.raises(UsageError, match=r"need 0 <= a < m = 15, got a=20"):
-        orbit_irreps(G, 2, 20, (0,), {})
+        orbit_irreps(fresh(), 2, 20, (0,))
     with pytest.raises(UsageError, match=r"need 0 <= c < N/f = 4, got c=4"):
-        orbit_irreps(G, 2, 5, (0, 4), {})
+        orbit_irreps(fresh(), 2, 5, (0, 4))
     with pytest.raises(UsageError, match="f must divide N"):
-        orbit_irreps(G, 3, 5, (0,), {})
-    # the orbit of 0 has size 1, so both routes call f = 2 reducible
+        orbit_irreps(fresh(), 3, 5, (0,))
+    # the orbit of 0 has size 1, so both routes call f = 2 reducible, and
+    # the group keeps no size for its class
+    G = fresh()
     with pytest.raises(
         InternalConsistencyError, match="orbit of a=0 has size 2 but does not"
     ):
-        orbit_irreps(G, 2, 0, (0,), {})
-    # the table has no default: each enumeration passes its own
-    with pytest.raises(TypeError, match="checked"):
-        orbit_irreps(G, 2, 10, (0,))
+        orbit_irreps(G, 2, 0, (0,))
+    assert G.orbit_sizes == {}
 
 
 def test_orbit_irreps_checks_once_per_class_of_its_table(monkeypatch):
-    G = make_group(15, 8, 2)
+    G = MetacyclicGroup(15, 8, 2)  # unshared: no class is checked yet
     real = tamesigns.metacyclic.is_irreducible_induced
     seen = []
     monkeypatch.setattr(
@@ -1382,16 +1403,15 @@ def test_orbit_irreps_checks_once_per_class_of_its_table(monkeypatch):
         "is_irreducible_induced",
         lambda G, psi: seen.append((psi.f, psi.a)) or real(G, psi),
     )
-    checked = {}
-    assert orbit_irreps(G, 4, 1, (0,), checked) == [(4, 1, 0, G)]
-    assert checked == {15: 4}
+    assert orbit_irreps(G, 4, 1, (0,)) == [(4, 1, 0, G)]
+    assert G.orbit_sizes == {15: 4}
     # 7 shares d = 15 with 1: compared with the table, not checked again
-    assert orbit_irreps(G, 4, 7, (1,), checked) == [(4, 7, 1, G)]
+    assert orbit_irreps(G, 4, 7, (1,)) == [(4, 7, 1, G)]
     assert seen == [(4, 1)]
     with pytest.raises(InternalConsistencyError, match="was checked at size 4"):
-        orbit_irreps(G, 2, 7, (0,), checked)
-    # another table checks again
-    orbit_irreps(G, 4, 7, (1,), {})
+        orbit_irreps(G, 2, 7, (0,))
+    # another group, equal but not the same object, checks again
+    orbit_irreps(MetacyclicGroup(15, 8, 2), 4, 7, (1,))
     assert seen == [(4, 1), (4, 7)]
 
 

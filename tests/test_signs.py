@@ -23,6 +23,7 @@ from tamesigns.division import (
     is_prime_power,
 )
 from tamesigns.errors import InternalConsistencyError, UsageError
+from tamesigns.metacyclic import make_group
 from tamesigns.signs import (
     casewise_sign,
     flip_sign,
@@ -173,16 +174,18 @@ def test_verify_flip_refuses_unknown_recipe_before_enumerating(monkeypatch, n):
         verify_flip(2, n, "XX")
 
 
-def test_regularity_is_checked_once_per_built_datum(monkeypatch):
+def test_regularity_is_checked_once_per_built_datum(monkeypatch, fresh_groups):
     # one is_regular walk per orbit: the w = +1 datum is built and checked,
     # and its w = -1 twin copied from it. Each row's attached parameter is
-    # an enumerated datum, so sign_weil_closed_form, with its det route,
-    # runs once per entry under both recipes, at f < n and at f = n alike
+    # an enumerated datum, so sign_weil_closed_form, with its FS and det
+    # routes, runs once per entry under both recipes, at f < n and at
+    # f = n alike
     listed = enumerate_level1_selfdual(3, 4)
     entries = len(listed)
     below = sum(entry.chi.f < 4 for entry in listed)
     assert 0 < below < entries
-    regular, closed, dets = [], [], []
+    tamesigns.metacyclic.make_group.cache_clear()  # no class checked yet
+    regular, closed, dets, weil_fs = [], [], [], []
     real_regular = tamesigns.division.is_regular
     real_closed = tamesigns.signs.sign_weil_closed_form
     real_det = tamesigns.weil.det_exponents
@@ -196,15 +199,20 @@ def test_regularity_is_checked_once_per_built_datum(monkeypatch):
         "sign_weil_closed_form",
         lambda mu: closed.append(mu) or real_closed(mu),
     )
+    real_weil_fs = tamesigns.weil.fs_indicator
     monkeypatch.setattr(
         tamesigns.weil,
         "det_exponents",
         lambda G, psi: dets.append(psi) or real_det(G, psi),
     )
-    # irreducibility once per orbit (both w share it), the FS oracle once
-    # per entry, the flip once per distinct parameter sign, and, at f < n,
-    # the parameter model's FS oracle, with its irreducibility check, once
-    # per entry
+    monkeypatch.setattr(
+        tamesigns.weil,
+        "fs_indicator",
+        lambda G, psi: weil_fs.append(psi) or real_weil_fs(G, psi),
+    )
+    # irreducibility once per class of each model group (both w share
+    # it), the scan's FS oracle once per entry, and the flip once per
+    # distinct parameter sign
     checked, indicated, flipped = [], [], []
     real_check = tamesigns.metacyclic.is_irreducible_induced
     real_fs = tamesigns.division.fs_indicator
@@ -229,36 +237,59 @@ def test_regularity_is_checked_once_per_built_datum(monkeypatch):
     assert len(regular) == entries // 2
     assert len(closed) == entries
     assert len(dets) == entries
-    assert len(checked) == entries // 2 + below
-    assert len(indicated) == entries + below
+    assert len(weil_fs) == entries
+    assert sum(psi.group.m == 80 for psi in weil_fs) == entries - below
+    # the cell's model C_80 x| C_8 has the classes d = 80/gcd(a, 80) of
+    # its model exponents 20, 8, 16; the f = 2 parameters' model
+    # C_8 x| C_4 has the one class of a = 2, and their f = n parameters
+    # share the cell's model, checked already
+    assert [(psi.f, psi.a) for psi in checked] == [(2, 20), (4, 8), (4, 16), (2, 2)]
+    assert len(indicated) == entries
     assert sorted(flipped) == sorted({(4, row.param_sign) for row in rows})
 
 
 def test_parameter_side_oracle_disagreement_exits_two(monkeypatch, capsys):
     # at f < n the parameter's closed form is compared with the FS
-    # indicator of its own model; at f = n it is not, so a fault there is
-    # not met: q = 2, n = 2 has only f = n entries
+    # indicator of its own model, C_3 x| C_4 for the first entry of
+    # q = 2, n = 4
     calls = []
+    real = tamesigns.weil.fs_indicator
     monkeypatch.setattr(
-        tamesigns.signs,
-        "sign_division_oracle",
-        lambda n, mu: calls.append((n, mu)) or -mu.w,
+        tamesigns.weil,
+        "fs_indicator",
+        lambda G, psi: calls.append(psi) or -real(G, psi),
     )
-    assert all(row.consistent for row in verify_flip(2, 2, "PR"))
-    assert calls == []
     with pytest.raises(InternalConsistencyError) as info:
         verify_flip(2, 4, "PR")
     mu = TameCharacter(2, 2, 1, 1)
-    assert calls == [(2, mu)]
+    assert calls == [(2, 1, 0, make_group(3, 4, 2))]
     assert str(info.value) == (
-        f"parameter-side closed-form sign 1 disagrees with the "
-        f"Frobenius-Schur oracle -1 for mu={mu} on its model "
-        "MetacyclicGroup(m=3, N=4, s=2)"
+        f"Frobenius-Schur route disagrees with the closed form for {mu} "
+        "with model psi=SubgroupCharacter(f=2, a=1, c=0) on "
+        "MetacyclicGroup(m=3, N=4, s=2): indicator -1, closed form 1"
     )
-    assert main(["verify-flip", "--q", "2", "--n", "2..4"]) == 2
+    assert main(["verify-flip", "--q", "2", "--n", "4"]) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"internal consistency failure: {info.value}\n"
+
+
+def test_parameter_fs_fault_at_f_equal_n_exits_two(monkeypatch, capsys):
+    # q = 2, n = 2 has only f = n entries, whose parameter model is the
+    # cell's own: the parameter route still reads its FS indicator, so a
+    # fault there is met
+    assert {entry.chi.f for entry in enumerate_level1_selfdual(2, 2)} == {2}
+    real = tamesigns.weil.fs_indicator
+    monkeypatch.setattr(
+        tamesigns.weil, "fs_indicator", lambda G, psi: -real(G, psi)
+    )
+    assert main(["verify-flip", "--q", "2", "--n", "2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(
+        "internal consistency failure: Frobenius-Schur route disagrees "
+        "with the closed form for TameCharacter(q=2, f=2, a=1, w=1) "
+    )
 
 
 

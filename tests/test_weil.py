@@ -2,10 +2,10 @@
 
 The model of mu is the division model at n = f, division_model(f, mu);
 frozen values: for mu = (q=2, f=2, a=1, w=-1) it is C_3 x| C_4 with
-inducing datum (2, 1, 1). The closed-form sign is cross-checked against
-that model's Frobenius-Schur oracle, sign_division_oracle(f, mu), and
-the determinant characterization runs implicitly on every closed-form
-call; breaking either of its guards must raise, and exit 2 in the CLI.
+inducing datum (2, 1, 1). Every closed-form call compares the sign with
+that model's Frobenius-Schur indicator, and with the determinant
+characterization at even f (a literal mu^2 = 1 at f = 1); breaking any
+of these guards must raise, and exit 2 in the CLI.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from tamesigns.division import (
     sign_division_oracle,
 )
 from tamesigns.errors import InternalConsistencyError, UsageError
-from tamesigns.metacyclic import SubgroupCharacter
+from tamesigns.metacyclic import Irrep
 from tamesigns.weil import attach_parameter, sign_weil_closed_form, sp_sign
 
 
@@ -31,10 +31,10 @@ def test_weil_model_frozen_example():
     mu = TameCharacter(2, 2, 1, -1)
     G, psi = division_model(mu.f, mu)
     assert (G.m, G.N, G.s) == (3, 4, 2)
-    assert psi == SubgroupCharacter(2, 1, 1)
+    assert type(psi) is Irrep and psi == (2, 1, 1, G) and psi.group is G
     mu_plus = TameCharacter(2, 2, 1, 1)
     _, psi_plus = division_model(mu_plus.f, mu_plus)
-    assert psi_plus == SubgroupCharacter(2, 1, 0)
+    assert type(psi_plus) is Irrep and psi_plus == (2, 1, 0, G)
 
 
 def test_weil_model_rejects_non_regular():
@@ -95,7 +95,7 @@ def test_det_route_break_raises_and_exits_two(monkeypatch, capsys):
     # break only (q, f, a, w) = (2, 4, 3, -1), whose model is C_15 x| C_8
     # with inducing datum (4, 3, 1): every distinct datum of the cell
     # runs the det route, so verify-flip still exits 2
-    broken = lambda G, psi: (G.m, G.N, psi) == (15, 8, (4, 3, 1))
+    broken = lambda G, psi: (G.m, G.N, psi[:3]) == (15, 8, (4, 3, 1))
     assert sign_weil_closed_form(TameCharacter(2, 4, 3, 1)) == 1
     assert main(["verify-flip", "--q", "2", "--n", "4", "--recipe", "both"]) == 2
     out, err = capsys.readouterr()
@@ -193,7 +193,7 @@ def test_f_one_closed_forms_are_plus_one_on_the_quadratic_characters(q):
 
 def test_f_one_oracle_disagreement_raises(monkeypatch):
     mu = TameCharacter(5, 1, 2, -1)
-    monkeypatch.setattr(tamesigns.weil, "sign_division_oracle", lambda n, chi: -1)
+    monkeypatch.setattr(tamesigns.weil, "fs_indicator", lambda G, psi: -1)
     with pytest.raises(InternalConsistencyError) as info:
         sign_weil_closed_form(mu)
     assert str(info.value) == (
