@@ -24,19 +24,17 @@ enumeration covers the even f only; the f = 1 data are not yet among
 its rows. It writes a self-dual exponent as a = (q^d - 1) * k; since
 q^f - 1 = (q^d - 1)(q^d + 1), multiplying a by q mod q^f - 1 multiplies
 k by q mod q^d + 1, so it walks each Galois orbit once in
-orbit_partition(q, q^d + 1).
+orbit_partition(q, q^d + 1) and keeps the orbits of size f.
 
 Where each check of the enumeration runs: per (q, n) cell, the model
 group is built once and the row count is checked against its Moebius
-count; per class d = m/gcd(a, m) of the model exponents, the model is
-checked irreducible once (orbit_irreps keeps the checked classes in
-G.orbit_sizes on the shared model group, so neither a later scan of the
-cell nor division_model on that group checks them again); per
-orbit, the datum is checked regular once (by the constructor of its
-w = +1 entry; regularity depends on (q, f, a) only), and both checks
-serve both w; per entry, the closed form checks self-duality and
-(q - 1) | a, and the FS oracle, with its vanishing check, is compared
-with the closed form.
+count; per f, one orbit_irreps call builds the models of all kept
+orbits, checking irreducibility once per class d = m/gcd(a, m) of their
+exponents (G.orbit_sizes keeps the class on the shared model group, so
+no later scan or division_model there checks it again); per orbit, the
+constructor of the w = +1 datum checks regularity once for both w; per
+entry, the closed form checks self-duality and (q - 1) | a and is
+compared with the FS oracle, which must not vanish.
 """
 
 from __future__ import annotations
@@ -185,7 +183,7 @@ def division_model(n: int, chi: TameCharacter) -> tuple[MetacyclicGroup, Irrep]:
     G = make_group(chi.q**n - 1, 2 * n, chi.q)
     a_big = _model_exponent(chi.q, n, chi.f, chi.a)
     c = _model_c(n, chi.f, chi.w)
-    return G, orbit_irreps(G, chi.f, a_big, (c,))[0]
+    return G, orbit_irreps(G, chi.f, (a_big,), (c,))[0]
 
 
 def _model_exponent(q: int, n: int, f: int, a: int) -> int:
@@ -254,19 +252,18 @@ def enumerate_level1_selfdual(q: int, n: int) -> list[SelfdualEntry]:
     orbit_partition(q, q^d + 1); a grows with k on 0 <= k <= q^d, so
     each orbit's least k gives its least a.
 
-    The cell's model group G = C_{q^n-1} x| C_{2n} is built once. Each
-    orbit's model exponent a * (q^n-1)/(q^f-1) is formed once and goes
-    through orbit_irreps, which checks irreducibility once per class
-    d = m/gcd(a, m) of G and gives the inducing data of both entries:
-    c = 0 for w = +1 and c = n/f for w = -1, as in division_model. Each
-    orbit's w = +1 datum is built as a TameCharacter, whose constructor
-    checks it in full, regularity included, and its w = -1 twin is
-    copied from it with only w changed.
-    Each entry's closed form checks self-duality, and its oracle is the
-    FS indicator of its Irrep, which must not vanish, as in
-    sign_division_oracle. A datum refused there is an enumeration fault,
-    and two routes that disagree are a fault too. The cell as a whole is
-    checked against its Moebius row count. Every fault raises
+    The cell's model group G = C_{q^n-1} x| C_{2n} is built once. Per f,
+    the scan reads the orbits as orbit_partition(q, q^d + 1).get(f, []),
+    forms each one's model exponent a * (q^n-1)/(q^f-1) once, and makes
+    one orbit_irreps call for them all, which checks irreducibility once
+    per class d = m/gcd(a, m) of G and gives each orbit's two inducing
+    data: c = 0 for w = +1 and c = n/f for w = -1, as in division_model.
+    Each orbit's w = +1 datum is built as a TameCharacter, checked in
+    full by its constructor, and its w = -1 twin is copied from it with
+    only w changed. Each entry's closed form checks self-duality, and its
+    oracle is the FS indicator of its Irrep, which must not vanish, as in
+    sign_division_oracle. A datum refused there, two routes that
+    disagree and a cell off its Moebius row count each raise
     InternalConsistencyError. An entry keeps only chi and its two signs:
     the Weil side builds its own model, division_model(f, chi), in
     sign_weil_closed_form.
@@ -281,11 +278,12 @@ def enumerate_level1_selfdual(q: int, n: int) -> list[SelfdualEntry]:
             continue
         step = q ** (f // 2) - 1
         cs = tuple(_model_c(n, f, w) for w in _SIGNS)
-        for size, k in orbit_partition(q, step + 2):
-            if size != f:
-                continue
+        ks = orbit_partition(q, step + 2).get(f, [])
+        exponents = [_model_exponent(q, n, f, step * k) for k in ks]
+        models = iter(orbit_irreps(G, f, exponents, cs))
+        for k in ks:
             a = step * k
-            models = orbit_irreps(G, f, _model_exponent(q, n, f, a), cs)
+            # zip draws w first, so each orbit takes exactly its two models
             for w, psi in zip(_SIGNS, models):
                 try:
                     # _SIGNS lists w = +1 first: its datum is built and

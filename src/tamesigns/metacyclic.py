@@ -25,23 +25,22 @@ Every power of s is read from one table, s^k mod m for 0 <= k < N
 (m, N, s): make_group shares one frozen group per triple, and a refused
 triple raises on every call. The geometric sums sum_{l<j} s^l mod m,
 0 <= j <= N, are a second table built with it (MetacyclicGroup.s_prefix).
-orbit_of is the one orbit walk and orbit_partition the one partition
-of Z/m into orbits.
+orbit_of checks s and runs the one orbit walk; orbit_partition, the one
+partition of Z/m into orbits, checks s once and walks each orbit once.
 
 Validated data is bound to its group and trusted only there. An Irrep
 has passed the irreducibility cross-check on its group: orbit_irreps,
-the step of both enumerations (enumerate_irreps and the division-side
-scan) and of division_model, runs it once per class d = m/gcd(a, m) of
-the group, since the orbit size, the norm route's pair count and
-well-definedness depend on a only through d; G.orbit_sizes keeps the
-size checked for each class. An InvolutionSpec carries the group
-make_involution validated it on, whose s_prefix gives its twisted sums. The character
+which takes every orbit of one size and serves both enumerations and
+division_model, runs it once per class d = m/gcd(a, m) of the group,
+since the orbit size, the norm route's pair count and well-definedness
+depend on a only through d; G.orbit_sizes keeps the size checked for
+each class. An InvolutionSpec carries the group make_involution
+validated it on, whose s_prefix gives its twisted sums. The character
 routes (fs_indicator, fs_indicator_raw, theta_sign, and rationality's
 character_field and is_real_character) check any other psi again on
-every call, from make_subgroup_character's validation on;
-det_exponents, induced_character and matrix_of validate it as
-make_subgroup_character does; theta_sign and apply_involution validate
-any other theta again.
+every call, from make_subgroup_character's validation on; det_exponents,
+induced_character and matrix_of validate it as make_subgroup_character
+does; theta_sign and apply_involution validate any other theta again.
 
 Most irreps are not self-dual, and each sign route decides their 0 by
 its own orbit test, before any cyclotomic arithmetic. Both tests depend
@@ -66,7 +65,7 @@ from dataclasses import dataclass, field
 from functools import cache
 from itertools import accumulate
 from math import gcd, lcm
-from typing import Iterable, Iterator, NamedTuple, NoReturn
+from typing import Iterable, Iterator, NamedTuple, NoReturn, Sequence
 
 from .cyclotomic import CycInt, cyc_neg, cyc_root, cyc_zero, root_sum, try_as_integer
 from .errors import InternalConsistencyError, UsageError
@@ -192,7 +191,11 @@ def orbit_of(a: int, s: int, m: int) -> list[int]:
     """
     if m < 1 or gcd(s, m) != 1:
         _refuse_walk(s, m)
-    a %= m
+    return _orbit_walk(a % m, s, m)
+
+
+def _orbit_walk(a: int, s: int, m: int) -> list[int]:
+    # the one orbit walk, for 0 <= a < m and s a unit mod m >= 1
     out = [a]
     cur = (a * s) % m
     while cur != a:
@@ -201,26 +204,26 @@ def orbit_of(a: int, s: int, m: int) -> list[int]:
     return out
 
 
-def orbit_partition(s: int, m: int) -> list[tuple[int, int]]:
-    """The orbits of multiplication by s (a unit) on Z/m, as (size, min).
+def orbit_partition(s: int, m: int) -> dict[int, list[int]]:
+    """The orbits of multiplication by s (a unit) on Z/m: {size: least
+    elements of the orbits of that size}, sizes and elements ascending.
 
-    Sorted by (size, min). Each orbit is walked once, with orbit_of from
-    its least element, the first residue no earlier walk has reached.
-    A non-unit s or an m < 1 raises UsageError, as in orbit_of.
+    Each orbit is walked once, from the first residue no earlier walk
+    has reached. A non-unit s or an m < 1 raises UsageError, as in
+    orbit_of, before any table of Z/m is made.
     """
     if m < 1 or gcd(s, m) != 1:
         _refuse_walk(s, m)
     seen = bytearray(m)
-    orbits: list[tuple[int, int]] = []
-    for a in range(m):
-        if seen[a]:
-            continue
-        orbit = orbit_of(a, s, m)
+    by_size: dict[int, list[int]] = {}
+    a = 0
+    while a != -1:
+        orbit = _orbit_walk(a, s, m)
         for b in orbit:
             seen[b] = 1
-        orbits.append((len(orbit), a))
-    orbits.sort()
-    return orbits
+        by_size.setdefault(len(orbit), []).append(a)
+        a = seen.find(0, a + 1)
+    return dict(sorted(by_size.items()))
 
 
 class SubgroupCharacter(NamedTuple):
@@ -285,62 +288,61 @@ class Irrep(_IrrepFields):
 
 
 def orbit_irreps(
-    G: MetacyclicGroup, f: int, a: int, cs: Iterable[int]
+    G: MetacyclicGroup, f: int, avals: Iterable[int], cs: Sequence[int]
 ) -> list[Irrep]:
-    """The Irreps (f, a, c) of G for each c in cs, in order, after one
-    irreducibility check per class d = m/gcd(a, m) of G.
+    """The Irreps (f, a, c) of G for each a in avals, then each c in cs,
+    after one irreducibility check per class d = m/gcd(a, m) of G.
 
-    a, with 0 <= a < m, is in an orbit of multiplication by s on Z/m,
-    and f is that orbit's size as the caller reports it. G.orbit_sizes
-    keeps, for each class d, the size checked for it. On the first
-    orbit of a class, (f, a) is validated like make_subgroup_character
-    and checked, with c = 0, by both irreducibility routes, whose
-    disagreement raises InternalConsistencyError naming psi, G and both
-    values; an orbit both routes call reducible raises
-    InternalConsistencyError too.
-    Every other orbit of the class must have the checked size, or
-    InternalConsistencyError names a, f, d, that size and G: the orbit
-    size, the norm route, f | N and well-definedness all depend on a
-    only through d. Each c is range-checked.
+    Each a (0 <= a < m) is in an orbit of s on Z/m of the size f the
+    caller reports. f | N and each 0 <= c < N/f are validated first,
+    once. A class's first orbit is validated like make_subgroup_character
+    and checked at c = 0 by both irreducibility routes, and G.orbit_sizes
+    keeps its size. InternalConsistencyError names psi, G and both values
+    if the routes disagree, the orbit if both call it reducible, and a,
+    f, d, the kept size and G for a later orbit of the class off that
+    size: orbit size, norm route and well-definedness depend on a via d.
     """
-    # a is not reduced mod m: the Irreps share the caller's int, which
-    # the caller's partition holds anyway
-    if not 0 <= a < G.m:
-        raise UsageError(f"need 0 <= a < m = {G.m}, got a={a}")
-    d = G.m // gcd(a, G.m)
-    size = G.orbit_sizes.get(d)
-    if size is None:
-        if not is_irreducible_induced(G, make_subgroup_character(G, f, a, 0)):
-            raise InternalConsistencyError(
-                f"orbit of a={a} has size {f} but does not induce "
-                f"irreducibly on {G}"
-            )
-        G.orbit_sizes[d] = f
-    elif size != f:
-        raise InternalConsistencyError(
-            f"orbit of a={a} has size {f}, but its class "
-            f"d = m/gcd(a, m) = {d} was checked at size {size} on {G}"
-        )
+    if f < 1 or G.N % f != 0:
+        raise UsageError(f"f must divide N={G.N}, got f={f}")
     Nf = G.N // f
-    out = []
     for c in cs:
         if not 0 <= c < Nf:
             raise UsageError(f"need 0 <= c < N/f = {Nf}, got c={c}")
-        out.append(tuple.__new__(Irrep, (f, a, c, G)))
+    m, sizes = G.m, G.orbit_sizes
+    out: list[Irrep] = []
+    for a in avals:
+        if not 0 <= a < m:
+            raise UsageError(f"need 0 <= a < m = {m}, got a={a}")
+        d = m // gcd(a, m)
+        size = sizes.get(d)
+        if size is None:
+            if not is_irreducible_induced(G, make_subgroup_character(G, f, a, 0)):
+                raise InternalConsistencyError(
+                    f"orbit of a={a} has size {f} but does not induce "
+                    f"irreducibly on {G}"
+                )
+            sizes[d] = f
+        elif size != f:
+            raise InternalConsistencyError(
+                f"orbit of a={a} has size {f}, but its class "
+                f"d = m/gcd(a, m) = {d} was checked at size {size} on {G}"
+            )
+        # the class check stands in for the constructor's; a stays unreduced
+        for c in cs:
+            out.append(tuple.__new__(Irrep, (f, a, c, G)))
     return out
 
 
 def enumerate_irreps(G: MetacyclicGroup) -> list[Irrep]:
     """All irreducible representations of G, one Irrep each.
 
-    Irreps are sorted by (f, a, c), with a the minimum of its orbit.
-    The list has sum of f^2 equal to |G|. Each orbit (f, a) of
-    orbit_partition goes through orbit_irreps, so irreducibility is
-    checked once per class d = m/gcd(a, m) of G.
+    Irreps are sorted by (f, a, c), with a the minimum of its orbit, and
+    sum of f^2 is |G|. One orbit_irreps call per orbit size checks
+    irreducibility once per class d = m/gcd(a, m) of G.
     """
     out: list[Irrep] = []
-    for f, a in orbit_partition(G.s, G.m):
-        out += orbit_irreps(G, f, a, range(G.N // f))
+    for f, avals in orbit_partition(G.s, G.m).items():
+        out += orbit_irreps(G, f, avals, range(G.N // f))
     return out
 
 

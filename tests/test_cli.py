@@ -624,12 +624,15 @@ def test_vanishing_scan_oracle_exits_two(capsys, monkeypatch, argv):
     ],
 )
 def test_dropped_orbit_fails_the_cell_count_and_exits_two(capsys, monkeypatch, argv):
-    # misreport the f = 4 orbit of k = 1 mod 5 (a = 3 mod 15) as size 8:
-    # the scan drops it, and the Moebius count catches it
+    # misreport the f = 4 orbit of k = 1 mod 5 (a = 3 mod 15), the only
+    # orbit of its size, as size 8: the scan drops it, and the Moebius
+    # count catches it
     real = tamesigns.division.orbit_partition
 
     def misreported(s, m):
-        return [(8, k) if (m, k) == (5, 1) else (f, k) for f, k in real(s, m)]
+        sizes = real(s, m)
+        assert m != 5 or sizes[4] == [1]
+        return {8 if (m, f) == (5, 4) else f: ks for f, ks in sizes.items()}
 
     monkeypatch.setattr(tamesigns.division, "orbit_partition", misreported)
     code, out, err = run(capsys, argv)

@@ -358,19 +358,22 @@ def _orbit_partition_size(q, n):
 
 
 def test_scan_walks_each_orbit_once(monkeypatch, fresh_groups):
-    real = tamesigns.metacyclic.orbit_of
+    real = tamesigns.metacyclic._orbit_walk
     scan_walks, check_walks = [], []
 
     def counted(a, s, m):
-        # the scan's partition walks, and so does the irreducibility check
+        # every orbit walk, orbit_of's included, is this one: the scan's
+        # partition walks, and so does the irreducibility check
         caller = sys._getframe(1).f_code.co_name
         if caller == "orbit_partition":
             scan_walks.append((a, m))
-        elif caller == "is_irreducible_induced":
+        elif (caller, sys._getframe(2).f_code.co_name) == (
+            "orbit_of", "is_irreducible_induced"
+        ):
             check_walks.append((a, m))
         return real(a, s, m)
 
-    monkeypatch.setattr(tamesigns.metacyclic, "orbit_of", counted)
+    monkeypatch.setattr(tamesigns.metacyclic, "_orbit_walk", counted)
     entries = enumerate_level1_selfdual(3, 4)
     assert len(entries) == 2 * 1 + 2 * 2
     # Z/4 under 3: {0}, {1, 3}, {2}; Z/10 under 3: {0}, {1, 3, 9, 7},

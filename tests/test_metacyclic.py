@@ -227,16 +227,45 @@ def test_irreps_complete_and_irreducible(m, N, s):
         assert psi.a == min(orbit_of(psi.a, G.s, G.m))
 
 
-@pytest.mark.parametrize("m,N,s", BATTERY)
-def test_orbit_partition_matches_a_set_partition(m, N, s):
-    # remove whole orbits {a s^j : j < N} from a set, least element first
-    left, expected = set(range(m)), []
+def _set_partition(s, m, span):
+    # remove whole orbits {a s^j : j < span} from a set, least element
+    # first (span a multiple of the order of s), and file each least
+    # element under its orbit's size
+    left, by_size = set(range(m)), {}
     while left:
         a = min(left)
-        orbit = {a * pow(s, j, m) % m for j in range(N)}
-        expected.append((len(orbit), a))
+        orbit = {a * pow(s, j, m) % m for j in range(span)}
+        by_size.setdefault(len(orbit), []).append(a)
         left -= orbit
-    assert orbit_partition(s, m) == sorted(expected)
+    return sorted(by_size.items())
+
+
+@pytest.mark.parametrize("m,N,s", BATTERY)
+def test_orbit_partition_matches_a_set_partition(m, N, s):
+    # sizes ascending, and the least elements of each size ascending
+    assert list(orbit_partition(s, m).items()) == _set_partition(s, m, N)
+
+
+def test_orbit_partition_matches_a_set_partition_for_every_unit(monkeypatch):
+    # every unit s of every m <= 60, m = 1 (s = 0) and s = 1 among them;
+    # the order of s divides phi(m) <= m
+    for m in range(1, 61):
+        for s in range(m + 1):
+            if gcd(s, m) == 1:
+                got = list(orbit_partition(s, m).items())
+                assert got == _set_partition(s, m, m), (m, s)
+    assert orbit_partition(1, 4) == {1: [0, 1, 2, 3]}
+    # a non-unit is refused before any table of Z/m is made, so a huge
+    # m costs nothing
+    def no_table(size):
+        raise AssertionError(f"bytearray({size}) made before the unit check")
+
+    monkeypatch.setattr(tamesigns.metacyclic, "bytearray", no_table, raising=False)
+    with pytest.raises(UsageError) as info:
+        orbit_partition(2, 10**12)
+    assert str(info.value) == (
+        f"s=2 is not a unit mod m={10**12}, so its orbits do not close"
+    )
 
 
 def _multiplicative_order(s, d):
@@ -265,8 +294,8 @@ def test_orbit_size_is_the_order_of_s_modulo_d(ms):
     # every a of the class d
     m, s = ms
     orbits = orbit_partition(s, m)
-    assert sum(f for f, _ in orbits) == m
-    for f, a in orbits:
+    assert sum(f * len(avals) for f, avals in orbits.items()) == m
+    for f, a in ((f, a) for f, avals in orbits.items() for a in avals):
         d = m // gcd(a, m)
         orbit = orbit_of(a, s, m)
         assert len(orbit) == f == _multiplicative_order(s, d), (m, s, a)
@@ -1181,13 +1210,14 @@ ROUTES = [
 ROUTE_IDS = ["fs_indicator", "fs_indicator_raw", "theta_sign", "character_field"]
 
 
-def _break_orbit_of(monkeypatch):
-    # an orbit route that reports one element too many
-    real_orbit_of = tamesigns.metacyclic.orbit_of
+def _break_orbit_walk(monkeypatch):
+    # the one orbit walk, which orbit_of and orbit_partition share,
+    # reports one element too many
+    real_walk = tamesigns.metacyclic._orbit_walk
     monkeypatch.setattr(
         tamesigns.metacyclic,
-        "orbit_of",
-        lambda a, s, m: real_orbit_of(a, s, m) + [a],
+        "_orbit_walk",
+        lambda a, s, m: real_walk(a, s, m) + [a],
     )
 
 
@@ -1224,9 +1254,10 @@ def test_enumeration_checks_each_orbit_and_names_both_routes(
 ):
     # With a broken orbit walk, enumerate_irreps partitions Z/15 into
     # orbits one too large; the first, a = 0 with f = 2, fails the norm
-    # route before any Irrep is made.
+    # route before any Irrep is made. The irreducibility check's orbit
+    # route reads the same walk.
     G = make_group(15, 8, 2)
-    _break_orbit_of(monkeypatch)
+    _break_orbit_walk(monkeypatch)
     with pytest.raises(InternalConsistencyError) as info:
         enumerate_irreps(G)
     assert str(info.value) == (
@@ -1259,7 +1290,7 @@ def test_irreducibility_cross_check_runs_on_every_call(monkeypatch, route):
     plain = [SubgroupCharacter(p.f, p.a, p.c) for p in enumerate_irreps(G)]
     for psi in plain:
         route(G, psi)
-    _break_orbit_of(monkeypatch)
+    _break_orbit_walk(monkeypatch)
     for psi in plain:
         for _ in range(2):
             with pytest.raises(InternalConsistencyError):
@@ -1278,7 +1309,7 @@ def test_irrep_of_another_group_is_never_trusted(monkeypatch, route):
     twin = MetacyclicGroup(15, 8, 2)
     for psi in irreps:
         route(twin, psi)
-    _break_orbit_of(monkeypatch)
+    _break_orbit_walk(monkeypatch)
     for psi in irreps:
         with pytest.raises(InternalConsistencyError):
             route(twin, psi)
@@ -1313,13 +1344,13 @@ def test_irreducibility_is_checked_once_per_class(monkeypatch):
 def test_class_size_mismatch_names_the_orbit_its_class_and_the_group(
     monkeypatch,
 ):
-    # a partition that reports the orbit of 7 with size 2: its class
-    # d = 15 was checked at size 4 on the orbit of 1
+    # a partition that reports the orbit of 7 with size 2, after size 4:
+    # its class d = 15 was checked at size 4 on the orbit of 1
     G = make_group(15, 8, 2)
     monkeypatch.setattr(
         tamesigns.metacyclic,
         "orbit_partition",
-        lambda s, m: [(1, 0), (2, 5), (4, 1), (4, 3), (2, 7)],
+        lambda s, m: {1: [0], 4: [1, 3], 2: [5, 7]},
     )
     with pytest.raises(InternalConsistencyError) as info:
         enumerate_irreps(G)
@@ -1337,12 +1368,31 @@ def test_enumeration_equals_the_per_orbit_reference(m, N, s):
     G = make_group(m, N, s)
     reference = [
         ir
-        for f, a in orbit_partition(G.s, G.m)
-        for ir in orbit_irreps(MetacyclicGroup(m, N, s), f, a, range(G.N // f))
+        for f, avals in orbit_partition(G.s, G.m).items()
+        for a in avals
+        for ir in orbit_irreps(MetacyclicGroup(m, N, s), f, (a,), range(G.N // f))
     ]
     irreps = enumerate_irreps(G)
     assert irreps == reference
     assert all(type(p) is Irrep and p.group is G for p in irreps)
+
+
+@pytest.mark.parametrize("m,N,s", BATTERY)
+def test_enumeration_makes_one_orbit_irreps_call_per_orbit_size(
+    monkeypatch, m, N, s
+):
+    real = tamesigns.metacyclic.orbit_irreps
+    calls = []
+
+    def counted(G, f, avals, cs):
+        calls.append((f, list(avals)))
+        return real(G, f, avals, cs)
+
+    monkeypatch.setattr(tamesigns.metacyclic, "orbit_irreps", counted)
+    G = MetacyclicGroup(m, N, s)
+    enumerate_irreps(G)
+    # one call per distinct size, ascending, with every orbit of the size
+    assert calls == _set_partition(G.s, m, N)
 
 
 @pytest.mark.parametrize("m,N,s", BATTERY)
@@ -1374,24 +1424,60 @@ def test_orbit_irreps_validates_its_orbit_and_each_c():
         return MetacyclicGroup(15, 8, 2)
 
     G = fresh()
-    irreps = orbit_irreps(G, 2, 10, (3, 0))  # orbit {5, 10}
+    irreps = orbit_irreps(G, 2, (10,), (3, 0))  # orbit {5, 10}
     assert irreps == [(2, 10, 3, G), (2, 10, 0, G)]
     assert all(type(p) is Irrep and p.group is G for p in irreps)
     assert G.orbit_sizes == {3: 2}
+    # every orbit of one size in one call, orbit by orbit, then c by c
+    G = fresh()
+    irreps = orbit_irreps(G, 4, [1, 3, 7], (1, 0))
+    assert irreps == [
+        (4, a, c, G) for a in (1, 3, 7) for c in (1, 0)
+    ]
+    assert all(type(p) is Irrep and p.group is G for p in irreps)
+    assert G.orbit_sizes == {15: 4, 5: 4}
+    assert orbit_irreps(fresh(), 4, [], (0,)) == []
     with pytest.raises(UsageError, match=r"need 0 <= a < m = 15, got a=20"):
-        orbit_irreps(fresh(), 2, 20, (0,))
+        orbit_irreps(fresh(), 2, (20,), (0,))
+    with pytest.raises(UsageError, match=r"need 0 <= a < m = 15, got a=20"):
+        orbit_irreps(fresh(), 4, (1, 20), (0,))
     with pytest.raises(UsageError, match=r"need 0 <= c < N/f = 4, got c=4"):
-        orbit_irreps(fresh(), 2, 5, (0, 4))
+        orbit_irreps(fresh(), 2, (5,), (0, 4))
     with pytest.raises(UsageError, match="f must divide N"):
-        orbit_irreps(fresh(), 3, 5, (0,))
+        orbit_irreps(fresh(), 3, (5,), (0,))
+    with pytest.raises(UsageError, match="f must divide N"):
+        orbit_irreps(fresh(), 0, (0,), (0,))
     # the orbit of 0 has size 1, so both routes call f = 2 reducible, and
     # the group keeps no size for its class
     G = fresh()
     with pytest.raises(
         InternalConsistencyError, match="orbit of a=0 has size 2 but does not"
     ):
-        orbit_irreps(G, 2, 0, (0,))
+        orbit_irreps(G, 2, (0,), (0,))
     assert G.orbit_sizes == {}
+
+
+@pytest.mark.parametrize(
+    "f,cs,message",
+    [
+        (3, (0,), "f must divide N=8, got f=3"),
+        (2, (0, 4), "need 0 <= c < N/f = 4, got c=4"),
+    ],
+    ids=["f", "c"],
+)
+def test_orbit_irreps_refuses_bad_data_alike_on_a_cold_and_a_warm_class(
+    f, cs, message
+):
+    # f and c are validated before any class is read: the refusal of a
+    # datum of the orbit {5, 10} (class d = 3) does not depend on
+    # whether the group has checked that class yet
+    G = MetacyclicGroup(15, 8, 2)
+    for orbit_sizes in ({}, {3: 2}):
+        with pytest.raises(UsageError) as info:
+            orbit_irreps(G, f, (5,), cs)
+        assert str(info.value) == message
+        assert G.orbit_sizes == orbit_sizes
+        orbit_irreps(G, 2, (10,), (0,))
 
 
 def test_orbit_irreps_checks_once_per_class_of_its_table(monkeypatch):
@@ -1403,16 +1489,21 @@ def test_orbit_irreps_checks_once_per_class_of_its_table(monkeypatch):
         "is_irreducible_induced",
         lambda G, psi: seen.append((psi.f, psi.a)) or real(G, psi),
     )
-    assert orbit_irreps(G, 4, 1, (0,)) == [(4, 1, 0, G)]
+    assert orbit_irreps(G, 4, (1,), (0,)) == [(4, 1, 0, G)]
     assert G.orbit_sizes == {15: 4}
     # 7 shares d = 15 with 1: compared with the table, not checked again
-    assert orbit_irreps(G, 4, 7, (1,)) == [(4, 7, 1, G)]
+    assert orbit_irreps(G, 4, (7,), (1,)) == [(4, 7, 1, G)]
     assert seen == [(4, 1)]
     with pytest.raises(InternalConsistencyError, match="was checked at size 4"):
-        orbit_irreps(G, 2, 7, (0,))
+        orbit_irreps(G, 2, (7,), (0,))
     # another group, equal but not the same object, checks again
-    orbit_irreps(MetacyclicGroup(15, 8, 2), 4, 7, (1,))
+    orbit_irreps(MetacyclicGroup(15, 8, 2), 4, (7,), (1,))
     assert seen == [(4, 1), (4, 7)]
+    # within one call too, each class is checked once: 1 and 7 share
+    # d = 15, and 3 is d = 5
+    G = MetacyclicGroup(15, 8, 2)
+    orbit_irreps(G, 4, (1, 3, 7), (0,))
+    assert seen == [(4, 1), (4, 7), (4, 1), (4, 3)]
 
 
 def test_irreducibility_disagreement_names_both_routes(monkeypatch):
