@@ -32,8 +32,9 @@ count; per f, one orbit_irreps call builds the models of all kept
 orbits, checking irreducibility once per class d = m/gcd(a, m) of their
 exponents (G.orbit_sizes keeps the class on the shared model group, so
 no later scan or division_model there checks it again); per orbit, the
-constructor of the w = +1 datum checks regularity once for both w; per
-entry, the closed form checks self-duality and (q - 1) | a and is
+constructor of the w = +1 datum checks regularity and decides
+self-duality once for both w, since neither depends on w; per entry, the
+closed form reads that decision as its guard, checks (q - 1) | a and is
 compared with the FS oracle, which must not vanish.
 """
 
@@ -41,6 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import gcd
+from typing import NamedTuple
 
 from .cyclotomic import divisors, factorize
 from .errors import InternalConsistencyError, UsageError
@@ -67,6 +69,7 @@ __all__ = [
     "sign_division_oracle",
     "enumerate_level1_selfdual",
     "selfdual_row_count",
+    "selfdual_rows_at_degree",
 ]
 
 
@@ -99,15 +102,19 @@ class TameCharacter:
     torus F_{q^f}^x carrying the character. a: exponent of the character
     against a fixed generator, taken mod q^f - 1. w: the sign +-1 at the
     uniformizer slot. The constructor checks each, then regularity, so
-    every TameCharacter is regular and no consumer re-checks it.
+    every TameCharacter is regular and no consumer re-checks it. It then
+    decides self-duality once, by the rule is_selfdual_division states,
+    into the derived field selfdual, which that function reads.
     """
 
     q: int
     f: int
     a: int
     w: int
-    # q^f - 1; derived, so not in repr, == or hash
+    # q^f - 1 and the self-duality of the datum; derived, so not in
+    # repr, == or hash
     torus_order: int = field(init=False, repr=False, compare=False)
+    selfdual: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         prime_power_base(self.q)
@@ -121,6 +128,9 @@ class TameCharacter:
             raise UsageError(f"w must be +1 or -1, got {self.w}")
         if not is_regular(self):
             raise UsageError(f"character is not regular: {self}")
+        object.__setattr__(
+            self, "selfdual", _selfdual_rule(self.q, self.f, self.a, order)
+        )
 
 
 def is_regular(chi: TameCharacter) -> bool:
@@ -128,21 +138,28 @@ def is_regular(chi: TameCharacter) -> bool:
     return len(orbit_of(chi.a, chi.q, chi.torus_order)) == chi.f
 
 
+def _selfdual_rule(q: int, f: int, a: int, order: int) -> bool:
+    # the one implementation of the self-duality rule for a regular datum
+    # (q, f, a) with order = q^f - 1; w does not enter it
+    if f == 1:
+        return 2 * a % order == 0
+    if f % 2 != 0:
+        return False
+    return (a * (q ** (f // 2) + 1)) % order == 0
+
+
 def is_selfdual_division(chi: TameCharacter) -> bool:
     """Whether the associated representation is self-dual.
 
-    chi is regular by construction. At f = 1 the condition is 2a = 0
-    (mod q - 1): chi is a quadratic character of F_q^x (a = 0, or
-    a = (q-1)/2 for q odd), whose representation is chi o Nrd. Otherwise
-    it is f = 2d even and a * (q^d + 1) = 0 (mod q^f - 1), equivalently
-    (q^d - 1) | a.
+    The value is decided once, when chi is built (dataclasses.replace
+    builds anew), and depends on (q, f, a) only, so it is the same for
+    both w and on both sides. chi is regular by construction. At f = 1
+    the condition is 2a = 0 (mod q - 1): chi is a quadratic character of
+    F_q^x (a = 0, or a = (q-1)/2 for q odd), whose representation is
+    chi o Nrd. Otherwise it is f = 2d even and a * (q^d + 1) = 0
+    (mod q^f - 1), equivalently (q^d - 1) | a.
     """
-    if chi.f == 1:
-        return 2 * chi.a % chi.torus_order == 0
-    if chi.f % 2 != 0:
-        return False
-    d = chi.f // 2
-    return (chi.a * (chi.q**d + 1)) % chi.torus_order == 0
+    return chi.selfdual
 
 
 def sign_division_closed_form(chi: TameCharacter) -> int:
@@ -227,14 +244,14 @@ _SIGNS = (1, -1)
 def _with_sign(chi: TameCharacter, w: int) -> TameCharacter:
     # chi with uniformizer sign w = +-1, of chi's own type, built without
     # __post_init__: its checks other than w's, regularity's orbit walk
-    # among them, depend on (q, f, a) only, and chi has passed them
+    # among them, and its self-duality depend on (q, f, a) only, and chi
+    # has passed and decided them
     twin = object.__new__(type(chi))
     twin.__dict__.update(chi.__dict__, w=w)
     return twin
 
 
-@dataclass(frozen=True)
-class SelfdualEntry:
+class SelfdualEntry(NamedTuple):
     """One enumerated self-dual representation with both sign routes."""
 
     chi: TameCharacter
@@ -320,18 +337,24 @@ def _moebius(r: int) -> int:
 def selfdual_row_count(q: int, n: int) -> int:
     """Number of entries enumerate_level1_selfdual(q, n) returns, by formula.
 
-    The sum over even f | n of (2/f) * sum_{e | f} mu(f/e) gcd(q^(f/2)+1,
-    q^e-1): the inner Moebius sum counts the self-dual exponents whose
-    orbit has exact size f, so it is f times the number of such orbits,
-    and each orbit gives two entries (w = +-1). It forms no group and
-    walks no orbit; the enumeration checks every cell against it.
+    The sum over f | n of selfdual_rows_at_degree(q, f). It forms no
+    group and walks no orbit; the enumeration checks every cell against
+    it.
     """
-    total = 0
-    for f in divisors(n):
-        if f % 2 == 0:
-            exact = sum(
-                _moebius(f // e) * gcd(q ** (f // 2) + 1, q**e - 1)
-                for e in divisors(f)
-            )
-            total += 2 * exact // f
-    return total
+    return sum(selfdual_rows_at_degree(q, f) for f in divisors(n))
+
+
+def selfdual_rows_at_degree(q: int, f: int) -> int:
+    """Number of enumerated entries of torus degree f, by formula.
+
+    0 for odd f; for even f, (2/f) * sum_{e | f} mu(f/e) gcd(q^(f/2)+1,
+    q^e-1): the Moebius sum counts the self-dual exponents whose orbit
+    has exact size f, so it is f times the number of such orbits, and
+    each orbit gives two entries (w = +-1).
+    """
+    if f % 2 != 0:
+        return 0
+    exact = sum(
+        _moebius(f // e) * gcd(q ** (f // 2) + 1, q**e - 1) for e in divisors(f)
+    )
+    return 2 * exact // f

@@ -21,8 +21,10 @@ enumerate_level1_selfdual places them (per cell, per orbit, per entry);
 the Weil closed form with its second routes (the parameter model's
 Frobenius-Schur indicator and, at even f, the determinant) once per
 entry, by sign_weil_closed_form in the cell's table; attach_parameter's
-guards once per row; and the flip's case analysis against transfer_sign
-once per distinct parameter sign in the cell.
+guards once per row; the flip's case analysis against transfer_sign
+once per distinct parameter sign in the cell; and, once per cell, the
+count of SZ witnesses: the SZ rows that fail the flip must be exactly
+the rows with e = n/f even, as many as the Moebius count of those rows.
 """
 
 from __future__ import annotations
@@ -30,7 +32,8 @@ from __future__ import annotations
 from math import prod
 from typing import Iterable, NamedTuple
 
-from .division import enumerate_level1_selfdual
+from .cyclotomic import divisors
+from .division import enumerate_level1_selfdual, selfdual_rows_at_degree
 from .errors import InternalConsistencyError, UsageError
 from .weil import RECIPES, attach_parameter, sign_weil_closed_form, sp_sign
 
@@ -145,41 +148,56 @@ def verify_flip(q: int, n: int, recipe: str) -> tuple[FlipRow, ...]:
     depends only on (n, parameter sign), so flip_sign, with its
     case-analysis-vs-transfer check, runs once per distinct parameter
     sign in the cell: at most twice. recipe "both" enumerates the cell
-    once and gives the PR rows, then the SZ rows.
+    once and gives the PR rows, then the SZ rows. The SZ rows that come
+    out inconsistent must be exactly those with even e, and as many as
+    selfdual_rows_at_degree counts over the f | n with n/f even; a
+    mismatch raises InternalConsistencyError naming q, n and both counts.
     """
     if recipe != "both" and recipe not in RECIPES:
         raise UsageError(f"recipe must be one of {RECIPES} or 'both', got {recipe!r}")
     entries = enumerate_level1_selfdual(q, n)
     # (f, a, w) -> sign_weil_closed_form of that datum
     weil_sign = {
-        (e.chi.f, e.chi.a, e.chi.w): sign_weil_closed_form(e.chi) for e in entries
+        (chi.f, chi.a, chi.w): sign_weil_closed_form(chi) for chi, _, _ in entries
     }
     flipped: dict[int, int] = {}  # parameter sign -> flip_sign(n, sign)
-    rows = []
+    make_row = FlipRow._make  # no per-row keyword __new__
+    rows: list[FlipRow] = []
     for row_recipe in RECIPES if recipe == "both" else (recipe,):
-        for entry in entries:
-            chi = entry.chi
-            e = n // chi.f
+        block = []
+        for chi, closed, oracle in entries:
+            f, a = chi.f, chi.a
+            e = n // f
             param_w = attach_parameter(n, chi, row_recipe)
-            psign = weil_sign[chi.f, chi.a, param_w] * sp_sign(e)
+            psign = weil_sign[f, a, param_w] * sp_sign(e)
             if psign not in flipped:
                 flipped[psign] = flip_sign(n, psign)
             predicted = flipped[psign]
-            rows.append(
-                FlipRow(
-                    q,
-                    n,
-                    row_recipe,
-                    chi.f,
-                    e,
-                    chi.a,
-                    chi.w,
-                    entry.sign_closed,
-                    entry.sign_oracle,
-                    param_w,
-                    psign,
-                    predicted,
-                    entry.sign_closed == entry.sign_oracle == predicted,
-                )
+            block.append(
+                make_row((
+                    q, n, row_recipe, f, e, a, chi.w, closed, oracle,
+                    param_w, psign, predicted, closed == oracle == predicted,
+                ))
             )
+        if row_recipe == "SZ":
+            _check_sz_witnesses(q, n, block)
+        rows.extend(block)
     return tuple(rows)
+
+
+def _check_sz_witnesses(q: int, n: int, rows: list[FlipRow]) -> None:
+    # SZ sets param_w = -w, so at even n its rows fail the flip exactly at
+    # even e: the cell's SZ witnesses must be its even-e rows, as many as
+    # the Moebius count of the entries whose degree f | n leaves n/f even
+    predicted = sum(
+        selfdual_rows_at_degree(q, f) for f in divisors(n) if (n // f) % 2 == 0
+    )
+    found = sum(not row.consistent for row in rows)
+    stray = sum(row.consistent == (row.e % 2 == 0) for row in rows)
+    if stray or found != predicted:
+        raise InternalConsistencyError(
+            f"SZ witnesses at q={q}, n={n} are not the even-e rows: {found} "
+            f"rows are inconsistent, the Moebius count of even-e rows is "
+            f"{predicted}, and {stray} rows are consistent at even e or "
+            f"inconsistent at odd e"
+        )

@@ -28,6 +28,7 @@ from tamesigns.division import (
     is_selfdual_division,
     prime_power_base,
     selfdual_row_count,
+    selfdual_rows_at_degree,
     sign_division_closed_form,
     sign_division_oracle,
 )
@@ -127,6 +128,72 @@ def test_selfduality_equivalent_to_divisibility(q, f):
             continue
         chi = TameCharacter(q, f, a, 1)
         assert is_selfdual_division(chi) == (a % (q**d - 1) == 0), a
+
+
+def _selfdual_by_the_rule(q, f, a):
+    # the rule as stated: 2a = 0 (mod q - 1) at f = 1, (q^(f/2) - 1) | a
+    # at even f, never at odd f > 1
+    if f == 1:
+        return 2 * a % (q - 1) == 0
+    return f % 2 == 0 and a % (q ** (f // 2) - 1) == 0
+
+
+def _checked_exponents(q, f):
+    # every a where q^f - 1 < 20,000; above that, at (q, f) = (7, 6),
+    # (8, 5), (8, 6), (9, 5) and (9, 6), every multiple of q^(f/2) - 1,
+    # which holds all the self-dual exponents, and every a below 2,000
+    order = q**f - 1
+    if order < 20_000:
+        return range(order)
+    step = q ** (f // 2) - 1 if f % 2 == 0 else order
+    return sorted(set(range(2_000)) | set(range(0, order, step)))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_stored_selfduality_is_the_rule(q):
+    # decided once when the datum is built, for both w alike
+    for f in range(1, 7):
+        order = q**f - 1
+        for a in _checked_exponents(q, f):
+            if len(orbit_of(a, q, max(order, 1))) != f:
+                continue
+            expected = _selfdual_by_the_rule(q, f, a)
+            for w in (1, -1):
+                chi = TameCharacter(q, f, a, w)
+                assert chi.selfdual is expected, chi
+                assert is_selfdual_division(chi) is expected, chi
+
+
+def test_replace_decides_selfduality_anew():
+    chi = TameCharacter(2, 4, 3, 1)
+    assert is_selfdual_division(chi)
+    moved = dataclasses.replace(chi, a=1)
+    assert not moved.selfdual and not is_selfdual_division(moved)
+    back = dataclasses.replace(moved, a=3)
+    assert back.selfdual and is_selfdual_division(back)
+    assert is_selfdual_division(dataclasses.replace(chi, w=-1))
+    # a new degree decides it again: (2, 2, 1) and (2, 4, 3) are self-dual,
+    # (2, 3, 1) is not, whatever the datum it was replaced from
+    assert not is_selfdual_division(dataclasses.replace(chi, f=3, a=1))
+    wider = dataclasses.replace(TameCharacter(2, 2, 1, 1), f=4, a=3)
+    assert is_selfdual_division(wider)
+    assert is_selfdual_division(dataclasses.replace(wider, f=2, a=1))
+    # derived, so never passed to the constructor or to replace
+    with pytest.raises(ValueError):
+        dataclasses.replace(chi, selfdual=False)
+    assert repr(chi) == "TameCharacter(q=2, f=4, a=3, w=1)"
+
+
+def test_twin_carries_the_decision():
+    # the w = -1 twin of a datum is copied, not built: it keeps the value
+    # decided for (q, f, a), self-dual or not
+    for chi in (TameCharacter(2, 4, 3, 1), TameCharacter(2, 4, 1, 1),
+                TameCharacter(5, 1, 2, 1), TameCharacter(5, 1, 1, 1)):
+        twin = tamesigns.division._with_sign(chi, -1)
+        assert twin.w == -1 and twin.selfdual is chi.selfdual
+        assert is_selfdual_division(twin) is _selfdual_by_the_rule(
+            chi.q, chi.f, chi.a
+        )
 
 
 def test_division_model_frozen_example():
@@ -283,13 +350,18 @@ def test_enumerated_datum_matches_a_built_one(q):
             assert chi == built and hash(chi) == hash(built), chi
             assert repr(chi) == repr(built)
             assert chi.torus_order == built.torus_order
+            assert chi.selfdual and built.selfdual
             assert vars(chi) == vars(built)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
 def test_row_count_matches_enumeration(q):
     for n in range(1, 7):
-        assert selfdual_row_count(q, n) == len(enumerate_level1_selfdual(q, n))
+        entries = enumerate_level1_selfdual(q, n)
+        assert selfdual_row_count(q, n) == len(entries)
+        for f in divisors(n):
+            at_f = sum(entry.chi.f == f for entry in entries)
+            assert selfdual_rows_at_degree(q, f) == at_f, (n, f)
     assert selfdual_row_count(2, 4) == 4  # the README's enumerate example
 
 
@@ -307,6 +379,23 @@ def test_dual_routes_agree_on_small_ranges(q, n):
         for f in range(2, n + 1, 2)
         if n % f == 0
     }
+
+
+def test_selfdual_entry_is_a_plain_tuple():
+    chi = TameCharacter(2, 2, 1, -1)
+    entry = SelfdualEntry(chi, -1, -1)
+    assert SelfdualEntry._fields == ("chi", "sign_closed", "sign_oracle")
+    assert isinstance(entry, tuple) and len(entry) == 3
+    assert (entry.chi, entry.sign_closed, entry.sign_oracle) == (chi, -1, -1)
+    assert SelfdualEntry(chi=chi, sign_closed=-1, sign_oracle=-1) == entry
+    got_chi, closed, oracle = entry
+    assert (got_chi, closed, oracle) == (chi, -1, -1)
+    # equality is tuple equality, with no type check
+    assert entry == (chi, -1, -1) and hash(entry) == hash((chi, -1, -1))
+    assert entry != SelfdualEntry(chi, -1, 1)
+    listed = enumerate_level1_selfdual(2, 2)
+    assert all(type(e) is SelfdualEntry for e in listed)
+    assert listed == [(TameCharacter(2, 2, 1, 1), 1, 1), (chi, -1, -1)]
 
 
 def _min_of_orbit_scan(q, n):

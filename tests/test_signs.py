@@ -16,15 +16,18 @@ import tamesigns.division
 import tamesigns.metacyclic
 import tamesigns.signs
 import tamesigns.weil
-from tamesigns.cli import main
+from tamesigns.cli import FLIP_COLUMNS, main
+from tamesigns.cyclotomic import divisors
 from tamesigns.division import (
     TameCharacter,
     enumerate_level1_selfdual,
     is_prime_power,
+    selfdual_rows_at_degree,
 )
 from tamesigns.errors import InternalConsistencyError, UsageError
 from tamesigns.metacyclic import make_group
 from tamesigns.signs import (
+    FlipRow,
     casewise_sign,
     flip_sign,
     product_check,
@@ -246,6 +249,109 @@ def test_regularity_is_checked_once_per_built_datum(monkeypatch, fresh_groups):
     assert [(psi.f, psi.a) for psi in checked] == [(2, 20), (4, 8), (4, 16), (2, 2)]
     assert len(indicated) == entries
     assert sorted(flipped) == sorted({(4, row.param_sign) for row in rows})
+
+
+def test_selfduality_is_decided_once_per_built_datum(monkeypatch):
+    # the rule runs in the constructor, once per built datum: the w = +1
+    # datum of each orbit (its w = -1 twin is copied). Every guard still
+    # reads the decision where it did: the scan's closed form and the
+    # parameter's (through sign_division_closed_form) once per entry, and
+    # attach_parameter once per row
+    listed = enumerate_level1_selfdual(3, 4)
+    entries = len(listed)
+    ruled, built, guards = [], [], []
+    real_rule = tamesigns.division._selfdual_rule
+    real_regular = tamesigns.division.is_regular
+    real_guard = tamesigns.division.is_selfdual_division
+    monkeypatch.setattr(
+        tamesigns.division,
+        "_selfdual_rule",
+        lambda *datum: ruled.append(datum) or real_rule(*datum),
+    )
+    monkeypatch.setattr(
+        tamesigns.division,
+        "is_regular",
+        lambda chi: built.append(chi) or real_regular(chi),
+    )
+    for module in (tamesigns.division, tamesigns.weil):
+        monkeypatch.setattr(
+            module,
+            "is_selfdual_division",
+            lambda chi: guards.append(chi) or real_guard(chi),
+        )
+    rows = verify_flip(3, 4, "both")
+    assert len(rows) == 2 * entries
+    assert len(built) == entries // 2 > 0
+    assert ruled == [(chi.q, chi.f, chi.a, chi.torus_order) for chi in built]
+    assert len(guards) == 2 * entries + len(rows)
+
+
+def test_verify_flip_rows_are_flip_rows():
+    rows = verify_flip(2, 4, "both")
+    assert FlipRow._fields == FLIP_COLUMNS
+    assert rows and all(type(row) is FlipRow for row in rows)
+    assert rows[0] == (2, 4, "PR", 2, 2, 1, 1, 1, 1, 1, -1, 1, True)
+
+
+def test_sz_witness_count_on_the_flip_grid():
+    # the Moebius count the per-cell check compares with, summed over
+    # flip_grid's cells (q 2..16, n 2..8): its 538 SZ witnesses, which the
+    # flip-grid golden digest runs the check on
+    predicted = sum(
+        selfdual_rows_at_degree(q, f)
+        for q in range(2, 17)
+        if is_prime_power(q)
+        for n in range(2, 9)
+        for f in divisors(n)
+        if (n // f) % 2 == 0
+    )
+    assert predicted == 538
+
+
+SZ_COUNT_MESSAGE = (
+    "SZ witnesses at q=2, n=4 are not the even-e rows: {found} rows are "
+    "inconsistent, the Moebius count of even-e rows is {predicted}, and "
+    "{stray} rows are consistent at even e or inconsistent at odd e"
+)
+
+
+def test_sz_witness_count_off_its_moebius_count_exits_two(monkeypatch, capsys):
+    real = tamesigns.signs.selfdual_rows_at_degree
+    monkeypatch.setattr(
+        tamesigns.signs, "selfdual_rows_at_degree", lambda q, f: real(q, f) + 1
+    )
+    # q = 2, n = 4: the two f = 2 rows fail, and f in {1, 2} leave n/f even
+    message = SZ_COUNT_MESSAGE.format(found=2, predicted=4, stray=0)
+    for recipe in ("SZ", "both"):
+        with pytest.raises(InternalConsistencyError) as info:
+            verify_flip(2, 4, recipe)
+        assert str(info.value) == message
+        code = main(["verify-flip", "--q", "2", "--n", "4", "--recipe", recipe])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert err == f"internal consistency failure: {message}\n"
+    # the PR rows alone make no SZ witness count
+    assert len(verify_flip(2, 4, "PR")) == 4
+
+
+def test_sz_witness_off_the_even_e_rows_exits_two(monkeypatch, capsys):
+    # SZ patched to keep w: at q = 2, n = 4 its f = 4 (e = 1) rows fail
+    # the flip and its f = 2 (e = 2) rows pass, so the witness count
+    # matches the Moebius count and only the rows are off
+    real = tamesigns.signs.attach_parameter
+
+    def attach(n, chi, recipe):
+        return chi.w if recipe == "SZ" else real(n, chi, recipe)
+
+    monkeypatch.setattr(tamesigns.signs, "attach_parameter", attach)
+    message = SZ_COUNT_MESSAGE.format(found=2, predicted=2, stray=4)
+    with pytest.raises(InternalConsistencyError) as info:
+        verify_flip(2, 4, "SZ")
+    assert str(info.value) == message
+    code = main(["verify-flip", "--q", "2", "--n", "4", "--recipe", "SZ"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert err == f"internal consistency failure: {message}\n"
 
 
 def test_parameter_side_oracle_disagreement_exits_two(monkeypatch, capsys):
