@@ -29,13 +29,13 @@ from operator import itemgetter
 
 from .division import (
     TameCharacter,
+    checked_sign,
     division_model,
     enumerate_level1_selfdual,
     is_prime_power,
     is_selfdual_division,
     prime_power_base,
     selfdual_row_count,
-    sign_division_closed_form,
 )
 from .errors import InternalConsistencyError, UsageError
 from .metacyclic import det_exponents, fs_indicator
@@ -330,8 +330,6 @@ def cmd_sign(args: argparse.Namespace) -> tuple[int, str]:
     chi = TameCharacter(args.q, args.f, args.a, args.w)
     selfdual = is_selfdual_division(chi)
     G, psi = division_model(d, chi)  # an Irrep: the routes trust it on G
-    closed_form = sign_division_closed_form if division else sign_weil_closed_form
-    closed = closed_form(chi) if selfdual else None
     oracle = fs_indicator(G, psi)
     (Mx, kx), (Mt, kt) = det_exponents(G, psi)
     field_info = character_field(G, psi)
@@ -340,11 +338,14 @@ def cmd_sign(args: argparse.Namespace) -> tuple[int, str]:
             f"field of values real={field_info.is_real} but Frobenius-Schur "
             f"indicator {oracle} for psi={psi} on {G}"
         )
-    if selfdual and closed != oracle:
+    if selfdual != (oracle != 0):
         raise InternalConsistencyError(
-            f"closed-form sign {closed} disagrees with the Frobenius-Schur "
-            f"indicator {oracle} for {chi} on {G} (psi={psi})"
+            f"selfdual={selfdual} but Frobenius-Schur indicator {oracle} "
+            f"for {chi}: psi={psi}"
         )
+    closed = None
+    if selfdual:  # each compares the closed form with a model's indicator
+        closed = checked_sign(chi, G, psi) if division else sign_weil_closed_form(chi)
     row = (
         args.side, args.q, args.n, args.f, args.a, args.w, True, selfdual,
         closed, oracle, fmt_root(Mx, kx), fmt_root(Mt, kt),

@@ -33,9 +33,9 @@ orbits, checking irreducibility once per class d = m/gcd(a, m) of their
 exponents (G.orbit_sizes keeps the class on the shared model group, so
 no later scan or division_model there checks it again); per orbit, the
 constructor of the w = +1 datum checks regularity and decides
-self-duality once for both w, since neither depends on w; per entry, the
-closed form reads that decision as its guard, checks (q - 1) | a and is
-compared with the FS oracle, which must not vanish.
+self-duality once for both w, since neither depends on w; per entry,
+checked_sign runs the closed form, whose guard reads that decision and
+which checks (q - 1) | a, against the FS indicator of the entry's model.
 """
 
 from __future__ import annotations
@@ -65,6 +65,7 @@ __all__ = [
     "is_regular",
     "is_selfdual_division",
     "sign_division_closed_form",
+    "checked_sign",
     "division_model",
     "sign_division_oracle",
     "enumerate_level1_selfdual",
@@ -223,11 +224,6 @@ def sign_division_oracle(n: int, chi: TameCharacter) -> int:
     if not is_selfdual_division(chi):
         raise UsageError(f"oracle sign needs a self-dual datum, got {chi}")
     G, psi = division_model(n, chi)
-    return _model_sign(n, chi, G, psi)
-
-
-def _model_sign(n: int, chi: TameCharacter, G: MetacyclicGroup, psi: Irrep) -> int:
-    # the FS indicator of chi's model (G, psi), which must not vanish
     ind = fs_indicator(G, psi)
     if ind == 0:
         raise InternalConsistencyError(
@@ -235,6 +231,27 @@ def _model_sign(n: int, chi: TameCharacter, G: MetacyclicGroup, psi: Irrep) -> i
             f"indicator: psi={SubgroupCharacter(psi.f, psi.a, psi.c)} on {G}"
         )
     return ind
+
+
+def checked_sign(chi: TameCharacter, G: MetacyclicGroup, psi: Irrep) -> int:
+    """sign_division_closed_form(chi), checked against chi's model (G, psi).
+
+    (G, psi) is division_model(n, chi) with n = G.N / 2; its
+    Frobenius-Schur indicator must equal the closed form, so 0 fails
+    too, with InternalConsistencyError naming chi, n, psi's (f, a, c), G
+    and both values. The one place a closed form meets an indicator: the
+    scan calls it per entry, sign_weil_closed_form per parameter (n = f)
+    and the `sign` command on the division side.
+    """
+    closed = sign_division_closed_form(chi)
+    ind = fs_indicator(G, psi)
+    if ind != closed:
+        raise InternalConsistencyError(
+            f"closed-form sign {closed} disagrees with the Frobenius-Schur "
+            f"indicator {ind} for {chi} at n={G.N // 2}: "
+            f"psi={SubgroupCharacter(psi.f, psi.a, psi.c)} on {G}"
+        )
+    return closed
 
 
 # the uniformizer signs w in entry order: w = +1 before w = -1
@@ -277,9 +294,9 @@ def enumerate_level1_selfdual(q: int, n: int) -> list[SelfdualEntry]:
     data: c = 0 for w = +1 and c = n/f for w = -1, as in division_model.
     Each orbit's w = +1 datum is built as a TameCharacter, checked in
     full by its constructor, and its w = -1 twin is copied from it with
-    only w changed. Each entry's closed form checks self-duality, and its
-    oracle is the FS indicator of its Irrep, which must not vanish, as in
-    sign_division_oracle. A datum refused there, two routes that
+    only w changed. Each entry's signs come from checked_sign on its
+    Irrep: the closed form, whose guard checks self-duality, compared
+    with the FS indicator. A datum refused there, two routes that
     disagree and a cell off its Moebius row count each raise
     InternalConsistencyError. An entry keeps only chi and its two signs:
     the Weil side builds its own model, division_model(f, chi), in
@@ -306,20 +323,13 @@ def enumerate_level1_selfdual(q: int, n: int) -> list[SelfdualEntry]:
                     # _SIGNS lists w = +1 first: its datum is built and
                     # checked, and the w = -1 datum is its twin
                     chi = TameCharacter(q, f, a, w) if w == 1 else _with_sign(chi, w)
-                    closed = sign_division_closed_form(chi)
-                    oracle = _model_sign(n, chi, G, psi)
+                    sign = checked_sign(chi, G, psi)
                 except UsageError as exc:
                     raise InternalConsistencyError(
                         f"enumeration at q={q}, n={n} emitted an invalid "
                         f"datum (f={f}, a={a}, w={w}): {exc}"
                     ) from exc
-                if closed != oracle:
-                    raise InternalConsistencyError(
-                        f"closed-form sign {closed} disagrees with the "
-                        f"Frobenius-Schur oracle {oracle} for {chi} at n={n} "
-                        f"on {G} (psi={psi})"
-                    )
-                entries.append(SelfdualEntry(chi, closed, oracle))
+                entries.append(SelfdualEntry(chi, sign, sign))  # equal, checked
     predicted = selfdual_row_count(q, n)
     if len(entries) != predicted:
         raise InternalConsistencyError(

@@ -17,9 +17,10 @@ under the chosen recipe (or under PR and then SZ), read its sign from
 the cell's table of Weil-side closed forms, push it through the flip,
 and record whether everything agrees, one FlipRow per representation
 and recipe. Where each check runs: the division-side checks as
-enumerate_level1_selfdual places them (per cell, per orbit, per entry);
-the Weil closed form with its second routes (the parameter model's
-Frobenius-Schur indicator and, at even f, the determinant) once per
+enumerate_level1_selfdual places them (per cell, per orbit, per entry,
+where checked_sign compares the closed form with the model's FS
+indicator); the Weil closed form with its second routes (checked_sign
+on the parameter's model and, at even f, the determinant) once per
 entry, by sign_weil_closed_form in the cell's table; attach_parameter's
 guards once per row; the flip's case analysis against transfer_sign
 once per distinct parameter sign in the cell; and, once per cell, the

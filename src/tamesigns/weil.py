@@ -11,40 +11,36 @@ The finite model of mu is C_{q^f-1} x| C_{2f} with s = q and t^f the
 scalar w: it is the division-side model at n = f, division_model(f, mu),
 so the parameter side has no model builder of its own.
 sign_weil_closed_form is the one place the parameter side's routes
-run, all on that one model: for self-dual mu the closed form (w at
-even f, +1 at f = 1) is compared with the model's Frobenius-Schur
-indicator at every f, and with the determinant (det mu nontrivial iff
-mu orthogonal) at even f. At f = 1 a self-dual mu is a quadratic
-character and the determinant is mu itself, so that route is replaced
-there by a literal mu^2 = 1. sp(e) is orthogonal for e odd and
+run, all on that one model: for self-dual mu, division's checked_sign
+compares the closed form (w at even f, +1 at f = 1) with the model's
+Frobenius-Schur indicator at every f, and the closed form is then
+compared with the determinant (det mu nontrivial iff mu orthogonal) at
+even f. At f = 1 a self-dual mu is a quadratic character and the
+determinant is mu itself, so that route is replaced there by a literal
+mu^2 = 1. sp(e) is orthogonal for e odd and
 symplectic for e even, and signs multiply across the tensor factor.
 
 attach_parameter gives the Frobenius-slot sign of the parameter a
 division-side datum predicts under a chosen twisting recipe: recipe
 "PR" twists w by (-1)^(e(f-1)), recipe "SZ" by (-1)^(f-1). The
-parameter keeps (q, f, a), and self-dual data have f even, so its
-datum is (q, f, a, w * (-1)^e) under PR and (q, f, a, -w) under SZ:
-one of the same cell's enumerated data. The two recipes disagree
-exactly when e and f are both even; the flip verification in the sign
-calculus is the arbiter between them.
+parameter keeps (q, f, a), so at even f its datum is
+(q, f, a, w * (-1)^e) under PR and (q, f, a, -w) under SZ, and at
+f = 1 both recipes keep w: either way one of the same (q, f, a)'s
+self-dual data. The two recipes disagree exactly when e and f are both
+even; the flip verification in the sign calculus is the arbiter
+between them.
 """
 
 from __future__ import annotations
 
 from .division import (
     TameCharacter,
+    checked_sign,
     division_model,
     is_selfdual_division,
-    sign_division_closed_form,
 )
 from .errors import InternalConsistencyError, UsageError
-from .metacyclic import (
-    Irrep,
-    MetacyclicGroup,
-    SubgroupCharacter,
-    det_exponents,
-    fs_indicator,
-)
+from .metacyclic import Irrep, MetacyclicGroup, SubgroupCharacter, det_exponents
 
 __all__ = [
     "RECIPES",
@@ -59,26 +55,20 @@ RECIPES = ("PR", "SZ")
 def sign_weil_closed_form(mu: TameCharacter) -> int:
     """Closed-form sign of a self-dual mu: w at even f, +1 at f = 1.
 
-    The closed form and its guards are sign_division_closed_form's. The
-    other routes run on one model, the Irrep division_model(f, mu) on
-    G: its Frobenius-Schur indicator must equal the closed form at every
-    f, and det_exponents reads its determinants. For f even and self-dual
-    mu, det mu is trivial on the torus and equals -w at t, so det mu is
-    nontrivial exactly when mu is orthogonal. At f = 1 mu is its own
-    determinant, and that relation does not hold: there mu^2 = 1 is read
-    literally off mu(x) and mu(t). Any mismatch raises
+    All routes run on one model, the Irrep division_model(f, mu) on G.
+    checked_sign(mu, G, psi) gives the closed form, with its guards, and
+    compares it with the model's Frobenius-Schur indicator at every f;
+    then det_exponents reads the model's determinants. For f even and
+    self-dual mu, det mu is trivial on the torus and equals -w at t, so
+    det mu is nontrivial exactly when mu is orthogonal. At f = 1 mu is
+    its own determinant, and that relation does not hold: there
+    mu^2 = 1 is read literally off mu(x) and mu(t). Any mismatch raises
     InternalConsistencyError naming mu, the model datum psi and G, and
     the values it read. This is the one place the parameter side's
     routes run: verify-flip's per-cell table calls it once per datum.
     """
-    w = sign_division_closed_form(mu)
     G, psi = division_model(mu.f, mu)
-    oracle = fs_indicator(G, psi)
-    if oracle != w:
-        raise InternalConsistencyError(
-            f"Frobenius-Schur route disagrees with the closed form for "
-            f"{_model_text(mu, G, psi)}: indicator {oracle}, closed form {w}"
-        )
+    w = checked_sign(mu, G, psi)
     (Mx, kx), (Mt, kt) = det_exponents(G, psi)
     if mu.f == 1:
         if 2 * kx % Mx or 2 * kt % Mt:

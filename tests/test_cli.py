@@ -525,37 +525,44 @@ def test_enumeration_fault_exits_two(capsys, monkeypatch, argv):
         ["enumerate", "--q", "2", "--n", "4"],
         ["verify-flip", "--q", "2", "--n", "4", "--recipe", "SZ"],
         ["verify-flip", "--q", "2", "--n", "4", "--recipe", "PR"],
+        ["sign", "--side", "division", "--q", "2", "--n", "4", "--f", "2",
+         "--a", "1", "--w", "+1"],
+        ["sign", "--side", "weil", "--q", "2", "--f", "2", "--a", "1", "--w", "+1"],
     ],
 )
 def test_closed_form_oracle_disagreement_exits_two(capsys, monkeypatch, argv):
-    # negate the indicator of the f = 2 datum's model C_15 x| C_8 only
+    # negate the indicator of every f = 2 model where division compares
+    # it with the closed form; cli's own read, printed as sign_oracle, is
+    # untouched, so only that one comparison can catch it. The model's
+    # degree n is --n, or f on the weil side
+    n = argv[argv.index("--n" if "--n" in argv else "--f") + 1]
     real = tamesigns.division.fs_indicator
 
     def negated(G, psi):
         ind = real(G, psi)
-        return -ind if (G.m, psi.f) == (15, 2) else ind
+        return -ind if psi.f == 2 else ind
 
     monkeypatch.setattr(tamesigns.division, "fs_indicator", negated)
     code, out, err = run(capsys, argv)
     assert code == 2
     assert out == ""
     assert err.startswith("internal consistency failure: closed-form sign ")
-    assert "TameCharacter(q=2, f=2, a=1, w=1)" in err and "n=4" in err
+    assert "TameCharacter(q=2, f=2, a=1, w=1)" in err and f"n={n}" in err
 
 
 def test_closed_form_disagreement_names_the_model(capsys, monkeypatch):
-    # the scan's closed form against its oracle: the message names chi, n,
-    # the model group and the model's Irrep, as cmd_sign's twin does
+    # the scan's closed form against its oracle, in checked_sign: the
+    # message names chi, n, the model's inducing data and its group
     monkeypatch.setattr(
         tamesigns.division, "sign_division_closed_form", lambda chi: -chi.w
     )
     code, out, err = run(capsys, ["enumerate", "--q", "2", "--n", "4"])
     assert (code, out) == (2, "")
-    G = "MetacyclicGroup(m=15, N=8, s=2)"
     assert err == (
         "internal consistency failure: closed-form sign -1 disagrees with "
-        "the Frobenius-Schur oracle 1 for TameCharacter(q=2, f=2, a=1, w=1) "
-        f"at n=4 on {G} (psi=Irrep(f=2, a=5, c=0, group={G}))\n"
+        "the Frobenius-Schur indicator 1 for TameCharacter(q=2, f=2, a=1, w=1) "
+        "at n=4: psi=SubgroupCharacter(f=2, a=5, c=0) on "
+        "MetacyclicGroup(m=15, N=8, s=2)\n"
     )
 
 
@@ -603,16 +610,17 @@ def test_enumeration_emitting_an_invalid_datum_exits_two(capsys, monkeypatch):
     ],
 )
 def test_vanishing_scan_oracle_exits_two(capsys, monkeypatch, argv):
-    # the scan's FS oracle shares sign_division_oracle's vanishing check,
-    # and its message names n, psi's (f, a, c) and G
+    # a vanishing indicator is one more value off the closed form in
+    # checked_sign, and its message names n, psi's (f, a, c) and G
     monkeypatch.setattr(tamesigns.division, "fs_indicator", lambda G, psi: 0)
     code, out, err = run(capsys, argv)
     assert code == 2
     assert out == ""
     assert err == (
-        "internal consistency failure: model of self-dual datum "
-        "TameCharacter(q=2, f=2, a=1, w=1) at n=4 has vanishing indicator: "
-        "psi=SubgroupCharacter(f=2, a=5, c=0) on MetacyclicGroup(m=15, N=8, s=2)\n"
+        "internal consistency failure: closed-form sign 1 disagrees with the "
+        "Frobenius-Schur indicator 0 for TameCharacter(q=2, f=2, a=1, w=1) "
+        "at n=4: psi=SubgroupCharacter(f=2, a=5, c=0) on "
+        "MetacyclicGroup(m=15, N=8, s=2)\n"
     )
 
 
@@ -744,6 +752,32 @@ def test_sign_realness_cross_check_exits_two(capsys, monkeypatch, route):
     assert "internal consistency failure: field of values real=" in err
 
 
+@pytest.mark.parametrize(
+    "rule, a, indicator",
+    [(False, 2, -1), (True, 1, 0)],
+    ids=["selfdual-read-as-not", "not-selfdual-read-as-selfdual"],
+)
+@pytest.mark.parametrize("side", ["division", "weil"])
+def test_sign_selfduality_cross_check_exits_two(
+    capsys, monkeypatch, side, rule, a, indicator
+):
+    # the rule's decision must match a nonzero indicator of the model; at
+    # q = 3, f = 2, a = 2 is self-dual and a = 1 is not, and with n = f = 2
+    # both sides read the one model C_8 x| C_4
+    monkeypatch.setattr(tamesigns.division, "_selfdual_rule", lambda *datum: rule)
+    n = ["--n", "2"] if side == "division" else []
+    argv = ["sign", "--side", side, "--q", "3", *n, "--f", "2", "--a", str(a),
+            "--w", "-1"]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    G = "MetacyclicGroup(m=8, N=4, s=3)"
+    assert err == (
+        f"internal consistency failure: selfdual={rule} but Frobenius-Schur "
+        f"indicator {indicator} for TameCharacter(q=3, f=2, a={a}, w=-1): "
+        f"psi=Irrep(f=2, a={a}, c=1, group={G})\n"
+    )
+
+
 def test_off_by_one_fs_sum_fails_the_indicator_and_exits_two(
     capsys, monkeypatch, fresh_groups
 ):
@@ -809,25 +843,31 @@ def test_sign_checks_its_model_irreducible_once(
         (
             ["sign", "--side", "division", "--q", "2", "--n", "4",
              "--f", "2", "--a", "1", "--w", "-1"],
-            "TameCharacter(q=2, f=2, a=1, w=-1) on MetacyclicGroup(m=15, N=8, s=2)",
+            "TameCharacter(q=2, f=2, a=1, w=-1) at n=4: psi=SubgroupCharacter("
+            "f=2, a=5, c=2) on MetacyclicGroup(m=15, N=8, s=2)",
         ),
-        (WEIL_SELFDUAL, "TameCharacter(q=2, f=2, a=1, w=-1) on MetacyclicGroup(m=3, N=4, s=2)"),
+        (
+            WEIL_SELFDUAL,
+            "TameCharacter(q=2, f=2, a=1, w=-1) at n=2: psi=SubgroupCharacter("
+            "f=2, a=1, c=1) on MetacyclicGroup(m=3, N=4, s=2)",
+        ),
     ],
     ids=["division", "weil"],
 )
 def test_sign_closed_form_oracle_disagreement_exits_two(capsys, monkeypatch, argv, datum):
     # a negated indicator keeps the field check's realness, so only the
-    # comparison with the closed form can catch it
-    real = cli.fs_indicator
-    monkeypatch.setattr(cli, "fs_indicator", lambda G, psi: -real(G, psi))
-    code, out, err = run(capsys, argv)
-    assert code == 2
-    assert out == ""
-    assert err.startswith(
-        "internal consistency failure: closed-form sign -1 disagrees with "
-        "the Frobenius-Schur indicator 1 for "
+    # comparison with the closed form, in division's checked_sign, can
+    # catch it
+    real = tamesigns.division.fs_indicator
+    monkeypatch.setattr(
+        tamesigns.division, "fs_indicator", lambda G, psi: -real(G, psi)
     )
-    assert datum in err
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err == (
+        "internal consistency failure: closed-form sign -1 disagrees with "
+        f"the Frobenius-Schur indicator 1 for {datum}\n"
+    )
 
 
 def test_sign_refuses_models_above_the_limit(run_cli):

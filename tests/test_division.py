@@ -36,9 +36,11 @@ from tamesigns.errors import InternalConsistencyError, UsageError
 from tamesigns.metacyclic import (
     GroupElem,
     Irrep,
+    fs_indicator,
     is_irreducible_induced,
     matrix_of,
     orbit_of,
+    orbit_partition,
 )
 
 
@@ -363,6 +365,37 @@ def test_row_count_matches_enumeration(q):
             at_f = sum(entry.chi.f == f for entry in entries)
             assert selfdual_rows_at_degree(q, f) == at_f, (n, f)
     assert selfdual_row_count(2, 4) == 4  # the README's enumerate example
+
+
+def test_nonzero_indicators_are_the_enumerated_data():
+    # a second route to the row count that does not read the rule: on
+    # every cell with q <= 9 a prime power and q^n <= 10^4, the regular
+    # data (f, a, w), f | n, a an orbit minimum, whose model
+    # division_model(n, chi) has a nonzero FS indicator are exactly the
+    # enumerated data at f >= 2, and the quadratic characters at f = 1
+    # (2a = 0 mod q - 1), which the enumeration does not list yet
+    cells = [
+        (q, n) for q in range(2, 10) if is_prime_power(q)
+        for n in range(1, 14) if q**n <= 10**4
+    ]
+    data = 0
+    for q, n in cells:
+        nonzero = set()
+        for f in divisors(n):
+            for a in orbit_partition(q, q**f - 1).get(f, []):
+                for w in (1, -1):
+                    data += 1
+                    G, psi = division_model(n, TameCharacter(q, f, a, w))
+                    if fs_indicator(G, psi) != 0:
+                        nonzero.add((f, a, w))
+        listed = {(e.chi.f, e.chi.a, e.chi.w) for e in enumerate_level1_selfdual(q, n)}
+        quadratic = {
+            (1, a, w) for a in range(max(q - 1, 1)) if 2 * a % (q - 1) == 0
+            for w in (1, -1)
+        }
+        assert {d for d in nonzero if d[0] >= 2} == listed, (q, n)
+        assert {d for d in nonzero if d[0] == 1} == quadratic, (q, n)
+    assert (len(cells), data) == (44, 17_280)
 
 
 @pytest.mark.parametrize("q,n", [(2, 2), (2, 4), (3, 2), (3, 4), (4, 2), (5, 2)])

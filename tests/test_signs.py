@@ -182,13 +182,13 @@ def test_regularity_is_checked_once_per_built_datum(monkeypatch, fresh_groups):
     # and its w = -1 twin copied from it. Each row's attached parameter is
     # an enumerated datum, so sign_weil_closed_form, with its FS and det
     # routes, runs once per entry under both recipes, at f < n and at
-    # f = n alike
+    # f = n alike. Both sides read FS in division's checked_sign
     listed = enumerate_level1_selfdual(3, 4)
     entries = len(listed)
     below = sum(entry.chi.f < 4 for entry in listed)
     assert 0 < below < entries
     tamesigns.metacyclic.make_group.cache_clear()  # no class checked yet
-    regular, closed, dets, weil_fs = [], [], [], []
+    regular, closed, dets = [], [], []
     real_regular = tamesigns.division.is_regular
     real_closed = tamesigns.signs.sign_weil_closed_form
     real_det = tamesigns.weil.det_exponents
@@ -202,19 +202,13 @@ def test_regularity_is_checked_once_per_built_datum(monkeypatch, fresh_groups):
         "sign_weil_closed_form",
         lambda mu: closed.append(mu) or real_closed(mu),
     )
-    real_weil_fs = tamesigns.weil.fs_indicator
     monkeypatch.setattr(
         tamesigns.weil,
         "det_exponents",
         lambda G, psi: dets.append(psi) or real_det(G, psi),
     )
-    monkeypatch.setattr(
-        tamesigns.weil,
-        "fs_indicator",
-        lambda G, psi: weil_fs.append(psi) or real_weil_fs(G, psi),
-    )
     # irreducibility once per class of each model group (both w share
-    # it), the scan's FS oracle once per entry, and the flip once per
+    # it), FS once per entry on each side, and the flip once per
     # distinct parameter sign
     checked, indicated, flipped = [], [], []
     real_check = tamesigns.metacyclic.is_irreducible_induced
@@ -240,14 +234,17 @@ def test_regularity_is_checked_once_per_built_datum(monkeypatch, fresh_groups):
     assert len(regular) == entries // 2
     assert len(closed) == entries
     assert len(dets) == entries
-    assert len(weil_fs) == entries
+    # the scan reads FS on the cell's model C_80 x| C_8 first, then the
+    # parameters on theirs, which is the cell's at f = n
+    assert len(indicated) == 2 * entries
+    scan_fs, weil_fs = indicated[:entries], indicated[entries:]
+    assert all(psi.group.m == 80 for psi in scan_fs)
     assert sum(psi.group.m == 80 for psi in weil_fs) == entries - below
     # the cell's model C_80 x| C_8 has the classes d = 80/gcd(a, 80) of
     # its model exponents 20, 8, 16; the f = 2 parameters' model
     # C_8 x| C_4 has the one class of a = 2, and their f = n parameters
     # share the cell's model, checked already
     assert [(psi.f, psi.a) for psi in checked] == [(2, 20), (4, 8), (4, 16), (2, 2)]
-    assert len(indicated) == entries
     assert sorted(flipped) == sorted({(4, row.param_sign) for row in rows})
 
 
@@ -357,22 +354,25 @@ def test_sz_witness_off_the_even_e_rows_exits_two(monkeypatch, capsys):
 def test_parameter_side_oracle_disagreement_exits_two(monkeypatch, capsys):
     # at f < n the parameter's closed form is compared with the FS
     # indicator of its own model, C_3 x| C_4 for the first entry of
-    # q = 2, n = 4
+    # q = 2, n = 4; the scan's model C_15 x| C_8 reads true
     calls = []
-    real = tamesigns.weil.fs_indicator
-    monkeypatch.setattr(
-        tamesigns.weil,
-        "fs_indicator",
-        lambda G, psi: calls.append(psi) or -real(G, psi),
-    )
+    real = tamesigns.division.fs_indicator
+
+    def negated(G, psi):
+        if G.m == 15:
+            return real(G, psi)
+        calls.append(psi)
+        return -real(G, psi)
+
+    monkeypatch.setattr(tamesigns.division, "fs_indicator", negated)
     with pytest.raises(InternalConsistencyError) as info:
         verify_flip(2, 4, "PR")
     mu = TameCharacter(2, 2, 1, 1)
     assert calls == [(2, 1, 0, make_group(3, 4, 2))]
     assert str(info.value) == (
-        f"Frobenius-Schur route disagrees with the closed form for {mu} "
-        "with model psi=SubgroupCharacter(f=2, a=1, c=0) on "
-        "MetacyclicGroup(m=3, N=4, s=2): indicator -1, closed form 1"
+        f"closed-form sign 1 disagrees with the Frobenius-Schur indicator -1 "
+        f"for {mu} at n=2: psi=SubgroupCharacter(f=2, a=1, c=0) on "
+        "MetacyclicGroup(m=3, N=4, s=2)"
     )
     assert main(["verify-flip", "--q", "2", "--n", "4"]) == 2
     out, err = capsys.readouterr()
@@ -383,20 +383,32 @@ def test_parameter_side_oracle_disagreement_exits_two(monkeypatch, capsys):
 def test_parameter_fs_fault_at_f_equal_n_exits_two(monkeypatch, capsys):
     # q = 2, n = 2 has only f = n entries, whose parameter model is the
     # cell's own: the parameter route still reads its FS indicator, so a
-    # fault there is met
+    # fault there, once the scan has passed, is met
     assert {entry.chi.f for entry in enumerate_level1_selfdual(2, 2)} == {2}
-    real = tamesigns.weil.fs_indicator
+    scanned = []
+    real_scan = tamesigns.signs.enumerate_level1_selfdual
+    real = tamesigns.division.fs_indicator
+
+    def scan(q, n):
+        entries = real_scan(q, n)
+        scanned.append((q, n))
+        return entries
+
+    monkeypatch.setattr(tamesigns.signs, "enumerate_level1_selfdual", scan)
     monkeypatch.setattr(
-        tamesigns.weil, "fs_indicator", lambda G, psi: -real(G, psi)
+        tamesigns.division,
+        "fs_indicator",
+        lambda G, psi: -real(G, psi) if scanned else real(G, psi),
     )
     assert main(["verify-flip", "--q", "2", "--n", "2"]) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.startswith(
-        "internal consistency failure: Frobenius-Schur route disagrees "
-        "with the closed form for TameCharacter(q=2, f=2, a=1, w=1) "
+    assert err == (
+        "internal consistency failure: closed-form sign 1 disagrees with the "
+        "Frobenius-Schur indicator -1 for TameCharacter(q=2, f=2, a=1, w=1) "
+        "at n=2: psi=SubgroupCharacter(f=2, a=1, c=0) on "
+        "MetacyclicGroup(m=3, N=4, s=2)\n"
     )
-
 
 
 def test_consistent_restates_the_recipe_on_the_grid():

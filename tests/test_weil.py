@@ -193,13 +193,13 @@ def test_f_one_closed_forms_are_plus_one_on_the_quadratic_characters(q):
 
 def test_f_one_oracle_disagreement_raises(monkeypatch):
     mu = TameCharacter(5, 1, 2, -1)
-    monkeypatch.setattr(tamesigns.weil, "fs_indicator", lambda G, psi: -1)
+    monkeypatch.setattr(tamesigns.division, "fs_indicator", lambda G, psi: -1)
     with pytest.raises(InternalConsistencyError) as info:
         sign_weil_closed_form(mu)
     assert str(info.value) == (
-        f"Frobenius-Schur route disagrees with the closed form for {mu} with "
-        "model psi=SubgroupCharacter(f=1, a=2, c=1) on "
-        "MetacyclicGroup(m=4, N=2, s=1): indicator -1, closed form 1"
+        f"closed-form sign 1 disagrees with the Frobenius-Schur indicator -1 "
+        f"for {mu} at n=1: psi=SubgroupCharacter(f=1, a=2, c=1) on "
+        "MetacyclicGroup(m=4, N=2, s=1)"
     )
 
 
