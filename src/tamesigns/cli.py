@@ -323,7 +323,8 @@ def _check_sign_size(q: int, d: int, f: int) -> None:
 
 
 def cmd_sign(args: argparse.Namespace) -> tuple[int, str]:
-    # both sides build division_model(d, chi): the parameter side at d = f
+    # both sides build division_model(d, chi), the parameter side at
+    # d = f, once: every route, sign_weil_closed_form's too, reads it
     division = args.side == "division"
     d = args.n if division else args.f
     _check_sign_size(args.q, d, args.f)
@@ -345,7 +346,7 @@ def cmd_sign(args: argparse.Namespace) -> tuple[int, str]:
         )
     closed = None
     if selfdual:  # each compares the closed form with a model's indicator
-        closed = checked_sign(chi, G, psi) if division else sign_weil_closed_form(chi)
+        closed = (checked_sign if division else sign_weil_closed_form)(chi, G, psi)
     row = (
         args.side, args.q, args.n, args.f, args.a, args.w, True, selfdual,
         closed, oracle, fmt_root(Mx, kx), fmt_root(Mt, kt),

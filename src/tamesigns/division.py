@@ -240,8 +240,9 @@ def checked_sign(chi: TameCharacter, G: MetacyclicGroup, psi: Irrep) -> int:
     Frobenius-Schur indicator must equal the closed form, so 0 fails
     too, with InternalConsistencyError naming chi, n, psi's (f, a, c), G
     and both values. The one place a closed form meets an indicator: the
-    scan calls it per entry, sign_weil_closed_form per parameter (n = f)
-    and the `sign` command on the division side.
+    scan calls it per entry, sign_weil_closed_form per parameter (n = f),
+    on the model its caller passes, and the `sign` command on the
+    division side. No model is built here.
     """
     closed = sign_division_closed_form(chi)
     ind = fs_indicator(G, psi)
@@ -269,11 +270,13 @@ def _with_sign(chi: TameCharacter, w: int) -> TameCharacter:
 
 
 class SelfdualEntry(NamedTuple):
-    """One enumerated self-dual representation with both sign routes."""
+    """One enumerated self-dual representation with both sign routes and
+    its model, the Irrep of division_model(n, chi) on the cell's group."""
 
     chi: TameCharacter
     sign_closed: int
     sign_oracle: int
+    model: Irrep
 
 
 def enumerate_level1_selfdual(q: int, n: int) -> list[SelfdualEntry]:
@@ -298,9 +301,9 @@ def enumerate_level1_selfdual(q: int, n: int) -> list[SelfdualEntry]:
     Irrep: the closed form, whose guard checks self-duality, compared
     with the FS indicator. A datum refused there, two routes that
     disagree and a cell off its Moebius row count each raise
-    InternalConsistencyError. An entry keeps only chi and its two signs:
-    the Weil side builds its own model, division_model(f, chi), in
-    sign_weil_closed_form.
+    InternalConsistencyError. An entry keeps chi, its two signs and the
+    Irrep checked_sign ran on, so at f = n verify-flip hands that Irrep,
+    which is division_model(n, chi), to sign_weil_closed_form.
     """
     prime_power_base(q)
     if n < 1:
@@ -329,7 +332,7 @@ def enumerate_level1_selfdual(q: int, n: int) -> list[SelfdualEntry]:
                         f"enumeration at q={q}, n={n} emitted an invalid "
                         f"datum (f={f}, a={a}, w={w}): {exc}"
                     ) from exc
-                entries.append(SelfdualEntry(chi, sign, sign))  # equal, checked
+                entries.append(SelfdualEntry(chi, sign, sign, psi))  # equal, checked
     predicted = selfdual_row_count(q, n)
     if len(entries) != predicted:
         raise InternalConsistencyError(

@@ -21,7 +21,8 @@ enumerate_level1_selfdual places them (per cell, per orbit, per entry,
 where checked_sign compares the closed form with the model's FS
 indicator); the Weil closed form with its second routes (checked_sign
 on the parameter's model and, at even f, the determinant) once per
-entry, by sign_weil_closed_form in the cell's table; attach_parameter's
+entry, by sign_weil_closed_form in the cell's table, on the entry's own
+Irrep at f = n and on division_model(f, chi) at f < n; attach_parameter's
 guards once per row; the flip's case analysis against transfer_sign
 once per distinct parameter sign in the cell; and, once per cell, the
 count of SZ witnesses: the SZ rows that fail the flip must be exactly
@@ -34,7 +35,11 @@ from math import prod
 from typing import Iterable, NamedTuple
 
 from .cyclotomic import divisors
-from .division import enumerate_level1_selfdual, selfdual_rows_at_degree
+from .division import (
+    division_model,
+    enumerate_level1_selfdual,
+    selfdual_rows_at_degree,
+)
 from .errors import InternalConsistencyError, UsageError
 from .weil import RECIPES, attach_parameter, sign_weil_closed_form, sp_sign
 
@@ -145,7 +150,10 @@ def verify_flip(q: int, n: int, recipe: str) -> tuple[FlipRow, ...]:
     parameter is one of the cell's own data, so its sign is read from a
     per-cell table that runs sign_weil_closed_form, with its guards and
     its routes on the parameter's own model C_{q^f-1} x| C_{2f}, once
-    per datum; a disagreement raises InternalConsistencyError. The flip
+    per datum; a disagreement raises InternalConsistencyError. At f = n
+    that model is the entry's own Irrep, which the scan has built and
+    checked on the cell's group; only the data with f < n build theirs,
+    by division_model(f, chi). The flip
     depends only on (n, parameter sign), so flip_sign, with its
     case-analysis-vs-transfer check, runs once per distinct parameter
     sign in the cell: at most twice. recipe "both" enumerates the cell
@@ -157,16 +165,18 @@ def verify_flip(q: int, n: int, recipe: str) -> tuple[FlipRow, ...]:
     if recipe != "both" and recipe not in RECIPES:
         raise UsageError(f"recipe must be one of {RECIPES} or 'both', got {recipe!r}")
     entries = enumerate_level1_selfdual(q, n)
-    # (f, a, w) -> sign_weil_closed_form of that datum
-    weil_sign = {
-        (chi.f, chi.a, chi.w): sign_weil_closed_form(chi) for chi, _, _ in entries
-    }
+    # (f, a, w) -> sign_weil_closed_form of that datum, on its model: at
+    # f = n the entry's own Irrep, division_model(n, chi) on the cell
+    weil_sign = {}
+    for chi, _, _, model in entries:
+        G, psi = (model.group, model) if chi.f == n else division_model(chi.f, chi)
+        weil_sign[chi.f, chi.a, chi.w] = sign_weil_closed_form(chi, G, psi)
     flipped: dict[int, int] = {}  # parameter sign -> flip_sign(n, sign)
     make_row = FlipRow._make  # no per-row keyword __new__
     rows: list[FlipRow] = []
     for row_recipe in RECIPES if recipe == "both" else (recipe,):
         block = []
-        for chi, closed, oracle in entries:
+        for chi, closed, oracle, _ in entries:
             f, a = chi.f, chi.a
             e = n // f
             param_w = attach_parameter(n, chi, row_recipe)

@@ -9,9 +9,12 @@ Frobenius-slot sign of mu.
 
 The finite model of mu is C_{q^f-1} x| C_{2f} with s = q and t^f the
 scalar w: it is the division-side model at n = f, division_model(f, mu),
-so the parameter side has no model builder of its own.
-sign_weil_closed_form is the one place the parameter side's routes
-run, all on that one model: for self-dual mu, division's checked_sign
+so the parameter side has no model builder of its own. The caller
+passes that model: verify-flip's scan has already built it for every
+datum of degree f = n, and the `sign` command has built it for its
+query. sign_weil_closed_form is the one place the parameter side's
+routes run, all on that one model, which it checks is mu's own with a
+few integer comparisons: for self-dual mu, division's checked_sign
 compares the closed form (w at even f, +1 at f = 1) with the model's
 Frobenius-Schur indicator at every f, and the closed form is then
 compared with the determinant (det mu nontrivial iff mu orthogonal) at
@@ -35,8 +38,8 @@ from __future__ import annotations
 
 from .division import (
     TameCharacter,
+    _model_c,
     checked_sign,
-    division_model,
     is_selfdual_division,
 )
 from .errors import InternalConsistencyError, UsageError
@@ -52,25 +55,44 @@ __all__ = [
 RECIPES = ("PR", "SZ")
 
 
-def sign_weil_closed_form(mu: TameCharacter) -> int:
+def sign_weil_closed_form(mu: TameCharacter, G: MetacyclicGroup, psi: Irrep) -> int:
     """Closed-form sign of a self-dual mu: w at even f, +1 at f = 1.
 
-    All routes run on one model, the Irrep division_model(f, mu) on G.
-    checked_sign(mu, G, psi) gives the closed form, with its guards, and
-    compares it with the model's Frobenius-Schur indicator at every f;
-    then det_exponents reads the model's determinants. For f even and
-    self-dual mu, det mu is trivial on the torus and equals -w at t, so
-    det mu is nontrivial exactly when mu is orthogonal. At f = 1 mu is
-    its own determinant, and that relation does not hold: there
-    mu^2 = 1 is read literally off mu(x) and mu(t). Any mismatch raises
-    InternalConsistencyError naming mu, the model datum psi and G, and
-    the values it read. This is the one place the parameter side's
-    routes run: verify-flip's per-cell table calls it once per datum.
+    (G, psi) is mu's model division_model(f, mu), built by the caller:
+    G is C_{q^f-1} x| C_{2f} with s = q, and psi is the Irrep on G with
+    inducing data (f, a, c), c encoding w as division_model does. Any
+    other model raises UsageError naming mu, psi and G; the check is a
+    few integer comparisons, and no model is built here. All routes run
+    on that model. checked_sign(mu, G, psi) gives the closed form, with
+    its guards, and compares it with the model's Frobenius-Schur
+    indicator at every f; then det_exponents reads the model's
+    determinants. For f even and self-dual mu, det mu is trivial on the
+    torus and equals -w at t, so det mu is nontrivial exactly when mu is
+    orthogonal. At f = 1 mu is its own determinant, and that relation
+    does not hold: there mu^2 = 1 is read literally off mu(x) and
+    mu(t). Any mismatch raises InternalConsistencyError naming mu, the
+    model datum psi and G, and the values it read. This is the one
+    place the parameter side's routes run: verify-flip's per-cell table
+    calls it once per datum, and `sign --side weil` once per query.
     """
-    G, psi = division_model(mu.f, mu)
+    f = mu.f
+    if (
+        G.m != mu.torus_order
+        or G.N != 2 * f
+        or G.s != mu.q % G.m
+        or type(psi) is not Irrep
+        or psi.group is not G
+        or psi.f != f
+        or psi.a != mu.a
+        or psi.c != _model_c(f, f, mu.w)
+    ):
+        raise UsageError(
+            f"sign_weil_closed_form needs division_model({f}, mu) for "
+            f"mu={mu}, got psi={psi!r} and G={G}"
+        )
     w = checked_sign(mu, G, psi)
     (Mx, kx), (Mt, kt) = det_exponents(G, psi)
-    if mu.f == 1:
+    if f == 1:
         if 2 * kx % Mx or 2 * kt % Mt:
             raise InternalConsistencyError(
                 f"self-dual {_model_text(mu, G, psi)} is not quadratic: "

@@ -14,6 +14,7 @@ import time
 from tamesigns.cyclotomic import cyc_integer
 from tamesigns.division import (
     TameCharacter,
+    division_model,
     enumerate_level1_selfdual,
     is_regular,
     is_selfdual_division,
@@ -81,7 +82,7 @@ def test_weil_signs_dual_routes_agree_full_grid():
                 continue
             for entry in enumerate_level1_selfdual(q, f):
                 chi = entry.chi  # the parameter model is at n = chi.f, not f
-                closed = sign_weil_closed_form(chi)
+                closed = sign_weil_closed_form(chi, *division_model(chi.f, chi))
                 assert closed == sign_division_oracle(chi.f, chi), (q, f, entry)
 
 
@@ -156,7 +157,9 @@ def test_constructed_selfdual_witnesses_pass_all_predicates():
             assert sign_division_closed_form(chi) == sign_division_oracle(
                 n, chi
             )
-            assert sign_weil_closed_form(chi) == sign_division_oracle(f, chi)
+            assert sign_weil_closed_form(
+                chi, *division_model(chi.f, chi)
+            ) == sign_division_oracle(f, chi)
 
 
 def test_cli_output_is_byte_identical_across_processes(run_cli):

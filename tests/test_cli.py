@@ -28,7 +28,12 @@ from tamesigns.cli import (
     parse_range,
     parse_sign,
 )
-from tamesigns.division import TameCharacter, is_prime_power, selfdual_row_count
+from tamesigns.division import (
+    TameCharacter,
+    division_model,
+    is_prime_power,
+    selfdual_row_count,
+)
 from tamesigns.errors import InternalConsistencyError, UsageError
 from tamesigns.rationality import CharacterField
 from tamesigns.signs import FlipRow
@@ -573,7 +578,10 @@ def test_invalid_model_datum_is_refused_by_every_consumer(capsys, monkeypatch):
     chi = TameCharacter(2, 2, 1, 1)
     for call, message in [
         (lambda: tamesigns.division.sign_division_oracle(4, chi), "got c=4"),
-        (lambda: sign_weil_closed_form(chi), "N/f = 2, got c=2"),
+        (
+            lambda: sign_weil_closed_form(chi, *division_model(chi.f, chi)),
+            "N/f = 2, got c=2",
+        ),
     ]:
         with pytest.raises(UsageError, match="need 0 <= c < N/f") as info:
             call()
@@ -835,6 +843,37 @@ def test_sign_checks_its_model_irreducible_once(
     code, _, _ = run(capsys, argv)
     assert code == 0
     assert len(checks) == 1
+
+
+def test_sign_builds_its_model_once(capsys, monkeypatch):
+    # one division_model call, and so one orbit_irreps call, per query on
+    # either side: sign_weil_closed_form reads the model cmd_sign built
+    real_model = tamesigns.cli.division_model
+    real_irreps = tamesigns.division.orbit_irreps
+    models, irreps = [], []
+    monkeypatch.setattr(
+        tamesigns.cli,
+        "division_model",
+        lambda n, chi: models.append((n, chi)) or real_model(n, chi),
+    )
+    monkeypatch.setattr(
+        tamesigns.division,
+        "orbit_irreps",
+        lambda *args: irreps.append(args) or real_irreps(*args),
+    )
+    for argv in (
+        WEIL_SELFDUAL,
+        ["sign", "--side", "weil", "--q", "5", "--f", "1", "--a", "2", "--w", "-1"],
+        ["sign", "--side", "weil", "--q", "4", "--f", "2", "--a", "6", "--w", "1"],
+        ["sign", "--side", "weil", "--q", "3", "--f", "2", "--a", "1", "--w", "1"],
+        ["sign", "--side", "division", "--q", "2", "--n", "4",
+         "--f", "2", "--a", "1", "--w", "-1"],
+    ):
+        models.clear()
+        irreps.clear()
+        code, _, _ = run(capsys, argv)
+        assert code == 0, argv
+        assert len(models) == len(irreps) == 1, argv
 
 
 @pytest.mark.parametrize(

@@ -416,19 +416,26 @@ def test_dual_routes_agree_on_small_ranges(q, n):
 
 def test_selfdual_entry_is_a_plain_tuple():
     chi = TameCharacter(2, 2, 1, -1)
-    entry = SelfdualEntry(chi, -1, -1)
-    assert SelfdualEntry._fields == ("chi", "sign_closed", "sign_oracle")
-    assert isinstance(entry, tuple) and len(entry) == 3
-    assert (entry.chi, entry.sign_closed, entry.sign_oracle) == (chi, -1, -1)
-    assert SelfdualEntry(chi=chi, sign_closed=-1, sign_oracle=-1) == entry
-    got_chi, closed, oracle = entry
-    assert (got_chi, closed, oracle) == (chi, -1, -1)
+    _, psi = division_model(2, chi)
+    entry = SelfdualEntry(chi, -1, -1, psi)
+    assert SelfdualEntry._fields == ("chi", "sign_closed", "sign_oracle", "model")
+    assert isinstance(entry, tuple) and len(entry) == 4
+    assert (entry.chi, entry.sign_closed, entry.sign_oracle, entry.model) == (
+        chi, -1, -1, psi,
+    )
+    assert SelfdualEntry(chi=chi, sign_closed=-1, sign_oracle=-1, model=psi) == entry
+    got_chi, closed, oracle, model = entry
+    assert (got_chi, closed, oracle, model) == (chi, -1, -1, psi)
     # equality is tuple equality, with no type check
-    assert entry == (chi, -1, -1) and hash(entry) == hash((chi, -1, -1))
-    assert entry != SelfdualEntry(chi, -1, 1)
+    assert entry == (chi, -1, -1, psi) and hash(entry) == hash((chi, -1, -1, psi))
+    assert entry != SelfdualEntry(chi, -1, 1, psi)
     listed = enumerate_level1_selfdual(2, 2)
     assert all(type(e) is SelfdualEntry for e in listed)
-    assert listed == [(TameCharacter(2, 2, 1, 1), 1, 1), (chi, -1, -1)]
+    chi_plus = TameCharacter(2, 2, 1, 1)
+    assert listed == [
+        (chi_plus, 1, 1, division_model(2, chi_plus)[1]),
+        (chi, -1, -1, psi),
+    ]
 
 
 def _min_of_orbit_scan(q, n):
@@ -452,7 +459,8 @@ def _min_of_orbit_scan(q, n):
                 chi = TameCharacter(q, f, a, w)
                 closed = sign_division_closed_form(chi)
                 oracle = sign_division_oracle(n, chi)
-                entries.append(SelfdualEntry(chi, closed, oracle))
+                model = division_model(n, chi)[1]
+                entries.append(SelfdualEntry(chi, closed, oracle, model))
     return entries
 
 

@@ -182,16 +182,19 @@ def test_regularity_is_checked_once_per_built_datum(monkeypatch, fresh_groups):
     # and its w = -1 twin copied from it. Each row's attached parameter is
     # an enumerated datum, so sign_weil_closed_form, with its FS and det
     # routes, runs once per entry under both recipes, at f < n and at
-    # f = n alike. Both sides read FS in division's checked_sign
+    # f = n alike. Its model is built by division_model once per f < n
+    # datum; at f = n it is the entry's own Irrep, and none is built.
+    # Both sides read FS in division's checked_sign
     listed = enumerate_level1_selfdual(3, 4)
     entries = len(listed)
     below = sum(entry.chi.f < 4 for entry in listed)
     assert 0 < below < entries
     tamesigns.metacyclic.make_group.cache_clear()  # no class checked yet
-    regular, closed, dets = [], [], []
+    regular, closed, dets, built = [], [], [], []
     real_regular = tamesigns.division.is_regular
     real_closed = tamesigns.signs.sign_weil_closed_form
     real_det = tamesigns.weil.det_exponents
+    real_model = tamesigns.signs.division_model
     monkeypatch.setattr(
         tamesigns.division,
         "is_regular",
@@ -200,7 +203,12 @@ def test_regularity_is_checked_once_per_built_datum(monkeypatch, fresh_groups):
     monkeypatch.setattr(
         tamesigns.signs,
         "sign_weil_closed_form",
-        lambda mu: closed.append(mu) or real_closed(mu),
+        lambda mu, G, psi: closed.append((mu, psi)) or real_closed(mu, G, psi),
+    )
+    monkeypatch.setattr(
+        tamesigns.signs,
+        "division_model",
+        lambda n, chi: built.append((n, chi)) or real_model(n, chi),
     )
     monkeypatch.setattr(
         tamesigns.weil,
@@ -234,6 +242,12 @@ def test_regularity_is_checked_once_per_built_datum(monkeypatch, fresh_groups):
     assert len(regular) == entries // 2
     assert len(closed) == entries
     assert len(dets) == entries
+    assert built == [(e.chi.f, e.chi) for e in listed if e.chi.f < 4]
+    # at f = n the parameter's model is the entry's own Irrep on the cell
+    assert [psi for mu, psi in closed if mu.f == 4] == [
+        e.model for e in listed if e.chi.f == 4
+    ]
+    assert all(psi.group.m == 80 for mu, psi in closed if mu.f == 4)
     # the scan reads FS on the cell's model C_80 x| C_8 first, then the
     # parameters on theirs, which is the cell's at f = n
     assert len(indicated) == 2 * entries

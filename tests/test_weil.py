@@ -27,6 +27,11 @@ from tamesigns.metacyclic import Irrep
 from tamesigns.weil import attach_parameter, sign_weil_closed_form, sp_sign
 
 
+def weil_sign(mu):
+    # the parameter-side sign on mu's own model, which the caller builds
+    return sign_weil_closed_form(mu, *division_model(mu.f, mu))
+
+
 def test_weil_model_frozen_example():
     mu = TameCharacter(2, 2, 1, -1)
     G, psi = division_model(mu.f, mu)
@@ -51,10 +56,52 @@ def test_sp_sign():
 
 def test_closed_form_sign_and_det_characterization():
     # the det cross-check runs inside sign_weil_closed_form
-    assert sign_weil_closed_form(TameCharacter(2, 2, 1, 1)) == 1
-    assert sign_weil_closed_form(TameCharacter(2, 2, 1, -1)) == -1
+    assert weil_sign(TameCharacter(2, 2, 1, 1)) == 1
+    assert weil_sign(TameCharacter(2, 2, 1, -1)) == -1
     with pytest.raises(UsageError):
-        sign_weil_closed_form(TameCharacter(2, 4, 1, 1))  # not self-dual
+        weil_sign(TameCharacter(2, 4, 1, 1))  # not self-dual
+
+
+@pytest.mark.parametrize(
+    "mu, model, psi_text, G_text",
+    [
+        (  # the cell model of mu at n = 2f
+            TameCharacter(2, 2, 1, -1),
+            lambda mu: division_model(4, mu),
+            "Irrep(f=2, a=5, c=2, group=MetacyclicGroup(m=15, N=8, s=2))",
+            "MetacyclicGroup(m=15, N=8, s=2)",
+        ),
+        (  # the other w's Irrep: c = 0, not 1
+            TameCharacter(2, 2, 1, -1),
+            lambda mu: division_model(2, TameCharacter(2, 2, 1, 1)),
+            "Irrep(f=2, a=1, c=0, group=MetacyclicGroup(m=3, N=4, s=2))",
+            "MetacyclicGroup(m=3, N=4, s=2)",
+        ),
+        (  # the Irrep of the other self-dual orbit {6, 9} of C_15 x| C_4
+            TameCharacter(4, 2, 3, 1),
+            lambda mu: division_model(2, TameCharacter(4, 2, 6, 1)),
+            "Irrep(f=2, a=6, c=0, group=MetacyclicGroup(m=15, N=4, s=4))",
+            "MetacyclicGroup(m=15, N=4, s=4)",
+        ),
+        (  # mu's own Irrep, with G the group of the cell at n = 2f
+            TameCharacter(2, 2, 1, -1),
+            lambda mu: (division_model(4, mu)[0], division_model(2, mu)[1]),
+            "Irrep(f=2, a=1, c=1, group=MetacyclicGroup(m=3, N=4, s=2))",
+            "MetacyclicGroup(m=15, N=8, s=2)",
+        ),
+    ],
+    ids=["cell-model", "wrong-c", "wrong-a", "wrong-group"],
+)
+def test_closed_form_refuses_any_model_but_its_own(mu, model, psi_text, G_text):
+    G, psi = model(mu)
+    with pytest.raises(UsageError) as info:
+        sign_weil_closed_form(mu, G, psi)
+    assert str(info.value) == (
+        f"sign_weil_closed_form needs division_model(2, mu) for mu={mu}, "
+        f"got psi={psi_text} and G={G_text}"
+    )
+    # mu's own model passes the guard
+    assert weil_sign(mu) == mu.w
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
@@ -63,7 +110,7 @@ def test_closed_form_matches_oracle(q, f):
     for entry in enumerate_level1_selfdual(q, f):
         if entry.chi.f != f:
             continue
-        assert sign_weil_closed_form(entry.chi) == entry.chi.w
+        assert weil_sign(entry.chi) == entry.chi.w
         assert sign_division_oracle(f, entry.chi) == entry.chi.w
 
 
@@ -81,7 +128,7 @@ def test_det_route_break_raises_and_exits_two(monkeypatch, capsys):
 
     monkeypatch.setattr(tamesigns.weil, "det_exponents", shifted)
     with pytest.raises(InternalConsistencyError, match="det route disagrees"):
-        sign_weil_closed_form(TameCharacter(2, 2, 1, -1))
+        weil_sign(TameCharacter(2, 2, 1, -1))
     for argv in (
         ["verify-flip", "--q", "2", "--n", "4"],
         ["verify-flip", "--q", "2", "--n", "4", "--recipe", "SZ"],
@@ -96,7 +143,7 @@ def test_det_route_break_raises_and_exits_two(monkeypatch, capsys):
     # with inducing datum (4, 3, 1): every distinct datum of the cell
     # runs the det route, so verify-flip still exits 2
     broken = lambda G, psi: (G.m, G.N, psi[:3]) == (15, 8, (4, 3, 1))
-    assert sign_weil_closed_form(TameCharacter(2, 4, 3, 1)) == 1
+    assert weil_sign(TameCharacter(2, 4, 3, 1)) == 1
     assert main(["verify-flip", "--q", "2", "--n", "4", "--recipe", "both"]) == 2
     out, err = capsys.readouterr()
     assert out == ""
@@ -128,7 +175,7 @@ def test_det_shape_faults_raise(monkeypatch, exponents, message):
     mu = TameCharacter(2, 2, 1, -1)
     monkeypatch.setattr(tamesigns.weil, "det_exponents", lambda G, psi: exponents)
     with pytest.raises(InternalConsistencyError) as info:
-        sign_weil_closed_form(mu)
+        weil_sign(mu)
     assert str(info.value) == message.format(mu)
 
 
@@ -141,7 +188,7 @@ def test_q_minus_one_guard_raises(monkeypatch):
         "is_selfdual_division",
         lambda c: (c.q, c.f, c.a) == (3, 2, 1) or real(c),
     )
-    for closed_form in (sign_division_closed_form, sign_weil_closed_form):
+    for closed_form in (sign_division_closed_form, weil_sign):
         with pytest.raises(InternalConsistencyError, match="not divisible by q-1"):
             closed_form(chi)
 
@@ -182,11 +229,11 @@ def test_f_one_closed_forms_are_plus_one_on_the_quadratic_characters(q):
         for w in (1, -1):
             mu = TameCharacter(q, 1, a, w)
             if 2 * a % (q - 1):
-                for closed_form in (sign_division_closed_form, sign_weil_closed_form):
+                for closed_form in (sign_division_closed_form, weil_sign):
                     with pytest.raises(UsageError, match="self-dual"):
                         closed_form(mu)
                 continue
-            assert sign_weil_closed_form(mu) == sign_division_closed_form(mu) == 1
+            assert weil_sign(mu) == sign_division_closed_form(mu) == 1
             assert sign_division_oracle(1, mu) == sign_division_oracle(2, mu) == 1
             assert attach_parameter(2, mu, "PR") == attach_parameter(2, mu, "SZ") == w
 
@@ -195,7 +242,7 @@ def test_f_one_oracle_disagreement_raises(monkeypatch):
     mu = TameCharacter(5, 1, 2, -1)
     monkeypatch.setattr(tamesigns.division, "fs_indicator", lambda G, psi: -1)
     with pytest.raises(InternalConsistencyError) as info:
-        sign_weil_closed_form(mu)
+        weil_sign(mu)
     assert str(info.value) == (
         f"closed-form sign 1 disagrees with the Frobenius-Schur indicator -1 "
         f"for {mu} at n=1: psi=SubgroupCharacter(f=1, a=2, c=1) on "
@@ -209,7 +256,7 @@ def test_f_one_character_that_is_not_quadratic_raises(monkeypatch):
         tamesigns.weil, "det_exponents", lambda G, psi: ((4, 1), (2, 0))
     )
     with pytest.raises(InternalConsistencyError) as info:
-        sign_weil_closed_form(mu)
+        weil_sign(mu)
     assert str(info.value) == (
         f"self-dual {mu} with model psi=SubgroupCharacter(f=1, a=2, c=0) on "
         "MetacyclicGroup(m=4, N=2, s=1) is not quadratic: "
