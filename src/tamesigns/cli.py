@@ -280,8 +280,8 @@ def _check_grid_size(args: argparse.Namespace) -> None:
         total += selfdual_row_count(q, n)
         if total > MAX_GRID_ROWS:
             raise UsageError(
-                f"grid too large: its cells through q={q}, n={n} hold {total} "
-                f"self-dual entries, above the limit MAX_GRID_ROWS = {MAX_GRID_ROWS}"
+                f"grid too large: its cells through q={q}, n={n} hold more than "
+                f"MAX_GRID_ROWS = {MAX_GRID_ROWS} self-dual entries"
             )
 
 

@@ -13,9 +13,9 @@ multiplication by s on Z/m, let f = |O| and a = min(O), pick c with
 psi(x) = zeta_m^a, psi(t^f) = zeta_{N/f}^c up to G. This enumerates the
 irreducibles exactly once each, and sum of (dim)^2 = m*N.
 
-Character sums over G (Frobenius-Schur, norms, twisted pairings) are
-evaluated by collapsing the sum over the normal subgroup <x> with the
-complete-sum identity sum_i zeta_m^(K*i) = m*[K == 0 mod m]. The
+Character sums over G (Frobenius-Schur, norms, the invariant bilinear
+form) are evaluated by collapsing the sum over the normal subgroup <x>
+with the complete-sum identity sum_i zeta_m^(K*i) = m*[K == 0 mod m]. The
 collapse is an exact integer identity, not an approximation; the test
 suite re-derives the same quantities by literal sums over all group
 elements on small groups.
@@ -24,7 +24,8 @@ Every power of s is read from one table, s^k mod m for 0 <= k < N
 (MetacyclicGroup.s_powers), built and checked (s^N = 1 mod m) once per
 (m, N, s): make_group shares one frozen group per triple, and a refused
 triple raises on every call. The geometric sums sum_{l<j} s^l mod m,
-0 <= j <= N, are a second table built with it (MetacyclicGroup.s_prefix).
+0 <= j <= N, are a second table built with it (MetacyclicGroup.s_prefix),
+which det_exponents reads.
 orbit_of checks s and runs the one orbit walk; orbit_partition, the one
 partition of Z/m into orbits, checks s once and walks each orbit once.
 
@@ -34,27 +35,25 @@ which takes every orbit of one size and serves both enumerations and
 division_model, runs it once per class d = m/gcd(a, m) of the group,
 since the orbit size, the norm route's pair count and well-definedness
 depend on a only through d; G.orbit_sizes keeps the size checked for
-each class. An InvolutionSpec carries the group make_involution
-validated it on, whose s_prefix gives its twisted sums. The character
-routes (fs_indicator, fs_indicator_raw, theta_sign, and rationality's
-character_field and is_real_character) check any other psi again on
-every call, from make_subgroup_character's validation on; det_exponents,
-induced_character and matrix_of validate it as make_subgroup_character
-does; theta_sign and apply_involution validate any other theta again.
+each class. The character routes (fs_indicator, fs_indicator_raw,
+theta_sign, and rationality's character_field and is_real_character)
+check any other psi again on every call, from make_subgroup_character's
+validation on; det_exponents, induced_character and matrix_of validate
+it as make_subgroup_character does.
 
 Most irreps are not self-dual, and each sign route decides their 0 by
 its own orbit test, before any cyclotomic arithmetic. Both tests depend
 on a only through d: a*(1+s^j) = 0 (mod m) iff d | 1+s^j, and
--u*a = a*s^r (mod m) iff d | s^r+u. Each route keeps its answers on
+-a = a*s^r (mod m) iff d | s^r+1. Each route keeps its answers on
 the group, one entry per class, built on the class's first call. The
 Frobenius-Schur sum depends on psi only through (f, d, c), so
 G.fs_values keeps one (sum, indicator) entry per class (f, d, c): its
 one builder, _fs_value, forms the collapsed sum with root_sum and runs
 the indicator's three checks once per class, and fs_indicator_raw and
-fs_indicator both read it.
-theta_sign reads its shift r, or None, from G.theta_shifts, keyed by
-(u mod m, f, d), and returns 0 on None. The two share no table. Their
-keys are small-int tuples, which hash without the Python-level call a
+fs_indicator both read it. theta_sign, the sign of the invariant
+bilinear form, reads its shift r, or None, from G.theta_shifts, keyed
+by (f, d), and returns 0 on None. The two share no table. Their keys
+are small-int tuples, which hash without the Python-level call a
 frozen group's hash makes, and they go away with their group. G.order
 (m*N) is a stored field, like G.s_powers.
 """
@@ -75,7 +74,6 @@ __all__ = [
     "GroupElem",
     "SubgroupCharacter",
     "Irrep",
-    "InvolutionSpec",
     "make_group",
     "elements",
     "elem_mul",
@@ -92,9 +90,7 @@ __all__ = [
     "involution_count",
     "det_exponents",
     "matrix_of",
-    "make_involution",
     "identity_involution",
-    "apply_involution",
     "theta_sign",
 ]
 
@@ -116,7 +112,7 @@ class MetacyclicGroup:
     fs_values: dict[tuple[int, int, int], tuple[CycInt, int]] = field(
         init=False, repr=False, compare=False
     )
-    theta_shifts: dict[tuple[int, int, int], int | None] = field(
+    theta_shifts: dict[tuple[int, int], int | None] = field(
         init=False, repr=False, compare=False
     )
 
@@ -573,159 +569,92 @@ def matrix_of(
 
 
 # ---------------------------------------------------------------------------
-# involutions of G and twisted orthogonality
+# the invariant bilinear form
 
 
-@dataclass(frozen=True)
-class InvolutionSpec:
-    """An order-<=2 automorphism theta(x) = x^u, theta(t) = x^v t^w.
+# the identity automorphism: it has no fields, so it is valid on every group
+_IDENTITY = object()
 
-    make_involution binds it to the group it validated it on, whose
-    s_prefix gives its twisted sums; theta_sign and apply_involution
-    trust it there and validate it again on any other group. Built any
-    other way (the constructor, dataclasses.replace), it has no group.
+
+def identity_involution(G: MetacyclicGroup) -> object:
+    """The identity automorphism of G, the one theta that theta_sign takes.
+
+    It stays only for the benchmark's call theta_sign(G, theta, psi); the
+    argument goes when that call changes (ROADMAP item 10, "Pairings").
     """
-
-    u: int
-    v: int
-    w: int
-    # set by make_involution; derived, so not in repr, == or hash
-    group: MetacyclicGroup | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    return _IDENTITY
 
 
-def make_involution(G: MetacyclicGroup, u: int, v: int, w: int) -> InvolutionSpec:
-    """Validated involution data, bound to G; raises UsageError unless
-    theta is an automorphism with theta^2 = identity.
-
-    Conditions, with all congruences mod m unless noted:
-    u^2 = 1; w^2 = 1 (mod N); u*s^w = u*s (theta respects t x t^-1 = x^s);
-    v * sum_{l<N} s^(w l) = 0 (theta(t)^N = 1);
-    u*v + v * sum_{l<w} s^(w l) = 0 (theta^2(t) = t).
-    u is a unit, so s^w = s and the sums are G.s_prefix[N], G.s_prefix[w].
-    """
-    u %= G.m
-    v %= G.m
-    w %= G.N
-    if (u * u - 1) % G.m != 0:
-        raise UsageError(f"u^2 != 1 mod m: u={u}, m={G.m}")
-    if (w * w - 1) % G.N != 0:
-        raise UsageError(f"w^2 != 1 mod N: w={w}, N={G.N}")
-    if (u * (G.s_pow(w) - G.s)) % G.m != 0:
-        raise UsageError(f"theta breaks the conjugation relation: u={u}, w={w}")
-    if (v * G.s_prefix[G.N]) % G.m != 0:
-        raise UsageError(f"theta(t)^N != 1: v={v}, w={w}")
-    if (u * v + v * G.s_prefix[w]) % G.m != 0:
-        raise UsageError(f"theta^2(t) != t: u={u}, v={v}, w={w}")
-    spec = InvolutionSpec(u, v, w)
-    object.__setattr__(spec, "group", G)
-    return spec
-
-
-def identity_involution(G: MetacyclicGroup) -> InvolutionSpec:
-    """The identity automorphism as an InvolutionSpec."""
-    return make_involution(G, 1 % G.m, 0, 1 % G.N)
-
-
-def apply_involution(
-    G: MetacyclicGroup, theta: InvolutionSpec, g: GroupElem
-) -> GroupElem:
-    """theta(x^i t^j) = x^(u i + v * sum_{l<j} s^(w l)) t^(w j).
-
-    The sum is G.s_prefix[j] (s^w = s). A theta not bound to G is
-    validated on G first, as in theta_sign.
-    """
-    if theta.group is not G:
-        theta = make_involution(G, theta.u, theta.v, theta.w)
-    i, j = g.i % G.m, g.j % G.N
-    return GroupElem(
-        (theta.u * i + theta.v * G.s_prefix[j]) % G.m,
-        (theta.w * j) % G.N,
-    )
-
-
-def _theta_shift(G: MetacyclicGroup, u: int, f: int, d: int) -> int | None:
-    # the least r in [0, f) with -u*a = a*s^r (mod m), or None when -u*a
-    # is not in the orbit of a; the congruence is d | s^r + u with
-    # d = m/gcd(a, m), so the shift is one per class (u mod m, f, d) of
-    # G: G.theta_shifts keeps it
+def _theta_shift(G: MetacyclicGroup, f: int, d: int) -> int | None:
+    # the least r in [0, f) with -a = a*s^r (mod m), or None when -a is
+    # not in the orbit of a; the congruence is d | s^r + 1 with
+    # d = m/gcd(a, m), so the shift is one per class (f, d) of G:
+    # G.theta_shifts keeps it
     for r, p in enumerate(G.s_powers[:f]):
-        if (p + u) % d == 0:
+        if (p + 1) % d == 0:
             return r
     return None
 
 
 def theta_sign(
-    G: MetacyclicGroup, theta: InvolutionSpec, psi: SubgroupCharacter | Irrep
+    G: MetacyclicGroup, theta: object, psi: SubgroupCharacter | Irrep
 ) -> int:
-    """Sign of the theta-twisted invariant bilinear form: -1, 0 or +1.
+    """Sign of the invariant bilinear form of the induced irreducible:
+    -1, 0 or +1, the Frobenius-Schur indicator by an independent route.
+
+    theta must be identity_involution(G), of any group (see there for
+    when the argument goes); anything else raises UsageError.
 
     Projects the elementary-matrix seed E = E_{0,r} by the exact average
-    B = sum_g pi(g)^T E pi(theta(g)). The space of invariant forms is at
-    most one-dimensional, so B decides: symmetric gives +1,
-    antisymmetric -1, B = 0 gives 0; a nonzero B that is neither raises
-    InternalConsistencyError. With theta the identity this computes the
-    Frobenius-Schur indicator by an independent route. theta is taken
-    as it is on the group make_involution bound it to, and validated
-    again on any other.
+    B = sum_g pi(g)^T E pi(g). The space of invariant forms is at most
+    one-dimensional, so B decides: symmetric gives +1, antisymmetric -1,
+    B = 0 gives 0; a nonzero B that is neither raises
+    InternalConsistencyError.
 
     The sum over <x> is collapsed exactly: E_{mu,nu} survives only if
-    -u*a = a*s^r (mod m) with nu = mu + r (mod f), that is iff d =
-    m/gcd(a, m) divides s^r+u. The least such r in [0, f), or None, is
+    -a = a*s^r (mod m) with nu = mu + r (mod f), that is iff d =
+    m/gcd(a, m) divides s^r+1. The least such r in [0, f), or None, is
     read from the memo G.theta_shifts, built on a class's first call
-    with one entry per class (u mod m, f, d) of G and used by this route
-    only; on None the sign is 0 before any seed is built.
+    with one entry per class (f, d) of G and used by this route only; on
+    None the sign is 0 before any seed is built.
 
-    One seed is enough: re-indexing the sum gives P(pi(h)^T E pi(theta h))
-    = P(E) for every h, and for h = t^k the left side is a nonzero root
-    of unity times one seed in row mu-k. Row 0's only seed is (0, r), so
-    if any seed (mu, mu+r) has a nonzero projection, so has (0, r). The
-    sum over j in [0, N) fills the cells (-j, r - w*j) mod f, reading
-    the twisted prefix from G.s_prefix, and every transpose is filled
-    (w^2 = 1 and r*(1+w) = 0 mod f), so one pass over the cells, each
-    against its transpose, decides B^T = B, B^T = -B, or both (B = 0).
+    One seed is enough: re-indexing the sum gives P(pi(h)^T E pi(h)) =
+    P(E) for every h, and for h = t^k the left side is a nonzero root of
+    unity times one seed in row mu-k. Row 0's only seed is (0, r), so if
+    any seed (mu, mu+r) has a nonzero projection, so has (0, r). The sum
+    over j in [0, N) fills the cells (-j, r - j) mod f with powers of
+    zeta_{N/f}, and every transpose is filled (2r = 0 mod f), so one
+    pass over the cells, each against its transpose, decides B^T = B,
+    B^T = -B, or both (B = 0).
     """
     if type(psi) is not Irrep or psi.group is not G:
         _require_irreducible(G, psi)
-    if theta.group is not G:
-        theta = make_involution(G, theta.u, theta.v, theta.w)
-    f, a, c = psi.f, psi.a, psi.c
-    m = G.m
-    # make_involution reduced u mod m
-    key = (theta.u, f, m // gcd(a, m))
+    if theta is not _IDENTITY:
+        raise UsageError(
+            "theta_sign computes only the untwisted invariant form: theta "
+            f"must be identity_involution(G), got {theta!r}"
+        )
+    f, c = psi.f, psi.c
+    key = (f, G.m // gcd(psi.a, G.m))
     try:
         r = G.theta_shifts[key]
     except KeyError:
         r = G.theta_shifts[key] = _theta_shift(G, *key)
     if r is None:
         return 0
-    N = G.N
-    Nf = N // f
-    w, T = theta.w, G.s_prefix
-    M0 = _char_conductor(G, psi)
-    step_m = M0 // m
-    step_t = M0 // Nf
-
-    vas = theta.v * a * G.s_pow(-r) % m  # em below is v*T[j]*a*s^-r
+    Nf = G.N // f
     cells: dict[tuple[int, int], dict[int, int]] = {}
-    for j in range(N):
-        alpha = -j % f
-        k1 = (alpha + j) // f
-        jp = (w * j) % N
-        beta = (r - jp) % f
-        k2 = (beta + jp) // f
-        em = T[j] * vas % m
-        et = (c * (k1 + k2)) % Nf
-        e = (em * step_m + et * step_t) % M0
+    for j in range(G.N):
+        alpha, beta = -j % f, (r - j) % f
+        e = c * ((alpha + j) // f + (beta + j) // f) % Nf
         ctr = cells.setdefault((alpha, beta), {})
         ctr[e] = ctr.get(e, 0) + 1
     # shrink to the smallest conductor the exponents actually need
-    g_all = gcd(M0, *(e for ctr in cells.values() for e in ctr))
-    Meff = M0 // g_all
+    g_all = gcd(Nf, *(e for ctr in cells.values() for e in ctr))
+    Meff = Nf // g_all
     vals = {
-        key: root_sum(Meff, {e // g_all: n for e, n in ctr.items()})
-        for key, ctr in cells.items()
+        cell: root_sum(Meff, {e // g_all: n for e, n in ctr.items()})
+        for cell, ctr in cells.items()
     }
     sym = anti = True
     for (alpha, beta), val in vals.items():
@@ -737,6 +666,6 @@ def theta_sign(
     if sym or anti:
         return 1 if sym else -1
     raise InternalConsistencyError(
-        f"twisted form for psi={psi}, theta={theta} on {G} is "
-        f"neither symmetric nor antisymmetric at seed (mu, nu) = (0, {r})"
+        f"invariant form for psi={psi} on {G} is neither symmetric nor "
+        f"antisymmetric at seed (mu, nu) = (0, {r})"
     )

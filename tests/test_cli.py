@@ -950,18 +950,19 @@ def test_sign_limit_admits_its_own_conductor(capsys, monkeypatch, argv, conducto
     assert f"MAX_SIGN_CONDUCTOR = {conductor - 1}" in err
 
 
-ROWS_AT_2_200 = selfdual_row_count(2, 200)  # about 1.3e28
-
-
 @pytest.mark.parametrize(
     "argv,message",
     [
         (["enumerate", "--q", "2", "--n", "200"],
-         f"grid too large: its cells through q=2, n=200 hold {ROWS_AT_2_200} "
-         f"self-dual entries, above the limit MAX_GRID_ROWS = {cli.MAX_GRID_ROWS}"),
+         "grid too large: its cells through q=2, n=200 hold more than "
+         f"MAX_GRID_ROWS = {cli.MAX_GRID_ROWS} self-dual entries"),
         (["verify-flip", "--q", "2", "--n", "200"],
-         f"grid too large: its cells through q=2, n=200 hold {ROWS_AT_2_200} "
-         f"self-dual entries, above the limit MAX_GRID_ROWS = {cli.MAX_GRID_ROWS}"),
+         "grid too large: its cells through q=2, n=200 hold more than "
+         f"MAX_GRID_ROWS = {cli.MAX_GRID_ROWS} self-dual entries"),
+        # the top of both ranges: the count itself has about 2,470 digits
+        (["enumerate", "--q", "65536", "--n", "1024"],
+         "grid too large: its cells through q=65536, n=1024 hold more than "
+         f"MAX_GRID_ROWS = {cli.MAX_GRID_ROWS} self-dual entries"),
         (["enumerate", "--q", "2..3", "--n", "1..999999999999"],
          f"n=999999999999 exceeds the limit MAX_GRID_N = {cli.MAX_GRID_N}"),
         (["enumerate", "--q", "2", "--n=-999999999999..3"],
@@ -969,7 +970,8 @@ ROWS_AT_2_200 = selfdual_row_count(2, 200)  # about 1.3e28
         (["enumerate", "--q", "2305843009213693951", "--n", "1"],
          f"q=2305843009213693951 exceeds the limit MAX_GRID_Q = {cli.MAX_GRID_Q}"),
     ],
-    ids=["rows-enumerate", "rows-verify-flip", "n-range", "n-below-one", "q"],
+    ids=["rows-enumerate", "rows-verify-flip", "rows-top", "n-range", "n-below-one",
+         "q"],
 )
 def test_grid_is_refused_before_it_starts(run_cli, argv, message):
     proc = run_cli(argv, timeout=60)
@@ -989,7 +991,7 @@ def test_grid_limit_admits_its_own_row_count(capsys, monkeypatch):
     monkeypatch.setattr(cli, "MAX_GRID_ROWS", 3)
     code, out, err = run(capsys, argv)
     assert (code, out) == (1, "")
-    assert err.endswith("hold 4 self-dual entries, above the limit MAX_GRID_ROWS = 3\n")
+    assert err.endswith("hold more than MAX_GRID_ROWS = 3 self-dual entries\n")
 
 
 def test_parser_reuse_matches_a_fresh_process(run_cli):

@@ -1,6 +1,6 @@
 """Oracles for the metacyclic engine.
 
-Every collapsed sum in the engine (Frobenius-Schur, norm, twisted form
+Every collapsed sum in the engine (Frobenius-Schur, norm, invariant form
 projection, involution count, determinant) is recomputed here by literal
 element-by-element iteration with exact cyclotomic arithmetic, on groups
 small enough to brute-force. Known classical values (dihedral groups are
@@ -40,11 +40,9 @@ from tamesigns.division import division_model, enumerate_level1_selfdual
 from tamesigns.errors import InternalConsistencyError, UsageError
 from tamesigns.metacyclic import (
     GroupElem,
-    InvolutionSpec,
     Irrep,
     MetacyclicGroup,
     SubgroupCharacter,
-    apply_involution,
     det_exponents,
     elem_inv,
     elem_mul,
@@ -57,7 +55,6 @@ from tamesigns.metacyclic import (
     involution_count,
     is_irreducible_induced,
     make_group,
-    make_involution,
     make_subgroup_character,
     matrix_of,
     orbit_irreps,
@@ -155,6 +152,7 @@ def test_stored_fields_and_memos_are_derived_state():
         fs_indicator_raw(G, psi)
         theta_sign(G, theta, psi)
     assert G.fs_values and G.theta_shifts
+    assert set(G.theta_shifts) == {(p.f, 15 // gcd(p.a, 15)) for p in enumerate_irreps(G)}
     twin = MetacyclicGroup(15, 8, 2)
     assert not twin.fs_values and not twin.theta_shifts
     assert twin == G and hash(twin) == hash(G)
@@ -165,14 +163,17 @@ def test_stored_fields_and_memos_are_derived_state():
 
 @pytest.mark.parametrize("m,N,s", BATTERY)
 def test_a_directly_built_group_gives_its_shared_twins_signs(m, N, s):
-    # twin's memos fill from its own Irreps and from G's, checked again
+    # twin's memos fill from its own Irreps and from G's, checked again;
+    # the identity is valid on every group, so either group's serves both
     G, twin = make_group(m, N, s), MetacyclicGroup(m, N, s)
     theta, twin_theta = identity_involution(G), identity_involution(twin)
     for psi in enumerate_irreps(G):
         raw, sign = fs_indicator_raw(G, psi), theta_sign(G, theta, psi)
+        assert theta_sign(G, twin_theta, psi) == sign, psi
         for other in (Irrep(psi.f, psi.a, psi.c, twin), psi):
             assert fs_indicator_raw(twin, other) == raw, psi
             assert theta_sign(twin, twin_theta, other) == sign, psi
+            assert theta_sign(twin, theta, other) == sign, psi
 
 
 def test_verify_flip_builds_each_model_group_once(monkeypatch):
@@ -589,10 +590,11 @@ def test_det_orbit_sum_matches_per_term_sum():
 
 
 # ---------------------------------------------------------------------------
-# involutions and twisted signs
+# the invariant bilinear form
 
 
-def literal_theta_sign(G, theta, psi) -> int:
+def literal_theta_sign(G, psi) -> int:
+    # the seeds E_{mu,nu} projected by sum_g pi(g)^T E pi(g), literally
     f = psi.f
     M0 = char_conductor(G, psi)
     els = list(elements(G))
@@ -602,8 +604,7 @@ def literal_theta_sign(G, theta, psi) -> int:
         for nu in range(f):
             B = [[zero for _ in range(f)] for _ in range(f)]
             for g in els:
-                A = mats[g]
-                C = mats[apply_involution(G, theta, g)]
+                A = C = mats[g]
                 for alpha in range(f):
                     if not A[mu][alpha]:
                         continue
@@ -619,47 +620,8 @@ def literal_theta_sign(G, theta, psi) -> int:
                 return 1
             if all(B[r][c_] == cyc_neg(B[c_][r]) for r in range(f) for c_ in range(f)):
                 return -1
-            raise AssertionError("literal twisted form is neither type")
+            raise AssertionError("literal invariant form is neither type")
     return 0
-
-
-def test_involution_validation():
-    G = make_group(15, 8, 2)
-    make_involution(G, 14, 0, 1)  # x -> x^-1 is a valid involution here
-    with pytest.raises(UsageError):
-        make_involution(G, 2, 0, 1)  # 2^2 = 4 != 1 mod 15
-    with pytest.raises(UsageError):
-        make_involution(G, 1, 0, 2)  # 2^2 = 4 != 1 mod 8
-    G2 = make_group(4, 2, 1)
-    theta = make_involution(G2, 1, 2, 1)  # theta(t) = x^2 t works here
-    assert apply_involution(G2, theta, GroupElem(1, 1)) == GroupElem(3, 1)
-    for group, (u, v, w), message in [
-        ((15, 8, 2), (1, 0, 3), "theta breaks the conjugation relation: u=1, w=3"),
-        ((4, 2, 1), (1, 1, 1), "theta(t)^N != 1: v=1, w=1"),
-        ((3, 2, 2), (1, 1, 1), "theta^2(t) != t: u=1, v=1, w=1"),
-    ]:
-        with pytest.raises(UsageError) as info:
-            make_involution(make_group(*group), u, v, w)
-        assert str(info.value) == message
-
-
-def test_identity_involution_fixes_everything():
-    for m, N, s in BATTERY:
-        G = make_group(m, N, s)
-        theta = identity_involution(G)
-        for g in list(elements(G))[:: max(1, (m * N) // 16)]:
-            assert apply_involution(G, theta, g) == g
-
-
-def test_involution_squares_to_identity():
-    G = make_group(15, 8, 2)
-    theta = make_involution(G, 14, 0, 1)
-    for g in list(elements(G))[::7]:
-        assert apply_involution(G, theta, apply_involution(G, theta, g)) == g
-        gh = apply_involution(G, theta, g)
-        for h in [GroupElem(1, 0), GroupElem(2, 3)]:
-            hh = apply_involution(G, theta, h)
-            assert apply_involution(G, theta, elem_mul(G, g, h)) == elem_mul(G, gh, hh)
 
 
 @pytest.mark.parametrize("m,N,s", BATTERY)
@@ -670,225 +632,116 @@ def test_theta_identity_equals_fs(m, N, s):
         assert theta_sign(G, theta, psi) == fs_indicator(G, psi), psi
 
 
-@pytest.mark.parametrize(
-    "m,N,s,u,v,w",
-    [
-        (3, 4, 2, 1, 0, 1),
-        (15, 8, 2, 14, 0, 1),
-        (15, 8, 2, 1, 0, 1),
-        (4, 2, 1, 1, 2, 1),
-        (16, 4, 3, 15, 0, 1),
-        (9, 6, 2, 8, 0, 1),
-        # u not in {1, -1}: the zero test must read -u*a, not -a
-        (15, 8, 2, 4, 0, 1),
-        (15, 8, 2, 11, 0, 1),
-        (21, 6, 2, 8, 0, 1),
-    ],
-)
-def test_theta_sign_literal_matches_collapsed(m, N, s, u, v, w):
+@pytest.mark.parametrize("m,N,s", BATTERY)
+def test_theta_sign_literal_matches_collapsed(m, N, s):
     G = make_group(m, N, s)
-    theta = make_involution(G, u, v, w)
+    theta = identity_involution(G)
     for psi in enumerate_irreps(G):
         if G.order * psi.f**2 > 4000:
             continue
-        assert theta_sign(G, theta, psi) == literal_theta_sign(G, theta, psi), psi
+        assert theta_sign(G, theta, psi) == literal_theta_sign(G, psi), psi
 
 
-def test_theta_with_translation_part():
-    # G = C_4 x C_2 with theta(t) = x^2 t: characters with a even pair
-    # with themselves (sign +1), characters with a odd pair to nothing.
-    G = make_group(4, 2, 1)
-    theta = make_involution(G, 1, 2, 1)
-    for psi in enumerate_irreps(G):
-        expected = 1 if psi.a % 2 == 0 else 0
-        assert theta_sign(G, theta, psi) == expected, psi
+def test_theta_other_than_the_identity_is_refused():
+    G = make_group(15, 8, 2)
+    psi = enumerate_irreps(G)[0]
+    for theta in ((14, 0, 1), None, object()):
+        with pytest.raises(UsageError) as info:
+            theta_sign(G, theta, psi)
+        assert str(info.value) == (
+            "theta_sign computes only the untwisted invariant form: theta "
+            f"must be identity_involution(G), got {theta!r}"
+        )
 
 
-def reference_theta_sign(G, theta, psi) -> int:
-    # theta_sign as it was before its one-pass check: the twisted prefix
-    # built per call, the shift found in psi's own orbit, and each seed's
-    # projection scanned over all f x f cells for B^T = B, then B^T = -B
-    f, a, c = psi.f, psi.a, psi.c
-    m, N = G.m, G.N
-    u, v, w = theta.u % m, theta.v % m, theta.w % N
+def reference_theta_sign(G, psi) -> int:
+    # theta_sign as it was before its one-pass check: the shift found in
+    # psi's own orbit, and each seed's projection scanned over all f x f
+    # cells for B^T = B, then B^T = -B
+    f, a = psi.f, psi.a
+    m = G.m
     orbit = [a * G.s_pow(r) % m for r in range(f)]
-    if -u * a % m not in orbit:
+    if -a % m not in orbit:
         return 0
-    r = orbit.index(-u * a % m)
-    T = [0] * (N + 1)
-    for j in range(N):
-        T[j + 1] = (T[j] + G.s_pow(w * j)) % m
-    Nf = N // f
-    M0 = char_conductor(G, psi)
+    r = orbit.index(-a % m)
     for mu in range(f):
-        nu = (mu + r) % f
-        cells = {}
-        for j in range(N):
-            alpha = (mu - j) % f
-            jp = (w * j) % N
-            beta = (nu - jp) % f
-            em = v * T[j] * a * G.s_pow(-nu) % m
-            et = c * ((alpha + j) // f + (beta + jp) // f) % Nf
-            e = (em * (M0 // m) + et * (M0 // Nf)) % M0
-            ctr = cells.setdefault((alpha, beta), {})
-            ctr[e] = ctr.get(e, 0) + 1
-        g_all = 0
-        for ctr in cells.values():
-            for e in ctr:
-                g_all = gcd(g_all, e)
-        g_all = gcd(g_all, M0) or M0
-        Meff = M0 // g_all
-        vals = {
-            key: root_sum(Meff, {e // g_all: n for e, n in ctr.items()})
-            for key, ctr in cells.items()
-        }
+        vals = seed_projection(G, psi, mu, r)
         if not any(vals.values()):
             continue
-        zero = cyc_zero(Meff)
+        zero = cyc_zero(char_conductor(G, psi))
         pairs = [(vals.get((x, y), zero), vals.get((y, x), zero))
                  for x in range(f) for y in range(f)]
         if all(b == b_t for b, b_t in pairs):
             return 1
         if all(b == cyc_neg(b_t) for b, b_t in pairs):
             return -1
-        raise AssertionError("reference twisted form is neither type")
+        raise AssertionError("reference invariant form is neither type")
     return 0
 
 
-def all_involutions(G):
-    out = []
-    for u, v, w in itertools.product(range(G.m), range(G.m), range(G.N)):
-        try:
-            out.append(make_involution(G, u, v, w))
-        except UsageError:
-            pass
-    return out
-
-
 def test_one_pass_theta_sign_matches_the_two_scan_reference():
-    # every valid involution of every BATTERY group, translation parts
-    # v != 0 and u outside {1, -1} included
-    kinds = set()
     for m, N, s in BATTERY:
         G = make_group(m, N, s)
-        for theta in all_involutions(G):
-            kinds.add((theta.v != 0, theta.u not in (1 % m, -1 % m)))
-            for psi in enumerate_irreps(G):
-                expected = reference_theta_sign(G, theta, psi)
-                assert theta_sign(G, theta, psi) == expected, (G, theta, psi)
-    assert kinds == {(False, False), (True, False), (False, True), (True, True)}
+        theta = identity_involution(G)
+        for psi in enumerate_irreps(G):
+            expected = reference_theta_sign(G, psi)
+            assert theta_sign(G, theta, psi) == expected, (G, psi)
 
 
-def seed_projection(G, theta, psi, mu, r):
-    # the cells of seed (mu, mu + r)'s projection, as reference_theta_sign's
-    # loop body builds them, each canonicalised at conductor lcm(m, N/f)
-    f, a, c = psi.f, psi.a, psi.c
-    m, N = G.m, G.N
-    v, w = theta.v % m, theta.w % N
-    T = [0] * (N + 1)
-    for j in range(N):
-        T[j + 1] = (T[j] + G.s_pow(w * j)) % m
+def seed_projection(G, psi, mu, r):
+    # the cells of seed (mu, mu + r)'s projection, {(alpha, beta): value},
+    # each canonicalised at conductor lcm(m, N/f)
+    f, c = psi.f, psi.c
+    N = G.N
     Nf = N // f
     M0 = char_conductor(G, psi)
     nu = (mu + r) % f
     cells = {}
     for j in range(N):
         alpha = (mu - j) % f
-        jp = (w * j) % N
-        beta = (nu - jp) % f
-        em = v * T[j] * a * G.s_pow(-nu) % m
-        et = c * ((alpha + j) // f + (beta + jp) // f) % Nf
-        e = (em * (M0 // m) + et * (M0 // Nf)) % M0
+        beta = (nu - j) % f
+        e = c * ((alpha + j) // f + (beta + j) // f) % Nf * (M0 // Nf)
         ctr = cells.setdefault((alpha, beta), {})
         ctr[e] = ctr.get(e, 0) + 1
-    return [root_sum(M0, ctr) for ctr in cells.values()]
+    return {cell: root_sum(M0, ctr) for cell, ctr in cells.items()}
 
 
 def test_every_seed_projects_to_zero_or_none_does():
     # theta_sign projects only (0, r): for each irrep with a surviving
     # shift r, the seeds (mu, mu + r) are all zero or all nonzero, and the
-    # sign is 0 exactly when they are all zero. Cases: every valid
-    # involution of every BATTERY group, and the identity on the model
-    # groups with m <= 800.
+    # sign is 0 exactly when they are all zero. Cases: every BATTERY
+    # group and the model groups with m <= 800.
     small_models = [triple for triple in ENGINE_GROUPS_UP_TO_7000 if triple[0] <= 800]
     cases = [
-        (G, theta, psi)
-        for G in (make_group(*triple) for triple in BATTERY)
-        for theta in all_involutions(G)
-        for psi in enumerate_irreps(G)
-    ] + [
-        (G, identity_involution(G), psi)
-        for G in (make_group(*triple) for triple in small_models)
+        (G, psi)
+        for G in (make_group(*triple) for triple in BATTERY + small_models)
         for psi in enumerate_irreps(G)
     ]
     surviving = 0
-    for G, theta, psi in cases:
+    for G, psi in cases:
         orbit = [psi.a * G.s_pow(r) % G.m for r in range(psi.f)]
-        target = -theta.u * psi.a % G.m
+        target = -psi.a % G.m
         if target not in orbit:
             continue
         surviving += 1
         r = orbit.index(target)
-        nonzero = {any(seed_projection(G, theta, psi, mu, r)) for mu in range(psi.f)}
-        assert len(nonzero) == 1, (G, theta, psi)
-        assert nonzero == {theta_sign(G, theta, psi) != 0}, (G, theta, psi)
-    assert surviving == 2366
+        nonzero = {
+            any(seed_projection(G, psi, mu, r).values()) for mu in range(psi.f)
+        }
+        assert len(nonzero) == 1, (G, psi)
+        sign = theta_sign(G, identity_involution(G), psi)
+        assert nonzero == {sign != 0}, (G, psi)
+    assert surviving == 319
 
 
 @pytest.mark.parametrize("m,N,s", BATTERY)
 def test_involution_prefix_is_the_literal_twisted_sum(m, N, s):
-    # G.s_prefix is the literal geometric sum of s, and it is also the
-    # w-twisted sum of every valid theta: each has s^w = s
+    # G.s_prefix, which det_exponents reads, is the literal geometric sum
+    # of s
     G = make_group(m, N, s)
     assert G.s_prefix == tuple(
         sum(pow(G.s, l, m) for l in range(j)) % m for j in range(N + 1)
     )
-    for theta in all_involutions(G):
-        assert theta.group is G
-        assert G.s_prefix == tuple(
-            sum(pow(G.s, theta.w * l, m) for l in range(j)) % m
-            for j in range(N + 1)
-        ), theta
-
-
-def test_involution_of_another_group_is_refused():
-    # x -> x^4 is an involution of C_5 x| C_4, but 4^2 != 1 mod 7
-    theta = make_involution(make_group(5, 4, 2), 4, 0, 1)
-    G = make_group(7, 3, 2)
-    trivial = enumerate_irreps(G)[0]
-    for call in (
-        lambda: theta_sign(G, theta, trivial),
-        lambda: apply_involution(G, theta, GroupElem(1, 1)),
-    ):
-        with pytest.raises(UsageError) as info:
-            call()
-        assert str(info.value) == "u^2 != 1 mod m: u=4, m=7"
-
-
-def test_involution_is_validated_once_on_its_group(monkeypatch):
-    G = make_group(15, 8, 2)
-    theta = make_involution(G, 14, 0, 1)
-    plain = InvolutionSpec(14, 0, 1)
-    assert (plain, repr(plain), hash(plain)) == (theta, repr(theta), hash(theta))
-    assert plain.group is None
-    real = tamesigns.metacyclic.make_involution
-    calls = []
-    monkeypatch.setattr(
-        tamesigns.metacyclic,
-        "make_involution",
-        lambda G, u, v, w: calls.append((u, v, w)) or real(G, u, v, w),
-    )
-    irreps = enumerate_irreps(G)
-    signs = [theta_sign(G, theta, psi) for psi in irreps]
-    images = [apply_involution(G, theta, g) for g in elements(G)]
-    assert calls == []
-    # a spec with no group, or bound to an equal group that is a separate
-    # object, is validated on every call
-    assert [theta_sign(G, plain, psi) for psi in irreps] == signs
-    assert len(calls) == len(irreps)
-    twin = MetacyclicGroup(15, 8, 2)
-    assert apply_involution(twin, theta, GroupElem(1, 1)) == images[9]
-    assert len(calls) == len(irreps) + 1
 
 
 def _count_root_sum(monkeypatch) -> list[int]:
@@ -908,26 +761,22 @@ def _in_orbit(G, b, psi) -> bool:
     return b % G.m in {psi.a * pow(G.s, r, G.m) % G.m for r in range(psi.f)}
 
 
-# u = 11 = -s^2 and u = 14 = -1 put -u*a in the orbit of every a
-@pytest.mark.parametrize(
-    "u,some_skip", [(1, True), (4, True), (11, False), (14, False)]
-)
-def test_zero_sign_skips_root_sum_exactly_off_the_orbit(monkeypatch, u, some_skip):
+def test_zero_sign_skips_root_sum_exactly_off_the_orbit(monkeypatch):
     # On C_15 x| C_8, theta_sign decides 0 without root_sum exactly when
-    # -u*a is outside the orbit of a, and projects a seed otherwise.
+    # -a is outside the orbit of a, and projects a seed otherwise.
     G = make_group(15, 8, 2)
-    theta = make_involution(G, u, 0, 1)
+    theta = identity_involution(G)
     calls = _count_root_sum(monkeypatch)
     skipped = 0
     for psi in enumerate_irreps(G):
         calls[0] = 0
         sign = theta_sign(G, theta, psi)
-        if _in_orbit(G, -u * psi.a, psi):
+        if _in_orbit(G, -psi.a, psi):
             assert calls[0] > 0, psi
         else:
             assert (sign, calls[0]) == (0, 0), psi
             skipped += 1
-    assert (skipped > 0) == some_skip
+    assert skipped > 0
 
 
 def test_fs_forms_one_root_sum_per_class(monkeypatch):
@@ -968,23 +817,19 @@ def reference_fs_raw(G, psi) -> CycInt:
     return root_sum(Nf, counts)
 
 
-def reference_shift(G, u, psi) -> int | None:
+def reference_shift(G, psi) -> int | None:
     # theta_sign's orbit test as it was before the per-class memo: the
-    # orbit of psi's own a listed, and -u*a looked up in it
+    # orbit of psi's own a listed, and -a looked up in it
     orbit = [psi.a * p % G.m for p in G.s_powers[: psi.f]]
-    target = (-u * psi.a) % G.m
+    target = -psi.a % G.m
     return orbit.index(target) if target in orbit else None
 
 
 @pytest.mark.parametrize("m,N,s", BATTERY + ENGINE_GROUPS_UP_TO_7000)
 def test_per_class_orbit_tests_match_the_per_residue_loops(m, N, s):
-    # every residue a, not only orbit minima, as a plain SubgroupCharacter,
-    # against every involution x -> x^u (v = 0, w = 1; u^2 = 1 mod m)
+    # every residue a, not only orbit minima, as a plain SubgroupCharacter
     G = make_group(m, N, s)
-    thetas = [
-        make_involution(G, u, 0, 1) for u in range(m) if (u * u - 1) % m == 0
-    ]
-    assert len(thetas) >= 2 or m <= 2
+    theta = identity_involution(G)
     for a in range(m):
         f = len(orbit_of(a, G.s, m))
         d = m // gcd(a, m)
@@ -992,12 +837,10 @@ def test_per_class_orbit_tests_match_the_per_residue_loops(m, N, s):
             psi = SubgroupCharacter(f, a, c)
             assert fs_indicator_raw(G, psi) == reference_fs_raw(G, psi), psi
         psi = SubgroupCharacter(f, a, 0)
-        for theta in thetas:
-            r = reference_shift(G, theta.u, psi)
-            shift = tamesigns.metacyclic._theta_shift(G, theta.u, f, d)
-            assert shift == r, (psi, theta)
-            if r is None:
-                assert theta_sign(G, theta, psi) == 0, (psi, theta)
+        r = reference_shift(G, psi)
+        assert tamesigns.metacyclic._theta_shift(G, f, d) == r, psi
+        if r is None:
+            assert theta_sign(G, theta, psi) == 0, psi
 
 
 def test_memos_tell_groups_with_one_m_apart():
@@ -1086,6 +929,7 @@ def test_each_route_tests_its_orbit_once_per_class(monkeypatch):
         selfdual += ind != 0
     assert fs_built[0] == len(G.fs_values) == len(fs_classes)
     assert shifts_built[0] == len(G.theta_shifts) == len(classes)
+    assert set(G.theta_shifts) == classes
     assert 0 < selfdual <= passed < len(irreps)
     assert len(classes) < len(fs_classes) < len(irreps)
 
@@ -1155,8 +999,8 @@ def test_neither_type_message_names_the_seed(monkeypatch):
     with pytest.raises(InternalConsistencyError) as info:
         theta_sign(G, theta, psi)
     assert str(info.value) == (
-        f"twisted form for psi={psi}, theta={theta} on {G} is "
-        "neither symmetric nor antisymmetric at seed (mu, nu) = (0, 1)"
+        f"invariant form for psi={psi} on {G} is neither symmetric nor "
+        "antisymmetric at seed (mu, nu) = (0, 1)"
     )
 
 
