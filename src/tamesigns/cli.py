@@ -252,14 +252,13 @@ def render(fmt: str, command: str, columns: tuple[str, ...], rows: list[tuple]) 
 
 def _enumerate_cell(q: int, n: int) -> list[tuple]:
     rows = []
-    # every entry is regular and self-dual: enumerate_level1_selfdual
-    # re-checks both through its sign routes and raises otherwise
+    # every entry is regular and self-dual and its two sign routes agree:
+    # enumerate_level1_selfdual checks all three and raises otherwise
     for entry in enumerate_level1_selfdual(q, n):
         chi = entry.chi
         rows.append((
             q, n, chi.f, n // chi.f, chi.a, chi.w, True, True,
-            entry.sign_closed, entry.sign_oracle,
-            entry.sign_closed == entry.sign_oracle,
+            entry.sign, entry.sign, True,
         ))
     return rows
 
@@ -330,7 +329,8 @@ def cmd_sign(args: argparse.Namespace) -> tuple[int, str]:
     _check_sign_size(args.q, d, args.f)
     chi = TameCharacter(args.q, args.f, args.a, args.w)
     selfdual = is_selfdual_division(chi)
-    G, psi = division_model(d, chi)  # an Irrep: the routes trust it on G
+    psi = division_model(d, chi)  # an Irrep: the routes trust it on G
+    G = psi.group
     oracle = fs_indicator(G, psi)
     (Mx, kx), (Mt, kt) = det_exponents(G, psi)
     field_info = character_field(G, psi)
@@ -346,7 +346,7 @@ def cmd_sign(args: argparse.Namespace) -> tuple[int, str]:
         )
     closed = None
     if selfdual:  # each compares the closed form with a model's indicator
-        closed = (checked_sign if division else sign_weil_closed_form)(chi, G, psi)
+        closed = (checked_sign if division else sign_weil_closed_form)(chi, psi)
     row = (
         args.side, args.q, args.n, args.f, args.a, args.w, True, selfdual,
         closed, oracle, fmt_root(Mx, kx), fmt_root(Mt, kt),

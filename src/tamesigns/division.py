@@ -35,7 +35,8 @@ no later scan or division_model there checks it again); per orbit, the
 constructor of the w = +1 datum checks regularity and decides
 self-duality once for both w, since neither depends on w; per entry,
 checked_sign runs the closed form, whose guard reads that decision and
-which checks (q - 1) | a, against the FS indicator of the entry's model.
+which checks (q - 1) | a, against the FS indicator of the entry's model,
+and the entry keeps that one checked sign with that model.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ from .cyclotomic import divisors, factorize
 from .errors import InternalConsistencyError, UsageError
 from .metacyclic import (
     Irrep,
-    MetacyclicGroup,
     SubgroupCharacter,
     fs_indicator,
     make_group,
@@ -177,22 +177,22 @@ def sign_division_closed_form(chi: TameCharacter) -> int:
         raise UsageError(f"closed-form sign needs a self-dual datum, got {chi}")
     if chi.f == 1:
         return 1
-    if chi.torus_order > 1 and chi.a % (chi.q - 1) != 0:
+    if chi.a % (chi.q - 1) != 0:
         raise InternalConsistencyError(
             f"self-dual datum with a not divisible by q-1: {chi}"
         )
     return chi.w
 
 
-def division_model(n: int, chi: TameCharacter) -> tuple[MetacyclicGroup, Irrep]:
+def division_model(n: int, chi: TameCharacter) -> Irrep:
     """The finite model of the degree-n division algebra representation.
 
-    Returns (G, psi) with G = C_{q^n-1} x| C_{2n}, s = q, and psi the
-    Irrep (f, a * (q^n-1)/(q^f-1), c) bound to G, where c = 0 encodes
-    w = +1 and c = n/f encodes w = -1 (the scalar at t^f). Requires
-    f | n. chi is regular by construction, so its model exponent's orbit
-    has size f, and orbit_irreps checks psi irreducible once per class
-    d = m/gcd(a, m) of G; every route then trusts psi on G.
+    The Irrep (f, a * (q^n-1)/(q^f-1), c) on its group psi.group =
+    C_{q^n-1} x| C_{2n} with s = q, where c = 0 encodes w = +1 and
+    c = n/f encodes w = -1 (the scalar at t^f). Requires f | n. chi is
+    regular by construction, so its model exponent's orbit has size f,
+    and orbit_irreps checks the Irrep irreducible once per class
+    d = m/gcd(a, m) of its group; every route then trusts it there.
     """
     if n < 1:
         raise UsageError(f"n must be >= 1, got {n}")
@@ -201,7 +201,7 @@ def division_model(n: int, chi: TameCharacter) -> tuple[MetacyclicGroup, Irrep]:
     G = make_group(chi.q**n - 1, 2 * n, chi.q)
     a_big = _model_exponent(chi.q, n, chi.f, chi.a)
     c = _model_c(n, chi.f, chi.w)
-    return G, orbit_irreps(G, chi.f, (a_big,), (c,))[0]
+    return orbit_irreps(G, chi.f, (a_big,), (c,))[0]
 
 
 def _model_exponent(q: int, n: int, f: int, a: int) -> int:
@@ -223,28 +223,32 @@ def sign_division_oracle(n: int, chi: TameCharacter) -> int:
     """
     if not is_selfdual_division(chi):
         raise UsageError(f"oracle sign needs a self-dual datum, got {chi}")
-    G, psi = division_model(n, chi)
-    ind = fs_indicator(G, psi)
+    psi = division_model(n, chi)
+    ind = fs_indicator(psi.group, psi)
     if ind == 0:
         raise InternalConsistencyError(
-            f"model of self-dual datum {chi} at n={n} has vanishing "
-            f"indicator: psi={SubgroupCharacter(psi.f, psi.a, psi.c)} on {G}"
+            f"model of self-dual datum {chi} at n={n} has vanishing indicator: "
+            f"psi={SubgroupCharacter(psi.f, psi.a, psi.c)} on {psi.group}"
         )
     return ind
 
 
-def checked_sign(chi: TameCharacter, G: MetacyclicGroup, psi: Irrep) -> int:
-    """sign_division_closed_form(chi), checked against chi's model (G, psi).
+def checked_sign(chi: TameCharacter, psi: Irrep) -> int:
+    """sign_division_closed_form(chi), checked against chi's model psi.
 
-    (G, psi) is division_model(n, chi) with n = G.N / 2; its
-    Frobenius-Schur indicator must equal the closed form, so 0 fails
-    too, with InternalConsistencyError naming chi, n, psi's (f, a, c), G
-    and both values. The one place a closed form meets an indicator: the
-    scan calls it per entry, sign_weil_closed_form per parameter (n = f),
-    on the model its caller passes, and the `sign` command on the
-    division side. No model is built here.
+    psi is division_model(n, chi), with G = psi.group and n = G.N / 2;
+    anything but an Irrep raises UsageError. Its Frobenius-Schur
+    indicator must equal the closed form, so 0 fails too, with
+    InternalConsistencyError naming chi, n, psi's (f, a, c), G and both
+    values. The one place a closed form meets an indicator: the scan
+    calls it per entry, sign_weil_closed_form per parameter (n = f), on
+    the model its caller passes, and the `sign` command on the division
+    side. No model is built here.
     """
+    if type(psi) is not Irrep:
+        raise UsageError(f"checked_sign needs a model Irrep, got psi={psi!r}")
     closed = sign_division_closed_form(chi)
+    G = psi.group
     ind = fs_indicator(G, psi)
     if ind != closed:
         raise InternalConsistencyError(
@@ -270,12 +274,12 @@ def _with_sign(chi: TameCharacter, w: int) -> TameCharacter:
 
 
 class SelfdualEntry(NamedTuple):
-    """One enumerated self-dual representation with both sign routes and
-    its model, the Irrep of division_model(n, chi) on the cell's group."""
+    """One enumerated self-dual representation: its sign, the closed form
+    that checked_sign has compared with the FS indicator of its model,
+    and that model, the Irrep division_model(n, chi) on the cell's group."""
 
     chi: TameCharacter
-    sign_closed: int
-    sign_oracle: int
+    sign: int
     model: Irrep
 
 
@@ -297,13 +301,13 @@ def enumerate_level1_selfdual(q: int, n: int) -> list[SelfdualEntry]:
     data: c = 0 for w = +1 and c = n/f for w = -1, as in division_model.
     Each orbit's w = +1 datum is built as a TameCharacter, checked in
     full by its constructor, and its w = -1 twin is copied from it with
-    only w changed. Each entry's signs come from checked_sign on its
+    only w changed. Each entry's sign comes from checked_sign on its
     Irrep: the closed form, whose guard checks self-duality, compared
     with the FS indicator. A datum refused there, two routes that
     disagree and a cell off its Moebius row count each raise
-    InternalConsistencyError. An entry keeps chi, its two signs and the
-    Irrep checked_sign ran on, so at f = n verify-flip hands that Irrep,
-    which is division_model(n, chi), to sign_weil_closed_form.
+    InternalConsistencyError. An entry keeps chi, its checked sign and
+    the Irrep checked_sign ran on, so at f = n verify-flip hands that
+    Irrep, which is division_model(n, chi), to sign_weil_closed_form.
     """
     prime_power_base(q)
     if n < 1:
@@ -326,13 +330,13 @@ def enumerate_level1_selfdual(q: int, n: int) -> list[SelfdualEntry]:
                     # _SIGNS lists w = +1 first: its datum is built and
                     # checked, and the w = -1 datum is its twin
                     chi = TameCharacter(q, f, a, w) if w == 1 else _with_sign(chi, w)
-                    sign = checked_sign(chi, G, psi)
+                    sign = checked_sign(chi, psi)
                 except UsageError as exc:
                     raise InternalConsistencyError(
                         f"enumeration at q={q}, n={n} emitted an invalid "
                         f"datum (f={f}, a={a}, w={w}): {exc}"
                     ) from exc
-                entries.append(SelfdualEntry(chi, sign, sign, psi))  # equal, checked
+                entries.append(SelfdualEntry(chi, sign, psi))
     predicted = selfdual_row_count(q, n)
     if len(entries) != predicted:
         raise InternalConsistencyError(

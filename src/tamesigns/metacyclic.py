@@ -36,10 +36,10 @@ division_model, runs it once per class d = m/gcd(a, m) of the group,
 since the orbit size, the norm route's pair count and well-definedness
 depend on a only through d; G.orbit_sizes keeps the size checked for
 each class. The character routes (fs_indicator, fs_indicator_raw,
-theta_sign, and rationality's character_field and is_real_character)
-check any other psi again on every call, from make_subgroup_character's
-validation on; det_exponents, induced_character and matrix_of validate
-it as make_subgroup_character does.
+theta_sign, and rationality's character_field) check any other psi
+again on every call, from make_subgroup_character's validation on;
+det_exponents, induced_character and matrix_of validate it as
+make_subgroup_character does.
 
 Most irreps are not self-dual, and each sign route decides their 0 by
 its own orbit test, before any cyclotomic arithmetic. Both tests depend

@@ -38,10 +38,9 @@ from .metacyclic import (
     SubgroupCharacter,
     _char_conductor,
     _require_irreducible,
-    orbit_of,
 )
 
-__all__ = ["CharacterField", "character_field", "is_real_character"]
+__all__ = ["CharacterField", "character_field"]
 
 
 @dataclass(frozen=True)
@@ -52,10 +51,6 @@ class CharacterField:
     modulus: int
     stabilizer: tuple[int, ...]
     degree: int
-
-    @property
-    def is_rational(self) -> bool:
-        return self.degree == 1
 
     @property
     def is_real(self) -> bool:
@@ -92,17 +87,3 @@ def character_field(
             f"for psi={psi} on {G}"
         )
     return CharacterField(_char_conductor(G, psi), L, tuple(stab), phi // len(stab))
-
-
-def is_real_character(
-    G: MetacyclicGroup, psi: SubgroupCharacter | Irrep
-) -> bool:
-    """Whether every character value is fixed by complex conjugation.
-
-    Exponent-level test: -a must lie in the orbit of a and -c must equal
-    c mod N/f. Equivalent to a nonvanishing Frobenius-Schur indicator.
-    """
-    _require_irreducible(G, psi)
-    f, a, c = psi.f, psi.a, psi.c
-    Nf = G.N // f
-    return (-a) % G.m in set(orbit_of(a, G.s, G.m)) and (-c) % Nf == c % Nf

@@ -11,22 +11,23 @@ sign flips outright. product_check closes the calculus under products
 (and so tensor powers) of self-dual factors.
 
 verify_flip runs the whole machine end to end: enumerate the level-one
-self-dual representations for (q, n) once, with the division-side sign
-by closed form and by the finite-model oracle, attach the Weil parameter
-under the chosen recipe (or under PR and then SZ), read its sign from
-the cell's table of Weil-side closed forms, push it through the flip,
-and record whether everything agrees, one FlipRow per representation
-and recipe. Where each check runs: the division-side checks as
-enumerate_level1_selfdual places them (per cell, per orbit, per entry,
-where checked_sign compares the closed form with the model's FS
-indicator); the Weil closed form with its second routes (checked_sign
-on the parameter's model and, at even f, the determinant) once per
-entry, by sign_weil_closed_form in the cell's table, on the entry's own
-Irrep at f = n and on division_model(f, chi) at f < n; attach_parameter's
-guards once per row; the flip's case analysis against transfer_sign
-once per distinct parameter sign in the cell; and, once per cell, the
-count of SZ witnesses: the SZ rows that fail the flip must be exactly
-the rows with e = n/f even, as many as the Moebius count of those rows.
+self-dual representations for (q, n) once, each with its division-side
+sign, the closed form checked against the finite-model oracle, attach
+the Weil parameter under the chosen recipe (or under PR and then SZ),
+read its sign from the cell's table of Weil-side closed forms, push it
+through the flip, and record whether the sign agrees with the flip's
+prediction, one FlipRow per representation and recipe. Where each check
+runs: the division-side checks as enumerate_level1_selfdual places them
+(per cell, per orbit, per entry, where checked_sign compares the closed
+form with the model's FS indicator); the Weil closed form with its
+second routes (checked_sign on the parameter's model and, at even f, the
+determinant) once per entry, by sign_weil_closed_form in the cell's
+table, on the entry's own Irrep at f = n and on division_model(f, chi)
+at f < n; attach_parameter's guards once per row; the flip's case
+analysis against transfer_sign once per distinct parameter sign in the
+cell; and, once per cell, the count of SZ witnesses: the SZ rows that
+fail the flip must be exactly the rows with e = n/f even, as many as the
+Moebius count of those rows.
 """
 
 from __future__ import annotations
@@ -143,10 +144,11 @@ def verify_flip(q: int, n: int, recipe: str) -> tuple[FlipRow, ...]:
     """Mechanically verify the flip law for every level-one self-dual
     representation of the degree-n division algebra over residue size q.
 
-    For each enumerated datum: the division-side sign is computed twice
-    (closed form and model oracle), the Weil parameter is attached under
-    the recipe, its sign feeds the flip, and the row is consistent when
-    closed form, oracle, and flipped prediction all agree. The attached
+    For each enumerated datum: the division-side sign is the closed form,
+    which the scan has checked equal to the model oracle, the Weil
+    parameter is attached under the recipe, its sign feeds the flip, and
+    the row is consistent when that sign equals the flipped prediction;
+    the row prints the checked sign in both sign columns. The attached
     parameter is one of the cell's own data, so its sign is read from a
     per-cell table that runs sign_weil_closed_form, with its guards and
     its routes on the parameter's own model C_{q^f-1} x| C_{2f}, once
@@ -168,15 +170,15 @@ def verify_flip(q: int, n: int, recipe: str) -> tuple[FlipRow, ...]:
     # (f, a, w) -> sign_weil_closed_form of that datum, on its model: at
     # f = n the entry's own Irrep, division_model(n, chi) on the cell
     weil_sign = {}
-    for chi, _, _, model in entries:
-        G, psi = (model.group, model) if chi.f == n else division_model(chi.f, chi)
-        weil_sign[chi.f, chi.a, chi.w] = sign_weil_closed_form(chi, G, psi)
+    for chi, _, model in entries:
+        psi = model if chi.f == n else division_model(chi.f, chi)
+        weil_sign[chi.f, chi.a, chi.w] = sign_weil_closed_form(chi, psi)
     flipped: dict[int, int] = {}  # parameter sign -> flip_sign(n, sign)
     make_row = FlipRow._make  # no per-row keyword __new__
     rows: list[FlipRow] = []
     for row_recipe in RECIPES if recipe == "both" else (recipe,):
         block = []
-        for chi, closed, oracle, _ in entries:
+        for chi, sign, _ in entries:
             f, a = chi.f, chi.a
             e = n // f
             param_w = attach_parameter(n, chi, row_recipe)
@@ -186,8 +188,8 @@ def verify_flip(q: int, n: int, recipe: str) -> tuple[FlipRow, ...]:
             predicted = flipped[psign]
             block.append(
                 make_row((
-                    q, n, row_recipe, f, e, a, chi.w, closed, oracle,
-                    param_w, psign, predicted, closed == oracle == predicted,
+                    q, n, row_recipe, f, e, a, chi.w, sign, sign,
+                    param_w, psign, predicted, sign == predicted,
                 ))
             )
         if row_recipe == "SZ":

@@ -64,9 +64,8 @@ def test_division_signs_dual_routes_agree_full_grid():
         cells += 1
         for entry in enumerate_level1_selfdual(q, n):
             entries_seen += 1
-            assert entry.sign_closed == entry.sign_oracle, (q, n, entry)
-            assert entry.sign_closed == sign_division_closed_form(entry.chi)
-            assert entry.sign_oracle == sign_division_oracle(n, entry.chi)
+            assert entry.sign == sign_division_closed_form(entry.chi), (q, n, entry)
+            assert entry.sign == sign_division_oracle(n, entry.chi), (q, n, entry)
     elapsed = time.monotonic() - start
     assert cells == 21
     assert entries_seen > 0
@@ -82,7 +81,7 @@ def test_weil_signs_dual_routes_agree_full_grid():
                 continue
             for entry in enumerate_level1_selfdual(q, f):
                 chi = entry.chi  # the parameter model is at n = chi.f, not f
-                closed = sign_weil_closed_form(chi, *division_model(chi.f, chi))
+                closed = sign_weil_closed_form(chi, division_model(chi.f, chi))
                 assert closed == sign_division_oracle(chi.f, chi), (q, f, entry)
 
 
@@ -158,7 +157,7 @@ def test_constructed_selfdual_witnesses_pass_all_predicates():
                 n, chi
             )
             assert sign_weil_closed_form(
-                chi, *division_model(chi.f, chi)
+                chi, division_model(chi.f, chi)
             ) == sign_division_oracle(f, chi)
 
 

@@ -579,7 +579,7 @@ def test_invalid_model_datum_is_refused_by_every_consumer(capsys, monkeypatch):
     for call, message in [
         (lambda: tamesigns.division.sign_division_oracle(4, chi), "got c=4"),
         (
-            lambda: sign_weil_closed_form(chi, *division_model(chi.f, chi)),
+            lambda: sign_weil_closed_form(chi, division_model(chi.f, chi)),
             "N/f = 2, got c=2",
         ),
     ]:

@@ -21,6 +21,7 @@ from tamesigns.cyclotomic import divisors, factorize
 from tamesigns.division import (
     SelfdualEntry,
     TameCharacter,
+    checked_sign,
     division_model,
     enumerate_level1_selfdual,
     is_prime_power,
@@ -36,6 +37,7 @@ from tamesigns.errors import InternalConsistencyError, UsageError
 from tamesigns.metacyclic import (
     GroupElem,
     Irrep,
+    SubgroupCharacter,
     fs_indicator,
     is_irreducible_induced,
     matrix_of,
@@ -200,15 +202,16 @@ def test_twin_carries_the_decision():
 
 def test_division_model_frozen_example():
     chi = TameCharacter(2, 2, 1, -1)
-    G, psi = division_model(4, chi)
+    psi = division_model(4, chi)
+    G = psi.group
     assert (G.m, G.N, G.s) == (15, 8, 2)
-    assert type(psi) is Irrep and psi == (2, 5, 2, G) and psi.group is G
+    assert type(psi) is Irrep and psi == (2, 5, 2, G)
     assert is_irreducible_induced(G, psi)
     # the t^2 scalar realizes w = -1
     minus, zero = cyc_integer(-1, 60), cyc_zero(60)
     assert matrix_of(G, psi, GroupElem(0, 2)) == [[minus, zero], [zero, minus]]
     chi_plus = TameCharacter(2, 2, 1, 1)
-    _, psi_plus = division_model(4, chi_plus)
+    psi_plus = division_model(4, chi_plus)
     assert type(psi_plus) is Irrep and psi_plus == (2, 5, 0, G)
 
 
@@ -229,9 +232,9 @@ def test_division_model_is_the_scans_irrep(monkeypatch):
             entries = enumerate_level1_selfdual(q, n)
             assert len(scanned) == len(entries)
             for entry, (G, psi) in zip(entries, scanned):
-                G_model, model = division_model(n, entry.chi)
+                model = division_model(n, entry.chi)
                 assert type(model) is Irrep and model == psi, entry
-                assert G_model is G and model.group is G, entry
+                assert model.group is G and entry.model.group is G, entry
             total += len(entries)
     assert total == 4478
 
@@ -277,6 +280,19 @@ def test_vanishing_oracle_indicator_names_its_model(monkeypatch):
     )
 
 
+def test_checked_sign_refuses_a_model_without_its_group():
+    # a model is an Irrep, which carries its group; a bare
+    # SubgroupCharacter has none to read
+    chi = TameCharacter(2, 2, 1, -1)
+    assert checked_sign(chi, division_model(4, chi)) == -1
+    with pytest.raises(UsageError) as info:
+        checked_sign(chi, SubgroupCharacter(2, 1, 1))
+    assert str(info.value) == (
+        "checked_sign needs a model Irrep, got "
+        "psi=SubgroupCharacter(f=2, a=1, c=1)"
+    )
+
+
 def test_enumerate_smallest_case():
     entries = enumerate_level1_selfdual(2, 2)
     assert len(entries) == 2
@@ -284,8 +300,8 @@ def test_enumerate_smallest_case():
         TameCharacter(2, 2, 1, 1),
         TameCharacter(2, 2, 1, -1),
     ]
-    assert [e.sign_closed for e in entries] == [1, -1]
-    assert [e.sign_oracle for e in entries] == [1, -1]
+    assert [e.sign for e in entries] == [1, -1]
+    assert [fs_indicator(e.model.group, e.model) for e in entries] == [1, -1]
 
 
 def test_enumerate_degree_four():
@@ -297,7 +313,7 @@ def test_enumerate_degree_four():
         (4, 3, -1),
     ]
     for e in entries:
-        assert e.sign_closed == e.sign_oracle == e.chi.w
+        assert e.sign == fs_indicator(e.model.group, e.model) == e.chi.w
 
 
 @pytest.mark.parametrize(
@@ -385,8 +401,8 @@ def test_nonzero_indicators_are_the_enumerated_data():
             for a in orbit_partition(q, q**f - 1).get(f, []):
                 for w in (1, -1):
                     data += 1
-                    G, psi = division_model(n, TameCharacter(q, f, a, w))
-                    if fs_indicator(G, psi) != 0:
+                    psi = division_model(n, TameCharacter(q, f, a, w))
+                    if fs_indicator(psi.group, psi) != 0:
                         nonzero.add((f, a, w))
         listed = {(e.chi.f, e.chi.a, e.chi.w) for e in enumerate_level1_selfdual(q, n)}
         quadratic = {
@@ -402,8 +418,9 @@ def test_nonzero_indicators_are_the_enumerated_data():
 def test_dual_routes_agree_on_small_ranges(q, n):
     firsts = {}
     for e in enumerate_level1_selfdual(q, n):
-        assert e.sign_closed == e.sign_oracle, e
-        G, psi = division_model(n, e.chi)
+        psi = division_model(n, e.chi)
+        G = psi.group
+        assert e.sign == fs_indicator(G, psi), e
         assert is_irreducible_induced(G, psi)
         firsts.setdefault(e.chi.f, e.chi)
     # each f block opens with the canonical datum a = q^(f/2) - 1, w = +1
@@ -416,25 +433,23 @@ def test_dual_routes_agree_on_small_ranges(q, n):
 
 def test_selfdual_entry_is_a_plain_tuple():
     chi = TameCharacter(2, 2, 1, -1)
-    _, psi = division_model(2, chi)
-    entry = SelfdualEntry(chi, -1, -1, psi)
-    assert SelfdualEntry._fields == ("chi", "sign_closed", "sign_oracle", "model")
-    assert isinstance(entry, tuple) and len(entry) == 4
-    assert (entry.chi, entry.sign_closed, entry.sign_oracle, entry.model) == (
-        chi, -1, -1, psi,
-    )
-    assert SelfdualEntry(chi=chi, sign_closed=-1, sign_oracle=-1, model=psi) == entry
-    got_chi, closed, oracle, model = entry
-    assert (got_chi, closed, oracle, model) == (chi, -1, -1, psi)
+    psi = division_model(2, chi)
+    entry = SelfdualEntry(chi, -1, psi)
+    assert SelfdualEntry._fields == ("chi", "sign", "model")
+    assert isinstance(entry, tuple) and len(entry) == 3
+    assert (entry.chi, entry.sign, entry.model) == (chi, -1, psi)
+    assert SelfdualEntry(chi=chi, sign=-1, model=psi) == entry
+    got_chi, sign, model = entry
+    assert (got_chi, sign, model) == (chi, -1, psi)
     # equality is tuple equality, with no type check
-    assert entry == (chi, -1, -1, psi) and hash(entry) == hash((chi, -1, -1, psi))
-    assert entry != SelfdualEntry(chi, -1, 1, psi)
+    assert entry == (chi, -1, psi) and hash(entry) == hash((chi, -1, psi))
+    assert entry != SelfdualEntry(chi, 1, psi)
     listed = enumerate_level1_selfdual(2, 2)
     assert all(type(e) is SelfdualEntry for e in listed)
     chi_plus = TameCharacter(2, 2, 1, 1)
     assert listed == [
-        (chi_plus, 1, 1, division_model(2, chi_plus)[1]),
-        (chi, -1, -1, psi),
+        (chi_plus, 1, division_model(2, chi_plus)),
+        (chi, -1, psi),
     ]
 
 
@@ -458,9 +473,9 @@ def _min_of_orbit_scan(q, n):
             for w in (1, -1):
                 chi = TameCharacter(q, f, a, w)
                 closed = sign_division_closed_form(chi)
-                oracle = sign_division_oracle(n, chi)
-                model = division_model(n, chi)[1]
-                entries.append(SelfdualEntry(chi, closed, oracle, model))
+                assert sign_division_oracle(n, chi) == closed, chi
+                model = division_model(n, chi)
+                entries.append(SelfdualEntry(chi, closed, model))
     return entries
 
 

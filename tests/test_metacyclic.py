@@ -62,7 +62,7 @@ from tamesigns.metacyclic import (
     orbit_partition,
     theta_sign,
 )
-from tamesigns.rationality import character_field, is_real_character
+from tamesigns.rationality import character_field
 from tamesigns.signs import verify_flip
 
 # (m, N, s) triples that are small enough for literal sums.
@@ -583,7 +583,10 @@ def test_det_orbit_sum_matches_per_term_sum():
         for n in range(2, 9):
             for entry in enumerate_level1_selfdual(q, n):
                 chi = entry.chi
-                models += [division_model(n, chi), division_model(chi.f, chi)]
+                models += [
+                    (psi.group, psi)
+                    for psi in (division_model(n, chi), division_model(chi.f, chi))
+                ]
     assert len(models) > 400
     for G, psi in models:
         assert det_exponents(G, psi)[0] == (G.m, literal_orbit_sum(G, psi)), (G, psi)
@@ -1177,7 +1180,6 @@ def test_irreducibility_is_checked_once_per_class(monkeypatch):
         fs_indicator_raw(G, psi)
         theta_sign(G, theta, psi)
         character_field(G, psi)
-        is_real_character(G, psi)
     # orbits of 2 on Z/15: {0}, {1, 2, 4, 8}, {3, 6, 12, 9}, {5, 10}, {7, ...};
     # their classes d = 15/gcd(a, 15) are 1, 15, 5, 3, 15, so (4, 7) is
     # not checked again: it shares d = 15 with (4, 1)

@@ -203,7 +203,7 @@ def test_regularity_is_checked_once_per_built_datum(monkeypatch, fresh_groups):
     monkeypatch.setattr(
         tamesigns.signs,
         "sign_weil_closed_form",
-        lambda mu, G, psi: closed.append((mu, psi)) or real_closed(mu, G, psi),
+        lambda mu, psi: closed.append((mu, psi)) or real_closed(mu, psi),
     )
     monkeypatch.setattr(
         tamesigns.signs,

@@ -23,22 +23,23 @@ from tamesigns.division import (
     sign_division_oracle,
 )
 from tamesigns.errors import InternalConsistencyError, UsageError
-from tamesigns.metacyclic import Irrep
+from tamesigns.metacyclic import Irrep, SubgroupCharacter
 from tamesigns.weil import attach_parameter, sign_weil_closed_form, sp_sign
 
 
 def weil_sign(mu):
     # the parameter-side sign on mu's own model, which the caller builds
-    return sign_weil_closed_form(mu, *division_model(mu.f, mu))
+    return sign_weil_closed_form(mu, division_model(mu.f, mu))
 
 
 def test_weil_model_frozen_example():
     mu = TameCharacter(2, 2, 1, -1)
-    G, psi = division_model(mu.f, mu)
+    psi = division_model(mu.f, mu)
+    G = psi.group
     assert (G.m, G.N, G.s) == (3, 4, 2)
-    assert type(psi) is Irrep and psi == (2, 1, 1, G) and psi.group is G
+    assert type(psi) is Irrep and psi == (2, 1, 1, G)
     mu_plus = TameCharacter(2, 2, 1, 1)
-    _, psi_plus = division_model(mu_plus.f, mu_plus)
+    psi_plus = division_model(mu_plus.f, mu_plus)
     assert type(psi_plus) is Irrep and psi_plus == (2, 1, 0, G)
 
 
@@ -63,42 +64,37 @@ def test_closed_form_sign_and_det_characterization():
 
 
 @pytest.mark.parametrize(
-    "mu, model, psi_text, G_text",
+    "mu, model, psi_text",
     [
         (  # the cell model of mu at n = 2f
             TameCharacter(2, 2, 1, -1),
             lambda mu: division_model(4, mu),
             "Irrep(f=2, a=5, c=2, group=MetacyclicGroup(m=15, N=8, s=2))",
-            "MetacyclicGroup(m=15, N=8, s=2)",
         ),
         (  # the other w's Irrep: c = 0, not 1
             TameCharacter(2, 2, 1, -1),
             lambda mu: division_model(2, TameCharacter(2, 2, 1, 1)),
             "Irrep(f=2, a=1, c=0, group=MetacyclicGroup(m=3, N=4, s=2))",
-            "MetacyclicGroup(m=3, N=4, s=2)",
         ),
         (  # the Irrep of the other self-dual orbit {6, 9} of C_15 x| C_4
             TameCharacter(4, 2, 3, 1),
             lambda mu: division_model(2, TameCharacter(4, 2, 6, 1)),
             "Irrep(f=2, a=6, c=0, group=MetacyclicGroup(m=15, N=4, s=4))",
-            "MetacyclicGroup(m=15, N=4, s=4)",
         ),
-        (  # mu's own Irrep, with G the group of the cell at n = 2f
+        (  # mu's own inducing datum, but bare: no group to read
             TameCharacter(2, 2, 1, -1),
-            lambda mu: (division_model(4, mu)[0], division_model(2, mu)[1]),
-            "Irrep(f=2, a=1, c=1, group=MetacyclicGroup(m=3, N=4, s=2))",
-            "MetacyclicGroup(m=15, N=8, s=2)",
+            lambda mu: SubgroupCharacter(2, 1, 1),
+            "SubgroupCharacter(f=2, a=1, c=1)",
         ),
     ],
-    ids=["cell-model", "wrong-c", "wrong-a", "wrong-group"],
+    ids=["cell-model", "wrong-c", "wrong-a", "subgroup-character"],
 )
-def test_closed_form_refuses_any_model_but_its_own(mu, model, psi_text, G_text):
-    G, psi = model(mu)
+def test_closed_form_refuses_any_model_but_its_own(mu, model, psi_text):
     with pytest.raises(UsageError) as info:
-        sign_weil_closed_form(mu, G, psi)
+        sign_weil_closed_form(mu, model(mu))
     assert str(info.value) == (
         f"sign_weil_closed_form needs division_model(2, mu) for mu={mu}, "
-        f"got psi={psi_text} and G={G_text}"
+        f"got psi={psi_text}"
     )
     # mu's own model passes the guard
     assert weil_sign(mu) == mu.w
