@@ -293,7 +293,8 @@ def enumerate_level1_selfdual(q: int, n: int) -> list[SelfdualEntry]:
     orbit_partition(q, q^d + 1); a grows with k on 0 <= k <= q^d, so
     each orbit's least k gives its least a.
 
-    The cell's model group G = C_{q^n-1} x| C_{2n} is built once. Per f,
+    The cell's model group G = C_{q^n-1} x| C_{2n} is built once, at the
+    first even f; an odd n has none and builds no group. Per f,
     the scan reads the orbits as orbit_partition(q, q^d + 1).get(f, []),
     forms each one's model exponent a * (q^n-1)/(q^f-1) once, and makes
     one orbit_irreps call for them all, which checks irreducibility once
@@ -312,11 +313,13 @@ def enumerate_level1_selfdual(q: int, n: int) -> list[SelfdualEntry]:
     prime_power_base(q)
     if n < 1:
         raise UsageError(f"n must be >= 1, got {n}")
-    G = make_group(q**n - 1, 2 * n, q)
     entries: list[SelfdualEntry] = []
     for f in divisors(n):
         if f % 2 != 0:
             continue
+        # shared per cell by make_group, and built only when an even f
+        # needs it: an odd n has none
+        G = make_group(q**n - 1, 2 * n, q)
         step = q ** (f // 2) - 1
         cs = tuple(_model_c(n, f, w) for w in _SIGNS)
         ks = orbit_partition(q, step + 2).get(f, [])

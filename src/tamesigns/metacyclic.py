@@ -29,17 +29,20 @@ which det_exponents reads.
 orbit_of checks s and runs the one orbit walk; orbit_partition, the one
 partition of Z/m into orbits, checks s once and walks each orbit once.
 
-Validated data is bound to its group and trusted only there. An Irrep
-has passed the irreducibility cross-check on its group: orbit_irreps,
-which takes every orbit of one size and serves both enumerations and
-division_model, runs it once per class d = m/gcd(a, m) of the group,
-since the orbit size, the norm route's pair count and well-definedness
-depend on a only through d; G.orbit_sizes keeps the size checked for
-each class. The character routes (fs_indicator, fs_indicator_raw,
-theta_sign, and rationality's character_field) check any other psi
-again on every call, from make_subgroup_character's validation on;
-det_exponents, induced_character and matrix_of validate it as
-make_subgroup_character does.
+The irreducibility cross-check runs where an Irrep is made, and only
+there. orbit_irreps, which takes every orbit of one size and serves
+both enumerations and division_model, runs it once per class
+d = m/gcd(a, m) of the group, since the orbit size, the norm route's
+pair count and well-definedness depend on a only through d;
+G.orbit_sizes keeps the size checked for each class. Irrep's
+constructor validates a hand-built one like make_subgroup_character and
+checks it before it exists. The model routes (fs_indicator,
+fs_indicator_raw, theta_sign, det_exponents, and rationality's
+character_field) take only an Irrep whose group is G itself; anything
+else, plain inducing data or an Irrep of another or merely equal group,
+raises UsageError before any memo is read. The oracles induced_character
+and matrix_of, and is_irreducible_induced, the check itself, take plain
+inducing data and validate it as make_subgroup_character does.
 
 Most irreps are not self-dual, and each sign route decides their 0 by
 its own orbit test, before any cyclotomic arithmetic. Both tests depend
@@ -237,15 +240,22 @@ class SubgroupCharacter(NamedTuple):
     c: int
 
 
+def _check_f_and_cs(G: MetacyclicGroup, f: int, cs: Iterable[int]) -> None:
+    # f | N, then 0 <= c < N/f for each c
+    if f < 1 or G.N % f != 0:
+        raise UsageError(f"f must divide N={G.N}, got f={f}")
+    Nf = G.N // f
+    for c in cs:
+        if not 0 <= c < Nf:
+            raise UsageError(f"need 0 <= c < N/f = {Nf}, got c={c}")
+
+
 def make_subgroup_character(
     G: MetacyclicGroup, f: int, a: int, c: int
 ) -> SubgroupCharacter:
     """Validated inducing data; see SubgroupCharacter for the conditions."""
-    if f < 1 or G.N % f != 0:
-        raise UsageError(f"f must divide N={G.N}, got f={f}")
+    _check_f_and_cs(G, f, (c,))
     a %= G.m
-    if not 0 <= c < G.N // f:
-        raise UsageError(f"need 0 <= c < N/f = {G.N // f}, got c={c}")
     if (a * (G.s_pow(f) - 1)) % G.m != 0:
         raise UsageError(
             f"a={a} is not fixed by t^f: a*(s^f - 1) != 0 mod {G.m}"
@@ -263,19 +273,20 @@ class _IrrepFields(NamedTuple):
 class Irrep(_IrrepFields):
     """Inducing data (f, a, c) checked irreducible on its group.
 
-    The irreducibility cross-check has run on `group`, so the character
-    routes take it there without checking again. orbit_irreps builds
-    these after one check per class d = m/gcd(a, m) of the group;
-    built any other way (the constructor, _make, _replace, unpickling),
-    an Irrep is validated like make_subgroup_character and checked
-    before it exists.
+    The irreducibility cross-check has run on `group`, so the model
+    routes take it there, and only there, without checking again.
+    orbit_irreps builds these after one check per class d = m/gcd(a, m)
+    of the group; built any other way (the constructor, _make, _replace,
+    unpickling), an Irrep is validated like make_subgroup_character and
+    checked before it exists.
     """
 
     __slots__ = ()
 
     def __new__(cls, f: int, a: int, c: int, group: MetacyclicGroup) -> Irrep:
         psi = make_subgroup_character(group, f, a, c)
-        _require_irreducible(group, psi)
+        if not is_irreducible_induced(group, psi):
+            raise UsageError(f"psi={psi} does not induce irreducibly on {group}")
         return tuple.__new__(cls, (*psi, group))
 
     @classmethod
@@ -298,12 +309,7 @@ def orbit_irreps(
     f, d, the kept size and G for a later orbit of the class off that
     size: orbit size, norm route and well-definedness depend on a via d.
     """
-    if f < 1 or G.N % f != 0:
-        raise UsageError(f"f must divide N={G.N}, got f={f}")
-    Nf = G.N // f
-    for c in cs:
-        if not 0 <= c < Nf:
-            raise UsageError(f"need 0 <= c < N/f = {Nf}, got c={c}")
+    _check_f_and_cs(G, f, cs)
     m, sizes = G.m, G.orbit_sizes
     out: list[Irrep] = []
     for a in avals:
@@ -403,17 +409,12 @@ def is_irreducible_induced(
     return by_orbit
 
 
-def _require_irreducible(
-    G: MetacyclicGroup, psi: SubgroupCharacter | Irrep
-) -> None:
-    # an Irrep was checked when it was built, but only on its own group
-    if type(psi) is Irrep and psi.group is G:
-        return
-    if not is_irreducible_induced(G, psi):
-        raise UsageError(f"psi={psi} does not induce irreducibly on {G}")
+def _refuse_model(G: MetacyclicGroup, psi: object) -> NoReturn:
+    # an Irrep was checked irreducible when it was built, on its own group
+    raise UsageError(f"psi must be an Irrep built on G={G} itself, got psi={psi!r}")
 
 
-def fs_indicator_raw(G: MetacyclicGroup, psi: SubgroupCharacter | Irrep) -> CycInt:
+def fs_indicator_raw(G: MetacyclicGroup, psi: Irrep) -> CycInt:
     """The unnormalized Frobenius-Schur sum, a CycInt at conductor N/f.
 
     The sum over g in G of the character at g^2, which is |G| times the
@@ -423,10 +424,11 @@ def fs_indicator_raw(G: MetacyclicGroup, psi: SubgroupCharacter | Irrep) -> CycI
     d = m/gcd(a, m), built on the class's first call by _fs_value; see
     there for why the class decides the sum. The builder also runs the
     indicator's checks, so a sum that fails them raises
-    InternalConsistencyError from this route too.
+    InternalConsistencyError from this route too. psi must be an Irrep
+    built on G itself; anything else raises UsageError.
     """
     if type(psi) is not Irrep or psi.group is not G:
-        _require_irreducible(G, psi)
+        _refuse_model(G, psi)
     key = (psi.f, G.m // gcd(psi.a, G.m), psi.c)
     try:
         return G.fs_values[key][0]
@@ -434,17 +436,18 @@ def fs_indicator_raw(G: MetacyclicGroup, psi: SubgroupCharacter | Irrep) -> CycI
         return _fs_value(G, psi, key)[0]
 
 
-def fs_indicator(G: MetacyclicGroup, psi: SubgroupCharacter | Irrep) -> int:
+def fs_indicator(G: MetacyclicGroup, psi: Irrep) -> int:
     """Frobenius-Schur indicator of the induced irreducible: -1, 0 or +1.
 
     The indicator c of fs_indicator_raw's sum, |G| * c, read from the
     same entry of G.fs_values. When its class's entry was built, the sum
     had to be a rational integer that |G| divides, with c in {-1, 0, +1};
     any other value raised InternalConsistencyError rather than being
-    rounded, and was not kept.
+    rounded, and was not kept. psi must be an Irrep built on G itself;
+    anything else raises UsageError.
     """
     if type(psi) is not Irrep or psi.group is not G:
-        _require_irreducible(G, psi)
+        _refuse_model(G, psi)
     key = (psi.f, G.m // gcd(psi.a, G.m), psi.c)
     try:
         return G.fs_values[key][1]
@@ -453,7 +456,7 @@ def fs_indicator(G: MetacyclicGroup, psi: SubgroupCharacter | Irrep) -> int:
 
 
 def _fs_value(
-    G: MetacyclicGroup, psi: SubgroupCharacter | Irrep, key: tuple[int, int, int]
+    G: MetacyclicGroup, psi: Irrep, key: tuple[int, int, int]
 ) -> tuple[CycInt, int]:
     """Build, check and keep the FS entry (sum, indicator) of psi's class.
 
@@ -515,17 +518,16 @@ def involution_count(G: MetacyclicGroup) -> int:
 
 
 def det_exponents(
-    G: MetacyclicGroup, psi: SubgroupCharacter | Irrep
+    G: MetacyclicGroup, psi: Irrep
 ) -> tuple[tuple[int, int], tuple[int, int]]:
     """Determinants of pi(x) and pi(t) as (conductor, exponent) pairs.
 
     det pi(x) = zeta_m^(sum of the orbit of a); det pi(t) =
-    (-1)^(f-1) * zeta_{N/f}^c, returned at conductor lcm(2, N/f). A psi
-    that is not an Irrep on G is validated first, as by
-    make_subgroup_character.
+    (-1)^(f-1) * zeta_{N/f}^c, returned at conductor lcm(2, N/f). psi
+    must be an Irrep built on G itself; anything else raises UsageError.
     """
     if type(psi) is not Irrep or psi.group is not G:
-        make_subgroup_character(G, psi.f, psi.a, psi.c)
+        _refuse_model(G, psi)
     f, c = psi.f, psi.c
     Nf = G.N // f
     M1 = lcm(2, Nf)
@@ -596,14 +598,13 @@ def _theta_shift(G: MetacyclicGroup, f: int, d: int) -> int | None:
     return None
 
 
-def theta_sign(
-    G: MetacyclicGroup, theta: object, psi: SubgroupCharacter | Irrep
-) -> int:
+def theta_sign(G: MetacyclicGroup, theta: object, psi: Irrep) -> int:
     """Sign of the invariant bilinear form of the induced irreducible:
     -1, 0 or +1, the Frobenius-Schur indicator by an independent route.
 
-    theta must be identity_involution(G), of any group (see there for
-    when the argument goes); anything else raises UsageError.
+    psi must be an Irrep built on G itself, and theta must be
+    identity_involution(G), of any group (see there for when the
+    argument goes); anything else raises UsageError.
 
     Projects the elementary-matrix seed E = E_{0,r} by the exact average
     B = sum_g pi(g)^T E pi(g). The space of invariant forms is at most
@@ -628,7 +629,7 @@ def theta_sign(
     B^T = -B, or both (B = 0).
     """
     if type(psi) is not Irrep or psi.group is not G:
-        _require_irreducible(G, psi)
+        _refuse_model(G, psi)
     if theta is not _IDENTITY:
         raise UsageError(
             "theta_sign computes only the untwisted invariant form: theta "

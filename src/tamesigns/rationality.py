@@ -32,13 +32,7 @@ from math import gcd, lcm
 
 from .cyclotomic import euler_phi
 from .errors import InternalConsistencyError
-from .metacyclic import (
-    Irrep,
-    MetacyclicGroup,
-    SubgroupCharacter,
-    _char_conductor,
-    _require_irreducible,
-)
+from .metacyclic import Irrep, MetacyclicGroup, _char_conductor, _refuse_model
 
 __all__ = ["CharacterField", "character_field"]
 
@@ -58,9 +52,7 @@ class CharacterField:
         return (-1) % self.modulus in self.stabilizer
 
 
-def character_field(
-    G: MetacyclicGroup, psi: SubgroupCharacter | Irrep
-) -> CharacterField:
+def character_field(G: MetacyclicGroup, psi: Irrep) -> CharacterField:
     """Field of character values of the induced irreducible for psi.
 
     Works at exponent level: the stabilizer of the value vector inside
@@ -69,9 +61,11 @@ def character_field(
     each r = s^k mod m/gcd(a, m), the class mod L that is r there and
     1 mod (N/f)/gcd(c, N/f), if there is one. The degree phi(L)/|H_L|
     must divide exactly; a remainder would contradict the group
-    structure and raises InternalConsistencyError.
+    structure and raises InternalConsistencyError. psi must be an Irrep
+    built on G itself; anything else raises UsageError.
     """
-    _require_irreducible(G, psi)
+    if type(psi) is not Irrep or psi.group is not G:
+        _refuse_model(G, psi)
     f, a, c = psi.f, psi.a, psi.c
     Nf = G.N // f
     m_a = G.m // gcd(a, G.m)

@@ -800,12 +800,12 @@ def test_off_by_one_fs_sum_fails_the_indicator_and_exits_two(
 
     monkeypatch.setattr(tamesigns.metacyclic, "root_sum", off_by_one)
     G = tamesigns.metacyclic.make_group(3, 4, 2)
-    psi = tamesigns.metacyclic.SubgroupCharacter(2, 1, 1)
+    psi = tamesigns.metacyclic.Irrep(2, 1, 1, G)
     with pytest.raises(InternalConsistencyError) as info:
         tamesigns.metacyclic.fs_indicator(G, psi)
     assert str(info.value) == (
-        "FS sum for psi=SubgroupCharacter(f=2, a=1, c=1) on "
-        "MetacyclicGroup(m=3, N=4, s=2) is not |G| * c: sum=-11"
+        "FS sum for psi=Irrep(f=2, a=1, c=1, group=MetacyclicGroup(m=3, N=4, "
+        "s=2)) on MetacyclicGroup(m=3, N=4, s=2) is not |G| * c: sum=-11"
     )
     # sign checks its model once, as an Irrep, and the text names it
     code, out, err = run(capsys, WEIL_SELFDUAL)

@@ -554,6 +554,18 @@ def test_scan_checks_irreducibility_once_per_class(monkeypatch, fresh_groups):
     assert checks == [(2, 51), (4, 15)] * 2
 
 
+def test_a_cell_with_no_even_f_builds_no_model_group(fresh_groups):
+    # every f | 1023 is odd, so no f needs C_{q^1023 - 1} x| C_2046, whose
+    # two power tables of 2,046 ints of about 16k bits each make_group's
+    # unbounded cache would otherwise keep
+    assert enumerate_level1_selfdual(65521, 1023) == []
+    assert tamesigns.metacyclic.make_group.cache_info().currsize == 0
+    # an even n builds its one model group at its first even f
+    enumerate_level1_selfdual(3, 4)
+    info = tamesigns.metacyclic.make_group.cache_info()
+    assert (info.currsize, info.misses) == (1, 1)
+
+
 def test_scan_catches_a_route_broken_after_a_good_call(monkeypatch, fresh_groups):
     assert len(enumerate_level1_selfdual(4, 4)) == 12
     # the good call's checked classes stay on its model group, so the

@@ -163,17 +163,17 @@ def test_stored_fields_and_memos_are_derived_state():
 
 @pytest.mark.parametrize("m,N,s", BATTERY)
 def test_a_directly_built_group_gives_its_shared_twins_signs(m, N, s):
-    # twin's memos fill from its own Irreps and from G's, checked again;
+    # twin's memos fill from its own Irreps, each checked when built;
     # the identity is valid on every group, so either group's serves both
     G, twin = make_group(m, N, s), MetacyclicGroup(m, N, s)
     theta, twin_theta = identity_involution(G), identity_involution(twin)
     for psi in enumerate_irreps(G):
         raw, sign = fs_indicator_raw(G, psi), theta_sign(G, theta, psi)
         assert theta_sign(G, twin_theta, psi) == sign, psi
-        for other in (Irrep(psi.f, psi.a, psi.c, twin), psi):
-            assert fs_indicator_raw(twin, other) == raw, psi
-            assert theta_sign(twin, twin_theta, other) == sign, psi
-            assert theta_sign(twin, theta, other) == sign, psi
+        other = Irrep(psi.f, psi.a, psi.c, twin)
+        assert fs_indicator_raw(twin, other) == raw, psi
+        assert theta_sign(twin, twin_theta, other) == sign, psi
+        assert theta_sign(twin, theta, other) == sign, psi
 
 
 def test_verify_flip_builds_each_model_group_once(monkeypatch):
@@ -433,8 +433,8 @@ def test_fs_values_dicyclic12():
     # psi(t^2) = +1 gives the orthogonal 2-dim, psi(t^2) = -1 the
     # symplectic one; determinants at t swap the other way.
     G = make_group(3, 4, 2)
-    psi_orth = make_subgroup_character(G, 2, 1, 0)
-    psi_symp = make_subgroup_character(G, 2, 1, 1)
+    psi_orth = Irrep(2, 1, 0, G)
+    psi_symp = Irrep(2, 1, 1, G)
     assert fs_indicator(G, psi_orth) == 1
     assert fs_indicator(G, psi_symp) == -1
     _, det_t_orth = det_exponents(G, psi_orth)
@@ -830,16 +830,16 @@ def reference_shift(G, psi) -> int | None:
 
 @pytest.mark.parametrize("m,N,s", BATTERY + ENGINE_GROUPS_UP_TO_7000)
 def test_per_class_orbit_tests_match_the_per_residue_loops(m, N, s):
-    # every residue a, not only orbit minima, as a plain SubgroupCharacter
+    # every residue a, not only orbit minima, as a hand-built Irrep
     G = make_group(m, N, s)
     theta = identity_involution(G)
     for a in range(m):
         f = len(orbit_of(a, G.s, m))
         d = m // gcd(a, m)
         for c in range(N // f):
-            psi = SubgroupCharacter(f, a, c)
+            psi = Irrep(f, a, c, G)
             assert fs_indicator_raw(G, psi) == reference_fs_raw(G, psi), psi
-        psi = SubgroupCharacter(f, a, 0)
+        psi = Irrep(f, a, 0, G)
         r = reference_shift(G, psi)
         assert tamesigns.metacyclic._theta_shift(G, f, d) == r, psi
         if r is None:
@@ -992,7 +992,7 @@ def test_neither_type_message_names_the_seed(monkeypatch):
     # distinct positive values in every cell: the form is neither type
     G = make_group(3, 4, 2)
     theta = identity_involution(G)
-    psi = make_subgroup_character(G, 2, 1, 0)
+    psi = Irrep(2, 1, 0, G)
     values = itertools.count(1)
     monkeypatch.setattr(
         tamesigns.metacyclic,
@@ -1048,13 +1048,17 @@ def test_s_pow_reads_the_power_table(G):
         assert G.s_pow(k) == pow(G.s, k % G.N, G.m), k
 
 
+# the model routes: each takes only an Irrep built on its own group
 ROUTES = [
     fs_indicator,
     fs_indicator_raw,
     lambda G, psi: theta_sign(G, identity_involution(G), psi),
     character_field,
+    det_exponents,
 ]
-ROUTE_IDS = ["fs_indicator", "fs_indicator_raw", "theta_sign", "character_field"]
+ROUTE_IDS = [
+    "fs_indicator", "fs_indicator_raw", "theta_sign", "character_field", "det_exponents"
+]
 
 
 def _break_orbit_walk(monkeypatch):
@@ -1068,19 +1072,17 @@ def _break_orbit_walk(monkeypatch):
     )
 
 
-# routes that validate inducing data but do not require it irreducible
-UNCHECKED_ROUTES = [
+# the oracles, which validate plain inducing data but do not require it
+# irreducible
+ORACLES = [
     is_irreducible_induced,
-    det_exponents,
     lambda G, psi: induced_character(G, psi, GroupElem(1, 0)),
     lambda G, psi: matrix_of(G, psi, GroupElem(1, 0)),
 ]
-UNCHECKED_IDS = [
-    "is_irreducible_induced", "det_exponents", "induced_character", "matrix_of"
-]
+ORACLE_IDS = ["is_irreducible_induced", "induced_character", "matrix_of"]
 
 
-@pytest.mark.parametrize("route", ROUTES + UNCHECKED_ROUTES, ids=ROUTE_IDS + UNCHECKED_IDS)
+@pytest.mark.parametrize("route", ROUTES + ORACLES, ids=ROUTE_IDS + ORACLE_IDS)
 @pytest.mark.parametrize(
     "psi,message",
     [
@@ -1091,9 +1093,34 @@ UNCHECKED_IDS = [
     ids=["ill-defined", "c-out-of-range"],
 )
 def test_invalid_inducing_data_is_a_usage_error(route, psi, message):
+    # a model route's data is validated where its Irrep is made
+    G = make_group(5, 4, 2)
     with pytest.raises(UsageError) as info:
-        route(make_group(5, 4, 2), psi)
+        route(G, Irrep(*psi, G) if route in ROUTES else psi)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("route", ROUTES, ids=ROUTE_IDS)
+@pytest.mark.parametrize(
+    "model",
+    [
+        lambda G: SubgroupCharacter(2, 5, 0),
+        lambda G: (2, 5, 0),
+        lambda G: Irrep(2, 5, 0, make_group(G.m, G.N, G.s)),
+        lambda G: Irrep(1, 0, 1, make_group(3, 4, 2)),
+    ],
+    ids=["subgroup-character", "tuple", "equal-group", "other-group"],
+)
+def test_a_model_route_refuses_anything_but_an_irrep_of_its_group(route, model):
+    G = MetacyclicGroup(15, 8, 2)  # unshared: its memos start empty
+    psi = model(G)
+    with pytest.raises(UsageError) as info:
+        route(G, psi)
+    assert str(info.value) == (
+        f"psi must be an Irrep built on G={G} itself, got psi={psi!r}"
+    )
+    # refused before any memo is read or filled
+    assert G.fs_values == {} and G.theta_shifts == {} and G.orbit_sizes == {}
 
 
 def test_enumeration_checks_each_orbit_and_names_both_routes(
@@ -1130,18 +1157,20 @@ def test_enumeration_refuses_an_orbit_both_routes_call_reducible(
 
 @pytest.mark.parametrize("route", ROUTES, ids=ROUTE_IDS)
 def test_irreducibility_cross_check_runs_on_every_call(monkeypatch, route):
-    # A plain SubgroupCharacter carries no check, so an orbit route that
-    # disagrees with the norm route is caught on every call, also after
-    # the same psi has passed once.
+    # A hand-built Irrep is checked by its constructor, so an orbit route
+    # that disagrees with the norm route is caught on every construction,
+    # also after the same data has passed once and G.orbit_sizes holds
+    # its class.
     G = make_group(15, 8, 2)
-    plain = [SubgroupCharacter(p.f, p.a, p.c) for p in enumerate_irreps(G)]
-    for psi in plain:
-        route(G, psi)
+    plain = [(p.f, p.a, p.c) for p in enumerate_irreps(G)]
+    for data in plain:
+        route(G, Irrep(*data, G))
+    assert G.orbit_sizes == {G.m // gcd(a, G.m): f for f, a, _ in plain}
     _break_orbit_walk(monkeypatch)
-    for psi in plain:
+    for data in plain:
         for _ in range(2):
             with pytest.raises(InternalConsistencyError):
-                route(G, psi)
+                route(G, Irrep(*data, G))
 
 
 @pytest.mark.parametrize("route", ROUTES, ids=ROUTE_IDS)
@@ -1150,16 +1179,21 @@ def test_irrep_of_another_group_is_never_trusted(monkeypatch, route):
     irreps = enumerate_irreps(G)
     # on C_15 x| C_8 with s = 4 the orbit of 1 is {1, 4}: f = 4 is reducible
     other = make_group(15, 8, 4)
+    psi41 = next(p for p in irreps if (p.f, p.a) == (4, 1))
     with pytest.raises(UsageError, match="does not induce irreducibly"):
-        route(other, next(p for p in irreps if (p.f, p.a) == (4, 1)))
+        Irrep(psi41.f, psi41.a, psi41.c, other)
+    with pytest.raises(UsageError, match="must be an Irrep built on G="):
+        route(other, psi41)
     # an equal group that is a separate object is not the checked one
     twin = MetacyclicGroup(15, 8, 2)
     for psi in irreps:
-        route(twin, psi)
+        route(twin, Irrep(psi.f, psi.a, psi.c, twin))
+        with pytest.raises(UsageError, match="must be an Irrep built on G="):
+            route(twin, psi)
     _break_orbit_walk(monkeypatch)
     for psi in irreps:
         with pytest.raises(InternalConsistencyError):
-            route(twin, psi)
+            Irrep(psi.f, psi.a, psi.c, twin)
         route(G, psi)  # checked on G when it was built
 
 
@@ -1255,7 +1289,8 @@ def test_enumeration_keeps_one_orbit_size_per_class(m, N, s):
 def test_hand_built_irrep_is_checked_when_built():
     G = make_group(15, 8, 2)
     psi = Irrep(2, 10, 1, G)  # 10 is in the orbit {5, 10}
-    assert fs_indicator(G, psi) == fs_indicator(G, SubgroupCharacter(2, 10, 1))
+    assert fs_indicator(G, psi) == fs_indicator(G, Irrep(2, 5, 1, G))
+    assert fs_indicator_raw(G, psi) == reference_fs_raw(G, psi)
     with pytest.raises(UsageError, match="does not induce irreducibly"):
         Irrep(2, 0, 0, G)
     with pytest.raises(UsageError, match="does not induce irreducibly"):

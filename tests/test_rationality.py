@@ -25,6 +25,7 @@ from tamesigns.division import (
 )
 from tamesigns.errors import InternalConsistencyError, UsageError
 from tamesigns.metacyclic import (
+    Irrep,
     elements,
     enumerate_irreps,
     fs_indicator,
@@ -158,16 +159,16 @@ def test_real_iff_indicator_nonzero(m, N, s):
 def test_field_examples():
     G = make_group(3, 4, 2)
     # trivial character: rational
-    triv = character_field(G, make_subgroup_character(G, 1, 0, 0))
+    triv = character_field(G, Irrep(1, 0, 0, G))
     assert triv.degree == 1
     # the faithful character of the C_4 quotient has values in Q(i)
-    quarter = character_field(G, make_subgroup_character(G, 1, 0, 1))
+    quarter = character_field(G, Irrep(1, 0, 1, G))
     assert quarter.conductor == 12
     assert quarter.degree == 2
     assert not quarter.is_real
     # both 2-dim characters take rational values (orbit of 1 is {1, 2})
     for c in (0, 1):
-        two_dim = character_field(G, make_subgroup_character(G, 2, 1, c))
+        two_dim = character_field(G, Irrep(2, 1, c, G))
         assert two_dim.degree == 1, c
 
 
@@ -187,7 +188,7 @@ def test_stabilizer_size_must_divide_phi(monkeypatch):
     # the 2-dimensional (2, 1, 0) of C_3 x| C_4 is fixed by both units
     # of Z/L, L = 3
     G = make_group(3, 4, 2)
-    psi = make_subgroup_character(G, 2, 1, 0)
+    psi = Irrep(2, 1, 0, G)
     field = character_field(G, psi)
     assert (field.modulus, field.stabilizer) == (3, (1, 2))
     monkeypatch.setattr("tamesigns.rationality.euler_phi", lambda M: 3)
@@ -196,20 +197,23 @@ def test_stabilizer_size_must_divide_phi(monkeypatch):
     # the message carries what reruns it: psi and the group
     assert str(info.value) == (
         "stabilizer size 2 does not divide phi(3) = 3 for "
-        "psi=SubgroupCharacter(f=2, a=1, c=0) on MetacyclicGroup(m=3, N=4, s=2)"
+        "psi=Irrep(f=2, a=1, c=0, group=MetacyclicGroup(m=3, N=4, s=2)) on "
+        "MetacyclicGroup(m=3, N=4, s=2)"
     )
 
 
 def test_requires_irreducible():
     G = make_group(3, 4, 2)
-    red = make_subgroup_character(G, 2, 0, 0)
-    with pytest.raises(UsageError):
-        character_field(G, red)
+    # the model is checked where it is made; plain data is refused
+    with pytest.raises(UsageError, match="does not induce irreducibly"):
+        character_field(G, Irrep(2, 0, 0, G))
+    with pytest.raises(UsageError, match="must be an Irrep built on G="):
+        character_field(G, make_subgroup_character(G, 2, 0, 0))
 
 
 def test_character_field_dataclass_shape():
     G = make_group(1, 4, 0)
-    field = character_field(G, make_subgroup_character(G, 1, 0, 1))
+    field = character_field(G, Irrep(1, 0, 1, G))
     assert isinstance(field, CharacterField)
     assert field.conductor == 4
     assert field.modulus == 4
