@@ -1,10 +1,9 @@
 """Command-line interface.
 
-Four subcommands: enumerate (all level-one self-dual representations
+Three subcommands: enumerate (all level-one self-dual representations
 over ranges of q and n, with both sign routes per row), verify-flip
 (mechanical check of the even-degree sign flip under one or both
-twisting recipes), sign (full report for a single datum), and
-product-check (product of signs must be +1).
+twisting recipes), and sign (full report for a single datum).
 
 Output is CSV (default) or JSON, written to stdout, and is byte-for-byte
 deterministic: (q, n) cells are visited in sorted order, rows are
@@ -13,9 +12,9 @@ appear. Schema details live in SCHEMA.md next to this package; every
 payload carries schema_version and the generator convention for
 character exponents.
 
-Exit codes: 0 success (including reported SZ inconsistencies and failed
-product checks); 1 usage error; 2 internal consistency failure; 3 flip
-falsification under recipe PR.
+Exit codes: 0 success (including reported SZ inconsistencies); 1 usage
+error; 2 internal consistency failure; 3 flip falsification under
+recipe PR.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ from .division import (
 from .errors import InternalConsistencyError, UsageError
 from .metacyclic import det_exponents, fs_indicator
 from .rationality import character_field
-from .signs import FlipRow, product_check, verify_flip
+from .signs import FlipRow, verify_flip
 from .weil import RECIPES, sign_weil_closed_form
 
 SCHEMA_VERSION = 1
@@ -64,10 +63,9 @@ SIGN_COLUMNS = (
     "sign_closed", "sign_oracle", "det_x", "det_t", "scalar_tf",
     "field_conductor", "field_degree",
 )
-PRODUCT_COLUMNS = ("count", "product", "verdict")
 # columns holding a sign (+-1, 0 for a vanishing indicator, None when absent)
 SIGN_CELLS = frozenset(
-    {"w", "sign_closed", "sign_oracle", "param_w", "param_sign", "predicted", "product"}
+    {"w", "sign_closed", "sign_oracle", "param_w", "param_sign", "predicted"}
 )
 # columns holding a bool
 BOOL_CELLS = frozenset({"regular", "selfdual", "agree", "consistent"})
@@ -75,7 +73,7 @@ BOOL_CELLS = frozenset({"regular", "selfdual", "agree", "consistent"})
 # side of `sign` has no n
 OPTIONAL_CELLS = frozenset({("sign", "n")})
 # columns holding a str; a column of none of these kinds holds an int
-TEXT_CELLS = frozenset({"recipe", "side", "det_x", "det_t", "scalar_tf", "verdict"})
+TEXT_CELLS = frozenset({"recipe", "side", "det_x", "det_t", "scalar_tf"})
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +329,14 @@ def cmd_sign(args: argparse.Namespace) -> tuple[int, str]:
     selfdual = is_selfdual_division(chi)
     psi = division_model(d, chi)  # an Irrep: the routes trust it on G
     G = psi.group
-    oracle = fs_indicator(G, psi)
+    if selfdual:
+        # each compares the closed form with the model's indicator and
+        # returns it only when the two are equal, so the indicator is
+        # read once, there
+        route = checked_sign if division else sign_weil_closed_form
+        closed = oracle = route(chi, psi)
+    else:
+        closed, oracle = None, fs_indicator(G, psi)
     (Mx, kx), (Mt, kt) = det_exponents(G, psi)
     field_info = character_field(G, psi)
     if field_info.is_real != (oracle != 0):
@@ -344,21 +349,12 @@ def cmd_sign(args: argparse.Namespace) -> tuple[int, str]:
             f"selfdual={selfdual} but Frobenius-Schur indicator {oracle} "
             f"for {chi}: psi={psi}"
         )
-    closed = None
-    if selfdual:  # each compares the closed form with a model's indicator
-        closed = (checked_sign if division else sign_weil_closed_form)(chi, psi)
     row = (
         args.side, args.q, args.n, args.f, args.a, args.w, True, selfdual,
         closed, oracle, fmt_root(Mx, kx), fmt_root(Mt, kt),
         fmt_root(G.N // psi.f, psi.c), field_info.conductor, field_info.degree,
     )
     return 0, render(args.format, "sign", SIGN_COLUMNS, [row])
-
-
-def cmd_product_check(args: argparse.Namespace) -> tuple[int, str]:
-    ok = product_check(args.signs)
-    row = (len(args.signs), 1 if ok else -1, "ok" if ok else "violated")
-    return 0, render(args.format, "product-check", PRODUCT_COLUMNS, [row])
 
 
 # ---------------------------------------------------------------------------
@@ -410,10 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sign.add_argument("--w", required=True, help="+1 or -1")
     add_common(p_sign)
 
-    p_prod = sub.add_parser("product-check", help="check a product of signs is +1")
-    p_prod.add_argument("signs", nargs="+", help="signs, each +1 or -1")
-    add_common(p_prod)
-
     return parser
 
 
@@ -421,20 +413,18 @@ def config_from_args(args: argparse.Namespace) -> argparse.Namespace:
     """Check and convert the parsed arguments in place, and return them.
 
     Grid ranges become ascending tuples of q and n, bounded before any
-    cell runs; signs become ints; `sign` takes --n on the division side
-    only, so args.n is None on the weil side.
+    cell runs; `sign`'s --w becomes an int, and `sign` takes --n on the
+    division side only, so args.n is None on the weil side.
     """
     if args.command in ("enumerate", "verify-flip"):
         args.q, args.n = expand_q_range(args.q), expand_n_range(args.n)
         _check_grid_size(args)
-    elif args.command == "sign":
+    else:
         if args.side == "division" and args.n is None:
             raise UsageError("sign --side division requires --n")
         if args.side == "weil" and args.n is not None:
             raise UsageError("sign --side weil takes no --n")
         args.w = parse_sign(args.w)
-    else:
-        args.signs = tuple(parse_sign(s) for s in args.signs)
     return args
 
 
@@ -442,7 +432,6 @@ DISPATCH = {
     "enumerate": cmd_enumerate,
     "verify-flip": cmd_verify_flip,
     "sign": cmd_sign,
-    "product-check": cmd_product_check,
 }
 
 

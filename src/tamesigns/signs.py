@@ -7,8 +7,7 @@ has parameter degree n = m * r: the sign picks up (-1)^(n - m) and an
 m-th power. casewise_sign is the equivalent parity case analysis,
 checked against transfer_sign on every call, and flip_sign is its
 m = 1 face used for division algebras of full degree: for even n the
-sign flips outright. product_check closes the calculus under products
-(and so tensor powers) of self-dual factors.
+sign flips outright.
 
 verify_flip runs the whole machine end to end: enumerate the level-one
 self-dual representations for (q, n) once, each with its division-side
@@ -32,8 +31,7 @@ Moebius count of those rows.
 
 from __future__ import annotations
 
-from math import prod
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from .cyclotomic import divisors
 from .division import (
@@ -48,15 +46,9 @@ __all__ = [
     "transfer_sign",
     "flip_sign",
     "casewise_sign",
-    "product_check",
     "FlipRow",
     "verify_flip",
 ]
-
-
-def _require_sign(value: int, name: str) -> None:
-    if value not in (1, -1):
-        raise UsageError(f"{name} must be +1 or -1, got {value}")
 
 
 def transfer_sign(m: int, r: int, parameter_sign: int) -> int:
@@ -69,7 +61,8 @@ def transfer_sign(m: int, r: int, parameter_sign: int) -> int:
     """
     if m < 1 or r < 1:
         raise UsageError(f"need m >= 1 and r >= 1, got m={m}, r={r}")
-    _require_sign(parameter_sign, "parameter_sign")
+    if parameter_sign not in (1, -1):
+        raise UsageError(f"parameter_sign must be +1 or -1, got {parameter_sign}")
     n = m * r
     if n % 2 and parameter_sign == -1:
         raise UsageError(
@@ -111,14 +104,6 @@ def casewise_sign(m: int, d: int, parameter_sign: int) -> int:
             f"at m={m}, d={d}, sign={parameter_sign}"
         )
     return out
-
-
-def product_check(signs: Iterable[int]) -> bool:
-    """Whether a family of +-1 signs multiplies to +1."""
-    signs = list(signs)
-    for s in signs:
-        _require_sign(s, "every sign")
-    return prod(signs, start=1) == 1
 
 
 class FlipRow(NamedTuple):

@@ -10,7 +10,10 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import re
+import shlex
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -186,18 +189,14 @@ GOLDEN_DIGESTS = [
     (["sign", "--side", "division", "--q", "3", "--n", "2", "--f", "2", "--a", "1",
       "--w", "+1"],
      "89adb6141a70f25ed46d39f1172daa9062f3688b6680a5c4d5576126cded2134"),
-    (["product-check", "-1", "+1"],
-     "13df02bee48ff0a7aa42fc8408b4392504044480ed78f5ea5611fe6f72bc0e13"),
-    # the JSON of the same data: the weil side's null n, a non-self-dual
-    # datum's null closed form and zero oracle, and a text verdict
+    # the JSON of the same data: the weil side's null n, and a
+    # non-self-dual datum's null closed form and zero oracle
     (["sign", "--side", "weil", "--q", "2", "--f", "2", "--a", "1", "--w", "-1",
       "--format", "json"],
      "ebf43adf5970aa6c09685b42d7365f5055ec4ff00407a03f5186ff06f7d54185"),
     (["sign", "--side", "division", "--q", "3", "--n", "2", "--f", "2", "--a", "1",
       "--w", "+1", "--format", "json"],
      "105410540d2f61e2b46830d26a7ab64257f31ec025bd2fe8fdc4eaeb4195fe6a"),
-    (["product-check", "-1", "+1", "--format", "json"],
-     "19dba19511eef9374bdd8bbc09b6031849663c405b987c908bafffd4f9175f73"),
 ]
 
 
@@ -207,8 +206,7 @@ GOLDEN_DIGESTS = [
     ids=[
         "enumerate-json", "flip-csv", "flip-json", "flip-grid-csv",
         "enumerate-csv", "sign-weil-csv", "sign-non-selfdual-csv",
-        "product-check-csv", "sign-weil-json", "sign-non-selfdual-json",
-        "product-check-json",
+        "sign-weil-json", "sign-non-selfdual-json",
     ],
 )
 def test_golden_digests(argv, digest):
@@ -318,7 +316,6 @@ COMMAND_COLUMNS = {
     "enumerate": cli.ENUMERATE_COLUMNS,
     "verify-flip": cli.FLIP_COLUMNS,
     "sign": cli.SIGN_COLUMNS,
-    "product-check": cli.PRODUCT_COLUMNS,
 }
 
 
@@ -335,7 +332,46 @@ def test_every_column_has_one_kind():
         assert column in COMMAND_COLUMNS[command]
         assert column not in cli.SIGN_CELLS | cli.BOOL_CELLS | cli.TEXT_CELLS
     assert cli.BOOL_CELLS == {"regular", "selfdual", "agree", "consistent"}
-    assert cli.TEXT_CELLS == {"recipe", "side", "det_x", "det_t", "scalar_tf", "verdict"}
+    assert cli.TEXT_CELLS == {"recipe", "side", "det_x", "det_t", "scalar_tf"}
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def subcommands() -> set[str]:
+    """The subcommand names the parser accepts."""
+    (action,) = (a for a in cli.build_parser()._actions if a.dest == "command")
+    return set(action.choices)
+
+
+def test_readme_examples_print_what_they_show():
+    # each `$ tamesigns ...` line in README with output lines after it,
+    # up to the next `$` line or the end of its code block
+    examples = re.findall(
+        r"^\$ tamesigns (.*)\n((?:(?!\$|```).*\n)+)",
+        (ROOT / "README.md").read_text(),
+        re.MULTILINE,
+    )
+    for command, output in examples:
+        assert call_main(shlex.split(command)) == (0, output, ""), command
+    assert {command.split()[0] for command, _ in examples} == subcommands()
+
+
+def test_schema_tables_are_the_commands_columns():
+    # a `<command>` columns section per subcommand, whose table's rows
+    # name that command's columns, some rows several joined by commas
+    sections = re.findall(
+        r"^## `([^`]+)` columns\n(.*?)(?=^## )",
+        (ROOT / "SCHEMA.md").read_text(),
+        re.MULTILINE | re.DOTALL,
+    )
+    assert {command for command, _ in sections} == subcommands() == set(cli.DISPATCH)
+    assert subcommands() == set(COMMAND_COLUMNS)
+    for command, text in sections:
+        names = re.findall(r"^\| ([^|]+?) \|", text, re.MULTILINE)
+        assert names[:2] == ["column", "---"], command
+        columns = {name for row in names[2:] for name in row.split(", ")}
+        assert columns == set(COMMAND_COLUMNS[command]), command
 
 
 def recorded_renders(monkeypatch):
@@ -356,8 +392,8 @@ def recorded_renders(monkeypatch):
          "--a", "1", "--w", "-1"],
         ["sign", "--side", "division", "--q", "3", "--n", "2", "--f", "2",
          "--a", "1", "--w", "+1"],
-        ["product-check", "+1", "-1", "-1"],
-        ["product-check", "-1", "+1"],
+        ["sign", "--side", "weil", "--q", "3", "--f", "2", "--a", "1", "--w", "-1"],
+        ["sign", "--side", "weil", "--q", "5", "--f", "1", "--a", "2", "--w", "-1"],
     ):
         assert call_main(argv)[0] == 0, argv
     monkeypatch.undo()
@@ -448,18 +484,13 @@ def test_json_of_drawn_rows_is_what_json_dumps_writes(case):
     )
 
 
-def test_product_check_ok_and_violated(capsys):
-    code, out, _ = run(capsys, ["product-check", "+1", "-1", "-1"])
-    assert code == 0
-    assert out.splitlines()[-1] == "3,+1,ok"
-    code, out, _ = run(capsys, ["product-check", "-1", "+1"])
-    assert code == 0  # violations are a verdict, not an error
-    assert out.splitlines()[-1] == "2,-1,violated"
-    code, out, _ = run(capsys, ["product-check", "-1", "+1", "--format", "json"])
-    assert code == 0
-    assert json.loads(out)["rows"][0]["product"] == -1
-    code, out, err = run(capsys, ["product-check", "+2"])
-    assert code == 1
+def test_product_check_is_an_unknown_subcommand(capsys):
+    # every subcommand computes a sign from a model; one that only
+    # multiplied typed signs is refused by argparse
+    code, out, err = run(capsys, ["product-check", "+1"])
+    assert (code, out) == (1, "")
+    assert err.startswith("usage error: argument command: invalid choice: ")
+    assert "'product-check'" in err
 
 
 def test_usage_errors_exit_one(capsys):
@@ -492,12 +523,9 @@ def test_internal_consistency_exits_two(capsys, monkeypatch):
     def boom(G, psi):
         raise InternalConsistencyError("forced failure")
 
+    # cli reads the indicator itself only for a datum that is not self-dual
     monkeypatch.setattr(cli, "fs_indicator", boom)
-    code, out, err = run(
-        capsys,
-        ["sign", "--side", "weil", "--q", "2", "--f", "2", "--a", "1",
-         "--w", "+1"],
-    )
+    code, out, err = run(capsys, WEIL_NOT_SELFDUAL)
     assert code == 2
     assert "internal consistency" in err
 
@@ -537,8 +565,8 @@ def test_enumeration_fault_exits_two(capsys, monkeypatch, argv):
 )
 def test_closed_form_oracle_disagreement_exits_two(capsys, monkeypatch, argv):
     # negate the indicator of every f = 2 model where division compares
-    # it with the closed form; cli's own read, printed as sign_oracle, is
-    # untouched, so only that one comparison can catch it. The model's
+    # it with the closed form; that comparison is the one indicator read
+    # of a self-dual datum, so only it can catch this. The model's
     # degree n is --n, or f on the weil side
     n = argv[argv.index("--n" if "--n" in argv else "--f") + 1]
     real = tamesigns.division.fs_indicator
@@ -737,11 +765,17 @@ def test_enumerate_odd_n_has_no_rows(capsys):
 
 
 WEIL_SELFDUAL = ["sign", "--side", "weil", "--q", "2", "--f", "2", "--a", "1", "--w", "-1"]
+WEIL_NOT_SELFDUAL = [
+    "sign", "--side", "weil", "--q", "3", "--f", "2", "--a", "1", "--w", "-1"
+]
 
 
 @pytest.mark.parametrize("route", ["character_field", "fs_indicator"])
 def test_sign_realness_cross_check_exits_two(capsys, monkeypatch, route):
-    # the field is real exactly when the indicator is nonzero; break one route
+    # the field is real exactly when the indicator is nonzero; break one
+    # route. cli reads the indicator only for a datum that is not
+    # self-dual, and there a nonzero indicator meets a non-real field
+    argv = WEIL_SELFDUAL
     if route == "character_field":
         real_field = cli.character_field
 
@@ -753,37 +787,47 @@ def test_sign_realness_cross_check_exits_two(capsys, monkeypatch, route):
 
         monkeypatch.setattr(cli, "character_field", broken)
     else:
-        monkeypatch.setattr(cli, "fs_indicator", lambda G, psi: 0)
-    code, out, err = run(capsys, WEIL_SELFDUAL)
+        monkeypatch.setattr(cli, "fs_indicator", lambda G, psi: 1)
+        argv = WEIL_NOT_SELFDUAL
+    code, out, err = run(capsys, argv)
     assert code == 2
     assert out == ""
     assert "internal consistency failure: field of values real=" in err
 
 
 @pytest.mark.parametrize(
-    "rule, a, indicator",
-    [(False, 2, -1), (True, 1, 0)],
+    "rule, datum, message",
+    [
+        # at q = 3, f = 2, a = 2 is self-dual; with n = f = 2 both sides
+        # read the one model C_8 x| C_4, whose indicator cli reads for a
+        # datum it takes for not self-dual
+        (False, ("3", "2", "2"),
+         "selfdual=False but Frobenius-Schur indicator -1 for "
+         "TameCharacter(q=3, f=2, a=2, w=-1): psi=Irrep(f=2, a=2, c=1, "
+         "group=MetacyclicGroup(m=8, N=4, s=3))"),
+        # at q = 2, f = 4, a = 1 is not self-dual; with n = f = 4 both
+        # sides read the one model C_15 x| C_8, and checked_sign compares
+        # its indicator 0 with the closed form w. (At q = 3, a = 1 the
+        # closed form's own (q - 1) | a check would refuse it first.)
+        (True, ("2", "4", "1"),
+         "closed-form sign -1 disagrees with the Frobenius-Schur indicator 0 "
+         "for TameCharacter(q=2, f=4, a=1, w=-1) at n=4: "
+         "psi=SubgroupCharacter(f=4, a=1, c=1) on MetacyclicGroup(m=15, N=8, s=2)"),
+    ],
     ids=["selfdual-read-as-not", "not-selfdual-read-as-selfdual"],
 )
 @pytest.mark.parametrize("side", ["division", "weil"])
 def test_sign_selfduality_cross_check_exits_two(
-    capsys, monkeypatch, side, rule, a, indicator
+    capsys, monkeypatch, side, rule, datum, message
 ):
-    # the rule's decision must match a nonzero indicator of the model; at
-    # q = 3, f = 2, a = 2 is self-dual and a = 1 is not, and with n = f = 2
-    # both sides read the one model C_8 x| C_4
+    # the rule's decision must match a nonzero indicator of the model
     monkeypatch.setattr(tamesigns.division, "_selfdual_rule", lambda *datum: rule)
-    n = ["--n", "2"] if side == "division" else []
-    argv = ["sign", "--side", side, "--q", "3", *n, "--f", "2", "--a", str(a),
-            "--w", "-1"]
+    q, f, a = datum
+    n = ["--n", f] if side == "division" else []
+    argv = ["sign", "--side", side, "--q", q, *n, "--f", f, "--a", a, "--w", "-1"]
     code, out, err = run(capsys, argv)
     assert (code, out) == (2, "")
-    G = "MetacyclicGroup(m=8, N=4, s=3)"
-    assert err == (
-        f"internal consistency failure: selfdual={rule} but Frobenius-Schur "
-        f"indicator {indicator} for TameCharacter(q=3, f=2, a={a}, w=-1): "
-        f"psi=Irrep(f=2, a={a}, c=1, group={G})\n"
-    )
+    assert err == f"internal consistency failure: {message}\n"
 
 
 def test_off_by_one_fs_sum_fails_the_indicator_and_exits_two(
@@ -874,6 +918,36 @@ def test_sign_builds_its_model_once(capsys, monkeypatch):
         code, _, _ = run(capsys, argv)
         assert code == 0, argv
         assert len(models) == len(irreps) == 1, argv
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        WEIL_SELFDUAL,
+        ["sign", "--side", "weil", "--q", "5", "--f", "1", "--a", "2", "--w", "-1"],
+        WEIL_NOT_SELFDUAL,
+        ["sign", "--side", "division", "--q", "2", "--n", "4",
+         "--f", "2", "--a", "1", "--w", "-1"],
+        ["sign", "--side", "division", "--q", "3", "--n", "2",
+         "--f", "2", "--a", "1", "--w", "1"],
+    ],
+    ids=["weil", "weil-f1", "weil-not-selfdual", "division", "division-not-selfdual"],
+)
+def test_sign_reads_the_indicator_once(capsys, monkeypatch, argv):
+    # a self-dual datum's indicator is read in checked_sign, which returns
+    # it only when it equals the closed form, and any other datum's by cli
+    # itself; either way once, and that value is the printed sign_oracle
+    reads = []
+    for module in (cli, tamesigns.division):
+
+        def counted(G, psi, real=module.fs_indicator):
+            reads.append(real(G, psi))
+            return reads[-1]
+
+        monkeypatch.setattr(module, "fs_indicator", counted)
+    code, out, _ = run(capsys, [*argv, "--format", "json"])
+    assert code == 0
+    assert reads == [json.loads(out)["rows"][0]["sign_oracle"]]
 
 
 @pytest.mark.parametrize(
@@ -999,7 +1073,7 @@ def test_parser_reuse_matches_a_fresh_process(run_cli):
         ["sign", "--side", "mixed", "--q", "3", "--f", "2", "--a", "2", "--w", "1"],
         WEIL_SELFDUAL,
         ["sign", "--side", "division", "--q", "2", "--f", "2", "--a", "1", "--w", "1"],
-        ["product-check", "+1", "--jobs", "1"],
+        ["enumerate", "--q", "2", "--n", "2", "--jobs", "1"],
         WEIL_SELFDUAL + ["--format", "json"],
     )
     in_process = [call_main(argv) for argv in sequence]
@@ -1066,15 +1140,9 @@ def small_range(draw, hi):
 
 @st.composite
 def grid_argv(draw):
-    """An enumerate, verify-flip or product-check argv over a tiny grid;
-    one option may be broken or dropped."""
-    command = draw(st.sampled_from(["enumerate", "verify-flip", "product-check"]))
-    if command == "product-check":
-        signs = draw(st.lists(st.sampled_from(["+1", "1", "-1"]), max_size=5))
-        if draw(st.booleans()):
-            signs.append(draw(st.sampled_from(["0", "2", "x", "--q"])))
-        fmt = draw(st.sampled_from([None, "csv", "json"]))
-        return [command] + signs + (["--format", fmt] if fmt else [])
+    """An enumerate or verify-flip argv over a tiny grid; one option may
+    be broken or dropped."""
+    command = draw(st.sampled_from(["enumerate", "verify-flip"]))
     options = {
         "--q": draw(small_range(9)),
         "--n": draw(small_range(6)),

@@ -30,7 +30,6 @@ from tamesigns.signs import (
     FlipRow,
     casewise_sign,
     flip_sign,
-    product_check,
     transfer_sign,
     verify_flip,
 )
@@ -101,21 +100,10 @@ def test_casewise_validation():
         with pytest.raises(UsageError):
             casewise_sign(m, d, sign)
     assert casewise_sign(3, 5, 1) == 1
-
-
-def test_product_check():
-    assert product_check([1, 1, 1])
-    assert product_check([-1, -1])
-    assert not product_check([-1, 1, 1])
-    assert product_check([])
-    # a k-th tensor power of a self-dual factor has sign sign^k
-    for sign in (1, -1):
-        for k in range(1, 9):
-            assert product_check([sign] * k) == (sign == 1 or k % 2 == 0)
-    with pytest.raises(UsageError):
-        product_check([1, 2])
-    with pytest.raises(UsageError):
-        product_check([0, 0])
+    for sign in (0, 2):
+        with pytest.raises(UsageError) as info:
+            transfer_sign(2, 2, sign)
+        assert str(info.value) == f"parameter_sign must be +1 or -1, got {sign}"
 
 
 def test_verify_flip_pr_consistent_small():
