@@ -5,6 +5,11 @@ over ranges of q and n, with both sign routes per row), verify-flip
 (mechanical check of the even-degree sign flip under one or both
 twisting recipes), and sign (full report for a single datum).
 
+The first argument names the subcommand, a key of DISPATCH, and main
+parses the rest with that subcommand's own parser (build_parser), so
+each call is parsed once. No argument, an unknown first argument and
+-h/--help are answered by main itself, with argparse's texts.
+
 Output is CSV (default) or JSON, written to stdout, and is byte-for-byte
 deterministic: (q, n) cells are visited in sorted order, rows are
 canonically ordered within each cell, and no timestamps or machine data
@@ -367,45 +372,27 @@ class _Parser(argparse.ArgumentParser):
 
 
 @cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on first use and then reused."""
-    parser = _Parser(
-        prog="tamesigns",
-        description=(
-            "Exact orthogonal/symplectic sign calculus for level-one "
-            "self-dual representations of tame division algebras and "
-            "their Weil parameters."
-        ),
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def build_parser(command: str) -> argparse.ArgumentParser:
+    """The parser of one subcommand, built on first use and then reused.
 
-    def add_common(p):
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-
-    p_enum = sub.add_parser(
-        "enumerate", help="all level-one self-dual representations over ranges"
-    )
-    p_enum.add_argument("--q", required=True, help="prime power or range lo..hi")
-    p_enum.add_argument("--n", required=True, help="degree or range lo..hi")
-    add_common(p_enum)
-
-    p_flip = sub.add_parser(
-        "verify-flip", help="verify the even-degree sign flip over ranges"
-    )
-    p_flip.add_argument("--q", required=True, help="prime power or range lo..hi")
-    p_flip.add_argument("--n", required=True, help="degree or range lo..hi")
-    p_flip.add_argument("--recipe", choices=(*RECIPES, "both"), default="PR")
-    add_common(p_flip)
-
-    p_sign = sub.add_parser("sign", help="full sign report for one datum")
-    p_sign.add_argument("--side", choices=("division", "weil"), required=True)
-    p_sign.add_argument("--q", type=int, required=True)
-    p_sign.add_argument("--n", type=int, default=None)
-    p_sign.add_argument("--f", type=int, required=True)
-    p_sign.add_argument("--a", type=int, required=True)
-    p_sign.add_argument("--w", required=True, help="+1 or -1")
-    add_common(p_sign)
-
+    main picks the subcommand by the first argument, a DISPATCH key, and
+    this parser takes the rest; it sets args.command to that key.
+    """
+    parser = _Parser(prog=f"tamesigns {command}")
+    parser.set_defaults(command=command)
+    if command == "sign":
+        parser.add_argument("--side", choices=("division", "weil"), required=True)
+        parser.add_argument("--q", type=int, required=True)
+        parser.add_argument("--n", type=int, default=None)
+        parser.add_argument("--f", type=int, required=True)
+        parser.add_argument("--a", type=int, required=True)
+        parser.add_argument("--w", required=True, help="+1 or -1")
+    else:
+        parser.add_argument("--q", required=True, help="prime power or range lo..hi")
+        parser.add_argument("--n", required=True, help="degree or range lo..hi")
+        if command == "verify-flip":
+            parser.add_argument("--recipe", choices=(*RECIPES, "both"), default="PR")
+    parser.add_argument("--format", choices=("csv", "json"), default="csv")
     return parser
 
 
@@ -433,12 +420,51 @@ DISPATCH = {
     "verify-flip": cmd_verify_flip,
     "sign": cmd_sign,
 }
+# each command's line in `tamesigns --help`
+COMMAND_HELP = {
+    "enumerate": "all level-one self-dual representations over ranges",
+    "verify-flip": "verify the even-degree sign flip over ranges",
+    "sign": "full sign report for one datum",
+}
+
+
+def _help_text() -> str:
+    """What `tamesigns --help` prints, in argparse's layout at 80 columns."""
+    choices = "{" + ",".join(DISPATCH) + "}"
+    return "\n".join((
+        f"usage: tamesigns [-h] {choices} ...",
+        "",
+        "Exact orthogonal/symplectic sign calculus for level-one self-dual",
+        "representations of tame division algebras and their Weil parameters.",
+        "",
+        "positional arguments:",
+        f"  {choices}",
+        *(f"    {name:<20}{COMMAND_HELP[name]}" for name in DISPATCH),
+        "",
+        "options:",
+        "  -h, --help            show this help message and exit",
+        "",
+    ))
 
 
 def main(argv: list[str] | None = None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = build_parser().parse_args(argv)
-        code, text = DISPATCH[args.command](config_from_args(args))
+        if not argv:
+            raise UsageError("the following arguments are required: command")
+        command = argv[0]
+        # -h, --help or an abbreviation of --help, as argparse reads them
+        if command == "-h" or command.startswith("--h") and "--help".startswith(command):
+            sys.stdout.write(_help_text())
+            return 0
+        if command not in DISPATCH:
+            raise UsageError(
+                f"argument command: invalid choice: {command!r} "
+                f"(choose from {', '.join(map(repr, DISPATCH))})"
+            )
+        args = build_parser(command).parse_args(argv[1:])
+        code, text = DISPATCH[command](config_from_args(args))
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -10,8 +10,11 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -339,9 +342,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def subcommands() -> set[str]:
-    """The subcommand names the parser accepts."""
-    (action,) = (a for a in cli.build_parser()._actions if a.dest == "command")
-    return set(action.choices)
+    """The subcommand names main accepts."""
+    return set(cli.DISPATCH)
 
 
 def test_readme_examples_print_what_they_show():
@@ -517,6 +519,69 @@ def test_module_entry_point_maps_usage_errors(run_cli):
     err = proc.stderr.decode()
     assert "usage error: empty range for q: 5..3" in err
     assert "Traceback" not in err
+
+
+def test_no_command_and_an_unknown_one_exit_one(run_cli):
+    # the messages argparse's subcommand action gave
+    for argv, message in (
+        ([], "the following arguments are required: command"),
+        (["x"], "argument command: invalid choice: 'x' "
+                "(choose from 'enumerate', 'verify-flip', 'sign')"),
+    ):
+        proc = run_cli(argv, timeout=60)
+        assert (proc.returncode, proc.stdout) == (1, b""), argv
+        assert proc.stderr.decode() == f"usage error: {message}\n", argv
+
+
+def test_top_level_help_lists_every_command(run_cli):
+    outputs = set()
+    for flag in ("-h", "--help", "--he"):
+        proc = run_cli([flag], timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, b""), flag
+        outputs.add(proc.stdout.decode())
+    (text,) = outputs
+    assert text.startswith("usage: tamesigns [-h] {enumerate,verify-flip,sign} ...\n")
+    for command in cli.DISPATCH:
+        assert re.search(
+            rf"^ +{re.escape(command)} +{re.escape(cli.COMMAND_HELP[command])}$",
+            text, re.MULTILINE,
+        ), command
+    assert set(cli.COMMAND_HELP) == set(cli.DISPATCH)
+
+
+@pytest.mark.parametrize("command", sorted(cli.DISPATCH))
+def test_each_command_has_its_own_help(run_cli, command):
+    # structure only: argparse's help layout differs across versions
+    proc = run_cli([command, "--help"], timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout.decode().startswith(f"usage: tamesigns {command} ")
+
+
+def test_format_option_spellings_print_the_same_bytes(run_cli):
+    procs = [
+        run_cli(WEIL_SELFDUAL + tail, timeout=60)
+        for tail in (["--format", "json"], ["--format=json"], ["--form", "json"])
+    ]
+    replies = {(proc.returncode, proc.stdout, proc.stderr) for proc in procs}
+    assert replies == {(0, procs[0].stdout, b"")}
+    assert procs[0].stdout.startswith(b"{\n")
+
+
+def test_one_sign_call_builds_one_parser():
+    # a fresh process: in this one other tests have built parsers too
+    script = (
+        "import sys\n"
+        "from tamesigns import cli\n"
+        f"sys.argv = ['tamesigns', *{WEIL_SELFDUAL!r}]\n"
+        "code = cli.main()\n"
+        "print(code, cli.build_parser.cache_info().currsize, file=sys.stderr)\n"
+    )
+    src_root = str(Path(cli.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": src_root},
+    )
+    assert proc.stderr.decode() == "0 1\n"
 
 
 def test_internal_consistency_exits_two(capsys, monkeypatch):
@@ -1075,15 +1140,17 @@ def test_parser_reuse_matches_a_fresh_process(run_cli):
         ["sign", "--side", "division", "--q", "2", "--f", "2", "--a", "1", "--w", "1"],
         ["enumerate", "--q", "2", "--n", "2", "--jobs", "1"],
         WEIL_SELFDUAL + ["--format", "json"],
+        [],
+        ["product-check", "+1"],
     )
     in_process = [call_main(argv) for argv in sequence]
-    assert cli.build_parser() is cli.build_parser()
+    assert cli.build_parser("sign") is cli.build_parser("sign")
     for argv, (code, out, err) in zip(sequence, in_process):
         proc = run_cli(argv, timeout=60)
         assert (code, out, err) == (
             proc.returncode, proc.stdout.decode(), proc.stderr.decode()
         ), argv
-    assert [code for code, _, _ in in_process] == [1, 0, 1, 1, 0]
+    assert [code for code, _, _ in in_process] == [1, 0, 1, 1, 0, 1, 1]
 
 
 @st.composite
