@@ -58,27 +58,38 @@ MAX_GRID_Q = 2**16
 MAX_GRID_N = 2**10
 MAX_GRID_ROWS = 10**6
 
-ENUMERATE_COLUMNS = (
-    "q", "n", "f", "e", "a", "w",
-    "regular", "selfdual", "sign_closed", "sign_oracle", "agree",
-)
-FLIP_COLUMNS = FlipRow._fields
-SIGN_COLUMNS = (
-    "side", "q", "n", "f", "a", "w", "regular", "selfdual",
-    "sign_closed", "sign_oracle", "det_x", "det_t", "scalar_tf",
-    "field_conductor", "field_degree",
-)
-# columns holding a sign (+-1, 0 for a vanishing indicator, None when absent)
-SIGN_CELLS = frozenset(
-    {"w", "sign_closed", "sign_oracle", "param_w", "param_sign", "predicted"}
-)
-# columns holding a bool
-BOOL_CELLS = frozenset({"regular", "selfdual", "agree", "consistent"})
-# (command, column) pairs outside SIGN_CELLS that may hold None: the weil
+# each command's columns, in the order its rows hold them
+COLUMNS = {
+    "enumerate": (
+        "q", "n", "f", "e", "a", "w",
+        "regular", "selfdual", "sign_closed", "sign_oracle", "agree",
+    ),
+    "verify-flip": FlipRow._fields,
+    "sign": (
+        "side", "q", "n", "f", "a", "w", "regular", "selfdual",
+        "sign_closed", "sign_oracle", "det_x", "det_t", "scalar_tf",
+        "field_conductor", "field_degree",
+    ),
+}
+# the kind of each column not holding an int: a sign (+-1, 0 for a
+# vanishing indicator, None when absent), a bool or a str
+CELL_KINDS = {
+    "w": "sign", "sign_closed": "sign", "sign_oracle": "sign", "param_w": "sign",
+    "param_sign": "sign", "predicted": "sign",
+    "regular": "bool", "selfdual": "bool", "agree": "bool", "consistent": "bool",
+    "recipe": "text", "side": "text", "det_x": "text", "det_t": "text",
+    "scalar_tf": "text",
+}
+# (command, column) pairs of int columns that may hold None: the weil
 # side of `sign` has no n
 OPTIONAL_CELLS = frozenset({("sign", "n")})
-# columns holding a str; a column of none of these kinds holds an int
-TEXT_CELLS = frozenset({"recipe", "side", "det_x", "det_t", "scalar_tf"})
+
+
+def cell_kind(command: str, column: str) -> str:
+    """The kind of a command's column: sign, bool, text, optional or int."""
+    if (command, column) in OPTIONAL_CELLS:
+        return "optional"
+    return CELL_KINDS.get(column, "int")
 
 
 # ---------------------------------------------------------------------------
@@ -155,52 +166,38 @@ def _optional_json(value) -> str:
     return "null" if value is None else int.__repr__(value)
 
 
-# per format, the writers of a sign (+-1, 0 or None), a bool, an
-# OPTIONAL_CELLS cell, a TEXT_CELLS cell and any other cell (an int); the
-# JSON ones write each type as json.dumps does
+# per format, the writer of each cell kind (see cell_kind); the JSON ones
+# write each type as json.dumps does
 _CELL_WRITERS = {
-    "csv": (
-        {1: "+1", -1: "-1", 0: "0", None: ""}.__getitem__,
-        {True: "true", False: "false"}.__getitem__,
-        _optional_text,
-        str,
-        str,
-    ),
-    "json": (
-        {1: "1", -1: "-1", 0: "0", None: "null"}.__getitem__,
-        {True: "true", False: "false"}.__getitem__,
-        _optional_json,
-        encode_basestring_ascii,
-        int.__repr__,
-    ),
+    "csv": {
+        "sign": {1: "+1", -1: "-1", 0: "0", None: ""}.__getitem__,
+        "bool": {True: "true", False: "false"}.__getitem__,
+        "optional": _optional_text,
+        "text": str,
+        "int": str,
+    },
+    "json": {
+        "sign": {1: "1", -1: "-1", 0: "0", None: "null"}.__getitem__,
+        "bool": {True: "true", False: "false"}.__getitem__,
+        "optional": _optional_json,
+        "text": encode_basestring_ascii,
+        "int": int.__repr__,
+    },
 }
 
 
-def _cell_writer(fmt: str, command: str, column: str):
-    """The function that writes one cell of the column, by its kind."""
-    sign, boolean, optional, text, other = _CELL_WRITERS[fmt]
-    if column in SIGN_CELLS:
-        return sign
-    if column in BOOL_CELLS:
-        return boolean
-    if (command, column) in OPTIONAL_CELLS:
-        return optional
-    if column in TEXT_CELLS:
-        return text
-    return other
-
-
 @cache
-def _layout(fmt: str, command: str, columns: tuple[str, ...]) -> tuple:
+def _layout(fmt: str, command: str) -> tuple:
     """How render writes a command's rows: (head, steps, cell_sep, row_sep, tail, empty).
 
-    steps holds, per column, the builtins that take a row to its written
-    cell: the column's item, its kind's writer and, in JSON, the key
-    before it. A row's cells are joined by cell_sep and rows by row_sep,
-    between head and tail; empty is the whole text for no rows.
+    steps holds, per column of COLUMNS[command], the builtins that take
+    a row to its written cell: its item, its kind's writer and, in JSON,
+    the key before it. A row's cells are joined by cell_sep and rows by
+    row_sep, between head and tail; empty is the whole text for no rows.
     """
+    columns, writers = COLUMNS[command], _CELL_WRITERS[fmt]
     steps = tuple(
-        (itemgetter(i), _cell_writer(fmt, command, column))
+        (itemgetter(i), writers[cell_kind(command, column)])
         for i, column in enumerate(columns)
     )
     if fmt == "json":
@@ -227,17 +224,17 @@ def _layout(fmt: str, command: str, columns: tuple[str, ...]) -> tuple:
     return head, steps, ",", "\n", "\n", head
 
 
-def render(fmt: str, command: str, columns: tuple[str, ...], rows: list[tuple]) -> str:
-    """Render rows, each a tuple in column order, as CSV or JSON.
+def render(fmt: str, command: str, rows: list[tuple]) -> str:
+    """Render rows, each a tuple in COLUMNS[command] order, as CSV or JSON.
 
     A cell is written by its column's kind (_CELL_WRITERS), with the
-    writers and fixed text built once per (fmt, command, columns) by
-    _layout. JSON is byte for byte json.dumps(payload, indent=2) + "\n",
-    with each row an object in column order. Each column's cells are
-    written lazily and zipped back into rows, so where the writers are
-    builtins no Python-level code runs per row or per cell.
+    writers and fixed text built once per (fmt, command) by _layout.
+    JSON is byte for byte json.dumps(payload, indent=2) + "\n", with
+    each row an object in column order. Each column's cells are written
+    lazily and zipped back into rows, so where the writers are builtins
+    no Python-level code runs per row or per cell.
     """
-    head, steps, cell_sep, row_sep, tail, empty = _layout(fmt, command, columns)
+    head, steps, cell_sep, row_sep, tail, empty = _layout(fmt, command)
     if not rows:
         return empty
     cells = []
@@ -251,19 +248,6 @@ def render(fmt: str, command: str, columns: tuple[str, ...], rows: list[tuple]) 
 
 # ---------------------------------------------------------------------------
 # subcommands
-
-
-def _enumerate_cell(q: int, n: int) -> list[tuple]:
-    rows = []
-    # every entry is regular and self-dual and its two sign routes agree:
-    # enumerate_level1_selfdual checks all three and raises otherwise
-    for entry in enumerate_level1_selfdual(q, n):
-        chi = entry.chi
-        rows.append((
-            q, n, chi.f, n // chi.f, chi.a, chi.w, True, True,
-            entry.sign, entry.sign, True,
-        ))
-    return rows
 
 
 def _cells(args: argparse.Namespace) -> list[tuple[int, int]]:
@@ -288,8 +272,14 @@ def _check_grid_size(args: argparse.Namespace) -> None:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> tuple[int, str]:
-    rows = [row for q, n in _cells(args) for row in _enumerate_cell(q, n)]
-    return 0, render(args.format, "enumerate", ENUMERATE_COLUMNS, rows)
+    # every entry is regular and self-dual and its two sign routes agree:
+    # enumerate_level1_selfdual checks all three and raises otherwise
+    rows = [
+        (q, n, chi.f, n // chi.f, chi.a, chi.w, True, True, sign, sign, True)
+        for q, n in _cells(args)
+        for chi, sign, _ in enumerate_level1_selfdual(q, n)
+    ]
+    return 0, render(args.format, "enumerate", rows)
 
 
 def cmd_verify_flip(args: argparse.Namespace) -> tuple[int, str]:
@@ -297,7 +287,7 @@ def cmd_verify_flip(args: argparse.Namespace) -> tuple[int, str]:
     code = 0
     if any(row.recipe == "PR" and not row.consistent for row in rows):
         code = 3
-    return code, render(args.format, "verify-flip", FLIP_COLUMNS, rows)
+    return code, render(args.format, "verify-flip", rows)
 
 
 def _check_sign_size(q: int, d: int, f: int) -> None:
@@ -359,16 +349,23 @@ def cmd_sign(args: argparse.Namespace) -> tuple[int, str]:
         closed, oracle, fmt_root(Mx, kx), fmt_root(Mt, kt),
         fmt_root(G.N // psi.f, psi.c), field_info.conductor, field_info.degree,
     )
-    return 0, render(args.format, "sign", SIGN_COLUMNS, [row])
+    return 0, render(args.format, "sign", [row])
 
 
 # ---------------------------------------------------------------------------
 # argument parsing and dispatch
 
 
+class _HelpPrinted(Exception):
+    """A subcommand's parser has printed its --help; main returns 0."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # exit code 1, not argparse's 2
         raise UsageError(message)
+
+    def exit(self, status=0, message=None):  # called only after --help
+        raise _HelpPrinted
 
 
 @cache
@@ -465,6 +462,8 @@ def main(argv: list[str] | None = None) -> int:
             )
         args = build_parser(command).parse_args(argv[1:])
         code, text = DISPATCH[command](config_from_args(args))
+    except _HelpPrinted:
+        return 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -46,12 +46,6 @@ from tamesigns.signs import FlipRow
 from tamesigns.weil import sign_weil_closed_form
 
 
-def run(capsys, argv):
-    code = main(argv)
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
-
-
 def call_main(argv):
     """(exit code, stdout, stderr) of main(argv), without a pytest fixture."""
     out, err = io.StringIO(), io.StringIO()
@@ -123,8 +117,8 @@ q,n,f,e,a,w,regular,selfdual,sign_closed,sign_oracle,agree
 """
 
 
-def test_enumerate_golden(capsys):
-    code, out, err = run(capsys, ["enumerate", "--q", "2", "--n", "2"])
+def test_enumerate_golden():
+    code, out, err = call_main(["enumerate", "--q", "2", "--n", "2"])
     assert code == 0
     assert err == ""
     assert out == GOLDEN_ENUMERATE
@@ -141,23 +135,23 @@ q,n,recipe,f,e,a,w,sign_closed,sign_oracle,param_w,param_sign,predicted,consiste
 """
 
 
-def test_verify_flip_sz_golden(capsys):
-    code, out, err = run(capsys, ["verify-flip", "--q", "2", "--n", "4", "--recipe", "SZ"])
+def test_verify_flip_sz_golden():
+    code, out, err = call_main(["verify-flip", "--q", "2", "--n", "4", "--recipe", "SZ"])
     assert code == 0  # SZ inconsistencies are reported, not fatal
     assert out == GOLDEN_FLIP_SZ
 
 
-def test_verify_flip_pr_all_consistent(capsys):
-    code, out, _ = run(capsys, ["verify-flip", "--q", "2..5", "--n", "2..4"])
+def test_verify_flip_pr_all_consistent():
+    code, out, _ = call_main(["verify-flip", "--q", "2..5", "--n", "2..4"])
     assert code == 0
     data_rows = [l for l in out.splitlines() if not l.startswith(("#", "q,"))]
     assert data_rows
     assert all(row.endswith(",true") for row in data_rows)
 
 
-def test_verify_flip_both_order(capsys):
-    code, out, _ = run(
-        capsys, ["verify-flip", "--q", "2", "--n", "4", "--recipe", "both"]
+def test_verify_flip_both_order():
+    code, out, _ = call_main(
+        ["verify-flip", "--q", "2", "--n", "4", "--recipe", "both"]
     )
     assert code == 0
     recipes = [
@@ -226,9 +220,8 @@ division,2,4,2,1,-1,true,true,-1,-1,+1,+1,-1,60,1
 """
 
 
-def test_sign_division_golden(capsys):
-    code, out, _ = run(
-        capsys,
+def test_sign_division_golden():
+    code, out, _ = call_main(
         ["sign", "--side", "division", "--q", "2", "--n", "4",
          "--f", "2", "--a", "1", "--w", "-1"],
     )
@@ -236,9 +229,8 @@ def test_sign_division_golden(capsys):
     assert out == GOLDEN_SIGN_DIVISION
 
 
-def test_sign_weil_json(capsys):
-    code, out, _ = run(
-        capsys,
+def test_sign_weil_json():
+    code, out, _ = call_main(
         ["sign", "--side", "weil", "--q", "2", "--f", "2", "--a", "1",
          "--w", "-1", "--format", "json"],
     )
@@ -256,9 +248,8 @@ def test_sign_weil_json(capsys):
     assert row["field_degree"] == 1
 
 
-def test_sign_weil_orthogonal_det_nontrivial(capsys):
-    code, out, _ = run(
-        capsys,
+def test_sign_weil_orthogonal_det_nontrivial():
+    code, out, _ = call_main(
         ["sign", "--side", "weil", "--q", "2", "--f", "2", "--a", "1",
          "--w", "+1", "--format", "json"],
     )
@@ -269,10 +260,9 @@ def test_sign_weil_orthogonal_det_nontrivial(capsys):
     assert row["scalar_tf"] == "+1"
 
 
-def test_sign_non_selfdual_reports_zero(capsys):
+def test_sign_non_selfdual_reports_zero():
     # q=3, f=2, a=1: regular but not self-dual; the model indicator is 0
-    code, out, _ = run(
-        capsys,
+    code, out, _ = call_main(
         ["sign", "--side", "weil", "--q", "3", "--f", "2", "--a", "1",
          "--w", "+1"],
     )
@@ -284,7 +274,7 @@ def test_sign_non_selfdual_reports_zero(capsys):
     assert cols["sign_oracle"] == "0"
 
 
-def test_sign_selfdual_matches_nonzero_indicator_at_f_one(capsys):
+def test_sign_selfdual_matches_nonzero_indicator_at_f_one():
     # f = 1 with a = 0 or a = (q-1)/2 is a quadratic character: its model
     # has indicator +1 for either w, so it is self-dual although f is odd
     for side, q, n, a, w in [
@@ -298,15 +288,14 @@ def test_sign_selfdual_matches_nonzero_indicator_at_f_one(capsys):
                 "--a", str(a), "--w", str(w), "--format", "json"]
         if n is not None:
             argv += ["--n", str(n)]
-        code, out, _ = run(capsys, argv)
+        code, out, _ = call_main(argv)
         assert code == 0, argv
         row = json.loads(out)["rows"][0]
         assert row["selfdual"] == (row["sign_oracle"] != 0), argv
 
 
-def test_sign_rejects_non_regular(capsys):
-    code, out, err = run(
-        capsys,
+def test_sign_rejects_non_regular():
+    code, out, err = call_main(
         ["sign", "--side", "weil", "--q", "2", "--f", "2", "--a", "0",
          "--w", "+1"],
     )
@@ -315,27 +304,27 @@ def test_sign_rejects_non_regular(capsys):
     assert "regular" in err
 
 
-COMMAND_COLUMNS = {
-    "enumerate": cli.ENUMERATE_COLUMNS,
-    "verify-flip": cli.FLIP_COLUMNS,
-    "sign": cli.SIGN_COLUMNS,
-}
-
-
 def test_every_column_has_one_kind():
     # a column is a sign, a bool, text, or an int (None too where
-    # OPTIONAL_CELLS allows it), and each kind names real columns
-    named = set().union(*COMMAND_COLUMNS.values())
-    kinds = (cli.SIGN_CELLS, cli.BOOL_CELLS, cli.TEXT_CELLS)
-    for i, kind in enumerate(kinds):
-        assert kind <= named
-        for other in kinds[i + 1:]:
-            assert not kind & other
+    # OPTIONAL_CELLS allows it), CELL_KINDS names real columns, and every
+    # kind has a writer in both formats
+    named = {column for columns in cli.COLUMNS.values() for column in columns}
+    assert set(cli.CELL_KINDS) <= named
     for command, column in cli.OPTIONAL_CELLS:
-        assert column in COMMAND_COLUMNS[command]
-        assert column not in cli.SIGN_CELLS | cli.BOOL_CELLS | cli.TEXT_CELLS
-    assert cli.BOOL_CELLS == {"regular", "selfdual", "agree", "consistent"}
-    assert cli.TEXT_CELLS == {"recipe", "side", "det_x", "det_t", "scalar_tf"}
+        assert column in cli.COLUMNS[command]
+        assert column not in cli.CELL_KINDS
+    kinds = {
+        cli.cell_kind(command, column)
+        for command, columns in cli.COLUMNS.items() for column in columns
+    }
+    assert kinds == {"sign", "bool", "text", "optional", "int"}
+    for fmt in ("csv", "json"):
+        assert set(cli._CELL_WRITERS[fmt]) == kinds, fmt
+    of_kind = {kind: set() for kind in kinds}
+    for column, kind in cli.CELL_KINDS.items():
+        of_kind[kind].add(column)
+    assert of_kind["bool"] == {"regular", "selfdual", "agree", "consistent"}
+    assert of_kind["text"] == {"recipe", "side", "det_x", "det_t", "scalar_tf"}
 
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -368,22 +357,22 @@ def test_schema_tables_are_the_commands_columns():
         re.MULTILINE | re.DOTALL,
     )
     assert {command for command, _ in sections} == subcommands() == set(cli.DISPATCH)
-    assert subcommands() == set(COMMAND_COLUMNS)
+    assert subcommands() == set(cli.COLUMNS)
     for command, text in sections:
         names = re.findall(r"^\| ([^|]+?) \|", text, re.MULTILINE)
         assert names[:2] == ["column", "---"], command
-        columns = {name for row in names[2:] for name in row.split(", ")}
-        assert columns == set(COMMAND_COLUMNS[command]), command
+        columns = tuple(name for row in names[2:] for name in row.split(", "))
+        assert columns == cli.COLUMNS[command], command
 
 
 def recorded_renders(monkeypatch):
-    """(command, columns, rows) of each render call, over runs of every command."""
+    """(command, rows) of each render call, over runs of every command."""
     seen = []
     real = cli.render
 
-    def recording(fmt, command, columns, rows):
-        seen.append((command, columns, rows))
-        return real(fmt, command, columns, rows)
+    def recording(fmt, command, rows):
+        seen.append((command, rows))
+        return real(fmt, command, rows)
 
     monkeypatch.setattr(cli, "render", recording)
     for argv in (
@@ -399,7 +388,7 @@ def recorded_renders(monkeypatch):
     ):
         assert call_main(argv)[0] == 0, argv
     monkeypatch.undo()
-    assert {command for command, _, _ in seen} == set(COMMAND_COLUMNS)
+    assert {command for command, _ in seen} == set(cli.COLUMNS)
     return seen
 
 
@@ -409,17 +398,19 @@ def test_rows_hold_what_their_column_kind_writes(monkeypatch):
     # text writer given an int) would quote an int or leave text bare, so
     # each kind's column holds only its own type
     nones = set()
-    for command, columns, rows in recorded_renders(monkeypatch):
-        assert columns == COMMAND_COLUMNS[command]
+    for command, rows in recorded_renders(monkeypatch):
+        columns = cli.COLUMNS[command]
         for row in rows:
             assert len(row) == len(columns)
+            assert getattr(row, "_fields", columns) == columns
             for column, value in zip(columns, row):
-                if column in cli.BOOL_CELLS:
+                kind = cli.cell_kind(command, column)
+                if kind == "bool":
                     assert type(value) is bool, (command, column, value)
-                elif column in cli.SIGN_CELLS:
+                elif kind == "sign":
                     assert type(value) in (int, type(None)), (command, column)
                     assert value in (1, -1, 0, None), (command, column, value)
-                elif column in cli.TEXT_CELLS:
+                elif kind == "text":
                     assert type(value) is str, (command, column, value)
                 elif value is None:
                     nones.add((command, column))
@@ -428,74 +419,68 @@ def test_rows_hold_what_their_column_kind_writes(monkeypatch):
     assert nones == cli.OPTIONAL_CELLS
 
 
-def json_oracle(command, columns, rows):
+def json_oracle(command, rows):
     """What render("json", ...) must return: json.dumps of the payload."""
     payload = {
         "schema_version": cli.SCHEMA_VERSION,
         "generator_convention": cli.GENERATOR_CONVENTION,
         "command": command,
-        "rows": [dict(zip(columns, row)) for row in rows],
+        "rows": [dict(zip(cli.COLUMNS[command], row)) for row in rows],
     }
     return json.dumps(payload, indent=2) + "\n"
 
 
 def test_json_is_what_json_dumps_writes(monkeypatch):
-    for command, columns, rows in recorded_renders(monkeypatch):
-        assert cli.render("json", command, columns, rows) == json_oracle(
-            command, columns, rows
-        )
-    for command, columns in COMMAND_COLUMNS.items():
-        assert cli.render("json", command, columns, []) == json_oracle(
-            command, columns, []
-        )
+    for command, rows in recorded_renders(monkeypatch):
+        assert cli.render("json", command, rows) == json_oracle(command, rows)
+    for command in cli.COLUMNS:
+        assert cli.render("json", command, []) == json_oracle(command, [])
 
 
 def kind_value(command, column):
     """A strategy for one cell of the column, drawn by its kind."""
-    if column in cli.SIGN_CELLS:
+    kind = cli.cell_kind(command, column)
+    if kind == "sign":
         return st.sampled_from((1, -1, 0, None))
-    if column in cli.BOOL_CELLS:
+    if kind == "bool":
         return st.booleans()
-    if column in cli.TEXT_CELLS:
+    if kind == "text":
         return st.text(alphabet=st.sampled_from(["a", "^", "9", '"', "\\", "\n", "é"]))
     ints = st.integers(min_value=-(2**70), max_value=2**70)
-    if (command, column) in cli.OPTIONAL_CELLS:
+    if kind == "optional":
         return st.none() | ints
     return ints
 
 
 @st.composite
 def kind_rows(draw):
-    command = draw(st.sampled_from(sorted(COMMAND_COLUMNS)))
-    columns = COMMAND_COLUMNS[command]
-    row = st.tuples(*(kind_value(command, column) for column in columns))
-    return command, columns, draw(st.lists(row, max_size=3))
+    command = draw(st.sampled_from(sorted(cli.COLUMNS)))
+    row = st.tuples(*(kind_value(command, column) for column in cli.COLUMNS[command]))
+    return command, draw(st.lists(row, max_size=3))
 
 
 @settings(max_examples=200, deadline=None)
 @given(kind_rows())
 @example((
-    "sign", cli.SIGN_COLUMNS,
+    "sign",
     [('"\\\né', -3, None, 2**64 + 1, -(2**64), 0, False, True, None, 0,
       "zeta7^3", "", "é", 10**30, -1)],
 ))
 def test_json_of_drawn_rows_is_what_json_dumps_writes(case):
-    command, columns, rows = case
-    assert cli.render("json", command, columns, rows) == json_oracle(
-        command, columns, rows
-    )
+    command, rows = case
+    assert cli.render("json", command, rows) == json_oracle(command, rows)
 
 
-def test_product_check_is_an_unknown_subcommand(capsys):
+def test_product_check_is_an_unknown_subcommand():
     # every subcommand computes a sign from a model; one that only
     # multiplied typed signs is refused by argparse
-    code, out, err = run(capsys, ["product-check", "+1"])
+    code, out, err = call_main(["product-check", "+1"])
     assert (code, out) == (1, "")
     assert err.startswith("usage error: argument command: invalid choice: ")
     assert "'product-check'" in err
 
 
-def test_usage_errors_exit_one(capsys):
+def test_usage_errors_exit_one():
     for argv in (
         ["enumerate", "--q", "6", "--n", "2"],
         ["enumerate", "--q", "2"],
@@ -507,7 +492,7 @@ def test_usage_errors_exit_one(capsys):
         ["verify-flip", "--q", "2", "--n", "2", "--jobs", "0"],
         ["nonsense"],
     ):
-        code, out, err = run(capsys, argv)
+        code, out, err = call_main(argv)
         assert code == 1, argv
         assert out == ""
 
@@ -557,6 +542,16 @@ def test_each_command_has_its_own_help(run_cli, command):
     assert proc.stdout.decode().startswith(f"usage: tamesigns {command} ")
 
 
+@pytest.mark.parametrize("command", sorted(cli.DISPATCH))
+def test_each_command_help_returns_zero_in_process(command):
+    # main returns help's exit code instead of letting argparse's
+    # SystemExit escape
+    for flag in ("--help", "-h"):
+        code, out, err = call_main([command, flag])
+        assert (code, err) == (0, ""), flag
+        assert out.startswith(f"usage: tamesigns {command} "), flag
+
+
 def test_format_option_spellings_print_the_same_bytes(run_cli):
     procs = [
         run_cli(WEIL_SELFDUAL + tail, timeout=60)
@@ -584,13 +579,13 @@ def test_one_sign_call_builds_one_parser():
     assert proc.stderr.decode() == "0 1\n"
 
 
-def test_internal_consistency_exits_two(capsys, monkeypatch):
+def test_internal_consistency_exits_two(monkeypatch):
     def boom(G, psi):
         raise InternalConsistencyError("forced failure")
 
     # cli reads the indicator itself only for a datum that is not self-dual
     monkeypatch.setattr(cli, "fs_indicator", boom)
-    code, out, err = run(capsys, WEIL_NOT_SELFDUAL)
+    code, out, err = call_main(WEIL_NOT_SELFDUAL)
     assert code == 2
     assert "internal consistency" in err
 
@@ -599,7 +594,7 @@ def test_internal_consistency_exits_two(capsys, monkeypatch):
     "argv",
     [["enumerate", "--q", "2", "--n", "4"], ["verify-flip", "--q", "2", "--n", "4"]],
 )
-def test_enumeration_fault_exits_two(capsys, monkeypatch, argv):
+def test_enumeration_fault_exits_two(monkeypatch, argv):
     # emit (2, 4, 3) as a = 4: regular but not self-dual, so the sign
     # routes refuse it; and as a = 5: orbit {5, 10}, not regular, so the
     # constructor refuses it. Either refusal is an enumeration fault.
@@ -610,7 +605,7 @@ def test_enumeration_fault_exits_two(capsys, monkeypatch, argv):
             return real(q, f, bad_a if (q, f, a) == (2, 4, 3) else a, w)
 
         monkeypatch.setattr(tamesigns.division, "TameCharacter", faulty)
-        code, out, err = run(capsys, argv)
+        code, out, err = call_main(argv)
         assert code == 2, bad_a
         assert out == ""
         assert err.startswith("internal consistency failure: ")
@@ -628,7 +623,7 @@ def test_enumeration_fault_exits_two(capsys, monkeypatch, argv):
         ["sign", "--side", "weil", "--q", "2", "--f", "2", "--a", "1", "--w", "+1"],
     ],
 )
-def test_closed_form_oracle_disagreement_exits_two(capsys, monkeypatch, argv):
+def test_closed_form_oracle_disagreement_exits_two(monkeypatch, argv):
     # negate the indicator of every f = 2 model where division compares
     # it with the closed form; that comparison is the one indicator read
     # of a self-dual datum, so only it can catch this. The model's
@@ -641,20 +636,20 @@ def test_closed_form_oracle_disagreement_exits_two(capsys, monkeypatch, argv):
         return -ind if psi.f == 2 else ind
 
     monkeypatch.setattr(tamesigns.division, "fs_indicator", negated)
-    code, out, err = run(capsys, argv)
+    code, out, err = call_main(argv)
     assert code == 2
     assert out == ""
     assert err.startswith("internal consistency failure: closed-form sign ")
     assert "TameCharacter(q=2, f=2, a=1, w=1)" in err and f"n={n}" in err
 
 
-def test_closed_form_disagreement_names_the_model(capsys, monkeypatch):
+def test_closed_form_disagreement_names_the_model(monkeypatch):
     # the scan's closed form against its oracle, in checked_sign: the
     # message names chi, n, the model's inducing data and its group
     monkeypatch.setattr(
         tamesigns.division, "sign_division_closed_form", lambda chi: -chi.w
     )
-    code, out, err = run(capsys, ["enumerate", "--q", "2", "--n", "4"])
+    code, out, err = call_main(["enumerate", "--q", "2", "--n", "4"])
     assert (code, out) == (2, "")
     assert err == (
         "internal consistency failure: closed-form sign -1 disagrees with "
@@ -664,7 +659,7 @@ def test_closed_form_disagreement_names_the_model(capsys, monkeypatch):
     )
 
 
-def test_invalid_model_datum_is_refused_by_every_consumer(capsys, monkeypatch):
+def test_invalid_model_datum_is_refused_by_every_consumer(monkeypatch):
     # division_model range-checks its scalar c, so an out-of-range
     # c = N/f is refused on every route, exit 1
     monkeypatch.setattr(tamesigns.division, "_model_c", lambda n, f, w: 2 * n // f)
@@ -681,12 +676,12 @@ def test_invalid_model_datum_is_refused_by_every_consumer(capsys, monkeypatch):
         assert str(info.value).endswith(message)
     argv = ["sign", "--side", "division", "--q", "2", "--n", "4", "--f", "2",
             "--a", "1", "--w", "+1"]
-    code, out, err = run(capsys, argv)
+    code, out, err = call_main(argv)
     assert (code, out) == (1, "")
     assert err == "usage error: need 0 <= c < N/f = 4, got c=4\n"
 
 
-def test_enumeration_emitting_an_invalid_datum_exits_two(capsys, monkeypatch):
+def test_enumeration_emitting_an_invalid_datum_exits_two(monkeypatch):
     # a datum the scan built but the closed form refuses is an enumeration
     # fault: pinned from the library and from the CLI
     monkeypatch.setattr(tamesigns.division, "is_selfdual_division", lambda chi: False)
@@ -698,7 +693,7 @@ def test_enumeration_emitting_an_invalid_datum_exits_two(capsys, monkeypatch):
     with pytest.raises(InternalConsistencyError) as info:
         tamesigns.division.enumerate_level1_selfdual(2, 2)
     assert str(info.value) == message
-    code, out, err = run(capsys, ["enumerate", "--q", "2", "--n", "2"])
+    code, out, err = call_main(["enumerate", "--q", "2", "--n", "2"])
     assert (code, out) == (2, "")
     assert err == f"internal consistency failure: {message}\n"
 
@@ -710,11 +705,11 @@ def test_enumeration_emitting_an_invalid_datum_exits_two(capsys, monkeypatch):
         ["verify-flip", "--q", "2", "--n", "4", "--recipe", "both"],
     ],
 )
-def test_vanishing_scan_oracle_exits_two(capsys, monkeypatch, argv):
+def test_vanishing_scan_oracle_exits_two(monkeypatch, argv):
     # a vanishing indicator is one more value off the closed form in
     # checked_sign, and its message names n, psi's (f, a, c) and G
     monkeypatch.setattr(tamesigns.division, "fs_indicator", lambda G, psi: 0)
-    code, out, err = run(capsys, argv)
+    code, out, err = call_main(argv)
     assert code == 2
     assert out == ""
     assert err == (
@@ -732,7 +727,7 @@ def test_vanishing_scan_oracle_exits_two(capsys, monkeypatch, argv):
         ["verify-flip", "--q", "2", "--n", "4", "--recipe", "both"],
     ],
 )
-def test_dropped_orbit_fails_the_cell_count_and_exits_two(capsys, monkeypatch, argv):
+def test_dropped_orbit_fails_the_cell_count_and_exits_two(monkeypatch, argv):
     # misreport the f = 4 orbit of k = 1 mod 5 (a = 3 mod 15), the only
     # orbit of its size, as size 8: the scan drops it, and the Moebius
     # count catches it
@@ -744,7 +739,7 @@ def test_dropped_orbit_fails_the_cell_count_and_exits_two(capsys, monkeypatch, a
         return {8 if (m, f) == (5, 4) else f: ks for f, ks in sizes.items()}
 
     monkeypatch.setattr(tamesigns.division, "orbit_partition", misreported)
-    code, out, err = run(capsys, argv)
+    code, out, err = call_main(argv)
     assert code == 2
     assert out == ""
     assert err == (
@@ -753,7 +748,7 @@ def test_dropped_orbit_fails_the_cell_count_and_exits_two(capsys, monkeypatch, a
     )
 
 
-def test_flip_case_analysis_disagreement_exits_two(capsys, monkeypatch):
+def test_flip_case_analysis_disagreement_exits_two(monkeypatch):
     # every flip prediction is the case analysis at m = 1, checked
     # against the transfer formula: break the formula there
     real = tamesigns.signs.transfer_sign
@@ -762,8 +757,8 @@ def test_flip_case_analysis_disagreement_exits_two(capsys, monkeypatch):
         "transfer_sign",
         lambda m, r, sign: -real(m, r, sign) if m == 1 else real(m, r, sign),
     )
-    code, out, err = run(
-        capsys, ["verify-flip", "--q", "2", "--n", "4", "--recipe", "both"]
+    code, out, err = call_main(
+        ["verify-flip", "--q", "2", "--n", "4", "--recipe", "both"]
     )
     assert code == 2
     assert out == ""
@@ -790,17 +785,17 @@ def _non_monic_fault(monkeypatch):
     [(_remainder_fault, "left a remainder"), (_non_monic_fault, "is not monic")],
     ids=["poly_divexact", "phi_tail"],
 )
-def test_cyclotomic_fault_exits_two(capsys, monkeypatch, fresh_polynomial_caches,
+def test_cyclotomic_fault_exits_two(monkeypatch, fresh_polynomial_caches,
                                     fresh_groups, inject, message):
     inject(monkeypatch)
-    code, out, err = run(capsys, WEIL_SELFDUAL)
+    code, out, err = call_main(WEIL_SELFDUAL)
     assert code == 2
     assert out == ""
     assert err.startswith("internal consistency failure: ") and message in err
     assert "Traceback" not in err
 
 
-def test_pr_falsification_exits_three(capsys, monkeypatch):
+def test_pr_falsification_exits_three(monkeypatch):
     bad_row = FlipRow(
         q=2, n=2, recipe="PR", f=2, e=1, a=1, w=1,
         sign_closed=1, sign_oracle=1, param_w=-1, param_sign=-1,
@@ -811,20 +806,20 @@ def test_pr_falsification_exits_three(capsys, monkeypatch):
         return (bad_row,)
 
     monkeypatch.setattr(cli, "verify_flip", fake_verify)
-    code, out, _ = run(capsys, ["verify-flip", "--q", "2", "--n", "2"])
+    code, out, _ = call_main(["verify-flip", "--q", "2", "--n", "2"])
     assert code == 3
     assert out.splitlines()[-1].endswith(",false")
 
 
-def test_enumerate_skips_non_prime_powers_in_range(capsys):
-    code, out, _ = run(capsys, ["enumerate", "--q", "2..6", "--n", "2"])
+def test_enumerate_skips_non_prime_powers_in_range():
+    code, out, _ = call_main(["enumerate", "--q", "2..6", "--n", "2"])
     assert code == 0
     qs = {row.split(",")[0] for row in out.splitlines() if row[0].isdigit()}
     assert qs == {"2", "3", "4", "5"}
 
 
-def test_enumerate_odd_n_has_no_rows(capsys):
-    code, out, _ = run(capsys, ["enumerate", "--q", "2", "--n", "3"])
+def test_enumerate_odd_n_has_no_rows():
+    code, out, _ = call_main(["enumerate", "--q", "2", "--n", "3"])
     assert code == 0
     assert [l for l in out.splitlines() if l and l[0].isdigit()] == []
 
@@ -836,7 +831,7 @@ WEIL_NOT_SELFDUAL = [
 
 
 @pytest.mark.parametrize("route", ["character_field", "fs_indicator"])
-def test_sign_realness_cross_check_exits_two(capsys, monkeypatch, route):
+def test_sign_realness_cross_check_exits_two(monkeypatch, route):
     # the field is real exactly when the indicator is nonzero; break one
     # route. cli reads the indicator only for a datum that is not
     # self-dual, and there a nonzero indicator meets a non-real field
@@ -854,7 +849,7 @@ def test_sign_realness_cross_check_exits_two(capsys, monkeypatch, route):
     else:
         monkeypatch.setattr(cli, "fs_indicator", lambda G, psi: 1)
         argv = WEIL_NOT_SELFDUAL
-    code, out, err = run(capsys, argv)
+    code, out, err = call_main(argv)
     assert code == 2
     assert out == ""
     assert "internal consistency failure: field of values real=" in err
@@ -883,20 +878,20 @@ def test_sign_realness_cross_check_exits_two(capsys, monkeypatch, route):
 )
 @pytest.mark.parametrize("side", ["division", "weil"])
 def test_sign_selfduality_cross_check_exits_two(
-    capsys, monkeypatch, side, rule, datum, message
+    monkeypatch, side, rule, datum, message
 ):
     # the rule's decision must match a nonzero indicator of the model
     monkeypatch.setattr(tamesigns.division, "_selfdual_rule", lambda *datum: rule)
     q, f, a = datum
     n = ["--n", f] if side == "division" else []
     argv = ["sign", "--side", side, "--q", q, *n, "--f", f, "--a", a, "--w", "-1"]
-    code, out, err = run(capsys, argv)
+    code, out, err = call_main(argv)
     assert (code, out) == (2, "")
     assert err == f"internal consistency failure: {message}\n"
 
 
 def test_off_by_one_fs_sum_fails_the_indicator_and_exits_two(
-    capsys, monkeypatch, fresh_groups
+    monkeypatch, fresh_groups
 ):
     # the FS builder reads its sum as |G| * c: a sum off by one is not a
     # multiple of |G| = 12 on the weil-side model C_3 x| C_4
@@ -917,7 +912,7 @@ def test_off_by_one_fs_sum_fails_the_indicator_and_exits_two(
         "s=2)) on MetacyclicGroup(m=3, N=4, s=2) is not |G| * c: sum=-11"
     )
     # sign checks its model once, as an Irrep, and the text names it
-    code, out, err = run(capsys, WEIL_SELFDUAL)
+    code, out, err = call_main(WEIL_SELFDUAL)
     assert (code, out) == (2, "")
     assert err == (
         "internal consistency failure: FS sum for psi=Irrep(f=2, a=1, c=1, "
@@ -938,7 +933,7 @@ def test_off_by_one_fs_sum_fails_the_indicator_and_exits_two(
     ids=["weil", "division", "not-selfdual"],
 )
 def test_sign_checks_its_model_irreducible_once(
-    capsys, monkeypatch, fresh_groups, argv
+    monkeypatch, fresh_groups, argv
 ):
     # on a fresh group, the model is checked once, when division_model
     # builds its Irrep; the routes then trust it on its group
@@ -949,12 +944,12 @@ def test_sign_checks_its_model_irreducible_once(
         "is_irreducible_induced",
         lambda G, psi: checks.append(psi) or real(G, psi),
     )
-    code, _, _ = run(capsys, argv)
+    code, _, _ = call_main(argv)
     assert code == 0
     assert len(checks) == 1
 
 
-def test_sign_builds_its_model_once(capsys, monkeypatch):
+def test_sign_builds_its_model_once(monkeypatch):
     # one division_model call, and so one orbit_irreps call, per query on
     # either side: sign_weil_closed_form reads the model cmd_sign built
     real_model = tamesigns.cli.division_model
@@ -980,7 +975,7 @@ def test_sign_builds_its_model_once(capsys, monkeypatch):
     ):
         models.clear()
         irreps.clear()
-        code, _, _ = run(capsys, argv)
+        code, _, _ = call_main(argv)
         assert code == 0, argv
         assert len(models) == len(irreps) == 1, argv
 
@@ -998,7 +993,7 @@ def test_sign_builds_its_model_once(capsys, monkeypatch):
     ],
     ids=["weil", "weil-f1", "weil-not-selfdual", "division", "division-not-selfdual"],
 )
-def test_sign_reads_the_indicator_once(capsys, monkeypatch, argv):
+def test_sign_reads_the_indicator_once(monkeypatch, argv):
     # a self-dual datum's indicator is read in checked_sign, which returns
     # it only when it equals the closed form, and any other datum's by cli
     # itself; either way once, and that value is the printed sign_oracle
@@ -1010,7 +1005,7 @@ def test_sign_reads_the_indicator_once(capsys, monkeypatch, argv):
             return reads[-1]
 
         monkeypatch.setattr(module, "fs_indicator", counted)
-    code, out, _ = run(capsys, [*argv, "--format", "json"])
+    code, out, _ = call_main([*argv, "--format", "json"])
     assert code == 0
     assert reads == [json.loads(out)["rows"][0]["sign_oracle"]]
 
@@ -1032,7 +1027,7 @@ def test_sign_reads_the_indicator_once(capsys, monkeypatch, argv):
     ],
     ids=["division", "weil"],
 )
-def test_sign_closed_form_oracle_disagreement_exits_two(capsys, monkeypatch, argv, datum):
+def test_sign_closed_form_oracle_disagreement_exits_two(monkeypatch, argv, datum):
     # a negated indicator keeps the field check's realness, so only the
     # comparison with the closed form, in division's checked_sign, can
     # catch it
@@ -1040,7 +1035,7 @@ def test_sign_closed_form_oracle_disagreement_exits_two(capsys, monkeypatch, arg
     monkeypatch.setattr(
         tamesigns.division, "fs_indicator", lambda G, psi: -real(G, psi)
     )
-    code, out, err = run(capsys, argv)
+    code, out, err = call_main(argv)
     assert (code, out) == (2, "")
     assert err == (
         "internal consistency failure: closed-form sign -1 disagrees with "
@@ -1077,13 +1072,13 @@ def test_sign_refuses_models_above_the_limit(run_cli):
         (WEIL_SELFDUAL, 6),
     ],
 )
-def test_sign_limit_admits_its_own_conductor(capsys, monkeypatch, argv, conductor):
+def test_sign_limit_admits_its_own_conductor(monkeypatch, argv, conductor):
     monkeypatch.setattr(cli, "MAX_SIGN_CONDUCTOR", conductor)
-    code, out, _ = run(capsys, argv)
+    code, out, _ = call_main(argv)
     assert code == 0
     assert out.splitlines()[-1].split(",")[-2] == str(conductor)
     monkeypatch.setattr(cli, "MAX_SIGN_CONDUCTOR", conductor - 1)
-    code, out, err = run(capsys, argv)
+    code, out, err = call_main(argv)
     assert code == 1
     assert out == ""
     assert f"MAX_SIGN_CONDUCTOR = {conductor - 1}" in err
@@ -1118,17 +1113,17 @@ def test_grid_is_refused_before_it_starts(run_cli, argv, message):
     assert proc.stderr.decode() == f"usage error: {message}\n"
 
 
-def test_grid_limit_admits_its_own_row_count(capsys, monkeypatch):
+def test_grid_limit_admits_its_own_row_count(monkeypatch):
     # flip_grid is the largest grid that the tests and the benchmark run
     flip_grid = [(q, n) for q in range(2, 17) if is_prime_power(q) for n in range(2, 9)]
     assert sum(selfdual_row_count(q, n) for q, n in flip_grid) == 34_886
     assert 34_886 <= cli.MAX_GRID_ROWS
     argv = ["enumerate", "--q", "2", "--n", "4"]  # 4 rows
     monkeypatch.setattr(cli, "MAX_GRID_ROWS", 4)
-    code, out, _ = run(capsys, argv)
+    code, out, _ = call_main(argv)
     assert code == 0 and len(out.splitlines()) == 3 + 4
     monkeypatch.setattr(cli, "MAX_GRID_ROWS", 3)
-    code, out, err = run(capsys, argv)
+    code, out, err = call_main(argv)
     assert (code, out) == (1, "")
     assert err.endswith("hold more than MAX_GRID_ROWS = 3 self-dual entries\n")
 

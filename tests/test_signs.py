@@ -16,7 +16,7 @@ import tamesigns.division
 import tamesigns.metacyclic
 import tamesigns.signs
 import tamesigns.weil
-from tamesigns.cli import FLIP_COLUMNS, main
+from tamesigns.cli import COLUMNS, main
 from tamesigns.cyclotomic import divisors
 from tamesigns.division import (
     TameCharacter,
@@ -287,7 +287,7 @@ def test_selfduality_is_decided_once_per_built_datum(monkeypatch):
 
 def test_verify_flip_rows_are_flip_rows():
     rows = verify_flip(2, 4, "both")
-    assert FlipRow._fields == FLIP_COLUMNS
+    assert FlipRow._fields == COLUMNS["verify-flip"]
     assert rows and all(type(row) is FlipRow for row in rows)
     assert rows[0] == (2, 4, "PR", 2, 2, 1, 1, 1, 1, 1, -1, 1, True)
 
