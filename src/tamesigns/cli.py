@@ -337,7 +337,7 @@ def cmd_sign(args: argparse.Namespace) -> tuple[int, str]:
     if field_info.is_real != (oracle != 0):
         raise InternalConsistencyError(
             f"field of values real={field_info.is_real} but Frobenius-Schur "
-            f"indicator {oracle} for psi={psi} on {G}"
+            f"indicator {oracle} for psi={psi}"
         )
     if selfdual != (oracle != 0):
         raise InternalConsistencyError(

@@ -49,7 +49,6 @@ from .cyclotomic import divisors, factorize
 from .errors import InternalConsistencyError, UsageError
 from .metacyclic import (
     Irrep,
-    SubgroupCharacter,
     fs_indicator,
     make_group,
     orbit_irreps,
@@ -67,6 +66,7 @@ __all__ = [
     "sign_division_closed_form",
     "checked_sign",
     "division_model",
+    "is_division_model",
     "sign_division_oracle",
     "enumerate_level1_selfdual",
     "selfdual_row_count",
@@ -215,6 +215,32 @@ def _model_c(n: int, f: int, w: int) -> int:
     return 0 if w == 1 else n // f
 
 
+def is_division_model(psi: object, n: int, chi: TameCharacter) -> bool:
+    """Whether psi is the Irrep division_model(n, chi).
+
+    The inverse of division_model's encoding, decided by integer
+    comparisons alone: psi must be an Irrep on C_{q^n-1} x| C_{2n} with
+    s = q, with inducing data (f, a * (q^n-1)/(q^f-1), c) and c = 0 for
+    w = +1, n/f for w = -1. False when f does not divide n, or n < 1,
+    since chi then has no model of degree n. No group or model is built.
+    """
+    f = chi.f
+    if type(psi) is not Irrep or n < 1 or n % f:
+        return False
+    G = psi.group
+    # _model_exponent and _model_c, written inline: sign_weil_closed_form
+    # calls this once per Weil parameter
+    m = chi.q**n - 1
+    return (
+        G.m == m
+        and G.N == 2 * n
+        and G.s == chi.q % m
+        and psi.f == f
+        and psi.a == chi.a * (m // chi.torus_order) % m
+        and psi.c == (0 if chi.w == 1 else n // f)
+    )
+
+
 def sign_division_oracle(n: int, chi: TameCharacter) -> int:
     """Oracle sign: the Frobenius-Schur indicator of the finite model.
 
@@ -228,7 +254,7 @@ def sign_division_oracle(n: int, chi: TameCharacter) -> int:
     if ind == 0:
         raise InternalConsistencyError(
             f"model of self-dual datum {chi} at n={n} has vanishing indicator: "
-            f"psi={SubgroupCharacter(psi.f, psi.a, psi.c)} on {psi.group}"
+            f"psi={psi}"
         )
     return ind
 
@@ -236,14 +262,16 @@ def sign_division_oracle(n: int, chi: TameCharacter) -> int:
 def checked_sign(chi: TameCharacter, psi: Irrep) -> int:
     """sign_division_closed_form(chi), checked against chi's model psi.
 
-    psi is division_model(n, chi), with G = psi.group and n = G.N / 2;
-    anything but an Irrep raises UsageError. Its Frobenius-Schur
-    indicator must equal the closed form, so 0 fails too, with
-    InternalConsistencyError naming chi, n, psi's (f, a, c), G and both
-    values. The one place a closed form meets an indicator: the scan
-    calls it per entry, sign_weil_closed_form per parameter (n = f), on
-    the model its caller passes, and the `sign` command on the division
-    side. No model is built here.
+    psi is division_model(n, chi), with G = psi.group and n = G.N / 2:
+    its callers pass a model for which is_division_model(psi, n, chi)
+    holds, and it does not check this itself; anything but an Irrep
+    raises UsageError. Its Frobenius-Schur indicator must equal the
+    closed form, so 0 fails too, with InternalConsistencyError naming
+    chi, n, psi (whose repr names G) and both values. The one place a
+    closed form meets an indicator: the scan calls it per entry,
+    sign_weil_closed_form per parameter (n = f), on the model its
+    caller passes, and the `sign` command on the division side. No model
+    is built here.
     """
     if type(psi) is not Irrep:
         raise UsageError(f"checked_sign needs a model Irrep, got psi={psi!r}")
@@ -253,8 +281,7 @@ def checked_sign(chi: TameCharacter, psi: Irrep) -> int:
     if ind != closed:
         raise InternalConsistencyError(
             f"closed-form sign {closed} disagrees with the Frobenius-Schur "
-            f"indicator {ind} for {chi} at n={G.N // 2}: "
-            f"psi={SubgroupCharacter(psi.f, psi.a, psi.c)} on {G}"
+            f"indicator {ind} for {chi} at n={G.N // 2}: psi={psi}"
         )
     return closed
 

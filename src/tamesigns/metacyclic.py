@@ -470,8 +470,8 @@ def _fs_value(
     0; when no j survives, -a is not in the orbit of a, psi is not
     self-dual, and the sum is root_sum's empty sum. The sum must be a
     rational integer that |G| divides, with quotient in {-1, 0, +1}; any
-    other value raises InternalConsistencyError naming psi and G, and no
-    entry is kept.
+    other value raises InternalConsistencyError naming psi, whose repr
+    names G, and no entry is kept.
     """
     f, d, c = key
     N, spow = G.N, G.s_powers
@@ -486,17 +486,17 @@ def _fs_value(
     total = try_as_integer(raw)
     if total is None:
         raise InternalConsistencyError(
-            f"FS sum for psi={psi} on {G} is not a rational integer: "
+            f"FS sum for psi={psi} is not a rational integer: "
             f"conductor {raw.conductor}, coefficients {raw.coeffs}"
         )
     if total % G.order != 0:
         raise InternalConsistencyError(
-            f"FS sum for psi={psi} on {G} is not |G| * c: sum={total}"
+            f"FS sum for psi={psi} is not |G| * c: sum={total}"
         )
     ind = total // G.order
     if ind not in (-1, 0, 1):
         raise InternalConsistencyError(
-            f"FS indicator for psi={psi} on {G} out of range: {ind}"
+            f"FS indicator for psi={psi} out of range: {ind}"
         )
     entry = G.fs_values[key] = (raw, ind)
     return entry
@@ -667,6 +667,6 @@ def theta_sign(G: MetacyclicGroup, theta: object, psi: Irrep) -> int:
     if sym or anti:
         return 1 if sym else -1
     raise InternalConsistencyError(
-        f"invariant form for psi={psi} on {G} is neither symmetric nor "
+        f"invariant form for psi={psi} is neither symmetric nor "
         f"antisymmetric at seed (mu, nu) = (0, {r})"
     )

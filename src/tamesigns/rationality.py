@@ -78,6 +78,6 @@ def character_field(G: MetacyclicGroup, psi: Irrep) -> CharacterField:
     if phi % len(stab) != 0:
         raise InternalConsistencyError(
             f"stabilizer size {len(stab)} does not divide phi({L}) = {phi} "
-            f"for psi={psi} on {G}"
+            f"for psi={psi}"
         )
     return CharacterField(_char_conductor(G, psi), L, tuple(stab), phi // len(stab))

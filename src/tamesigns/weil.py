@@ -14,15 +14,15 @@ side has no model builder of its own. The caller passes that Irrep:
 verify-flip's scan has already built it for every datum of degree
 f = n, and the `sign` command has built it for its query.
 sign_weil_closed_form is the one place the parameter side's routes run,
-all on that one model, which it checks is mu's own with a few integer
-comparisons: for self-dual mu, division's checked_sign compares the
-closed form (w at even f, +1 at f = 1) with the model's Frobenius-Schur
-indicator at every f, and the closed form is then compared with the
-determinant (det mu nontrivial iff mu orthogonal) at even f. At f = 1 a
-self-dual mu is a quadratic character and the determinant is mu itself,
-so that route is replaced there by a literal mu^2 = 1. sp(e) is
-orthogonal for e odd and symplectic for e even, and signs multiply
-across the tensor factor.
+all on that one model, which division's is_division_model checks is
+mu's own: for self-dual mu, division's checked_sign compares the closed
+form (w at even f, +1 at f = 1) with the model's Frobenius-Schur
+indicator at every f, and the determinant route then makes one
+prediction. At even f it is det mu = 1 on the torus and -w at t (det mu
+nontrivial iff mu orthogonal). At f = 1 a self-dual mu is a quadratic
+character and the determinant is mu itself, so the prediction there is
+a literal mu^2 = 1. sp(e) is orthogonal for e odd and symplectic for e
+even, and signs multiply across the tensor factor.
 
 attach_parameter gives the Frobenius-slot sign of the parameter a
 division-side datum predicts under a chosen twisting recipe: recipe
@@ -39,12 +39,12 @@ from __future__ import annotations
 
 from .division import (
     TameCharacter,
-    _model_c,
     checked_sign,
+    is_division_model,
     is_selfdual_division,
 )
 from .errors import InternalConsistencyError, UsageError
-from .metacyclic import Irrep, SubgroupCharacter, det_exponents
+from .metacyclic import Irrep, det_exponents
 
 __all__ = [
     "RECIPES",
@@ -63,30 +63,23 @@ def sign_weil_closed_form(mu: TameCharacter, psi: Irrep) -> int:
     Irrep with inducing data (f, a, c), c encoding w as division_model
     does, on its group G = psi.group = C_{q^f-1} x| C_{2f} with s = q.
     Anything else, a bare SubgroupCharacter among them, raises
-    UsageError naming mu and psi; the check is a few integer
-    comparisons, and no model is built here. All routes run on that
-    model. checked_sign(mu, psi) gives the closed form, with its
-    guards, and compares it with the model's Frobenius-Schur
-    indicator at every f; then det_exponents reads the model's
-    determinants. For f even and self-dual mu, det mu is trivial on the
-    torus and equals -w at t, so det mu is nontrivial exactly when mu is
-    orthogonal. At f = 1 mu is its own determinant, and that relation
-    does not hold: there mu^2 = 1 is read literally off mu(x) and
-    mu(t). Any mismatch raises InternalConsistencyError naming mu, the
-    model datum psi and its group, and the values it read. This is the one
-    place the parameter side's routes run: verify-flip's per-cell table
-    calls it once per datum, and `sign --side weil` once per query.
+    UsageError naming mu and psi; is_division_model(psi, f, mu) decides
+    this, and no model is built here. All routes run on that model.
+    checked_sign(mu, psi) gives the closed form, with its guards, and
+    compares it with the model's Frobenius-Schur indicator at every f;
+    then det_exponents reads the model's determinants, and the
+    determinant route makes one prediction. For f even and self-dual mu,
+    det mu is trivial on the torus and equals -w at t, so det mu is
+    nontrivial exactly when mu is orthogonal. At f = 1 mu is its own
+    determinant, and the prediction is mu^2 = 1, read literally off
+    mu(x) and mu(t). A failed prediction raises InternalConsistencyError
+    naming mu, its model psi, the closed form and both determinant
+    values. This is the one place the parameter side's routes run:
+    verify-flip's per-cell table calls it once per datum, and
+    `sign --side weil` once per query.
     """
     f = mu.f
-    if (
-        type(psi) is not Irrep
-        or psi.group.m != mu.torus_order
-        or psi.group.N != 2 * f
-        or psi.group.s != mu.q % psi.group.m
-        or psi.f != f
-        or psi.a != mu.a
-        or psi.c != _model_c(f, f, mu.w)
-    ):
+    if not is_division_model(psi, f, mu):
         raise UsageError(
             f"sign_weil_closed_form needs division_model({f}, mu) for "
             f"mu={mu}, got psi={psi!r}"
@@ -94,41 +87,17 @@ def sign_weil_closed_form(mu: TameCharacter, psi: Irrep) -> int:
     w = checked_sign(mu, psi)
     (Mx, kx), (Mt, kt) = det_exponents(psi.group, psi)
     if f == 1:
-        if 2 * kx % Mx or 2 * kt % Mt:
-            raise InternalConsistencyError(
-                f"self-dual {_model_text(mu, psi)} is not quadratic: "
-                f"mu(x) = zeta_{Mx}^{kx}, mu(t) = zeta_{Mt}^{kt}"
-            )
-        return w
-    if kx % Mx != 0:
-        raise InternalConsistencyError(
-            f"det of self-dual {_model_text(mu, psi)} is nontrivial on "
-            f"the torus: zeta_{Mx}^{kx}"
-        )
-    # det at t is a sign since f is even: kt = 0 means +1, Mt/2 means -1
-    if kt == 0:
-        det_t = 1
-    elif 2 * kt == Mt:
-        det_t = -1
+        predicted = 2 * kx % Mx == 0 and 2 * kt % Mt == 0
     else:
+        # det at t is -w: Mt/2 is the exponent of -1 and 0 that of +1
+        predicted = kx % Mx == 0 and 2 * kt == (Mt if w == 1 else 0)
+    if not predicted:
         raise InternalConsistencyError(
-            f"det at t for self-dual {_model_text(mu, psi)} is not a "
-            f"sign: zeta_{Mt}^{kt}"
-        )
-    if det_t != -w:
-        raise InternalConsistencyError(
-            f"det route disagrees with w for {_model_text(mu, psi)}: "
-            f"det_t={det_t}, w={w}"
+            f"det route disagrees with the closed form {w} for self-dual "
+            f"{mu} with model psi={psi}: det(x) = zeta_{Mx}^{kx}, "
+            f"det(t) = zeta_{Mt}^{kt}"
         )
     return w
-
-
-def _model_text(mu: TameCharacter, psi: Irrep) -> str:
-    # mu and its model for an error text: psi's inducing data is printed
-    # as a SubgroupCharacter, then its group; formed only on a fault,
-    # since building it costs as much as a route's lookup
-    datum = SubgroupCharacter(psi.f, psi.a, psi.c)
-    return f"{mu} with model psi={datum} on {psi.group}"
 
 
 def sp_sign(e: int) -> int:

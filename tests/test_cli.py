@@ -654,8 +654,8 @@ def test_closed_form_disagreement_names_the_model(monkeypatch):
     assert err == (
         "internal consistency failure: closed-form sign -1 disagrees with "
         "the Frobenius-Schur indicator 1 for TameCharacter(q=2, f=2, a=1, w=1) "
-        "at n=4: psi=SubgroupCharacter(f=2, a=5, c=0) on "
-        "MetacyclicGroup(m=15, N=8, s=2)\n"
+        "at n=4: psi=Irrep(f=2, a=5, c=0, "
+        "group=MetacyclicGroup(m=15, N=8, s=2))\n"
     )
 
 
@@ -715,8 +715,8 @@ def test_vanishing_scan_oracle_exits_two(monkeypatch, argv):
     assert err == (
         "internal consistency failure: closed-form sign 1 disagrees with the "
         "Frobenius-Schur indicator 0 for TameCharacter(q=2, f=2, a=1, w=1) "
-        "at n=4: psi=SubgroupCharacter(f=2, a=5, c=0) on "
-        "MetacyclicGroup(m=15, N=8, s=2)\n"
+        "at n=4: psi=Irrep(f=2, a=5, c=0, "
+        "group=MetacyclicGroup(m=15, N=8, s=2))\n"
     )
 
 
@@ -872,7 +872,7 @@ def test_sign_realness_cross_check_exits_two(monkeypatch, route):
         (True, ("2", "4", "1"),
          "closed-form sign -1 disagrees with the Frobenius-Schur indicator 0 "
          "for TameCharacter(q=2, f=4, a=1, w=-1) at n=4: "
-         "psi=SubgroupCharacter(f=4, a=1, c=1) on MetacyclicGroup(m=15, N=8, s=2)"),
+         "psi=Irrep(f=4, a=1, c=1, group=MetacyclicGroup(m=15, N=8, s=2))"),
     ],
     ids=["selfdual-read-as-not", "not-selfdual-read-as-selfdual"],
 )
@@ -909,15 +909,14 @@ def test_off_by_one_fs_sum_fails_the_indicator_and_exits_two(
         tamesigns.metacyclic.fs_indicator(G, psi)
     assert str(info.value) == (
         "FS sum for psi=Irrep(f=2, a=1, c=1, group=MetacyclicGroup(m=3, N=4, "
-        "s=2)) on MetacyclicGroup(m=3, N=4, s=2) is not |G| * c: sum=-11"
+        "s=2)) is not |G| * c: sum=-11"
     )
     # sign checks its model once, as an Irrep, and the text names it
     code, out, err = call_main(WEIL_SELFDUAL)
     assert (code, out) == (2, "")
     assert err == (
         "internal consistency failure: FS sum for psi=Irrep(f=2, a=1, c=1, "
-        "group=MetacyclicGroup(m=3, N=4, s=2)) on "
-        "MetacyclicGroup(m=3, N=4, s=2) is not |G| * c: sum=-11\n"
+        "group=MetacyclicGroup(m=3, N=4, s=2)) is not |G| * c: sum=-11\n"
     )
 
 
@@ -1016,13 +1015,13 @@ def test_sign_reads_the_indicator_once(monkeypatch, argv):
         (
             ["sign", "--side", "division", "--q", "2", "--n", "4",
              "--f", "2", "--a", "1", "--w", "-1"],
-            "TameCharacter(q=2, f=2, a=1, w=-1) at n=4: psi=SubgroupCharacter("
-            "f=2, a=5, c=2) on MetacyclicGroup(m=15, N=8, s=2)",
+            "TameCharacter(q=2, f=2, a=1, w=-1) at n=4: psi=Irrep(f=2, a=5, "
+            "c=2, group=MetacyclicGroup(m=15, N=8, s=2))",
         ),
         (
             WEIL_SELFDUAL,
-            "TameCharacter(q=2, f=2, a=1, w=-1) at n=2: psi=SubgroupCharacter("
-            "f=2, a=1, c=1) on MetacyclicGroup(m=3, N=4, s=2)",
+            "TameCharacter(q=2, f=2, a=1, w=-1) at n=2: psi=Irrep(f=2, a=1, "
+            "c=1, group=MetacyclicGroup(m=3, N=4, s=2))",
         ),
     ],
     ids=["division", "weil"],

@@ -24,6 +24,7 @@ from tamesigns.division import (
     checked_sign,
     division_model,
     enumerate_level1_selfdual,
+    is_division_model,
     is_prime_power,
     is_regular,
     is_selfdual_division,
@@ -38,8 +39,10 @@ from tamesigns.metacyclic import (
     GroupElem,
     Irrep,
     SubgroupCharacter,
+    enumerate_irreps,
     fs_indicator,
     is_irreducible_induced,
+    make_group,
     matrix_of,
     orbit_of,
     orbit_partition,
@@ -250,6 +253,41 @@ def test_division_model_validation():
         TameCharacter(2, 2, 0, 1)  # so no model is ever built for it
 
 
+@pytest.mark.parametrize("q,n", [(2, 4), (2, 6), (3, 4), (5, 2)])
+def test_is_division_model_is_equality_with_the_model(monkeypatch, q, n):
+    # every regular datum with f | n, against every irrep of the model
+    # group of each degree k | n (the cell's at k = n, a Weil parameter's
+    # at k = f): the predicate is equality with division_model(k, chi)
+    chis = [
+        TameCharacter(q, f, a, w)
+        for f in divisors(n)
+        for a in range(q**f - 1)
+        if len(orbit_of(a, q, q**f - 1)) == f
+        for w in (1, -1)
+    ]
+    cases = []
+    for k in divisors(n):
+        psis = enumerate_irreps(make_group(q**k - 1, 2 * k, q))
+        for chi in chis:
+            model = division_model(k, chi) if k % chi.f == 0 else None
+            cases += [(psi, k, chi, psi == model) for psi in psis]
+            if model is not None:
+                # enumerate_irreps takes each orbit's least a, and a model's
+                # a need not be least: the model itself, and its bare datum
+                cases.append((model, k, chi, True))
+                cases.append((SubgroupCharacter(*model[:3]), k, chi, False))
+
+    def refuse(*args):
+        raise AssertionError("is_division_model built a group or a model")
+
+    # and it builds nothing
+    for module in (tamesigns.division, tamesigns.metacyclic):
+        monkeypatch.setattr(module, "make_group", refuse)
+        monkeypatch.setattr(module, "orbit_irreps", refuse)
+    wrong = [case for case in cases if is_division_model(*case[:3]) != case[3]]
+    assert wrong == []
+
+
 def test_closed_form_and_oracle_signs():
     chi_plus = TameCharacter(2, 2, 1, 1)
     chi_minus = TameCharacter(2, 2, 1, -1)
@@ -275,8 +313,8 @@ def test_vanishing_oracle_indicator_names_its_model(monkeypatch):
     # n, psi and G are all in the text, so the failure can be rerun from it
     assert str(info.value) == (
         "model of self-dual datum TameCharacter(q=2, f=2, a=1, w=-1) at n=4 "
-        "has vanishing indicator: psi=SubgroupCharacter(f=2, a=5, c=2) on "
-        "MetacyclicGroup(m=15, N=8, s=2)"
+        "has vanishing indicator: psi=Irrep(f=2, a=5, c=2, "
+        "group=MetacyclicGroup(m=15, N=8, s=2))"
     )
 
 

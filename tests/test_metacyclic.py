@@ -966,7 +966,7 @@ def test_fs_not_integer_message_names_the_raw_sum(monkeypatch, fresh_groups):
         with pytest.raises(InternalConsistencyError) as info:
             route(G, psi)
         assert str(info.value) == (
-            f"FS sum for psi={psi} on {G} is not a rational integer: "
+            f"FS sum for psi={psi} is not a rational integer: "
             "conductor 4, coefficients (0, 1)"
         )
     assert G.fs_values == {}
@@ -984,7 +984,7 @@ def test_fs_out_of_range_is_an_internal_fault(monkeypatch, fresh_groups):
     for route in (fs_indicator, fs_indicator_raw):
         with pytest.raises(InternalConsistencyError) as info:
             route(G, psi)
-        assert str(info.value) == f"FS indicator for psi={psi} on {G} out of range: 2"
+        assert str(info.value) == f"FS indicator for psi={psi} out of range: 2"
     assert G.fs_values == {}
 
 
@@ -1002,7 +1002,7 @@ def test_neither_type_message_names_the_seed(monkeypatch):
     with pytest.raises(InternalConsistencyError) as info:
         theta_sign(G, theta, psi)
     assert str(info.value) == (
-        f"invariant form for psi={psi} on {G} is neither symmetric nor "
+        f"invariant form for psi={psi} is neither symmetric nor "
         "antisymmetric at seed (mu, nu) = (0, 1)"
     )
 

@@ -6,6 +6,8 @@ of the package, named under bench/ (the benchmark and its tracer, which
 names functions by string), or listed in README's "## Library" section,
 which keeps the oracle API the test suite relies on. A new public name
 that only tests call fails here until it is deleted or listed there.
+The section's python block runs as shown and prints what its comments
+say.
 
 No check is an assert statement: `python -O` strips those, so a package
 check raises InternalConsistencyError (or UsageError) instead. No import
@@ -74,6 +76,16 @@ def test_every_public_name_is_used_outside_its_module():
             if name not in elsewhere | bench | listed
         ]
     assert not unused, f"used only by tests; delete or list in README: {unused}"
+
+
+def test_library_block_prints_what_its_comments_say(capsys):
+    section = library_section()
+    start = section.index("```python\n") + len("```python\n")
+    exec(section[start:section.index("```", start)], {})
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "{1: [0], 2: [5], 4: [1, 3, 7]}"
+    assert any(line.endswith("CycInt(2, (-120,))") for line in lines)
+    assert "False" in lines
 
 
 def test_package_has_no_assert_statements():

@@ -197,8 +197,7 @@ def test_stabilizer_size_must_divide_phi(monkeypatch):
     # the message carries what reruns it: psi and the group
     assert str(info.value) == (
         "stabilizer size 2 does not divide phi(3) = 3 for "
-        "psi=Irrep(f=2, a=1, c=0, group=MetacyclicGroup(m=3, N=4, s=2)) on "
-        "MetacyclicGroup(m=3, N=4, s=2)"
+        "psi=Irrep(f=2, a=1, c=0, group=MetacyclicGroup(m=3, N=4, s=2))"
     )
 
 

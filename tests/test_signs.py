@@ -373,8 +373,8 @@ def test_parameter_side_oracle_disagreement_exits_two(monkeypatch, capsys):
     assert calls == [(2, 1, 0, make_group(3, 4, 2))]
     assert str(info.value) == (
         f"closed-form sign 1 disagrees with the Frobenius-Schur indicator -1 "
-        f"for {mu} at n=2: psi=SubgroupCharacter(f=2, a=1, c=0) on "
-        "MetacyclicGroup(m=3, N=4, s=2)"
+        f"for {mu} at n=2: psi=Irrep(f=2, a=1, c=0, "
+        "group=MetacyclicGroup(m=3, N=4, s=2))"
     )
     assert main(["verify-flip", "--q", "2", "--n", "4"]) == 2
     out, err = capsys.readouterr()
@@ -408,8 +408,8 @@ def test_parameter_fs_fault_at_f_equal_n_exits_two(monkeypatch, capsys):
     assert err == (
         "internal consistency failure: closed-form sign 1 disagrees with the "
         "Frobenius-Schur indicator -1 for TameCharacter(q=2, f=2, a=1, w=1) "
-        "at n=2: psi=SubgroupCharacter(f=2, a=1, c=0) on "
-        "MetacyclicGroup(m=3, N=4, s=2)\n"
+        "at n=2: psi=Irrep(f=2, a=1, c=0, "
+        "group=MetacyclicGroup(m=3, N=4, s=2))\n"
     )
 
 

@@ -23,7 +23,7 @@ from tamesigns.division import (
     sign_division_oracle,
 )
 from tamesigns.errors import InternalConsistencyError, UsageError
-from tamesigns.metacyclic import Irrep, SubgroupCharacter
+from tamesigns.metacyclic import Irrep, MetacyclicGroup, SubgroupCharacter
 from tamesigns.weil import attach_parameter, sign_weil_closed_form, sp_sign
 
 
@@ -86,8 +86,29 @@ def test_closed_form_sign_and_det_characterization():
             lambda mu: SubgroupCharacter(2, 1, 1),
             "SubgroupCharacter(f=2, a=1, c=1)",
         ),
+        # one field of the group off, the rest mu's own model's. f cannot
+        # differ alone: an Irrep's f is the orbit size of its a, so an
+        # Irrep with mu's group and a has mu's f
+        (  # N = 8, not 2f = 4
+            TameCharacter(2, 2, 1, -1),
+            lambda mu: Irrep(2, 1, 1, MetacyclicGroup(3, 8, 2)),
+            "Irrep(f=2, a=1, c=1, group=MetacyclicGroup(m=3, N=8, s=2))",
+        ),
+        (  # s = 7, not q = 3
+            TameCharacter(3, 2, 2, 1),
+            lambda mu: Irrep(2, 2, 0, MetacyclicGroup(8, 4, 7)),
+            "Irrep(f=2, a=2, c=0, group=MetacyclicGroup(m=8, N=4, s=7))",
+        ),
+        (  # m = 5, not q^f - 1 = 15
+            TameCharacter(4, 2, 3, 1),
+            lambda mu: Irrep(2, 3, 0, MetacyclicGroup(5, 4, 4)),
+            "Irrep(f=2, a=3, c=0, group=MetacyclicGroup(m=5, N=4, s=4))",
+        ),
     ],
-    ids=["cell-model", "wrong-c", "wrong-a", "subgroup-character"],
+    ids=[
+        "cell-model", "wrong-c", "wrong-a", "subgroup-character",
+        "wrong-N", "wrong-s", "wrong-m",
+    ],
 )
 def test_closed_form_refuses_any_model_but_its_own(mu, model, psi_text):
     with pytest.raises(UsageError) as info:
@@ -147,32 +168,25 @@ def test_det_route_break_raises_and_exits_two(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize(
-    "exponents,message",
+    "exponents,values",
     [
-        (
-            ((3, 1), (2, 0)),
-            "det of self-dual {} with model psi=SubgroupCharacter(f=2, a=1, c=1) "
-            "on MetacyclicGroup(m=3, N=4, s=2) is nontrivial on the torus: zeta_3^1",
-        ),
-        (
-            ((3, 0), (4, 1)),
-            "det at t for self-dual {} with model psi=SubgroupCharacter(f=2, a=1, "
-            "c=1) on MetacyclicGroup(m=3, N=4, s=2) is not a sign: zeta_4^1",
-        ),
-        (
-            ((3, 0), (2, 1)),
-            "det route disagrees with w for {} with model psi=SubgroupCharacter("
-            "f=2, a=1, c=1) on MetacyclicGroup(m=3, N=4, s=2): det_t=-1, w=-1",
-        ),
+        (((3, 1), (2, 0)), "det(x) = zeta_3^1, det(t) = zeta_2^0"),
+        (((3, 0), (4, 1)), "det(x) = zeta_3^0, det(t) = zeta_4^1"),
+        # det at t is the sign w = -1, not -w
+        (((3, 0), (2, 1)), "det(x) = zeta_3^0, det(t) = zeta_2^1"),
     ],
     ids=["torus", "not-a-sign", "disagrees"],
 )
-def test_det_shape_faults_raise(monkeypatch, exponents, message):
+def test_det_shape_faults_raise(monkeypatch, exponents, values):
     mu = TameCharacter(2, 2, 1, -1)
     monkeypatch.setattr(tamesigns.weil, "det_exponents", lambda G, psi: exponents)
     with pytest.raises(InternalConsistencyError) as info:
         weil_sign(mu)
-    assert str(info.value) == message.format(mu)
+    assert str(info.value) == (
+        f"det route disagrees with the closed form -1 for self-dual {mu} with "
+        "model psi=Irrep(f=2, a=1, c=1, group=MetacyclicGroup(m=3, N=4, s=2)): "
+        f"{values}"
+    )
 
 
 def test_q_minus_one_guard_raises(monkeypatch):
@@ -241,8 +255,8 @@ def test_f_one_oracle_disagreement_raises(monkeypatch):
         weil_sign(mu)
     assert str(info.value) == (
         f"closed-form sign 1 disagrees with the Frobenius-Schur indicator -1 "
-        f"for {mu} at n=1: psi=SubgroupCharacter(f=1, a=2, c=1) on "
-        "MetacyclicGroup(m=4, N=2, s=1)"
+        f"for {mu} at n=1: psi=Irrep(f=1, a=2, c=1, "
+        "group=MetacyclicGroup(m=4, N=2, s=1))"
     )
 
 
@@ -254,7 +268,7 @@ def test_f_one_character_that_is_not_quadratic_raises(monkeypatch):
     with pytest.raises(InternalConsistencyError) as info:
         weil_sign(mu)
     assert str(info.value) == (
-        f"self-dual {mu} with model psi=SubgroupCharacter(f=1, a=2, c=0) on "
-        "MetacyclicGroup(m=4, N=2, s=1) is not quadratic: "
-        "mu(x) = zeta_4^1, mu(t) = zeta_2^0"
+        f"det route disagrees with the closed form 1 for self-dual {mu} with "
+        "model psi=Irrep(f=1, a=2, c=0, group=MetacyclicGroup(m=4, N=2, s=1)): "
+        "det(x) = zeta_4^1, det(t) = zeta_2^0"
     )
