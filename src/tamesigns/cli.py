@@ -30,6 +30,7 @@ from functools import cache
 from json.encoder import encode_basestring_ascii
 from math import lcm
 from operator import itemgetter
+from typing import Iterator
 
 from .division import (
     TameCharacter,
@@ -250,9 +251,10 @@ def render(fmt: str, command: str, rows: list[tuple]) -> str:
 # subcommands
 
 
-def _cells(args: argparse.Namespace) -> list[tuple[int, int]]:
-    # q and n are ascending tuples, so the cells come in sorted order
-    return [(q, n) for q in args.q for n in args.n]
+def _cells(args: argparse.Namespace) -> Iterator[tuple[int, int]]:
+    # q and n are ascending tuples, so the cells come in sorted order; a
+    # generator, so refusing a grid does not first build every cell
+    return ((q, n) for q in args.q for n in args.n)
 
 
 def _check_grid_size(args: argparse.Namespace) -> None:
@@ -334,15 +336,13 @@ def cmd_sign(args: argparse.Namespace) -> tuple[int, str]:
         closed, oracle = None, fs_indicator(G, psi)
     (Mx, kx), (Mt, kt) = det_exponents(G, psi)
     field_info = character_field(G, psi)
-    if field_info.is_real != (oracle != 0):
+    # one prediction: the rule, the field of values and the indicator
+    # agree on self-duality
+    if not selfdual == field_info.is_real == (oracle != 0):
         raise InternalConsistencyError(
-            f"field of values real={field_info.is_real} but Frobenius-Schur "
-            f"indicator {oracle} for psi={psi}"
-        )
-    if selfdual != (oracle != 0):
-        raise InternalConsistencyError(
-            f"selfdual={selfdual} but Frobenius-Schur indicator {oracle} "
-            f"for {chi}: psi={psi}"
+            f"selfdual={selfdual}, field of values real={field_info.is_real} "
+            f"and Frobenius-Schur indicator {oracle} disagree for {chi}: "
+            f"psi={psi}"
         )
     row = (
         args.side, args.q, args.n, args.f, args.a, args.w, True, selfdual,

@@ -36,7 +36,6 @@ __all__ = [
     "cyc_integer",
     "cyc_zero",
     "cyc_add",
-    "cyc_sub",
     "cyc_neg",
     "cyc_scale",
     "cyc_mul",
@@ -268,12 +267,6 @@ def cyc_add(a: CycInt, b: CycInt) -> CycInt:
     """a + b; both operands must share one conductor."""
     _require_same_conductor(a, b, "cyc_add")
     return CycInt(a.conductor, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
-
-
-def cyc_sub(a: CycInt, b: CycInt) -> CycInt:
-    """a - b; both operands must share one conductor."""
-    _require_same_conductor(a, b, "cyc_sub")
-    return CycInt(a.conductor, tuple(x - y for x, y in zip(a.coeffs, b.coeffs)))
 
 
 def cyc_neg(a: CycInt) -> CycInt:

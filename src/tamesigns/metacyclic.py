@@ -34,11 +34,11 @@ there. orbit_irreps, which takes every orbit of one size and serves
 both enumerations and division_model, runs it once per class
 d = m/gcd(a, m) of the group, since the orbit size, the norm route's
 pair count and well-definedness depend on a only through d;
-G.orbit_sizes keeps the size checked for each class. Irrep's
-constructor validates a hand-built one like make_subgroup_character and
-checks it before it exists. The model routes (fs_indicator,
-fs_indicator_raw, theta_sign, det_exponents, and rationality's
-character_field) take only an Irrep whose group is G itself; anything
+G.orbit_sizes keeps each class's irreducible size, which every orbit of
+the class must have. Irrep's constructor validates a hand-built one
+like make_subgroup_character and checks it before it exists. The model
+routes (fs_indicator, fs_indicator_raw, theta_sign, det_exponents, and
+rationality's character_field) take only an Irrep whose group is G itself; anything
 else, plain inducing data or an Irrep of another or merely equal group,
 raises UsageError before any memo is read. The oracles induced_character
 and matrix_of, and is_irreducible_induced, the check itself, take plain
@@ -51,11 +51,11 @@ on a only through d: a*(1+s^j) = 0 (mod m) iff d | 1+s^j, and
 the group, one entry per class, built on the class's first call. The
 Frobenius-Schur sum depends on psi only through (f, d, c), so
 G.fs_values keeps one (sum, indicator) entry per class (f, d, c): its
-one builder, _fs_value, forms the collapsed sum with root_sum and runs
-the indicator's three checks once per class, and fs_indicator_raw and
-fs_indicator both read it. theta_sign, the sign of the invariant
-bilinear form, reads its shift r, or None, from G.theta_shifts, keyed
-by (f, d), and returns 0 on None. The two share no table. Their keys
+one builder, _fs_value, forms the collapsed sum with root_sum and checks
+once per class that it is |G| * c with c in {-1, 0, +1}, and
+fs_indicator_raw and fs_indicator both read it. theta_sign, the sign
+of the invariant bilinear form, reads its shift r, or None, from
+G.theta_shifts, keyed by (f, d), and returns 0 on None. The two share no table. Their keys
 are small-int tuples, which hash without the Python-level call a
 frozen group's hash makes, and they go away with their group. G.order
 (m*N) is a stored field, like G.s_powers.
@@ -302,12 +302,15 @@ def orbit_irreps(
 
     Each a (0 <= a < m) is in an orbit of s on Z/m of the size f the
     caller reports. f | N and each 0 <= c < N/f are validated first,
-    once. A class's first orbit is validated like make_subgroup_character
-    and checked at c = 0 by both irreducibility routes, and G.orbit_sizes
-    keeps its size. InternalConsistencyError names psi, G and both values
-    if the routes disagree, the orbit if both call it reducible, and a,
-    f, d, the kept size and G for a later orbit of the class off that
-    size: orbit size, norm route and well-definedness depend on a via d.
+    once. The prediction is that each orbit has its class's irreducible
+    size: orbit size, norm route and well-definedness depend on a only
+    through d. A class's first orbit is checked at c = 0 by both
+    irreducibility routes (is_irreducible_induced, which validates it
+    like make_subgroup_character), and G.orbit_sizes keeps its size only
+    if it induces irreducibly. One InternalConsistencyError names a, f,
+    d, the kept size (None when the first orbit was reducible) and G for
+    an orbit off that size; is_irreducible_induced raises its own if the
+    routes disagree.
     """
     _check_f_and_cs(G, f, cs)
     m, sizes = G.m, G.orbit_sizes
@@ -317,17 +320,12 @@ def orbit_irreps(
             raise UsageError(f"need 0 <= a < m = {m}, got a={a}")
         d = m // gcd(a, m)
         size = sizes.get(d)
-        if size is None:
-            if not is_irreducible_induced(G, make_subgroup_character(G, f, a, 0)):
-                raise InternalConsistencyError(
-                    f"orbit of a={a} has size {f} but does not induce "
-                    f"irreducibly on {G}"
-                )
-            sizes[d] = f
-        elif size != f:
+        if size is None and is_irreducible_induced(G, SubgroupCharacter(f, a, 0)):
+            size = sizes[d] = f
+        if size != f:
             raise InternalConsistencyError(
-                f"orbit of a={a} has size {f}, but its class "
-                f"d = m/gcd(a, m) = {d} was checked at size {size} on {G}"
+                f"orbit of a={a} has size {f}, not its class's irreducible "
+                f"size: class d = m/gcd(a, m) = {d} keeps size {size} on {G}"
             )
         # the class check stands in for the constructor's; a stays unreduced
         for c in cs:
@@ -422,10 +420,11 @@ def fs_indicator_raw(G: MetacyclicGroup, psi: Irrep) -> CycInt:
     element-by-element evaluation. It is read from the group's memo
     G.fs_values, one (sum, indicator) entry per class (f, d, c) of G with
     d = m/gcd(a, m), built on the class's first call by _fs_value; see
-    there for why the class decides the sum. The builder also runs the
-    indicator's checks, so a sum that fails them raises
-    InternalConsistencyError from this route too. psi must be an Irrep
-    built on G itself; anything else raises UsageError.
+    there for why the class decides the sum. The builder also checks
+    the indicator's prediction, so a sum that is not |G| * c with c in
+    {-1, 0, +1} raises InternalConsistencyError from this route too.
+    psi must be an Irrep built on G itself; anything else raises
+    UsageError.
     """
     if type(psi) is not Irrep or psi.group is not G:
         _refuse_model(G, psi)
@@ -441,10 +440,10 @@ def fs_indicator(G: MetacyclicGroup, psi: Irrep) -> int:
 
     The indicator c of fs_indicator_raw's sum, |G| * c, read from the
     same entry of G.fs_values. When its class's entry was built, the sum
-    had to be a rational integer that |G| divides, with c in {-1, 0, +1};
-    any other value raised InternalConsistencyError rather than being
-    rounded, and was not kept. psi must be an Irrep built on G itself;
-    anything else raises UsageError.
+    had to be |G| * c with c in {-1, 0, +1}; any other value raised
+    InternalConsistencyError rather than being rounded, and was not
+    kept. psi must be an Irrep built on G itself; anything else raises
+    UsageError.
     """
     if type(psi) is not Irrep or psi.group is not G:
         _refuse_model(G, psi)
@@ -468,10 +467,11 @@ def _fs_value(
     (2j mod N)/f. So the sum and the indicator are functions of (f, d, c)
     on G. root_sum canonicalises the surviving terms, which may cancel to
     0; when no j survives, -a is not in the orbit of a, psi is not
-    self-dual, and the sum is root_sum's empty sum. The sum must be a
-    rational integer that |G| divides, with quotient in {-1, 0, +1}; any
-    other value raises InternalConsistencyError naming psi, whose repr
-    names G, and no entry is kept.
+    self-dual, and the sum is root_sum's empty sum. One prediction checks
+    it: the sum is |G| * c with c in {-1, 0, +1}. Any other value, one
+    that is not a rational integer included, raises one
+    InternalConsistencyError naming psi (whose repr names G), |G| and the
+    raw sum, and no entry is kept.
     """
     f, d, c = key
     N, spow = G.N, G.s_powers
@@ -483,22 +483,13 @@ def _fs_value(
             e = c * ((2 * j % N) // f) % Nf
             counts[e] = counts.get(e, 0) + mf
     raw = root_sum(Nf, counts)
-    total = try_as_integer(raw)
-    if total is None:
+    total, order = try_as_integer(raw), G.order
+    if total not in (-order, 0, order):
         raise InternalConsistencyError(
-            f"FS sum for psi={psi} is not a rational integer: "
-            f"conductor {raw.conductor}, coefficients {raw.coeffs}"
+            f"FS sum for psi={psi} is not |G| * c with c in {{-1, 0, 1}}: "
+            f"|G| = {order}, sum = {raw}"
         )
-    if total % G.order != 0:
-        raise InternalConsistencyError(
-            f"FS sum for psi={psi} is not |G| * c: sum={total}"
-        )
-    ind = total // G.order
-    if ind not in (-1, 0, 1):
-        raise InternalConsistencyError(
-            f"FS indicator for psi={psi} out of range: {ind}"
-        )
-    entry = G.fs_values[key] = (raw, ind)
+    entry = G.fs_values[key] = (raw, total // order)
     return entry
 
 

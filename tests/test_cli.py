@@ -15,6 +15,7 @@ import re
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -830,8 +831,21 @@ WEIL_NOT_SELFDUAL = [
 ]
 
 
-@pytest.mark.parametrize("route", ["character_field", "fs_indicator"])
-def test_sign_realness_cross_check_exits_two(monkeypatch, route):
+@pytest.mark.parametrize(
+    "route, message",
+    [
+        ("character_field",
+         "selfdual=True, field of values real=False and Frobenius-Schur "
+         "indicator -1 disagree for TameCharacter(q=2, f=2, a=1, w=-1): "
+         "psi=Irrep(f=2, a=1, c=1, group=MetacyclicGroup(m=3, N=4, s=2))"),
+        ("fs_indicator",
+         "selfdual=False, field of values real=False and Frobenius-Schur "
+         "indicator 1 disagree for TameCharacter(q=3, f=2, a=1, w=-1): "
+         "psi=Irrep(f=2, a=1, c=1, group=MetacyclicGroup(m=8, N=4, s=3))"),
+    ],
+    ids=["character_field", "fs_indicator"],
+)
+def test_sign_realness_cross_check_exits_two(monkeypatch, route, message):
     # the field is real exactly when the indicator is nonzero; break one
     # route. cli reads the indicator only for a datum that is not
     # self-dual, and there a nonzero indicator meets a non-real field
@@ -850,9 +864,8 @@ def test_sign_realness_cross_check_exits_two(monkeypatch, route):
         monkeypatch.setattr(cli, "fs_indicator", lambda G, psi: 1)
         argv = WEIL_NOT_SELFDUAL
     code, out, err = call_main(argv)
-    assert code == 2
-    assert out == ""
-    assert "internal consistency failure: field of values real=" in err
+    assert (code, out) == (2, "")
+    assert err == f"internal consistency failure: {message}\n"
 
 
 @pytest.mark.parametrize(
@@ -862,9 +875,9 @@ def test_sign_realness_cross_check_exits_two(monkeypatch, route):
         # read the one model C_8 x| C_4, whose indicator cli reads for a
         # datum it takes for not self-dual
         (False, ("3", "2", "2"),
-         "selfdual=False but Frobenius-Schur indicator -1 for "
-         "TameCharacter(q=3, f=2, a=2, w=-1): psi=Irrep(f=2, a=2, c=1, "
-         "group=MetacyclicGroup(m=8, N=4, s=3))"),
+         "selfdual=False, field of values real=True and Frobenius-Schur "
+         "indicator -1 disagree for TameCharacter(q=3, f=2, a=2, w=-1): "
+         "psi=Irrep(f=2, a=2, c=1, group=MetacyclicGroup(m=8, N=4, s=3))"),
         # at q = 2, f = 4, a = 1 is not self-dual; with n = f = 4 both
         # sides read the one model C_15 x| C_8, and checked_sign compares
         # its indicator 0 with the closed form w. (At q = 3, a = 1 the
@@ -907,17 +920,16 @@ def test_off_by_one_fs_sum_fails_the_indicator_and_exits_two(
     psi = tamesigns.metacyclic.Irrep(2, 1, 1, G)
     with pytest.raises(InternalConsistencyError) as info:
         tamesigns.metacyclic.fs_indicator(G, psi)
-    assert str(info.value) == (
+    message = (
         "FS sum for psi=Irrep(f=2, a=1, c=1, group=MetacyclicGroup(m=3, N=4, "
-        "s=2)) is not |G| * c: sum=-11"
+        "s=2)) is not |G| * c with c in {-1, 0, 1}: |G| = 12, "
+        "sum = CycInt(2, (-11,))"
     )
+    assert str(info.value) == message
     # sign checks its model once, as an Irrep, and the text names it
     code, out, err = call_main(WEIL_SELFDUAL)
     assert (code, out) == (2, "")
-    assert err == (
-        "internal consistency failure: FS sum for psi=Irrep(f=2, a=1, c=1, "
-        "group=MetacyclicGroup(m=3, N=4, s=2)) is not |G| * c: sum=-11\n"
-    )
+    assert err == f"internal consistency failure: {message}\n"
 
 
 @pytest.mark.parametrize(
@@ -1027,9 +1039,9 @@ def test_sign_reads_the_indicator_once(monkeypatch, argv):
     ids=["division", "weil"],
 )
 def test_sign_closed_form_oracle_disagreement_exits_two(monkeypatch, argv, datum):
-    # a negated indicator keeps the field check's realness, so only the
-    # comparison with the closed form, in division's checked_sign, can
-    # catch it
+    # a negated indicator is still nonzero, so sign's self-duality
+    # prediction holds, and only the comparison with the closed form, in
+    # division's checked_sign, can catch it
     real = tamesigns.division.fs_indicator
     monkeypatch.setattr(
         tamesigns.division, "fs_indicator", lambda G, psi: -real(G, psi)
@@ -1125,6 +1137,23 @@ def test_grid_limit_admits_its_own_row_count(monkeypatch):
     code, out, err = call_main(argv)
     assert (code, out) == (1, "")
     assert err.endswith("hold more than MAX_GRID_ROWS = 3 self-dual entries\n")
+
+
+def test_grid_refusal_does_not_build_the_grid():
+    # the count stops at cell (2, 48) of 618,496; a list of every (q, n)
+    # cell, built before the count, would peak near 38 MiB
+    tracemalloc.start()
+    try:
+        code, out, err = call_main(["enumerate", "--q", "2..4096", "--n", "1..1024"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (1, "")
+    assert err == (
+        "usage error: grid too large: its cells through q=2, n=48 hold more "
+        f"than MAX_GRID_ROWS = {cli.MAX_GRID_ROWS} self-dual entries\n"
+    )
+    assert peak < 2 * 2**20, peak
 
 
 def test_parser_reuse_matches_a_fresh_process(run_cli):

@@ -954,37 +954,36 @@ def test_shared_zeros_stay_zero_after_a_battery_sweep():
         assert cyc_zero(M) == root_sum(M, {}), M
 
 
-def test_fs_not_integer_message_names_the_raw_sum(monkeypatch, fresh_groups):
-    # the fault is in the canonical form the FS builder reads; no entry
-    # is kept, so every call, by either route, meets the fault again
-    G = make_group(3, 4, 2)
-    psi = enumerate_irreps(G)[-1]
-    monkeypatch.setattr(
-        tamesigns.metacyclic, "root_sum", lambda conductor, counts: cyc_root(4, 1)
-    )
-    for route in (fs_indicator, fs_indicator_raw, fs_indicator):
-        with pytest.raises(InternalConsistencyError) as info:
-            route(G, psi)
-        assert str(info.value) == (
-            f"FS sum for psi={psi} is not a rational integer: "
-            "conductor 4, coefficients (0, 1)"
-        )
-    assert G.fs_values == {}
-
-
-def test_fs_out_of_range_is_an_internal_fault(monkeypatch, fresh_groups):
-    # an integer sum that |G| divides, but with quotient 2
+@pytest.mark.parametrize(
+    "fault, raw",
+    [
+        (lambda order, conductor: cyc_root(4, 1), "CycInt(4, (0, 1))"),
+        (lambda order, conductor: cyc_integer(order + 1, conductor), "CycInt(2, (13,))"),
+        (lambda order, conductor: cyc_integer(2 * order, conductor), "CycInt(2, (24,))"),
+    ],
+    ids=["not-rational", "not-a-multiple", "out-of-range"],
+)
+def test_fs_sum_off_its_prediction_is_an_internal_fault(
+    monkeypatch, fresh_groups, fault, raw
+):
+    # the builder predicts a sum |G| * c with c in {-1, 0, 1}; the fault
+    # is in the canonical form it reads: a value that is not rational, an
+    # integer that |G| = 12 does not divide, and |G| * 2. No entry is
+    # kept, so every call, by either route, meets the fault again
     G = make_group(3, 4, 2)
     psi = enumerate_irreps(G)[-1]
     monkeypatch.setattr(
         tamesigns.metacyclic,
         "root_sum",
-        lambda conductor, counts: cyc_integer(2 * G.order, conductor),
+        lambda conductor, counts: fault(G.order, conductor),
     )
-    for route in (fs_indicator, fs_indicator_raw):
+    for route in (fs_indicator, fs_indicator_raw, fs_indicator):
         with pytest.raises(InternalConsistencyError) as info:
             route(G, psi)
-        assert str(info.value) == f"FS indicator for psi={psi} out of range: 2"
+        assert str(info.value) == (
+            f"FS sum for psi={psi} is not |G| * c with c in {{-1, 0, 1}}: "
+            f"|G| = 12, sum = {raw}"
+        )
     assert G.fs_values == {}
 
 
@@ -1147,12 +1146,13 @@ def test_enumeration_refuses_an_orbit_both_routes_call_reducible(
     monkeypatch.setattr(
         tamesigns.metacyclic, "is_irreducible_induced", lambda G, psi: psi.f < 4
     )
-    with pytest.raises(
-        InternalConsistencyError,
-        match=r"orbit of a=1 has size 4 but does not induce irreducibly on "
-        r"MetacyclicGroup\(m=15, N=8, s=2\)",
-    ):
+    # the first orbit of size 4 is reducible, so its class keeps no size
+    with pytest.raises(InternalConsistencyError) as info:
         enumerate_irreps(make_group(15, 8, 2))
+    assert str(info.value) == (
+        "orbit of a=1 has size 4, not its class's irreducible size: class "
+        "d = m/gcd(a, m) = 15 keeps size None on MetacyclicGroup(m=15, N=8, s=2)"
+    )
 
 
 @pytest.mark.parametrize("route", ROUTES, ids=ROUTE_IDS)
@@ -1235,8 +1235,8 @@ def test_class_size_mismatch_names_the_orbit_its_class_and_the_group(
     with pytest.raises(InternalConsistencyError) as info:
         enumerate_irreps(G)
     assert str(info.value) == (
-        "orbit of a=7 has size 2, but its class d = m/gcd(a, m) = 15 was "
-        "checked at size 4 on MetacyclicGroup(m=15, N=8, s=2)"
+        "orbit of a=7 has size 2, not its class's irreducible size: class "
+        "d = m/gcd(a, m) = 15 keeps size 4 on MetacyclicGroup(m=15, N=8, s=2)"
     )
 
 
@@ -1329,13 +1329,18 @@ def test_orbit_irreps_validates_its_orbit_and_each_c():
     with pytest.raises(UsageError, match="f must divide N"):
         orbit_irreps(fresh(), 0, (0,), (0,))
     # the orbit of 0 has size 1, so both routes call f = 2 reducible, and
-    # the group keeps no size for its class
+    # the group keeps no size for its class: a later call at the class's
+    # true size still succeeds
     G = fresh()
-    with pytest.raises(
-        InternalConsistencyError, match="orbit of a=0 has size 2 but does not"
-    ):
+    with pytest.raises(InternalConsistencyError) as info:
         orbit_irreps(G, 2, (0,), (0,))
+    assert str(info.value) == (
+        "orbit of a=0 has size 2, not its class's irreducible size: class "
+        "d = m/gcd(a, m) = 1 keeps size None on MetacyclicGroup(m=15, N=8, s=2)"
+    )
     assert G.orbit_sizes == {}
+    assert orbit_irreps(G, 1, (0,), (0,)) == [(1, 0, 0, G)]
+    assert G.orbit_sizes == {1: 1}
 
 
 @pytest.mark.parametrize(
@@ -1375,7 +1380,9 @@ def test_orbit_irreps_checks_once_per_class_of_its_table(monkeypatch):
     # 7 shares d = 15 with 1: compared with the table, not checked again
     assert orbit_irreps(G, 4, (7,), (1,)) == [(4, 7, 1, G)]
     assert seen == [(4, 1)]
-    with pytest.raises(InternalConsistencyError, match="was checked at size 4"):
+    with pytest.raises(
+        InternalConsistencyError, match=r"d = m/gcd\(a, m\) = 15 keeps size 4 on"
+    ):
         orbit_irreps(G, 2, (7,), (0,))
     # another group, equal but not the same object, checks again
     orbit_irreps(MetacyclicGroup(15, 8, 2), 4, (7,), (1,))
